@@ -37,18 +37,20 @@ from .valgroup import INFINITY, GroupElement, PREFIX
 def field_from_config(doc: dict) -> FieldInstance:
     try:
         rank = int(doc["rank"])
-        gen_docs = doc["generators"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed field config: {exc}")
-    gens = []
-    for gd in gen_docs:
-        value = GroupElement([Fraction(x) for x in gd["value"]])
-        gens.append(Generator(str(gd["name"]), value))
-    field = FieldInstance(rank, gens, name=str(doc.get("name", "config")))
-    for gd, gen in zip(gen_docs, field.generators):
-        gen.logder = parse_series(str(gd["logder"]), field)
-    if "shift" in doc:
-        declared = GroupElement([Fraction(x) for x in doc["shift"]])
+        gen_docs = list(doc["generators"])
+        gens = [Generator(str(gd["name"]),
+                          GroupElement([Fraction(x) for x in gd["value"]]))
+                for gd in gen_docs]
+        logders = [str(gd["logder"]) for gd in gen_docs]
+        declared = (GroupElement([Fraction(x) for x in doc["shift"]])
+                    if "shift" in doc else None)
+        name = str(doc.get("name", "config"))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"malformed field config: {exc!r}")
+    field = FieldInstance(rank, gens, name=name)
+    for text, gen in zip(logders, field.generators):
+        gen.logder = parse_series(text, field)
+    if declared is not None:
         if not declared <= field.derivation_shift:
             raise ConfigError(
                 f"declared shift {declared} exceeds the certified bound "
@@ -165,7 +167,19 @@ def _parse_vector(text: str, rank: int) -> GroupElement:
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != rank:
         raise VdfError(f"expected {rank} coordinates, got {len(parts)}")
-    return GroupElement([Fraction(p.strip()) for p in parts])
+    return GroupElement([_rational(p) for p in parts])
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"expected a rational, found {text.strip()!r}")
+
+
+def _require_positive(n: int, flag: str) -> None:
+    if n < 1:
+        raise VdfError(f"{flag} must be at least 1, got {n}")
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -233,6 +247,7 @@ def _cmd_coarsen(args) -> dict:
 
 
 def _cmd_probe(args) -> dict:
+    _require_positive(args.samples, "--samples")
     field = load_field(args.field)
     P = parse_poly(args.expr, field)
     beta = _parse_vector(args.beta, field.rank)
@@ -260,6 +275,7 @@ def _solver_field(args):
 
 
 def _cmd_solve(args) -> dict:
+    _require_positive(args.max_iter, "--max-iter")
     field = _solver_field(args)
     if args.op == "A":
         op = hsolve.op_A(field, args.depth)
@@ -286,7 +302,8 @@ def _cmd_solve(args) -> dict:
 
 
 def _cmd_demo(args) -> dict:
-    c_list = [Fraction(c.strip()) for c in args.c.split(",") if c.strip()]
+    _require_positive(args.max_iter, "--max-iter")
+    c_list = [_rational(c) for c in args.c.split(",") if c.strip()]
     tau = None
     if args.tau:
         tau = _parse_vector(args.tau, args.depth + 2)
@@ -295,6 +312,7 @@ def _cmd_demo(args) -> dict:
 
 
 def _cmd_check_bll(args) -> dict:
+    _require_positive(args.max_iter, "--max-iter")
     tau = None
     if args.tau:
         tau = _parse_vector(args.tau, args.depth + 1)

@@ -198,12 +198,18 @@ class _Parser:
         num = int(tok.text)
         if self.peek().text == "/":
             self.next()
-            den_tok = self.next()
-            if den_tok.kind != "num":
-                raise ParseError("expected a denominator",
-                                 den_tok.line, den_tok.col)
-            return Fraction(sign * num, int(den_tok.text))
+            return Fraction(sign * num, self.denominator())
         return Fraction(sign * num)
+
+    def denominator(self) -> int:
+        """The nonzero natural after a consumed '/'."""
+        tok = self.next()
+        if tok.kind != "num":
+            raise ParseError("expected a denominator", tok.line, tok.col)
+        den = int(tok.text)
+        if den == 0:
+            raise ParseError("zero denominator", tok.line, tok.col)
+        return den
 
     def primary(self) -> Node:
         tok = self.next()
@@ -211,10 +217,7 @@ class _Parser:
             num = int(tok.text)
             if self.peek().text == "/":
                 self.next()
-                den = self.next()
-                if den.kind != "num":
-                    raise ParseError("expected a denominator", den.line, den.col)
-                return Lit(Fraction(num, int(den.text)))
+                return Lit(Fraction(num, self.denominator()))
             return Lit(Fraction(num))
         if tok.kind == "name":
             if tok.text == "Y":

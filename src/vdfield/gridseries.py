@@ -191,14 +191,14 @@ class FieldInstance:
 
     def monomial_logder(self, mono: Monomial) -> "Series":
         """Logarithmic derivative of a monomial: sum of q_i * g_i-logder."""
-        out = self.zero_series()
+        parts = []
         for q, g in zip(mono.exponents, self.generators):
             if q == 0:
                 continue
             if g.logder is None:
                 raise VdfError(f"generator {g.name} has no declared logder")
-            out = out + g.logder.scale(q)
-        return out
+            parts.append(g.logder.scale(q))
+        return _sum_series(self, parts)
 
     @property
     def derivation_shift(self) -> GroupElement:
@@ -321,15 +321,7 @@ class Series:
 
     def __add__(self, other: "Series") -> "Series":
         self._check_field(other)
-        tau = _tau_min(self.tau, other.tau)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = terms.get(mono, Fraction(0)) + c
-            if s == 0:
-                terms.pop(mono, None)
-            else:
-                terms[mono] = s
-        return Series(self.field, terms, tau)
+        return _sum_series(self.field, (self, other))
 
     def __neg__(self) -> "Series":
         return Series(self.field, {m: -c for m, c in self.terms.items()}, self.tau)
@@ -384,9 +376,10 @@ class Series:
         """Termwise derivative; the unknown tail contributes at
         tau + derivation_shift."""
         K = self.field
-        out = K.zero_series()
-        for mono, c in self.terms.items():
-            out = out + K.monomial_series(mono, c) * K.monomial_logder(mono)
+        out = _sum_series(K, [
+            K.monomial_series(mono, c) * K.monomial_logder(mono)
+            for mono, c in self.terms.items()
+        ])
         if self.tau is not INFINITY:
             out = out.truncated(self.tau + K.derivation_shift)
         return out
@@ -417,16 +410,17 @@ class Series:
                     "inverting an exact multi-term series requires a target tau"
                 )
             tau = self.tau + v.scale(-1)
-        rel = tau + v  # truncation for the unit-part inverse, relative to 1
-        u = (self * lead_inv - self.field.one()).truncated(rel)
-        if u.terms and not _reachable(u.valuation(), rel):
+        # the unit part self * lead_inv is inverted to tau itself:
+        # self * g - 1 = self * lead_inv * acc - 1
+        u = (self * lead_inv - self.field.one()).truncated(tau)
+        if u.terms and not _reachable(u.valuation(), tau):
             raise TruncationUnreachable(
-                f"geometric expansion with step {u.valuation()} cannot reach {rel}"
+                f"geometric expansion with step {u.valuation()} cannot reach {tau}"
             )
         acc = self.field.one()
         term = self.field.one()
         while True:
-            term = (term * (-u)).truncated(rel)
+            term = (term * (-u)).truncated(tau)
             if not term.terms:
                 break
             acc = acc + term
@@ -537,6 +531,26 @@ def _embed_monomial(src: FieldInstance, dst: FieldInstance, reindex, gamma):
             raise VdfError("truncation value not representable in target field")
         exps[target] = q
     return Monomial(exps)
+
+
+def _sum_series(field: FieldInstance, parts: Sequence["Series"]) -> "Series":
+    """The sum of parts built in one term dict, with the least of their
+    taus: the terms and tau of folding them with +, without a copy of
+    the dict per part."""
+    terms: Dict[Monomial, Fraction] = {}
+    tau = INFINITY
+    for f in parts:
+        tau = _tau_min(tau, f.tau)
+        if not terms:
+            terms.update(f.terms)
+            continue
+        for mono, c in f.terms.items():
+            s = terms.get(mono, 0) + c
+            if s == 0:
+                terms.pop(mono, None)
+            else:
+                terms[mono] = s
+    return Series(field, terms, tau)
 
 
 def _tau_min(a, b):

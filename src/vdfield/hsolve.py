@@ -205,13 +205,26 @@ def solve_linear(op: LinearOperator, g: Series, tau: GroupElement,
     exists; partial trace kept), truncation_exhausted (the residual is
     zero modulo its own truncation, which falls short of tau), or
     max_iter.
+
+    Invariant: the residual z = op(y) - g is computed once and then
+    carried, z <- z - op(h) after each step y <- y - h, so a step costs
+    op on one term instead of op on the whole iterate.  The carried z
+    has the terms and the tau of op(y) - g recomputed.  Each h has a new
+    value, since op(h) ~ z and the residual valuation rises, so v(y) is
+    the least v(h) over the steps; likewise v(y') is the least v(h')
+    when the h' have distinct values, as gamma -> gamma + psi(gamma) is
+    injective in every built-in field.  The truncations a0*y and a1*y'
+    contribute are then the least over the steps too.  (Were two h'
+    to cancel, the carried tau could only be lower, never unsound.)
     """
     K = op.field
     y = K.zero_series()
+    z = apply_op(op, y) - g
     trace = SolveTrace()
     prev: Optional[GroupElement] = None
-    for _ in range(max_iter):
-        z = apply_op(op, y) - g
+    for step in range(max_iter):
+        if step:
+            z = z - apply_op(op, h)
         if not z.terms:
             if z.tau is INFINITY or z.tau >= tau:
                 trace.termination = "reached_tau"
@@ -307,6 +320,8 @@ def demo_nonuniqueness(depth: int, c_list: List[Fraction],
     """
     if depth < 3:
         raise VdfError("demo_nonuniqueness needs depth >= 3")
+    if not c_list:
+        raise VdfError("demo_nonuniqueness needs at least one constant c")
     M = transseries_fragment(depth)
     A = op_A(M, depth)
     if tau is None:

@@ -249,3 +249,60 @@ class TestCommands:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["result"]["order"] == 1
+
+
+def _json_error(proc):
+    """The single JSON error line a failing command prints on stderr."""
+    lines = proc.stderr.decode().strip().splitlines()
+    assert len(lines) == 1, proc.stderr
+    return json.loads(lines[0])
+
+
+_T_GEN = {"name": "t", "value": ["1"], "logder": "t^-1"}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("doc", [
+        {"rank": 1, "generators": [{"name": "t", "logder": "t^-1"}]},
+        {"rank": 1, "generators": [dict(_T_GEN, value=["1/0"])]},
+        {"rank": 1, "generators": [_T_GEN], "shift": ["abc"]},
+    ], ids=["missing-value", "zero-denominator", "bad-shift"])
+    def test_malformed_config_is_contract_error(self, tmp_path, doc):
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli(["val", "--field", str(path), "t"])
+        assert proc.returncode == 2
+        assert _json_error(proc)["error"] == "contract"
+
+    def test_zero_denominator_exponent_is_parse_error(self):
+        proc = run_cli(["val", "--field", "configs/laurent.json", "t^1/0"])
+        assert proc.returncode == 3
+        assert _json_error(proc)["error"] == "parse"
+        for text in ("t^1/0", "1/0 + t", "t^-2/0"):
+            with pytest.raises(ParseError):
+                parse_expr(text)
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--depth", "3", "--tau", "1/0,0,0,0,0"],
+        ["demo", "--depth", "3", "--c", "0,abc"],
+    ], ids=["tau", "constants"])
+    def test_bad_rational_argument_is_parse_error(self, args):
+        proc = run_cli(args)
+        assert proc.returncode == 3
+        assert _json_error(proc)["error"] == "parse"
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--depth", "3", "--max-iter", "-3"],
+        ["solve", "--depth", "3", "--max-iter", "0"],
+        ["check-bll", "--depth", "3", "--max-iter", "0"],
+        ["demo", "--depth", "3", "--max-iter", "-1"],
+        ["demo", "--depth", "3", "--c", ","],
+        ["probe", "--field", "configs/laurent.json", "Y'", "--beta", "5",
+         "--samples", "-5"],
+    ], ids=["solve-negative", "solve-zero", "check-bll", "demo", "demo-no-c",
+            "probe"])
+    def test_sizes_below_one_rejected(self, args):
+        proc = run_cli(args)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert _json_error(proc)["error"] == "contract"

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     random_series,
@@ -10,6 +12,8 @@ from conftest import (
 )
 from vdfield.errors import IndeterminateValuation, TruncationUnreachable
 from vdfield.gridseries import (
+    FieldInstance,
+    Generator,
     Monomial,
     Series,
     laurent_ddt,
@@ -259,3 +263,109 @@ class TestFieldStructure:
         assert eps.derive().is_true_zero()
         assert ext.monomial_value(ext.monomial_from_dict({"_eps": 1})) == \
             GroupElement([0, 1])
+
+
+# -- truncated non-units: the invert / logder contracts ----------------------------
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(
+    lambda c: c != 0)
+
+
+@st.composite
+def _truncated_non_units(draw):
+    """(f, target): f has 2-4 terms, a nonzero valuation and a finite
+    tau; its other terms and its tau sit at rational multiples of a
+    positive step above the leading value, and the target is 1-3 steps,
+    so the geometric expansion can always reach it."""
+    K = draw(st.sampled_from(ALL_FIELDS))()
+    n = K.rank
+    lead = GroupElement([draw(_small) for _ in range(n)])
+    assume(not lead.is_zero())
+    p = draw(st.integers(0, n - 1))
+    step = GroupElement(
+        [0] * p
+        + [draw(st.fractions(min_value=Fraction(1, 3), max_value=2,
+                             max_denominator=3))]
+        + [draw(_small) for _ in range(n - p - 1)]
+    )
+    qs = draw(st.lists(st.sampled_from([Fraction(k, 2) for k in range(1, 7)]),
+                       min_size=1, max_size=3, unique=True))
+    terms = {K.monomial_of_value(lead): draw(_coeffs)}
+    for q in qs:
+        terms[K.monomial_of_value(lead + step.scale(q))] = draw(_coeffs)
+    f = Series(K, terms, lead + step.scale(4))
+    return f, step.scale(draw(st.integers(1, 3)))
+
+
+class TestTruncatedNonUnits:
+    @given(_truncated_non_units())
+    @settings(max_examples=300, deadline=None)
+    def test_invert_contract(self, case):
+        f, tau = case
+        assert (f * f.invert(tau) - f.field.one()).val_or_tau() >= tau
+
+    @given(_truncated_non_units())
+    @settings(max_examples=200, deadline=None)
+    def test_logder_exact_below_tau(self, case):
+        f, tau = case
+        assert not (f * f.logder(tau) - f.derive()).terms
+
+    def test_roadmap_repro(self):
+        # v(u) = -1: the unit part must be expanded to tau, not tau + v
+        K = laurent_ddt()
+        u = K.gen("t", -1).scale(Fraction(3, 2)) - K.gen("t", Fraction(1, 3)) \
+            - K.gen("t", Fraction(2, 3)).scale(Fraction(5, 2))
+        tau = GroupElement([Fraction(7, 3)])
+        assert (u * u.invert(tau) - K.one()).val_or_tau() >= tau
+        ld = u.logder(GroupElement([Fraction(4, 3)]))
+        assert ld.coefficient(K.monomial_from_dict({"t": Fraction(1, 3)})) \
+            == Fraction(-8, 9)
+
+
+# -- one-pass sums against repeated + ----------------------------------------------
+
+
+def _ref_monomial_logder(K: FieldInstance, mono: Monomial) -> Series:
+    out = K.zero_series()
+    for q, g in zip(mono.exponents, K.generators):
+        if q != 0:
+            out = out + g.logder.scale(q)
+    return out
+
+
+def _ref_derive(f: Series) -> Series:
+    K = f.field
+    out = K.zero_series()
+    for mono, c in f.terms.items():
+        out = out + K.monomial_series(mono, c) * _ref_monomial_logder(K, mono)
+    if f.tau is not INFINITY:
+        out = out.truncated(f.tau + K.derivation_shift)
+    return out
+
+
+class TestOnePassSums:
+    @pytest.mark.parametrize("make", ALL_FIELDS + [lambda: transseries_fragment(6)])
+    def test_derive_and_monomial_logder_match_repeated_add(self, make, rng):
+        K = make()
+        for _ in range(60):
+            f = random_series(K, rng, nterms=rng.randint(1, 5))
+            if rng.randrange(2):
+                f = f.truncated(f.valuation() + random_value(K, rng, 0, 3))
+            assert f.derive() == _ref_derive(f)
+            for mono in f.terms:
+                assert K.monomial_logder(mono) == _ref_monomial_logder(K, mono)
+
+    def test_truncated_logders_keep_least_tau(self):
+        # generator logders known only below a finite tau: the sum keeps
+        # the least of them, as repeated + does
+        K = FieldInstance(2, [Generator("t", GroupElement([1, 0])),
+                              Generator("s", GroupElement([0, 1]))])
+        K.generators[0].logder = (K.one() + K.gen("s")).truncated(
+            GroupElement([0, 2]))
+        K.generators[1].logder = K.gen("t").truncated(GroupElement([3, 0]))
+        mono = K.monomial_from_dict({"t": 2, "s": -1})
+        assert K.monomial_logder(mono) == _ref_monomial_logder(K, mono)
+        assert K.monomial_logder(mono).tau == GroupElement([0, 2])
+        f = K.monomial_series(mono, 3) + K.gen("s", 2)
+        assert f.derive() == _ref_derive(f)

@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rat, random_value
+from conftest import rat, random_series, random_value
+from vdfield import hsolve
 from vdfield.diffpoly import evaluate
 from vdfield.errors import IntegrationGap, NonDecreasingResidual, VdfError
 from vdfield.gridseries import (
     Series,
+    laurent_ddt,
+    laurent_tddt_coarse,
     log_fragment,
     transseries_fragment,
 )
@@ -16,6 +19,7 @@ from vdfield.hsolve import (
     asym_integrate,
     check_bll,
     demo_nonuniqueness,
+    derivation_op,
     lambda_series,
     op_A,
     op_B,
@@ -344,6 +348,88 @@ class TestSolveLinear:
             z = apply_op(A, y)
             if z.terms:
                 assert not z.valuation().is_zero()
+
+
+class TestCarriedResidual:
+    """The residual solve_linear carries from step to step equals
+    op(y) - g recomputed from the iterate: same terms, same tau."""
+
+    @staticmethod
+    def _solve_and_check(monkeypatch, op, g, tau, max_iter=64):
+        # dominant_solve sees the carried residual of every step; the
+        # iterate before step k is minus the sum of the first k answers
+        seen = []
+        original = hsolve.dominant_solve
+
+        def recording(op_, z):
+            h = original(op_, z)
+            seen.append((z, h))
+            return h
+
+        monkeypatch.setattr(hsolve, "dominant_solve", recording)
+        K = op.field
+        y = K.zero_series()
+        try:
+            y_out, trace = solve_linear(op, g, tau, max_iter=max_iter)
+        except (NonDecreasingResidual, IntegrationGap):
+            trace = None
+        for z, h in seen:
+            expect = apply_op(op, y) - g
+            assert z.terms == expect.terms
+            assert z.tau == expect.tau
+            y = y - h
+        if trace is not None:
+            assert y_out == y
+            final = apply_op(op, y) - g
+            if trace.termination != "max_iter":
+                assert trace.residual_valuations[-1] == final.val_or_tau()
+        return len(seen)
+
+    @pytest.mark.parametrize("depth", range(3, 17))
+    def test_op_a(self, monkeypatch, depth):
+        M = transseries_fragment(depth)
+        exps = {f"l{j}": -1 for j in range(depth)}
+        exps["e_x"] = 1
+        tau = M.monomial_value(M.monomial_from_dict(exps))
+        steps = self._solve_and_check(monkeypatch, op_A(M, depth),
+                                      M.gen("e_x").scale(Fraction(-3, 2)), tau)
+        assert steps >= depth
+
+    @pytest.mark.parametrize("depth", range(3, 17))
+    def test_op_b(self, monkeypatch, depth):
+        L = log_fragment(depth)
+        tau = L.monomial_value(
+            L.monomial_from_dict({f"l{j}": -1 for j in range(depth)}))
+        steps = self._solve_and_check(monkeypatch, op_B(L, depth), L.one(), tau)
+        assert steps >= depth
+
+    def test_derivation_op(self, monkeypatch):
+        K = laurent_ddt()
+        t = K.gen("t")
+        g = t.power(2).scale(3) + t.power(5) - K.gen("t", Fraction(-7, 2))
+        assert self._solve_and_check(monkeypatch, derivation_op(K), g,
+                                     GroupElement([10])) == 3
+        M = transseries_fragment(3)
+        g = M.gen("e_x") + M.gen("e_x") * M.gen("l0", -1) + M.gen("l0", -2)
+        tau = GroupElement([1, 0, 0, 0, 0])
+        assert self._solve_and_check(monkeypatch, derivation_op(M), g, tau) >= 2
+
+    @pytest.mark.parametrize("make", [laurent_ddt, laurent_tddt_coarse])
+    def test_random_first_order_truncated_coefficients(self, monkeypatch, make, rng):
+        K = make()
+        total = 0
+        for _ in range(40):
+            a0 = random_series(K, rng, nterms=2, lo=-2, hi=2)
+            a1 = random_series(K, rng, nterms=2, lo=-2, hi=2)
+            a0 = a0.truncated(a0.valuation() + random_value(K, rng, 1, 4))
+            a1 = a1.truncated(a1.valuation() + random_value(K, rng, 1, 4))
+            if not a1.terms:
+                continue
+            g = random_series(K, rng, nterms=3, lo=-3, hi=3)
+            tau = g.valuation() + random_value(K, rng, 2, 6)
+            total += self._solve_and_check(
+                monkeypatch, LinearOperator(a0, a1), g, tau, max_iter=12)
+        assert total >= 40
 
 
 def _reachable_support(L, depth, tau):
