@@ -23,11 +23,13 @@ from .gridseries import (
     FieldInstance,
     Generator,
     Series,
+    factor_strings,
     laurent_ddt,
     laurent_tddt_coarse,
     log_fragment,
     transseries_fragment,
 )
+from .hsolve import monomial_strings, series_terms, val_strings
 from .valgroup import INFINITY, GroupElement, PREFIX
 
 
@@ -36,7 +38,11 @@ from .valgroup import INFINITY, GroupElement, PREFIX
 
 def field_from_config(doc: dict) -> FieldInstance:
     try:
-        rank = int(doc["rank"])
+        rank = doc["rank"]
+        if type(rank) is not int:
+            raise ConfigError(
+                f"malformed field config: rank must be an integer, got {rank!r}"
+            )
         gen_docs = list(doc["generators"])
         gens = [Generator(str(gd["name"]),
                           GroupElement([Fraction(x) for x in gd["value"]]))
@@ -82,14 +88,8 @@ def _series_expr(f: Series) -> str:
         return "0"
     parts = []
     for mono, c in f.sorted_terms():
-        factors = []
-        if c != 1 or mono.is_one():
-            factors.append(str(c))
-        for q, g in zip(mono.exponents, f.field.generators):
-            if q == 0:
-                continue
-            factors.append(g.name if q == 1 else f"{g.name}^{q}")
-        parts.append("*".join(factors))
+        factors = [str(c)] if c != 1 or mono.is_one() else []
+        parts.append("*".join(factors + factor_strings(f.field, mono)))
     return " + ".join(parts)
 
 
@@ -120,28 +120,10 @@ def load_field(source: str) -> FieldInstance:
 # -- report helpers ------------------------------------------------------------------
 
 
-def group_strings(v) -> object:
-    if v is INFINITY:
-        return "inf"
-    return v.as_strings()
-
-
 def series_report(f: Series) -> dict:
-    terms = []
-    for mono, c in f.sorted_terms():
-        terms.append(
-            {
-                "coeff": str(c),
-                "monomial": [
-                    [g.name, str(q)]
-                    for g, q in zip(f.field.generators, mono.exponents)
-                    if q != 0
-                ],
-            }
-        )
-    out = {"terms": terms}
+    out = {"terms": series_terms(f)}
     if f.tau is not INFINITY:
-        out["tau"] = group_strings(f.tau)
+        out["tau"] = val_strings(f.tau)
     return out
 
 
@@ -188,7 +170,7 @@ def _require_positive(n: int, flag: str) -> None:
 def _cmd_val(args) -> dict:
     field = load_field(args.field)
     f = parse_series(args.expr, field)
-    return {"v": group_strings(f.valuation())}
+    return {"v": val_strings(f.valuation())}
 
 
 def _cmd_ddeg(args) -> dict:
@@ -207,7 +189,7 @@ def _cmd_ndeg(args) -> dict:
 def _cmd_breakpoints(args) -> dict:
     field = load_field(args.field)
     P = parse_poly(args.expr, field)
-    return {"breakpoints": [group_strings(b) for b in newton.breakpoints(P)]}
+    return {"breakpoints": [val_strings(b) for b in newton.breakpoints(P)]}
 
 
 def _cmd_conj(args) -> dict:
@@ -254,14 +236,7 @@ def _cmd_probe(args) -> dict:
     classes = newton.flex_probe(P, beta, args.samples, seed=args.seed)
     return {
         "classes": [
-            {
-                "v": group_strings(v),
-                "monomial": [
-                    [g.name, str(q)]
-                    for g, q in zip(field.generators, mono.exponents)
-                    if q != 0
-                ],
-            }
+            {"v": val_strings(v), "monomial": monomial_strings(field, mono)}
             for v, mono in classes
         ],
         "count": len(classes),
@@ -297,7 +272,7 @@ def _cmd_solve(args) -> dict:
     y, trace = hsolve.solve_linear(op, rhs, tau, max_iter=args.max_iter)
     report = trace.as_report()
     report["solution"] = series_report(y)
-    report["tau"] = group_strings(tau)
+    report["tau"] = val_strings(tau)
     return report
 
 

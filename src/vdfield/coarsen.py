@@ -15,8 +15,8 @@ from typing import Dict
 
 from .errors import VdfError
 from .gridseries import FieldInstance, Generator, Monomial, Series
+from .newton import _analytic_cut
 from .valgroup import (
-    ALL,
     INFINITY,
     ConvexSubgroup,
     Cut,
@@ -39,7 +39,6 @@ class Coarsening:
     base: FieldInstance
     delta: ConvexSubgroup
     residue_field: FieldInstance
-    _kept: tuple
 
     @property
     def k(self) -> int:
@@ -108,18 +107,14 @@ def coarsen(base: FieldInstance, prefix_len: int) -> Coarsening:
         raise VdfError(f"prefix_len {prefix_len} outside [0, {n}]")
     delta = ConvexSubgroup(n, prefix_len)
     k = prefix_len
-    kept = tuple(range(k, n))
-    gens = []
-    for i in kept:
-        g = base.generators[i]
-        gens.append(Generator(g.name, GroupElement(g.value.coords[k:])))
+    kept = base.generators[k:]
+    gens = [Generator(g.name, GroupElement(g.value.coords[k:])) for g in kept]
     residue_field = FieldInstance(n - k, gens, name=f"{base.name}/delta{k}")
-    half = Coarsening(base, delta, residue_field, kept)
-    for i, new_gen in zip(kept, residue_field.generators):
-        ld = base.generators[i].logder
-        if ld is None:
-            raise VdfError(f"generator {base.generators[i].name} has no logder")
-        new_gen.logder = half.residue(ld)
+    half = Coarsening(base, delta, residue_field)
+    for g, new_gen in zip(kept, residue_field.generators):
+        if g.logder is None:
+            raise VdfError(f"generator {g.name} has no logder")
+        new_gen.logder = half.residue(g.logder)
     return half
 
 
@@ -138,20 +133,4 @@ def coarsened_gamma_der(field: FieldInstance, delta: ConvexSubgroup) -> Cut:
     proj_(p+1)(gamma) <= proj_(p+1)(psi_floor(p)), exactly as in the
     uncoarsened computation but truncated to the quotient rank.
     """
-    k = delta.prefix_len
-    cut = Cut.all_of(k)
-    for p in range(min(k, field.rank)):
-        level = field.psi_floor(p)
-        if level is INFINITY:
-            continue
-        depth = min(p + 1, k)
-        cand = Cut.prefix(k, level.coords[:depth], inclusive=True)
-        if cut.kind == ALL:
-            cut = cand
-        else:
-            if cand.depth >= cut.depth:
-                a, b = cut, cand
-            else:
-                a, b = cand, cut
-            cut = b if b.bound[: a.depth] <= a.bound else a
-    return cut
+    return _analytic_cut(field, delta.prefix_len)

@@ -19,14 +19,16 @@ conjugated field.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import IndeterminateValuation, VdfError
-from .gridseries import FieldInstance, Monomial, Series
+from .gridseries import FieldInstance, Monomial, Series, _sum_series
 from .valgroup import INFINITY, GroupElement
 
 MultiIndex = Tuple[int, ...]
@@ -44,6 +46,23 @@ def _pad(i: MultiIndex, order: int) -> MultiIndex:
     return tuple(i) + (0,) * (order + 1 - len(i))
 
 
+def _order_of(indices: Iterable[MultiIndex]) -> int:
+    """The largest j with a nonzero entry i_j over the indices (0 if none)."""
+    return max((j for i in indices for j, ij in enumerate(i) if ij), default=0)
+
+
+def _sum_terms(field: FieldInstance, pairs: Iterable[Tuple[MultiIndex, Series]],
+               order: int) -> "DiffPoly":
+    """The polynomial sum of coefficient terms (index, c), with one
+    gridseries._sum_series per index: the terms of folding them with +,
+    without a copy of the term map per step."""
+    groups: Dict[MultiIndex, List[Series]] = {}
+    for i, c in pairs:
+        groups.setdefault(_pad(i, order), []).append(c)
+    return DiffPoly(field, {i: _sum_series(field, cs) for i, cs in groups.items()},
+                    order)
+
+
 class DiffPoly:
     """A differential polynomial with Series coefficients."""
 
@@ -52,12 +71,7 @@ class DiffPoly:
     def __init__(self, field: FieldInstance, terms: Dict[MultiIndex, Series],
                  order: Optional[int] = None):
         if order is None:
-            order = 0
-            for i in terms:
-                for j in range(len(i) - 1, -1, -1):
-                    if i[j]:
-                        order = max(order, j)
-                        break
+            order = _order_of(terms)
         clean: Dict[MultiIndex, Series] = {}
         for i, c in terms.items():
             if c.is_true_zero():
@@ -98,13 +112,7 @@ class DiffPoly:
         return (r, s, self.degree())
 
     def true_order(self) -> int:
-        r = 0
-        for i in self.terms:
-            for j in range(len(i) - 1, -1, -1):
-                if i[j]:
-                    r = max(r, j)
-                    break
-        return r
+        return _order_of(self.terms)
 
     def coefficient(self, i: MultiIndex) -> Series:
         return self.terms.get(_pad(i, self.order), self.field.zero_series())
@@ -137,18 +145,8 @@ class DiffPoly:
 
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
         order = self._align(other)
-        terms: Dict[MultiIndex, Series] = {
-            _pad(i, order): c for i, c in self.terms.items()
-        }
-        for i, c in other.terms.items():
-            i = _pad(i, order)
-            cur = terms.get(i)
-            s = c if cur is None else cur + c
-            if s.is_true_zero():
-                terms.pop(i, None)
-            else:
-                terms[i] = s
-        return DiffPoly(self.field, terms, order)
+        return _sum_terms(self.field, chain(self.terms.items(), other.terms.items()),
+                          order)
 
     def __neg__(self) -> "DiffPoly":
         return DiffPoly(self.field, {i: -c for i, c in self.terms.items()}, self.order)
@@ -158,20 +156,11 @@ class DiffPoly:
 
     def __mul__(self, other: "DiffPoly") -> "DiffPoly":
         order = self._align(other)
-        terms: Dict[MultiIndex, Series] = {}
-        for i, c in self.terms.items():
-            i = _pad(i, order)
-            for j, d in other.terms.items():
-                j = _pad(j, order)
-                k = tuple(a + b for a, b in zip(i, j))
-                prod = c * d
-                cur = terms.get(k)
-                s = prod if cur is None else cur + prod
-                if s.is_true_zero():
-                    terms.pop(k, None)
-                else:
-                    terms[k] = s
-        return DiffPoly(self.field, terms, order)
+        right = [(_pad(j, order), d) for j, d in other.terms.items()]
+        return _sum_terms(self.field, (
+            (tuple(a + b for a, b in zip(_pad(i, order), j)), c * d)
+            for i, c in self.terms.items() for j, d in right
+        ), order)
 
     def scale_series(self, a: Series) -> "DiffPoly":
         if a.is_true_zero():
@@ -184,10 +173,6 @@ class DiffPoly:
         return DiffPoly(
             self.field, {i: c.scale(q) for i, c in self.terms.items()}, self.order
         )
-
-    def map_coefficients(self, fn) -> "DiffPoly":
-        return DiffPoly(self.field, {i: fn(c) for i, c in self.terms.items()},
-                        self.order)
 
     def embed_into(self, other: FieldInstance) -> "DiffPoly":
         return DiffPoly(other, {i: c.embed_into(other) for i, c in self.terms.items()},
@@ -211,22 +196,18 @@ class DiffPoly:
         """Total derivative: coefficients are derived and each variable
         Y^(j) steps to Y^(j+1) by the product rule."""
         order = self.order + 1
-        out = DiffPoly(self.field, {}, order)
+        pairs = []
         for i, c in self.terms.items():
             i = _pad(i, order)
-            dc = c.derive()
-            if not (dc.is_true_zero()):
-                out = out + DiffPoly(self.field, {i: dc}, order)
+            pairs.append((i, c.derive()))
             for j, ij in enumerate(i):
                 if ij == 0:
                     continue
                 bumped = list(i)
                 bumped[j] -= 1
                 bumped[j + 1] += 1
-                out = out + DiffPoly(
-                    self.field, {tuple(bumped): c.scale(ij)}, order
-                )
-        return out
+                pairs.append((tuple(bumped), c.scale(ij)))
+        return _sum_terms(self.field, pairs, order)
 
     def __repr__(self):
         if not self.terms:
@@ -319,15 +300,10 @@ def dwt(P: DiffPoly) -> int:
 
 # -- the compositional kernel -------------------------------------------------
 
-_trivial_field: Optional[FieldInstance] = None
-
-
+@functools.lru_cache(maxsize=None)
 def rational_field() -> FieldInstance:
     """The rank-0 field: plain rationals with the zero derivation."""
-    global _trivial_field
-    if _trivial_field is None:
-        _trivial_field = FieldInstance(0, [], name="Q")
-    return _trivial_field
+    return FieldInstance(0, [], name="Q")
 
 
 _fnk_lock = threading.Lock()
@@ -368,21 +344,6 @@ def _fnk(n: int, k: int) -> DiffPoly:
     return _fnk_memo[key]
 
 
-def fnk_eval(n: int, k: int, phi_derivs: List[Series]) -> Series:
-    """F(n, k) evaluated at a series phi, given [phi, phi', phi'', ...]."""
-    F = fnk(n, k)
-    K = phi_derivs[0].field
-    out = K.zero_series()
-    for i, c in F.terms.items():
-        q = c.coefficient(F.field.unit_monomial())
-        term = K.constant(q)
-        for j, ij in enumerate(i):
-            if ij:
-                term = term * phi_derivs[j].power(ij)
-        out = out + term
-    return out
-
-
 # -- substitution and the three conjugations ----------------------------------
 
 
@@ -391,7 +352,6 @@ def substitute(P: DiffPoly, images: List[DiffPoly]) -> DiffPoly:
     if len(images) < P.order + 1:
         raise VdfError("substitution needs an image for every variable")
     order = max([img.order for img in images] + [0])
-    out = DiffPoly(P.field, {}, order)
     pow_cache: Dict[Tuple[int, int], DiffPoly] = {}
 
     def img_pow(j: int, e: int) -> DiffPoly:
@@ -403,14 +363,14 @@ def substitute(P: DiffPoly, images: List[DiffPoly]) -> DiffPoly:
             pow_cache[(j, e)] = got
         return got
 
-    one = DiffPoly.from_coeff(P.field, P.field.one())
+    pairs = []
     for i, c in P.terms.items():
         term = DiffPoly.from_coeff(P.field, c)
         for j, ij in enumerate(i):
             if ij:
                 term = term * img_pow(j, ij)
-        out = out + term
-    return out
+        pairs.extend(term.terms.items())
+    return _sum_terms(P.field, pairs, order)
 
 
 def derivatives(a: Series, count: int, twist: Optional[Series] = None) -> List[Series]:
@@ -473,7 +433,7 @@ def comp_conj(P: DiffPoly, phi: Series, twist: Optional[Series] = None) -> DiffP
     for n in range(1, P.order + 1):
         terms = {}
         for k in range(1, n + 1):
-            coeff = fnk_eval(n, k, der)
+            coeff = _evaluate_at(fnk(n, k).embed_into(K), der)
             if not coeff.is_true_zero():
                 terms[_unit_index(k, P.order)] = coeff
         images.append(DiffPoly(K, terms, P.order))
@@ -489,33 +449,21 @@ def _unit_index(j: int, order: int) -> MultiIndex:
 # -- evaluation ----------------------------------------------------------------
 
 
-def evaluate(P: DiffPoly, f: Series) -> Series:
-    """P(f): substitute f, f', ..., f^(r)."""
-    K = P.field
-    der = derivatives(f, P.order)
-    out = K.zero_series()
+def evaluate(P: DiffPoly, f: Series, twist: Optional[Series] = None) -> Series:
+    """P(f): substitute f, f', ..., f^(r).  With a twist the variables
+    Y^<k> stand for iterates of the twisted derivation (1/twist) * d, as
+    in a conjugate comp_conj(_, twist)."""
+    return _evaluate_at(P, derivatives(f, P.order, twist))
+
+
+def _evaluate_at(P: DiffPoly, der: List[Series]) -> Series:
+    """P at the point whose derivatives are der: the sum over the
+    support of coefficient times product of derivative powers."""
+    parts = []
     for i, c in P.terms.items():
         term = c
         for j, ij in enumerate(i):
             if ij:
                 term = term * der[j].power(ij)
-        out = out + term
-    return out
-
-
-def evaluate_conjugated(Q: DiffPoly, f: Series, phi: Series) -> Series:
-    """Evaluate a conjugated polynomial: the variables Y^<k> stand for
-    iterates of the twisted derivation phi^-1 * d."""
-    K = Q.field
-    phi_inv = phi.invert()
-    der = [f]
-    for _ in range(Q.order):
-        der.append(phi_inv * der[-1].derive())
-    out = K.zero_series()
-    for i, c in Q.terms.items():
-        term = c
-        for j, ij in enumerate(i):
-            if ij:
-                term = term * der[j].power(ij)
-        out = out + term
-    return out
+        parts.append(term)
+    return _sum_series(P.field, parts)

@@ -39,10 +39,15 @@ class ConfigError(VdfError):
 
 
 class ParseError(VdfError):
-    """Syntax error in the expression grammar; carries line/column."""
+    """Syntax error in the expression grammar, or a malformed argument.
 
-    def __init__(self, message, line=1, column=0):
-        super().__init__(f"{message} (line {line}, column {column})")
+    Carries the line/column of the offending token when a token supplied
+    one; line and column are None otherwise."""
+
+    def __init__(self, message, line=None, column=None):
+        if line is not None:
+            message = f"{message} (line {line}, column {column})"
+        super().__init__(message)
         self.line = line
         self.column = column
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .diffpoly import DiffPoly
+from .diffpoly import DiffPoly, _sum_terms
 from .errors import ParseError, UnboundSymbol, VdfError
 from .gridseries import FieldInstance, Series
 
@@ -315,10 +315,9 @@ def lower_poly(node: Node, field: FieldInstance) -> DiffPoly:
     if isinstance(node, Neg):
         return -lower_poly(node.operand, field)
     if isinstance(node, Add):
-        out = lower_poly(node.terms[0], field)
-        for t in node.terms[1:]:
-            out = out + lower_poly(t, field)
-        return out
+        parts = [lower_poly(t, field) for t in node.terms]
+        return _sum_terms(field, (kv for P in parts for kv in P.terms.items()),
+                          max(P.order for P in parts))
     if isinstance(node, Mul):
         out = lower_poly(node.factors[0], field)
         for f in node.factors[1:]:
@@ -342,10 +341,6 @@ def lower_poly(node: Node, field: FieldInstance) -> DiffPoly:
     raise VdfError(f"unknown AST node {node!r}")
 
 
-def _zero_index(P: DiffPoly):
-    return tuple([0] * (P.order + 1))
-
-
 def _is_constant_poly(P: DiffPoly) -> bool:
     return all(all(x == 0 for x in i) for i in P.terms)
 
@@ -365,9 +360,8 @@ def lower_series(node: Node, field: FieldInstance) -> Series:
     P = lower_poly(node, field)
     if not _is_constant_poly(P):
         raise ParseError("expression contains the indeterminate Y")
-    if not P.terms:
-        return field.zero_series()
-    return P.terms[_zero_index(P)]
+    # a constant polynomial has at most one index, the zero one
+    return next(iter(P.terms.values()), field.zero_series())
 
 
 def parse_poly(text: str, field: FieldInstance) -> DiffPoly:

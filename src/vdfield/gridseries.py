@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     ConfigError,
@@ -32,16 +32,12 @@ from .errors import (
 from .valgroup import (
     INFINITY,
     GroupElement,
+    Rat,
+    _frac,
     group_min,
     unit,
     zero,
 )
-
-Rat = Union[int, str, Fraction]
-
-
-def _frac(x: Rat) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class Monomial:
@@ -452,29 +448,11 @@ class Series:
         K = self.field
         if other is K:
             return self
-        reindex = []
-        for g in K.generators:
-            if g.name not in other._index:
-                reindex.append(None)
-            else:
-                reindex.append(other._index[g.name])
-        terms: Dict[Monomial, Fraction] = {}
-        for mono, c in self.terms.items():
-            exps = [Fraction(0)] * other.rank
-            for q, target in zip(mono.exponents, reindex):
-                if q == 0:
-                    continue
-                if target is None:
-                    raise VdfError(
-                        "embedding uses a generator missing from the target field"
-                    )
-                exps[target] = q
-            terms[Monomial(exps)] = c
+        terms = {_embed_exponents(K, other, mono.exponents): c
+                 for mono, c in self.terms.items()}
         tau = self.tau
         if tau is not INFINITY:
-            tau = other.monomial_value(
-                _embed_monomial(K, other, reindex, tau)
-            )
+            tau = embed_value(K, other, tau)
         return Series(other, terms, tau)
 
     # -- comparisons and formatting ----------------------------------------
@@ -501,11 +479,7 @@ class Series:
         else:
             parts = []
             for mono, c in self.sorted_terms():
-                factors = []
-                for q, g in zip(mono.exponents, self.field.generators):
-                    if q == 0:
-                        continue
-                    factors.append(g.name if q == 1 else f"{g.name}^{q}")
+                factors = factor_strings(self.field, mono)
                 if not factors:
                     parts.append(str(c))
                 elif c == 1:
@@ -520,23 +494,38 @@ class Series:
         return f"{body} + O({self.tau})"
 
 
-def _embed_monomial(src: FieldInstance, dst: FieldInstance, reindex, gamma):
-    """Translate a value from src's group to dst's via exponents."""
-    exps_src = src.exponents_of_value(gamma)
-    exps = [Fraction(0)] * dst.rank
-    for q, target in zip(exps_src, reindex):
+def _embed_exponents(src: FieldInstance, dst: FieldInstance,
+                     exps: Sequence[Fraction]) -> Monomial:
+    """The monomial of dst with src's exponents on the same-named generators."""
+    out = [Fraction(0)] * dst.rank
+    for q, g in zip(exps, src.generators):
         if q == 0:
             continue
+        target = dst._index.get(g.name)
         if target is None:
-            raise VdfError("truncation value not representable in target field")
-        exps[target] = q
-    return Monomial(exps)
+            raise VdfError("embedding uses a generator missing from the target field")
+        out[target] = q
+    return Monomial(out)
+
+
+def embed_value(src: FieldInstance, dst: FieldInstance, gamma: GroupElement) -> GroupElement:
+    """Translate a value from src's group to dst's via exponents."""
+    return dst.monomial_value(_embed_exponents(src, dst, src.exponents_of_value(gamma)))
+
+
+def factor_strings(field: FieldInstance, mono: Monomial) -> List[str]:
+    """The generator powers of a monomial in the expression grammar
+    (name or name^q), omitting exponent zero."""
+    return [g.name if q == 1 else f"{g.name}^{q}"
+            for q, g in zip(mono.exponents, field.generators) if q != 0]
 
 
 def _sum_series(field: FieldInstance, parts: Sequence["Series"]) -> "Series":
     """The sum of parts built in one term dict, with the least of their
     taus: the terms and tau of folding them with +, without a copy of
     the dict per part."""
+    if len(parts) == 1:
+        return parts[0]
     terms: Dict[Monomial, Fraction] = {}
     tau = INFINITY
     for f in parts:
@@ -640,8 +629,3 @@ def log_fragment(n_depth: int) -> FieldInstance:
         K.generators[k].logder = K.monomial_series(K.monomial_from_dict(exps))
     return K
 
-
-BUILTIN_FIELDS = {
-    "laurent_ddt": laurent_ddt,
-    "laurent_tddt_coarse": laurent_tddt_coarse,
-}

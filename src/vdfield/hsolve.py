@@ -25,10 +25,11 @@ from .gridseries import (
     FieldInstance,
     Monomial,
     Series,
+    embed_value,
     log_fragment,
     transseries_fragment,
 )
-from .valgroup import INFINITY, GroupElement, unit, zero
+from .valgroup import INFINITY, GroupElement, unit
 
 
 @dataclass
@@ -189,7 +190,7 @@ class SolveTrace:
         return {
             "iterations": len(self.iterates),
             "residual_valuations": [
-                _val_strings(v) for v in self.residual_valuations
+                val_strings(v) for v in self.residual_valuations
             ],
             "termination": self.termination,
         }
@@ -207,8 +208,10 @@ def solve_linear(op: LinearOperator, g: Series, tau: GroupElement,
     max_iter.
 
     Invariant: the residual z = op(y) - g is computed once and then
-    carried, z <- z - op(h) after each step y <- y - h, so a step costs
-    op on one term instead of op on the whole iterate.  The carried z
+    carried, z <- z + op(-h) after each step y <- y - h, so a step costs
+    op on one term instead of op on the whole iterate; op is linear, so
+    op(-h) = -op(h), and negating the single term h is cheaper than
+    negating op(h).  The carried z
     has the terms and the tau of op(y) - g recomputed.  Each h has a new
     value, since op(h) ~ z and the residual valuation rises, so v(y) is
     the least v(h) over the steps; likewise v(y') is the least v(h')
@@ -224,7 +227,7 @@ def solve_linear(op: LinearOperator, g: Series, tau: GroupElement,
     prev: Optional[GroupElement] = None
     for step in range(max_iter):
         if step:
-            z = z - apply_op(op, h)
+            z = z + apply_op(op, -h)
         if not z.terms:
             if z.tau is INFINITY or z.tau >= tau:
                 trace.termination = "reached_tau"
@@ -289,18 +292,18 @@ def check_bll(depth: int, tau: Optional[GroupElement] = None,
     y_M = y.embed_into(M)
     lifted = y_M * M.gen("e_x")
     residual = apply_op(A, lifted) - M.gen("e_x")
-    tau_M = _embed_value(L, M, tau)
+    tau_M = embed_value(L, M, tau)
     target = tau_M + M.monomial_value(M.monomial_from_dict({"e_x": 1}))
     bound = residual.val_or_tau()
     passed = solved and bound >= target
     return {
         "depth": depth,
         "flat_solve": trace.as_report(),
-        "flat_residual_bound": _val_strings(
+        "flat_residual_bound": val_strings(
             trace.residual_valuations[-1] if trace.residual_valuations else None
         ),
-        "lift_residual_bound": _val_strings(bound),
-        "required_bound": _val_strings(target),
+        "lift_residual_bound": val_strings(bound),
+        "required_bound": val_strings(target),
         "passed": bool(passed),
     }
 
@@ -338,7 +341,7 @@ def demo_nonuniqueness(depth: int, c_list: List[Fraction],
         entry = {"c": str(c)}
         entry.update(trace.as_report())
         runs.append(entry)
-    report = {"depth": depth, "tau": _val_strings(tau), "runs": runs}
+    report = {"depth": depth, "tau": val_strings(tau), "runs": runs}
     base_c = Fraction(c_list[0])
     diffs = []
     for c in c_list[1:]:
@@ -347,8 +350,8 @@ def demo_nonuniqueness(depth: int, c_list: List[Fraction],
         resid = apply_op(A, diff) - M.constant(c - base_c)
         entry = {
             "pair": [str(c), str(base_c)],
-            "iterate_difference_terms": _series_terms(diff),
-            "flat_discrepancy": _series_terms(resid),
+            "iterate_difference_terms": series_terms(diff),
+            "flat_discrepancy": series_terms(resid),
         }
         try:
             dominant_solve(A, M.constant(c - base_c))
@@ -357,7 +360,7 @@ def demo_nonuniqueness(depth: int, c_list: List[Fraction],
             for gamma, _ in gap.attempts:
                 if isinstance(gamma, GroupElement) and not gamma.is_zero():
                     mono = M.monomial_of_value(gamma)
-                    cascade.append(_monomial_strings(M, mono))
+                    cascade.append(monomial_strings(M, mono))
             entry["correction_monomials"] = cascade
             if cascade:
                 entry["correction_dominant"] = cascade[0]
@@ -370,9 +373,11 @@ def demo_nonuniqueness(depth: int, c_list: List[Fraction],
 
 
 # -- report helpers ----------------------------------------------------------------
+# The JSON renderings shared with the cli: group elements as arrays of
+# rational strings, series as term lists sorted by value.
 
 
-def _val_strings(v):
+def val_strings(v):
     if v is None:
         return None
     if v is INFINITY:
@@ -380,23 +385,14 @@ def _val_strings(v):
     return v.as_strings()
 
 
-def _series_terms(f: Series) -> list:
+def series_terms(f: Series) -> list:
     out = []
     for mono, c in f.sorted_terms():
-        out.append({"coeff": str(c), "monomial": _monomial_strings(f.field, mono)})
+        out.append({"coeff": str(c), "monomial": monomial_strings(f.field, mono)})
     return out
 
 
-def _monomial_strings(K: FieldInstance, mono: Monomial) -> list:
+def monomial_strings(K: FieldInstance, mono: Monomial) -> list:
     return [
         [g.name, str(q)] for g, q in zip(K.generators, mono.exponents) if q != 0
     ]
-
-
-def _embed_value(src: FieldInstance, dst: FieldInstance, gamma: GroupElement):
-    exps = src.exponents_of_value(gamma)
-    out = zero(dst.rank)
-    for q, g in zip(exps, src.generators):
-        if q != 0:
-            out = out + dst.generators[dst._index[g.name]].value.scale(q)
-    return out

@@ -92,16 +92,27 @@ def tropical_ddeg(P: DiffPoly, gamma: GroupElement) -> int:
         raise VdfError(
             "tropical formula needs gamma < 0; renormalize via comp_conj first"
         )
+    return _tropical_argmin(
+        P, lambda v, w: (v.pad(gamma.rank) + gamma.scale(w)).coords
+    )
+
+
+def _tropical_argmin(P: DiffPoly, key_of) -> int:
+    """max |i| over the indices minimizing key_of(v(P_i), ||i||).
+
+    Raises IndeterminateValuation when a coefficient known only modulo
+    its truncation tau could reach the minimum: key_of(tau, ||i||) must
+    stay strictly above it."""
     best_key = None
     best_deg = -1
     for v, w, d in tropical_profile(P):
-        key = (v.pad(gamma.rank) + gamma.scale(w)).coords
+        key = key_of(v, w)
         if best_key is None or key < best_key:
             best_key, best_deg = key, d
         elif key == best_key and d > best_deg:
             best_deg = d
     for tau, w in _unknown_tails(P):
-        if not best_key < (tau.pad(gamma.rank) + gamma.scale(w)).coords:
+        if not best_key < key_of(tau, w):
             raise IndeterminateValuation(
                 "a coefficient known only modulo its truncation could win"
             )
@@ -144,6 +155,22 @@ def _intersect_prefix(a: Cut, b: Cut) -> Cut:
     return a
 
 
+def _analytic_cut(field: FieldInstance, k: int) -> Cut:
+    """The cut in Q^k cut out by the generator classes p < k: the
+    intersection of {gamma : proj_(p+1)(gamma) <= proj_(p+1)(psi_floor(p))}.
+    At k = rank this is Gamma(der); at a smaller k, Gamma(der) of the
+    field coarsened to its first k coordinates."""
+    cut = Cut.all_of(k)
+    for p in range(min(k, field.rank)):
+        level = field.psi_floor(p)
+        if level is INFINITY:
+            continue
+        cut = _intersect_prefix(
+            cut, Cut.prefix(k, level.coords[: p + 1], inclusive=True)
+        )
+    return cut
+
+
 def gamma_der(field: FieldInstance, validate: bool = True,
               samples: int = 200, seed: int = 7) -> Cut:
     """The downward-closed set {v(phi) : der maps the maximal ideal into
@@ -159,15 +186,7 @@ def gamma_der(field: FieldInstance, validate: bool = True,
     cached = getattr(field, "_gamma_der_cut", None)
     if cached is not None:
         return cached
-    n = field.rank
-    cut = Cut.all_of(n)
-    for p in range(n):
-        level = field.psi_floor(p)
-        if level is INFINITY:
-            continue
-        cut = _intersect_prefix(
-            cut, Cut.prefix(n, level.coords[: p + 1], inclusive=True)
-        )
+    cut = _analytic_cut(field, field.rank)
     if validate:
         _validate_gamma_der(field, cut, samples, seed)
         field._gamma_der_cut = cut
@@ -284,22 +303,14 @@ def ndeg(P: DiffPoly, base: Optional[GroupElement] = None,
         return _top_tropical(P, 0, ())
     if cut.kind == EMPTY:
         raise VdfError("gamma_der returned an empty cut")
-    if cut.has_max():
-        target = cut.max_element() if base is None else base
-        if not cut.contains(target):
-            raise VdfError("base point must lie in gamma_der")
-        phi0 = K.monomial_series(K.monomial_of_value(target))
-        Q = comp_conj(P, phi0, twist)
-        if target == cut.max_element():
-            return dominant(Q).ddeg
-        shifted = cut.shift_by_prefix(target)
-        return _top_tropical(Q, shifted.depth, shifted.bound)
     if base is None:
         base = cut.bound_element()
     if not cut.contains(base):
         raise VdfError("base point must lie in gamma_der")
     phi0 = K.monomial_series(K.monomial_of_value(base))
     Q = comp_conj(P, phi0, twist)
+    if cut.has_max() and base == cut.max_element():
+        return dominant(Q).ddeg
     shifted = cut.shift_by_prefix(base)
     return _top_tropical(Q, shifted.depth, shifted.bound)
 
@@ -311,27 +322,12 @@ def _top_tropical(Q: DiffPoly, depth: int, bound: Sequence[Fraction]) -> int:
     block, then by the weight (the +infinity coefficient), then by the
     remaining coordinates."""
     bound = tuple(bound)
-    best_key = None
-    best_deg = -1
 
     def key_of(v, w):
         prefix = tuple(c + w * b for c, b in zip(v.coords[:depth], bound))
         return (prefix, w, v.coords[depth:])
 
-    for v, w, d in tropical_profile(Q):
-        key = key_of(v, w)
-        if best_key is None or key < best_key:
-            best_key, best_deg = key, d
-        elif key == best_key and d > best_deg:
-            best_deg = d
-    if best_deg < 0:
-        raise VdfError("no determinate coefficient in the conjugate")
-    for tau, w in _unknown_tails(Q):
-        if not best_key < key_of(tau, w):
-            raise IndeterminateValuation(
-                "a coefficient known only modulo its truncation could win"
-            )
-    return best_deg
+    return _tropical_argmin(Q, key_of)
 
 
 def ndeg_geq(P: DiffPoly, gamma: GroupElement) -> int:
@@ -339,14 +335,13 @@ def ndeg_geq(P: DiffPoly, gamma: GroupElement) -> int:
     collapses to ndeg of a single conjugate at gamma.  gamma of rank
     n+1 is interpreted in the flat infinitesimal extension."""
     K = P.field
-    if gamma.rank == K.rank:
-        g = K.monomial_series(K.monomial_of_value(gamma))
-        return ndeg(mul_conj(P, g))
     if gamma.rank == K.rank + 1:
-        ext = _eps_extension(K)
-        g = ext.monomial_series(ext.monomial_of_value(gamma))
-        return ndeg(mul_conj(P.embed_into(ext), g))
-    raise VdfError(f"gamma rank {gamma.rank} does not match field rank {K.rank}")
+        K = _eps_extension(K)
+        P = P.embed_into(K)
+    elif gamma.rank != K.rank:
+        raise VdfError(f"gamma rank {gamma.rank} does not match field rank {K.rank}")
+    g = K.monomial_series(K.monomial_of_value(gamma))
+    return ndeg(mul_conj(P, g))
 
 
 def ndeg_prec(P: DiffPoly, g: Series) -> int:

@@ -243,12 +243,6 @@ class ConvexSubgroup:
             raise RankMismatch(f"rank {gamma.rank} vs {self.ambient_rank}")
         return all(c == 0 for c in gamma.coords[: self.prefix_len])
 
-    def is_trivial(self) -> bool:
-        return self.prefix_len == self.ambient_rank
-
-    def is_everything(self) -> bool:
-        return self.prefix_len == 0
-
 
 EMPTY = "empty"
 ALL = "all"

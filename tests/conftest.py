@@ -1,7 +1,9 @@
 """Shared random generators and comparison helpers."""
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -11,6 +13,13 @@ from vdfield.valgroup import GroupElement
 
 settings.register_profile("repeatable", derandomize=True, deadline=None)
 settings.load_profile("repeatable")
+
+# The tests import vdfield from src/ (pyproject sets pytest's pythonpath);
+# the `python -m vdfield.cli` processes they start must find it there too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 def rat(rng, lo=-4, hi=4, den=3):

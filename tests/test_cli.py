@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vdfield.cli import field_from_config, field_to_config, load_field
+from vdfield.cli import field_from_config, field_to_config, load_field, run
 from vdfield.errors import ParseError, UnboundSymbol
 from vdfield.expr import (
     Add,
@@ -26,6 +26,8 @@ from vdfield.expr import (
 from vdfield.gridseries import laurent_ddt, transseries_fragment
 
 REPO = Path(__file__).resolve().parent.parent
+GOLDEN = [json.loads(line) for line in
+          (REPO / "tests" / "data" / "cli_golden.jsonl").read_text().splitlines()]
 
 
 class TestGrammar:
@@ -266,7 +268,11 @@ class TestBadInput:
         {"rank": 1, "generators": [{"name": "t", "logder": "t^-1"}]},
         {"rank": 1, "generators": [dict(_T_GEN, value=["1/0"])]},
         {"rank": 1, "generators": [_T_GEN], "shift": ["abc"]},
-    ], ids=["missing-value", "zero-denominator", "bad-shift"])
+        {"rank": 1.5, "generators": [_T_GEN]},
+        {"rank": "1", "generators": [_T_GEN]},
+        {"rank": True, "generators": [_T_GEN]},
+    ], ids=["missing-value", "zero-denominator", "bad-shift", "float-rank",
+            "string-rank", "bool-rank"])
     def test_malformed_config_is_contract_error(self, tmp_path, doc):
         path = tmp_path / "field.json"
         path.write_text(json.dumps(doc))
@@ -291,6 +297,11 @@ class TestBadInput:
         assert proc.returncode == 3
         assert _json_error(proc)["error"] == "parse"
 
+    def test_argument_parse_error_has_no_position(self):
+        proc = run_cli(["demo", "--depth", "3", "--c", "abc"])
+        assert proc.returncode == 3
+        assert "(line" not in _json_error(proc)["message"]
+
     @pytest.mark.parametrize("args", [
         ["solve", "--depth", "3", "--max-iter", "-3"],
         ["solve", "--depth", "3", "--max-iter", "0"],
@@ -306,3 +317,17 @@ class TestBadInput:
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert _json_error(proc)["error"] == "contract"
+
+
+class TestGolden:
+    """Every subcommand, byte for byte: argv, exit code and stdout as
+    recorded in tests/data/cli_golden.jsonl."""
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN, ids=[f"{n}-{c['argv'][0]}" for n, c in enumerate(GOLDEN)]
+    )
+    def test_output_unchanged(self, case, capsys, monkeypatch):
+        monkeypatch.chdir(REPO)
+        code = run(case["argv"])
+        assert code == case["exit"]
+        assert capsys.readouterr().out == case["stdout"]
