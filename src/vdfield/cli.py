@@ -95,6 +95,11 @@ def _series_expr(f: Series) -> str:
 
 _BUILTIN_PATTERN = re.compile(r"^(transseries_fragment|log_fragment)\((\d+)\)$")
 
+# The largest fragment depth taken from the command line: --depth of
+# solve, demo and check-bll, and N in transseries_fragment(N) and
+# log_fragment(N).
+MAX_DEPTH = 64
+
 
 def load_field(source: str) -> FieldInstance:
     """A field argument is a config path or a built-in name."""
@@ -104,9 +109,12 @@ def load_field(source: str) -> FieldInstance:
         return laurent_tddt_coarse()
     m = _BUILTIN_PATTERN.match(source)
     if m:
-        depth = int(m.group(2))
+        # the length check refuses a huge N before int() converts it
+        digits = m.group(2).lstrip("0") or "0"
+        if len(digits) > len(str(MAX_DEPTH)) or int(digits) > MAX_DEPTH:
+            raise VdfError(f"{m.group(1)}(N) needs N <= {MAX_DEPTH}")
         return (transseries_fragment if m.group(1) == "transseries_fragment"
-                else log_fragment)(depth)
+                else log_fragment)(int(digits))
     try:
         with open(source) as fh:
             doc = json.load(fh)
@@ -162,6 +170,11 @@ def _rational(text: str) -> Fraction:
 def _require_positive(n: int, flag: str) -> None:
     if n < 1:
         raise VdfError(f"{flag} must be at least 1, got {n}")
+
+
+def _require_depth(depth: int) -> None:
+    if depth > MAX_DEPTH:
+        raise VdfError(f"--depth must be at most {MAX_DEPTH}, got {depth}")
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -250,6 +263,7 @@ def _solver_field(args):
 
 
 def _cmd_solve(args) -> dict:
+    _require_depth(args.depth)
     _require_positive(args.max_iter, "--max-iter")
     field = _solver_field(args)
     if args.op == "A":
@@ -277,6 +291,7 @@ def _cmd_solve(args) -> dict:
 
 
 def _cmd_demo(args) -> dict:
+    _require_depth(args.depth)
     _require_positive(args.max_iter, "--max-iter")
     c_list = [_rational(c) for c in args.c.split(",") if c.strip()]
     tau = None
@@ -287,6 +302,7 @@ def _cmd_demo(args) -> dict:
 
 
 def _cmd_check_bll(args) -> dict:
+    _require_depth(args.depth)
     _require_positive(args.max_iter, "--max-iter")
     tau = None
     if args.tau:

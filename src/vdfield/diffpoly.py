@@ -43,7 +43,13 @@ def mi_weight(i: MultiIndex) -> int:
 
 
 def _pad(i: MultiIndex, order: int) -> MultiIndex:
-    return tuple(i) + (0,) * (order + 1 - len(i))
+    """i with order + 1 entries: zeros appended, or zero entries trimmed
+    from the end.  An index with a nonzero entry beyond order keeps its
+    length, so it names no monomial of that order."""
+    n = order + 1
+    if len(i) > n and not any(i[n:]):
+        return tuple(i[:n])
+    return tuple(i) + (0,) * (n - len(i))
 
 
 def _order_of(indices: Iterable[MultiIndex]) -> int:
@@ -51,16 +57,32 @@ def _order_of(indices: Iterable[MultiIndex]) -> int:
     return max((j for i in indices for j, ij in enumerate(i) if ij), default=0)
 
 
-def _sum_terms(field: FieldInstance, pairs: Iterable[Tuple[MultiIndex, Series]],
-               order: int) -> "DiffPoly":
-    """The polynomial sum of coefficient terms (index, c), with one
-    gridseries._sum_series per index: the terms of folding them with +,
-    without a copy of the term map per step."""
+def _collect(field: FieldInstance, pairs: Iterable[Tuple[MultiIndex, Series]],
+             order: int) -> Dict[MultiIndex, Series]:
+    """The term map of the coefficient terms (index, c): indices padded
+    to order + 1 entries, the coefficients of equal indices summed by
+    one gridseries._sum_series, zero sums dropped.  These are the terms
+    of folding them with +, without a copy of the term map per step."""
     groups: Dict[MultiIndex, List[Series]] = {}
     for i, c in pairs:
-        groups.setdefault(_pad(i, order), []).append(c)
-    return DiffPoly(field, {i: _sum_series(field, cs) for i, cs in groups.items()},
-                    order)
+        key = _pad(i, order)
+        if len(key) > order + 1:
+            raise VdfError(f"index {tuple(i)} has an entry beyond order {order}")
+        groups.setdefault(key, []).append(c)
+    out: Dict[MultiIndex, Series] = {}
+    for i, cs in groups.items():
+        c = _sum_series(field, cs)
+        if not c.is_true_zero():
+            out[i] = c
+    return out
+
+
+def _sum_terms(field: FieldInstance, pairs: Iterable[Tuple[MultiIndex, Series]],
+               order: int) -> "DiffPoly":
+    """The polynomial sum of coefficient terms (index, c)."""
+    P = DiffPoly(field, {}, order)
+    P.terms = _collect(field, pairs, order)
+    return P
 
 
 class DiffPoly:
@@ -72,14 +94,9 @@ class DiffPoly:
                  order: Optional[int] = None):
         if order is None:
             order = _order_of(terms)
-        clean: Dict[MultiIndex, Series] = {}
-        for i, c in terms.items():
-            if c.is_true_zero():
-                continue
-            clean[_pad(i, order)] = c
         self.field = field
         self.order = order
-        self.terms = clean
+        self.terms = _collect(field, terms.items(), order)
 
     @staticmethod
     def from_coeff(field: FieldInstance, coeff: Series,

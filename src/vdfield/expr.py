@@ -301,6 +301,10 @@ def print_expr(node: Node) -> str:
 
 # -- lowering ---------------------------------------------------------------------
 
+# The largest integer exponent lower_poly expands by repeated
+# multiplication (a power of a single monomial is exact at any size).
+MAX_POWER = 64
+
 
 def lower_poly(node: Node, field: FieldInstance) -> DiffPoly:
     """AST to differential polynomial (series are order-0 polynomials)."""
@@ -334,6 +338,9 @@ def lower_poly(node: Node, field: FieldInstance) -> DiffPoly:
                     return DiffPoly.from_coeff(field, new)
         if e.denominator != 1 or e < 0:
             raise ParseError(f"exponent {e} is only legal on a single monomial")
+        if e > MAX_POWER:
+            raise ParseError(f"exponent {e} exceeds {MAX_POWER}, the limit "
+                             "for a base that is not a single monomial")
         out = DiffPoly.from_coeff(field, field.one())
         for _ in range(int(e)):
             out = out * base

@@ -44,6 +44,7 @@ from .valgroup import (
     Cut,
     GroupElement,
     cut_stabilizer,
+    group_min,
     with_infinitesimal,
     zero,
 )
@@ -182,6 +183,15 @@ def gamma_der(field: FieldInstance, validate: bool = True,
     proj_(p+1)(psi_floor(p))}.  The result is validated by a sampling
     oracle and the constructor raises on any discrepancy.  Validated
     cuts are cached on the field instance.
+
+    The oracle draws `samples` values delta > 0 and max(10, samples // 2)
+    probes gamma from `seed` (two more at the bound of a prefix cut).  It
+    computes v(m') once per delta, so an in-cut probe costs one
+    comparison with the least v(m'), and an out-of-cut probe at most
+    2 * rank derivatives in its witness search: O(samples + probes)
+    monomial derivatives, not O(samples * probes).  Which cuts it
+    accepts, and the message it raises (the first offending delta in
+    sample order), are those of a check of every (gamma, delta) pair.
     """
     cached = getattr(field, "_gamma_der_cut", None)
     if cached is not None:
@@ -226,11 +236,16 @@ def _validate_gamma_der(field: FieldInstance, cut: Cut, samples: int, seed: int)
         probes.append(GroupElement(
             [Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(n)]
         ))
+    # v(m') depends on the sample alone: compute it once per sample.  A
+    # probe is below every v(m') exactly when it is below the least one.
+    derivative_values = [(delta, _monomial_derivative_value(field, delta))
+                         for delta in small_values]
+    least = group_min(dv for _, dv in derivative_values)
     for gamma in probes:
-        inside = cut.contains(gamma)
-        if inside:
-            for delta in small_values:
-                dv = _monomial_derivative_value(field, delta)
+        if cut.contains(gamma):
+            if gamma < least:
+                continue
+            for delta, dv in derivative_values:
                 if not (dv is INFINITY or gamma < dv):
                     raise VdfError(
                         f"gamma_der validation failed: {gamma} in cut but "

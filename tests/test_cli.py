@@ -8,9 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vdfield.cli import field_from_config, field_to_config, load_field, run
+from vdfield.cli import (
+    MAX_DEPTH,
+    field_from_config,
+    field_to_config,
+    load_field,
+    run,
+)
 from vdfield.errors import ParseError, UnboundSymbol
 from vdfield.expr import (
+    MAX_POWER,
     Add,
     DY,
     Lit,
@@ -317,6 +324,42 @@ class TestBadInput:
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert _json_error(proc)["error"] == "contract"
+
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--depth", str(MAX_DEPTH + 1)],
+        ["demo", "--depth", str(MAX_DEPTH + 1)],
+        ["check-bll", "--depth", str(MAX_DEPTH + 1)],
+        ["solve", "--depth", "10" * 9],
+        ["gamma-der", "--field", f"transseries_fragment({MAX_DEPTH + 1})"],
+        ["s-der", "--field", f"log_fragment({MAX_DEPTH + 1})"],
+        ["gamma-der", "--field", f"log_fragment({'9' * 5000})"],
+    ], ids=["solve", "demo", "check-bll", "solve-huge", "transseries-name",
+            "log-name", "huge-name"])
+    def test_depth_above_bound_rejected(self, args):
+        proc = run_cli(args)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert _json_error(proc)["error"] == "contract"
+
+    @pytest.mark.parametrize("text", [
+        f"(1 + t)^{MAX_POWER + 1}",
+        f"Y'^{MAX_POWER + 1} + Y",
+        f"(t - Y)^{10 ** 30}",
+    ], ids=["series", "poly", "huge"])
+    def test_power_above_bound_is_parse_error(self, text):
+        proc = run_cli(["ndeg", "--field", "configs/laurent.json", text])
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        assert _json_error(proc)["error"] == "parse"
+
+    def test_bounds_admit_their_limit(self):
+        # the bound itself is accepted: checked on the argument, without a solve
+        assert load_field(f"log_fragment({MAX_DEPTH})").rank == MAX_DEPTH + 1
+        assert load_field(f"transseries_fragment(00{MAX_DEPTH})").rank == MAX_DEPTH + 2
+        K = laurent_ddt()
+        P = parse_poly(f"(1 + t)^{MAX_POWER}", K)
+        assert len(P.terms[(0,)].terms) == MAX_POWER + 1
 
 
 class TestGolden:

@@ -89,6 +89,27 @@ class TestMultiIndex:
         P = Y * Ypp * Ypp + Y
         assert P.complexity() == (2, 2, 3)
 
+    def test_spellings_of_one_index_are_one_term(self):
+        # (1,) and (1, 0) both name Y: one term, coefficients summed
+        K = laurent_ddt()
+        t = K.gen("t")
+        P = DiffPoly(K, {(1,): t, (1, 0): t})
+        Q = DiffPoly(K, {(1,): t})
+        assert P.terms == {(1,): t.scale(2)}
+        assert repr(P) == "(2*t)*Y"
+        assert P == Q.scale(2) and P != Q
+        assert repr(P + Q) == "(3*t)*Y"
+        assert (P + Q).terms == {(1,): t.scale(3)}
+        # with a declared order, indices are padded or trimmed to it
+        R = DiffPoly(K, {(0, 1): t, (0, 1, 0, 0): t, (1,): K.one()}, order=2)
+        assert R.terms == {(0, 1, 0): t.scale(2), (1, 0, 0): K.one()}
+        assert DiffPoly(K, {(1,): t, (1, 0): -t}).is_zero()
+
+    def test_index_beyond_the_declared_order_rejected(self):
+        K = laurent_ddt()
+        with pytest.raises(VdfError):
+            DiffPoly(K, {(0, 1): K.one()}, order=0)
+
 
 class TestGaussVal:
     def test_example(self):

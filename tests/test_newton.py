@@ -1,4 +1,8 @@
+import functools
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,8 @@ from conftest import (
     random_value,
     rat,
 )
+from vdfield import newton
+from vdfield.cli import field_from_config
 from vdfield.diffpoly import (
     DiffPoly,
     add_conj,
@@ -37,8 +43,9 @@ from vdfield.newton import (
     s_der,
     tropical_ddeg,
 )
-from vdfield.valgroup import Cut, GroupElement, zero
+from vdfield.valgroup import INFINITY, PREFIX, Cut, GroupElement, zero
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SMALL_DER = [laurent_tddt_coarse, lambda: transseries_fragment(2)]
 
 
@@ -447,3 +454,131 @@ class TestFlexProbe:
         a = len(flex_probe(P, GroupElement([5]), 30))
         b = len(flex_probe(P, GroupElement([5]), 90))
         assert a <= b
+
+
+# -- the Gamma(der) sampling oracle against the nested loop it replaced ----------
+
+
+def _reference_validate(field, cut, samples, seed):
+    """The (probe, sample) nested loop: v(m') recomputed for every pair.
+    Kept here only as a reference for newton._validate_gamma_der."""
+    rng = random.Random(seed)
+    n = field.rank
+    small_values = [newton._random_positive_value(field, rng)
+                    for _ in range(samples)]
+    probes = []
+    if cut.kind == PREFIX:
+        b = cut.bound_element()
+        probes.extend([b, b - newton._random_positive_value(field, rng)])
+    for _ in range(max(10, samples // 2)):
+        probes.append(GroupElement(
+            [Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(n)]
+        ))
+    for gamma in probes:
+        if cut.contains(gamma):
+            for delta in small_values:
+                dv = newton._monomial_derivative_value(field, delta)
+                if not (dv is INFINITY or gamma < dv):
+                    raise VdfError(
+                        f"gamma_der validation failed: {gamma} in cut but "
+                        f"v(m')={dv} for v(m)={delta}"
+                    )
+        elif not newton._witness_outside(field, gamma):
+            raise VdfError(
+                f"gamma_der validation failed: no witness that {gamma} "
+                "lies outside the cut"
+            )
+
+
+def _outcome(validate, field, cut, samples, seed):
+    """None when the cut is accepted, else the VdfError text."""
+    try:
+        validate(field, cut, samples, seed)
+    except VdfError as exc:
+        return str(exc)
+    return None
+
+
+def _config_field(name):
+    return lambda: field_from_config(json.loads((CONFIGS / name).read_text()))
+
+
+# Fresh instances: the lru_cache'd builders would share memos and the
+# cached cut between tests.
+FRESH_FIELDS = {
+    "laurent_ddt": laurent_ddt.__wrapped__,
+    "laurent_tddt_coarse": laurent_tddt_coarse.__wrapped__,
+    **{f"transseries_fragment({n})":
+       functools.partial(transseries_fragment.__wrapped__, n) for n in range(5)},
+    **{f"log_fragment({n})":
+       functools.partial(log_fragment.__wrapped__, n) for n in range(4)},
+    "configs/laurent.json": _config_field("laurent.json"),
+    "configs/tddt.json": _config_field("tddt.json"),
+}
+FAMILIES = ["laurent_ddt", "laurent_tddt_coarse", "transseries_fragment(2)",
+            "log_fragment(2)"]
+
+
+def _moved_bound(cut, step):
+    """The cut with the last coordinate of its bound moved by step."""
+    bound = cut.bound[:-1] + (cut.bound[-1] + step,)
+    return Cut.prefix(cut.ambient_rank, bound, cut.inclusive)
+
+
+class TestGammaDerOracle:
+    @pytest.mark.parametrize("name", list(FRESH_FIELDS))
+    @pytest.mark.parametrize("samples,seed", [(200, 7), (40, 1), (13, 2024)])
+    def test_accepts_the_analytic_cut_like_the_nested_loop(
+            self, name, samples, seed):
+        K = FRESH_FIELDS[name]()
+        cut = newton._analytic_cut(K, K.rank)
+        assert _outcome(_reference_validate, K, cut, samples, seed) is None
+        assert _outcome(newton._validate_gamma_der, K, cut, samples, seed) is None
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    @pytest.mark.parametrize("mutant", ["raised", "all"])
+    def test_rejects_a_cut_that_is_too_large(self, name, mutant):
+        K = FRESH_FIELDS[name]()
+        cut = newton._analytic_cut(K, K.rank)
+        bad = _moved_bound(cut, 1) if mutant == "raised" else Cut.all_of(K.rank)
+        expected = _outcome(_reference_validate, K, bad, 200, 7)
+        assert expected is not None and " in cut but v(m')=" in expected
+        assert _outcome(newton._validate_gamma_der, K, bad, 200, 7) == expected
+
+    @pytest.mark.parametrize("name", ["laurent_ddt", "laurent_tddt_coarse"])
+    def test_rejects_a_cut_that_is_too_small(self, name):
+        K = FRESH_FIELDS[name]()
+        bad = _moved_bound(newton._analytic_cut(K, K.rank), -1)
+        expected = _outcome(_reference_validate, K, bad, 200, 7)
+        assert expected is not None and "no witness that" in expected
+        assert _outcome(newton._validate_gamma_der, K, bad, 200, 7) == expected
+
+    @pytest.mark.parametrize("name", ["transseries_fragment(2)", "log_fragment(2)"])
+    @pytest.mark.parametrize("mutant", ["lowered", "shallower"])
+    @pytest.mark.parametrize("samples,seed", [(200, 7), (40, 1)])
+    def test_agrees_on_cuts_the_sampling_cannot_tell_apart(
+            self, name, mutant, samples, seed):
+        K = FRESH_FIELDS[name]()
+        cut = newton._analytic_cut(K, K.rank)
+        bad = (_moved_bound(cut, -1) if mutant == "lowered"
+               else Cut.prefix(K.rank, cut.bound[:-1], cut.inclusive))
+        assert (_outcome(newton._validate_gamma_der, K, bad, samples, seed)
+                == _outcome(_reference_validate, K, bad, samples, seed))
+
+    def test_derivative_count_is_linear(self, monkeypatch):
+        """A machine-independent guard: the oracle computes v(m') once per
+        sample, plus at most 2 * rank per probe in the witness search."""
+        calls = 0
+        honest = newton._monomial_derivative_value
+
+        def counting(field, gamma):
+            nonlocal calls
+            calls += 1
+            return honest(field, gamma)
+
+        monkeypatch.setattr(newton, "_monomial_derivative_value", counting)
+        K = transseries_fragment.__wrapped__(2)
+        samples = 200
+        gamma_der(K, samples=samples, seed=7)
+        probes = 2 + max(10, samples // 2)
+        assert 0 < calls <= samples + 2 * K.rank * probes
