@@ -87,9 +87,9 @@ def _series_expr(f: Series) -> str:
     if not f.terms:
         return "0"
     parts = []
-    for mono, c in f.sorted_terms():
-        factors = [str(c)] if c != 1 or mono.is_one() else []
-        parts.append("*".join(factors + factor_strings(f.field, mono)))
+    for v, c in f.sorted_terms():
+        factors = [str(c)] if c != 1 or v.is_zero() else []
+        parts.append("*".join(factors + factor_strings(f.field, v)))
     return " + ".join(parts)
 
 
@@ -249,8 +249,8 @@ def _cmd_probe(args) -> dict:
     classes = newton.flex_probe(P, beta, args.samples, seed=args.seed)
     return {
         "classes": [
-            {"v": val_strings(v), "monomial": monomial_strings(field, mono)}
-            for v, mono in classes
+            {"v": val_strings(v), "monomial": monomial_strings(field, v)}
+            for v in classes
         ],
         "count": len(classes),
     }
@@ -310,8 +310,17 @@ def _cmd_check_bll(args) -> dict:
     return hsolve.check_bll(args.depth, tau, max_iter=args.max_iter)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a malformed command line as a contract error, which run()
+    prints as the one JSON error line, instead of a usage text.  The
+    subcommand parsers are of the same class."""
+
+    def error(self, message):
+        raise VdfError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="vdf",
         description="exact computations in grid-presented valued differential fields",
     )
@@ -393,9 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[List[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         report = args.fn(args)
     except ParseError as exc:
         print(json.dumps({"error": "parse", "message": str(exc)}),

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict
 
 from .errors import VdfError
-from .gridseries import FieldInstance, Generator, Monomial, Series
+from .gridseries import FieldInstance, Generator, Series
 from .newton import _analytic_cut
 from .valgroup import (
     INFINITY,
@@ -53,14 +53,15 @@ class Coarsening:
 
         Keeps exactly the terms of dotted valuation zero; terms of
         positive dotted valuation die.  A term of negative dotted
-        valuation means f is outside the ring: an error.
+        valuation means f is outside the ring: an error.  The generators
+        are triangular, so a term of dotted valuation zero has exponent
+        zero on the first k of them: its residue value is the rest of
+        its value.
         """
         k = self.k
-        K = self.base
         R = self.residue_field
-        terms: Dict[Monomial, Fraction] = {}
-        for mono, c in f.terms.items():
-            v = K.monomial_value(mono)
+        terms: Dict[GroupElement, Fraction] = {}
+        for v, c in f.terms.items():
             head = v.coords[:k]
             if any(x != 0 for x in head):
                 if GroupElement(head) < zero(k):
@@ -68,12 +69,7 @@ class Coarsening:
                         f"residue undefined: term of dotted valuation {head} < 0"
                     )
                 continue
-            exps = mono.exponents
-            if any(exps[i] != 0 for i in range(k)):
-                raise VdfError(
-                    "dotted-zero term uses a generator outside the residue block"
-                )
-            terms[Monomial(exps[k:])] = c
+            terms[GroupElement(v.coords[k:])] = c
         tau = f.tau
         if tau is INFINITY:
             return Series(R, terms, INFINITY)
@@ -87,11 +83,8 @@ class Coarsening:
     def unit_part_residue_val(self, f: Series) -> GroupElement:
         """Residue valuation of f divided by the monomial realizing its
         dotted valuation: the Delta-part of v(f)."""
-        gamma_dot = self.coarse_val(f)
-        mono = self.base.monomial_of_value(
-            GroupElement(gamma_dot.coords + (Fraction(0),) * (self.base.rank - self.k))
-        )
-        u = f * self.base.monomial_series(mono.inverse())
+        gamma_dot = self.coarse_val(f).pad(self.base.rank)
+        u = f * Series(self.base, {-gamma_dot: Fraction(1)}, INFINITY)
         return self.residue(u).valuation()
 
 

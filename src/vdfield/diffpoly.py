@@ -300,11 +300,8 @@ def dominant(P: DiffPoly) -> DominantData:
         {i: P.terms[i] for i in argmin if mi_weight(i) == dw},
         P.order,
     )
-    d_mono = P.field.monomial_of_value(v)
-    part = {}
-    for i in argmin:
-        part[i] = P.terms[i].coefficient(d_mono)
-    return DominantData(dd, dw, D, W, d_mono, part)
+    part = {i: P.terms[i].terms[v] for i in argmin}
+    return DominantData(dd, dw, D, W, P.field.monomial_of_value(v), part)
 
 
 def ddeg(P: DiffPoly) -> int:

@@ -23,6 +23,15 @@ from typing import List, Optional, Tuple, Union
 from .diffpoly import DiffPoly, _sum_terms
 from .errors import ParseError, UnboundSymbol, VdfError
 from .gridseries import FieldInstance, Series
+from .valgroup import INFINITY
+
+
+# The largest integer exponent lower_poly expands by repeated
+# multiplication (a power of a single monomial is exact at any size).
+MAX_POWER = 64
+# The largest derivative order, Y^(N) or N apostrophes: the conjugations
+# of an order-N polynomial expand kernels whose size grows quickly in N.
+MAX_ORDER = 16
 
 
 # -- AST ----------------------------------------------------------------------
@@ -146,6 +155,22 @@ class _Parser:
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col)
 
+    def integer(self, tok: Token) -> int:
+        """The value of a num token; one too long for int() is a parse error."""
+        try:
+            return int(tok.text)
+        except ValueError:
+            raise ParseError(f"number literal of {len(tok.text)} digits is too long",
+                             tok.line, tok.col)
+
+    def order(self, digits: str, tok: Token) -> int:
+        """A derivative order in decimal digits; the length check refuses
+        one above MAX_ORDER before int() converts it."""
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_ORDER)) or int(digits) > MAX_ORDER:
+            raise ParseError(f"derivative order exceeds {MAX_ORDER}", tok.line, tok.col)
+        return int(digits)
+
     # grammar ------------------------------------------------------------
 
     def parse(self) -> Node:
@@ -195,7 +220,7 @@ class _Parser:
         if tok.kind != "num":
             raise ParseError(f"expected a rational exponent, found {tok.text!r}",
                              tok.line, tok.col)
-        num = int(tok.text)
+        num = self.integer(tok)
         if self.peek().text == "/":
             self.next()
             return Fraction(sign * num, self.denominator())
@@ -206,7 +231,7 @@ class _Parser:
         tok = self.next()
         if tok.kind != "num":
             raise ParseError("expected a denominator", tok.line, tok.col)
-        den = int(tok.text)
+        den = self.integer(tok)
         if den == 0:
             raise ParseError("zero denominator", tok.line, tok.col)
         return den
@@ -214,17 +239,19 @@ class _Parser:
     def primary(self) -> Node:
         tok = self.next()
         if tok.kind == "num":
-            num = int(tok.text)
+            num = self.integer(tok)
             if self.peek().text == "/":
                 self.next()
                 return Lit(Fraction(num, self.denominator()))
             return Lit(Fraction(num))
         if tok.kind == "name":
             if tok.text == "Y":
+                marks = self.peek()
                 order = 0
                 while self.peek().text == "'":
                     self.next()
                     order += 1
+                order = self.order(str(order), marks)
                 if order == 0 and self.peek().text == "^" \
                         and self.toks[self.pos + 1].text == "(":
                     self.next()
@@ -234,7 +261,7 @@ class _Parser:
                         raise ParseError("expected a derivative order",
                                          otok.line, otok.col)
                     self.expect(")")
-                    order = int(otok.text)
+                    order = self.order(otok.text, otok)
                 return DY(order)
             return Sym(tok.text)
         if tok.text == "(":
@@ -301,10 +328,6 @@ def print_expr(node: Node) -> str:
 
 # -- lowering ---------------------------------------------------------------------
 
-# The largest integer exponent lower_poly expands by repeated
-# multiplication (a power of a single monomial is exact at any size).
-MAX_POWER = 64
-
 
 def lower_poly(node: Node, field: FieldInstance) -> DiffPoly:
     """AST to differential polynomial (series are order-0 polynomials)."""
@@ -355,11 +378,11 @@ def _is_constant_poly(P: DiffPoly) -> bool:
 def _monomial_pow(coeff: Series, e: Fraction) -> Optional[Series]:
     """Exact rational power of a single-term series, when the
     coefficient power stays rational."""
-    (mono, c), = coeff.terms.items()
+    (v, c), = coeff.terms.items()
     if e.denominator == 1:
-        return coeff.field.monomial_series(mono ** e, c ** int(e))
+        return Series(coeff.field, {v.scale(e): c ** int(e)}, INFINITY)
     if c == 1:
-        return coeff.field.monomial_series(mono ** e, Fraction(1))
+        return Series(coeff.field, {v.scale(e): c}, INFINITY)
     return None
 
 

@@ -12,7 +12,9 @@ A :class:`Series` is a finite sum of monomial terms with nonzero
 rational coefficients plus a truncation level tau: the series is exact
 on all values below tau and unknown at or above it.  tau = +infinity
 means the series is known completely.  Every operation propagates the
-tightest truncation it can certify.
+tightest truncation it can certify.  By the bijection a term is keyed
+by its value; exponents are computed from it only where a generator
+matters: derivatives, embeddings and printing.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     ConfigError,
@@ -52,19 +54,6 @@ class Monomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(a + b for a, b in zip(self.exponents, other.exponents))
-
-    def inverse(self) -> "Monomial":
-        return Monomial(-a for a in self.exponents)
-
-    def __pow__(self, q: Rat) -> "Monomial":
-        q = _frac(q)
-        return Monomial(q * a for a in self.exponents)
-
-    def is_one(self) -> bool:
-        return all(e == 0 for e in self.exponents)
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exponents == other.exponents
@@ -114,7 +103,6 @@ class FieldInstance:
         self.name = name
         self._index = {g.name: i for i, g in enumerate(generators)}
         self._shift: Optional[GroupElement] = None
-        self._value_memo: Dict[tuple, GroupElement] = {}
 
     # -- construction of elements ------------------------------------
 
@@ -125,20 +113,16 @@ class FieldInstance:
         c = _frac(c)
         if c == 0:
             return self.zero_series()
-        return Series(self, {self.unit_monomial(): c}, INFINITY)
+        return Series(self, {zero(self.rank): c}, INFINITY)
 
     def one(self) -> "Series":
         return self.constant(1)
 
-    def unit_monomial(self) -> Monomial:
-        return Monomial([0] * self.rank)
-
     def gen(self, name: str, power: Rat = 1) -> "Series":
         if name not in self._index:
             raise ConfigError(f"unknown generator {name!r} in field {self.name!r}")
-        exps = [Fraction(0)] * self.rank
-        exps[self._index[name]] = _frac(power)
-        return self.monomial_series(Monomial(exps))
+        value = self.generators[self._index[name]].value.scale(power)
+        return Series(self, {value: Fraction(1)}, INFINITY)
 
     def monomial_series(self, mono: Monomial, coeff: Rat = 1) -> "Series":
         coeff = _frac(coeff)
@@ -157,27 +141,30 @@ class FieldInstance:
     # -- values and exponents ------------------------------------------
 
     def monomial_value(self, mono: Monomial) -> GroupElement:
-        got = self._value_memo.get(mono.exponents)
-        if got is None:
-            v = zero(self.rank)
-            for q, g in zip(mono.exponents, self.generators):
-                if q != 0:
-                    v = v + g.value.scale(q)
-            got = self._value_memo[mono.exponents] = v
-        return got
+        """sum q_i * v(g_i), over the nonzero exponents and entries."""
+        coords = [Fraction(0)] * self.rank
+        for q, g in zip(mono.exponents, self.generators):
+            if q:
+                for j, x in enumerate(g.value.coords):
+                    if x:
+                        coords[j] += q * x
+        return GroupElement._raw(tuple(coords))
 
     def exponents_of_value(self, gamma: GroupElement) -> Tuple[Fraction, ...]:
-        """Invert the triangular exponent-to-value map."""
+        """Invert the triangular exponent-to-value map: exponent i is
+        the residual at coordinate i over v(g_i)'s, skipping zero
+        residuals and zero generator entries."""
         if gamma.rank != self.rank:
             raise RankMismatch(f"value rank {gamma.rank} != field rank {self.rank}")
         exps = [Fraction(0)] * self.rank
         residual = list(gamma.coords)
         for i, g in enumerate(self.generators):
-            q = Fraction(residual[i], 1) / g.value.coords[i]
-            exps[i] = q
-            if q != 0:
-                for j in range(i, self.rank):
-                    residual[j] -= q * g.value.coords[j]
+            if residual[i]:
+                q = exps[i] = residual[i] / g.value.coords[i]
+                for j in range(i + 1, self.rank):
+                    x = g.value.coords[j]
+                    if x:
+                        residual[j] -= q * x
         return tuple(exps)
 
     def monomial_of_value(self, gamma: GroupElement) -> Monomial:
@@ -248,18 +235,20 @@ class FieldInstance:
 
 
 class Series:
-    """A truncated grid series: finite term map plus truncation tau."""
+    """A truncated grid series: a finite map from term values to
+    coefficients, plus the truncation tau.  The terms may also be given
+    keyed by Monomial; they are converted to values once."""
 
     __slots__ = ("field", "terms", "tau", "_val")
 
-    def __init__(self, field: FieldInstance, terms: Dict[Monomial, Fraction], tau):
-        clean = {}
-        for mono, c in terms.items():
-            if c == 0:
-                continue
-            if tau is not INFINITY and not field.monomial_value(mono) < tau:
-                continue
-            clean[mono] = c
+    def __init__(self, field: FieldInstance,
+                 terms: Dict[Union[GroupElement, Monomial], Fraction], tau):
+        if terms and isinstance(next(iter(terms)), Monomial):
+            terms = {field.monomial_value(m): c for m, c in terms.items()}
+        if tau is INFINITY:
+            clean = {v: c for v, c in terms.items() if c}
+        else:
+            clean = {v: c for v, c in terms.items() if c and v < tau}
         self.field = field
         self.terms = clean
         self.tau = tau
@@ -274,9 +263,7 @@ class Series:
         """min value over the support; +infinity for the true zero."""
         if self.terms:
             if self._val is None:
-                self._val = group_min(
-                    self.field.monomial_value(m) for m in self.terms
-                )
+                self._val = min(self.terms, key=lambda v: v.coords)
             return self._val
         if self.tau is INFINITY:
             return INFINITY
@@ -289,25 +276,19 @@ class Series:
         (a certified lower bound for the valuation)."""
         return self.valuation() if self.terms else self.tau
 
-    def dominant_term(self) -> Tuple[Fraction, Monomial]:
+    def dominant_term(self) -> Tuple[Fraction, GroupElement]:
+        """(coefficient, value) of the term of least value."""
         v = self.valuation()
         if v is INFINITY:
             raise VdfError("the zero series has no dominant term")
-        for mono, c in self.terms.items():
-            if self.field.monomial_value(mono) == v:
-                return c, mono
-        raise AssertionError("unreachable: dominant term must exist")
-
-    def dominant_monomial(self) -> Monomial:
-        return self.dominant_term()[1]
+        return self.terms[v], v
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
+        return self.terms.get(self.field.monomial_value(mono), Fraction(0))
 
-    def sorted_terms(self):
-        return sorted(
-            self.terms.items(), key=lambda kv: self.field.monomial_value(kv[0]).coords
-        )
+    def sorted_terms(self) -> List[Tuple[GroupElement, Fraction]]:
+        """(value, coefficient) pairs by increasing value."""
+        return sorted(self.terms.items(), key=lambda kv: kv[0].coords)
 
     # -- ring operations ------------------------------------------------
 
@@ -339,10 +320,10 @@ class Series:
             _tau_add(self.tau, other.val_or_tau()),
             _tau_add(other.tau, self.val_or_tau()),
         )
-        terms: Dict[Monomial, Fraction] = {}
+        terms: Dict[GroupElement, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = m1 * m2
+                m = m1 + m2
                 s = terms.get(m, Fraction(0)) + c1 * c2
                 if s == 0:
                     terms.pop(m, None)
@@ -373,8 +354,8 @@ class Series:
         tau + derivation_shift."""
         K = self.field
         out = _sum_series(K, [
-            K.monomial_series(mono, c) * K.monomial_logder(mono)
-            for mono, c in self.terms.items()
+            Series(K, {v: c}, INFINITY) * K.monomial_logder(K.monomial_of_value(v))
+            for v, c in self.terms.items()
         ])
         if self.tau is not INFINITY:
             out = out.truncated(self.tau + K.derivation_shift)
@@ -389,9 +370,8 @@ class Series:
         """
         if not self.terms:
             raise VdfError("cannot invert a series with no known terms")
-        v = self.valuation()
-        c, mono = self.dominant_term()
-        lead_inv = self.field.monomial_series(mono.inverse(), Fraction(1, 1) / c)
+        c, v = self.dominant_term()
+        lead_inv = Series(self.field, {-v: Fraction(1) / c}, INFINITY)
         if len(self.terms) == 1:
             if self.tau is INFINITY and tau is None:
                 return lead_inv
@@ -448,8 +428,7 @@ class Series:
         K = self.field
         if other is K:
             return self
-        terms = {_embed_exponents(K, other, mono.exponents): c
-                 for mono, c in self.terms.items()}
+        terms = {embed_value(K, other, v): c for v, c in self.terms.items()}
         tau = self.tau
         if tau is not INFINITY:
             tau = embed_value(K, other, tau)
@@ -478,8 +457,8 @@ class Series:
             body = "0"
         else:
             parts = []
-            for mono, c in self.sorted_terms():
-                factors = factor_strings(self.field, mono)
+            for v, c in self.sorted_terms():
+                factors = factor_strings(self.field, v)
                 if not factors:
                     parts.append(str(c))
                 elif c == 1:
@@ -494,30 +473,25 @@ class Series:
         return f"{body} + O({self.tau})"
 
 
-def _embed_exponents(src: FieldInstance, dst: FieldInstance,
-                     exps: Sequence[Fraction]) -> Monomial:
-    """The monomial of dst with src's exponents on the same-named generators."""
+def embed_value(src: FieldInstance, dst: FieldInstance, gamma: GroupElement) -> GroupElement:
+    """Translate a value from src's group to dst's: the value in dst of
+    src's exponents on the same-named generators."""
     out = [Fraction(0)] * dst.rank
-    for q, g in zip(exps, src.generators):
+    for q, g in zip(src.exponents_of_value(gamma), src.generators):
         if q == 0:
             continue
         target = dst._index.get(g.name)
         if target is None:
             raise VdfError("embedding uses a generator missing from the target field")
         out[target] = q
-    return Monomial(out)
+    return dst.monomial_value(Monomial(out))
 
 
-def embed_value(src: FieldInstance, dst: FieldInstance, gamma: GroupElement) -> GroupElement:
-    """Translate a value from src's group to dst's via exponents."""
-    return dst.monomial_value(_embed_exponents(src, dst, src.exponents_of_value(gamma)))
-
-
-def factor_strings(field: FieldInstance, mono: Monomial) -> List[str]:
-    """The generator powers of a monomial in the expression grammar
-    (name or name^q), omitting exponent zero."""
+def factor_strings(field: FieldInstance, gamma: GroupElement) -> List[str]:
+    """The generator powers of the monomial of value gamma in the
+    expression grammar (name or name^q), omitting exponent zero."""
     return [g.name if q == 1 else f"{g.name}^{q}"
-            for q, g in zip(mono.exponents, field.generators) if q != 0]
+            for q, g in zip(field.exponents_of_value(gamma), field.generators) if q != 0]
 
 
 def _sum_series(field: FieldInstance, parts: Sequence["Series"]) -> "Series":
@@ -526,19 +500,19 @@ def _sum_series(field: FieldInstance, parts: Sequence["Series"]) -> "Series":
     the dict per part."""
     if len(parts) == 1:
         return parts[0]
-    terms: Dict[Monomial, Fraction] = {}
+    terms: Dict[GroupElement, Fraction] = {}
     tau = INFINITY
     for f in parts:
         tau = _tau_min(tau, f.tau)
         if not terms:
             terms.update(f.terms)
             continue
-        for mono, c in f.terms.items():
-            s = terms.get(mono, 0) + c
+        for v, c in f.terms.items():
+            s = terms.get(v, 0) + c
             if s == 0:
-                terms.pop(mono, None)
+                terms.pop(v, None)
             else:
-                terms[mono] = s
+                terms[v] = s
     return Series(field, terms, tau)
 
 

@@ -23,7 +23,6 @@ from .diffpoly import DiffPoly
 from .errors import IntegrationGap, NonDecreasingResidual, VdfError
 from .gridseries import (
     FieldInstance,
-    Monomial,
     Series,
     embed_value,
     log_fragment,
@@ -111,8 +110,7 @@ def dominant_solve(op: LinearOperator, z: Series) -> Series:
     K = op.field
     if not z.terms:
         raise VdfError("dominant_solve needs a residual with a known term")
-    beta = z.valuation()
-    c_target, m_target = z.dominant_term()
+    c_target, beta = z.dominant_term()
 
     seeds: List[GroupElement] = []
     if op.a0.terms:
@@ -136,8 +134,7 @@ def dominant_solve(op: LinearOperator, z: Series) -> Series:
         seen.add(gamma.coords)
         if pure_derivation and gamma.is_zero():
             continue
-        mono = K.monomial_of_value(gamma)
-        response = op.a0 + op.a1 * K.monomial_logder(mono)
+        response = op.a0 + op.a1 * K.monomial_logder(K.monomial_of_value(gamma))
         if not response.terms:
             # annihilated or uncertifiable in this direction
             attempts.append((gamma, response.tau))
@@ -145,8 +142,7 @@ def dominant_solve(op: LinearOperator, z: Series) -> Series:
         v_resp = response.valuation()
         if gamma + v_resp == beta:
             dom_c, _ = response.dominant_term()
-            h = K.monomial_series(mono, c_target / dom_c)
-            return h
+            return Series(K, {gamma: c_target / dom_c}, INFINITY)
         attempts.append((gamma, v_resp))
         retry = beta - v_resp
         if retry.coords not in seen:
@@ -359,8 +355,7 @@ def demo_nonuniqueness(depth: int, c_list: List[Fraction],
             cascade = []
             for gamma, _ in gap.attempts:
                 if isinstance(gamma, GroupElement) and not gamma.is_zero():
-                    mono = M.monomial_of_value(gamma)
-                    cascade.append(monomial_strings(M, mono))
+                    cascade.append(monomial_strings(M, gamma))
             entry["correction_monomials"] = cascade
             if cascade:
                 entry["correction_dominant"] = cascade[0]
@@ -387,12 +382,12 @@ def val_strings(v):
 
 def series_terms(f: Series) -> list:
     out = []
-    for mono, c in f.sorted_terms():
-        out.append({"coeff": str(c), "monomial": monomial_strings(f.field, mono)})
+    for v, c in f.sorted_terms():
+        out.append({"coeff": str(c), "monomial": monomial_strings(f.field, v)})
     return out
 
 
-def monomial_strings(K: FieldInstance, mono: Monomial) -> list:
-    return [
-        [g.name, str(q)] for g, q in zip(K.generators, mono.exponents) if q != 0
-    ]
+def monomial_strings(K: FieldInstance, gamma: GroupElement) -> list:
+    """[name, exponent] of the monomial of value gamma, exponent 0 omitted."""
+    return [[g.name, str(q)]
+            for g, q in zip(K.generators, K.exponents_of_value(gamma)) if q != 0]

@@ -172,8 +172,12 @@ def _analytic_cut(field: FieldInstance, k: int) -> Cut:
     return cut
 
 
-def gamma_der(field: FieldInstance, validate: bool = True,
-              samples: int = 200, seed: int = 7) -> Cut:
+# The sampling oracle's budget and seed.
+ORACLE_SAMPLES = 200
+ORACLE_SEED = 7
+
+
+def gamma_der(field: FieldInstance) -> Cut:
     """The downward-closed set {v(phi) : der maps the maximal ideal into
     phi times it}, as a prefix cut.
 
@@ -181,25 +185,25 @@ def gamma_der(field: FieldInstance, validate: bool = True,
     whose value approaches zero inside a generator class p: the cut is
     the intersection over classes of {gamma : proj_(p+1)(gamma) <=
     proj_(p+1)(psi_floor(p))}.  The result is validated by a sampling
-    oracle and the constructor raises on any discrepancy.  Validated
-    cuts are cached on the field instance.
+    oracle, which raises on any discrepancy, and cached on the field
+    instance.
 
-    The oracle draws `samples` values delta > 0 and max(10, samples // 2)
-    probes gamma from `seed` (two more at the bound of a prefix cut).  It
-    computes v(m') once per delta, so an in-cut probe costs one
-    comparison with the least v(m'), and an out-of-cut probe at most
-    2 * rank derivatives in its witness search: O(samples + probes)
-    monomial derivatives, not O(samples * probes).  Which cuts it
-    accepts, and the message it raises (the first offending delta in
-    sample order), are those of a check of every (gamma, delta) pair.
+    The oracle draws ORACLE_SAMPLES values delta > 0 and max(10,
+    ORACLE_SAMPLES // 2) probes gamma from ORACLE_SEED (two more at the
+    bound of a prefix cut).  It computes v(m') once per delta, so an
+    in-cut probe costs one comparison with the least v(m'), and an
+    out-of-cut probe at most 2 * rank derivatives in its witness search:
+    O(samples + probes) monomial derivatives, not O(samples * probes).
+    Which cuts it accepts, and the message it raises (the first
+    offending delta in sample order), are those of a check of every
+    (gamma, delta) pair.
     """
     cached = getattr(field, "_gamma_der_cut", None)
     if cached is not None:
         return cached
     cut = _analytic_cut(field, field.rank)
-    if validate:
-        _validate_gamma_der(field, cut, samples, seed)
-        field._gamma_der_cut = cut
+    _validate_gamma_der(field, cut)
+    field._gamma_der_cut = cut
     return cut
 
 
@@ -223,7 +227,8 @@ def _monomial_derivative_value(field: FieldInstance, gamma: GroupElement):
     return gamma + ld.valuation()
 
 
-def _validate_gamma_der(field: FieldInstance, cut: Cut, samples: int, seed: int):
+def _validate_gamma_der(field: FieldInstance, cut: Cut,
+                        samples: int = ORACLE_SAMPLES, seed: int = ORACLE_SEED):
     rng = random.Random(seed)
     n = field.rank
     small_values = [_random_positive_value(field, rng) for _ in range(samples)]
@@ -322,7 +327,7 @@ def ndeg(P: DiffPoly, base: Optional[GroupElement] = None,
         base = cut.bound_element()
     if not cut.contains(base):
         raise VdfError("base point must lie in gamma_der")
-    phi0 = K.monomial_series(K.monomial_of_value(base))
+    phi0 = Series(K, {base: Fraction(1)}, INFINITY)
     Q = comp_conj(P, phi0, twist)
     if cut.has_max() and base == cut.max_element():
         return dominant(Q).ddeg
@@ -355,8 +360,7 @@ def ndeg_geq(P: DiffPoly, gamma: GroupElement) -> int:
         P = P.embed_into(K)
     elif gamma.rank != K.rank:
         raise VdfError(f"gamma rank {gamma.rank} does not match field rank {K.rank}")
-    g = K.monomial_series(K.monomial_of_value(gamma))
-    return ndeg(mul_conj(P, g))
+    return ndeg(mul_conj(P, Series(K, {gamma: Fraction(1)}, INFINITY)))
 
 
 def ndeg_prec(P: DiffPoly, g: Series) -> int:
@@ -428,17 +432,18 @@ def ndeg_in_cut(P: DiffPoly, seq: PcSequence) -> CutDegreeCertificate:
 
 
 def flex_probe(P: DiffPoly, beta: GroupElement, sample_count: int,
-               seed: int = 11) -> List[Tuple[GroupElement, object]]:
+               seed: int = 11) -> List[GroupElement]:
     """Sample values P(y) for |v(y)| < beta and collect the distinct
-    (valuation, dominant monomial) classes.  A probe of the infinite
-    image, not a proof."""
+    valuations, in increasing order: the classes (valuation, dominant
+    monomial), as the valuation determines the dominant monomial.  A
+    probe of the infinite image, not a proof."""
     if not zero(beta.rank) < beta:
         raise VdfError("beta must be positive")
     if ndeg(P) < 1:
         raise VdfError("flex_probe requires ndeg P >= 1")
     K = P.field
     rng = random.Random(seed)
-    seen = {}
+    seen = set()
     n = K.rank
     p = beta.first_nonzero()
     for _ in range(sample_count):
@@ -453,10 +458,7 @@ def flex_probe(P: DiffPoly, beta: GroupElement, sample_count: int,
         if coords[p] == 0 and not (-beta < gamma < beta):
             continue
         c = Fraction(rng.randint(1, 9), rng.randint(1, 4))
-        y = K.monomial_series(K.monomial_of_value(gamma), c)
-        val = evaluate(P, y)
-        if not val.terms:
-            continue
-        v = val.valuation()
-        seen[(v.coords, val.dominant_monomial())] = (v, val.dominant_monomial())
-    return sorted(seen.values(), key=lambda pair: pair[0].coords)
+        val = evaluate(P, Series(K, {gamma: c}, INFINITY))
+        if val.terms:
+            seen.add(val.valuation())
+    return sorted(seen, key=lambda v: v.coords)

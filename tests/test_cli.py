@@ -17,6 +17,7 @@ from vdfield.cli import (
 )
 from vdfield.errors import ParseError, UnboundSymbol
 from vdfield.expr import (
+    MAX_ORDER,
     MAX_POWER,
     Add,
     DY,
@@ -48,10 +49,10 @@ class TestGrammar:
     def test_monomial_exponents(self):
         M = transseries_fragment(2)
         f = parse_series("e_x^1/2 * l0^-1", M)
-        (mono, c), = f.terms.items()
+        (v, c), = f.terms.items()
         assert c == 1
-        assert mono.exponents == (Fraction(1, 2), Fraction(-1), Fraction(0),
-                                  Fraction(0))
+        assert M.exponents_of_value(v) == (Fraction(1, 2), Fraction(-1), Fraction(0),
+                                           Fraction(0))
 
     def test_derivative_orders(self):
         K = laurent_ddt()
@@ -360,6 +361,61 @@ class TestBadInput:
         K = laurent_ddt()
         P = parse_poly(f"(1 + t)^{MAX_POWER}", K)
         assert len(P.terms[(0,)].terms) == MAX_POWER + 1
+        assert parse_poly(f"Y^({MAX_ORDER})", K).order == MAX_ORDER
+        assert parse_poly(f"Y^(00{MAX_ORDER})", K).order == MAX_ORDER
+        assert parse_poly("Y" + "'" * MAX_ORDER, K).order == MAX_ORDER
+
+    @pytest.mark.parametrize("text", [
+        f"Y^({MAX_ORDER + 1})",
+        f"Y^({'9' * 20})",
+        f"t*Y^(00{MAX_ORDER + 1})",
+        "Y" + "'" * (MAX_ORDER + 1),
+    ], ids=["order", "huge-order", "zero-padded", "apostrophes"])
+    def test_derivative_order_above_bound_is_parse_error(self, text):
+        # checked on the text, before any polynomial of that order exists
+        with pytest.raises(ParseError, match="derivative order exceeds"):
+            parse_expr(text)
+
+    def test_derivative_order_above_bound_exits_3(self):
+        proc = run_cli(["ndeg", "--field", "laurent_ddt", f"Y^({MAX_ORDER + 1}) + t*Y"])
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        assert _json_error(proc)["error"] == "parse"
+
+    @pytest.mark.parametrize("text", [
+        "9" * 5000 + "*t",
+        "t^" + "9" * 5000,
+        "t^1/" + "9" * 5000,
+    ], ids=["literal", "exponent", "denominator"])
+    def test_number_literal_too_long_for_int_is_parse_error(self, text):
+        with pytest.raises(ParseError, match="5000 digits"):
+            parse_expr(text)
+        proc = run_cli(["val", "--field", "laurent_ddt", text])
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        assert _json_error(proc)["error"] == "parse"
+
+    @pytest.mark.parametrize("args", [
+        ["solve"],
+        ["solve", "--depth", "abc"],
+        ["val", "--field", "laurent_ddt"],
+        ["val", "--field", "laurent_ddt", "t", "--bogus"],
+        ["nosuch"],
+        [],
+    ], ids=["missing-depth", "non-integer-depth", "missing-expr", "unknown-option",
+            "unknown-command", "no-command"])
+    def test_malformed_command_line_is_one_json_line(self, args):
+        proc = run_cli(args)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert _json_error(proc)["error"] == "contract"
+
+    @pytest.mark.parametrize("args", [["--help"], ["solve", "--help"]])
+    def test_help_still_exits_0(self, args):
+        proc = run_cli(args)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith(b"usage: vdf")
+        assert proc.stderr == b""
 
 
 class TestGolden:

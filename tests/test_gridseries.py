@@ -50,7 +50,7 @@ class TestRingOps:
         s = f + g
         # terms at or above tau never appear
         assert s.tau == GroupElement([3])
-        assert s.terms == {Monomial([1]): Fraction(1)}
+        assert s.terms == {GroupElement([1]): Fraction(1)}
 
     def test_mul_truncation_bound(self):
         K = laurent_ddt()
@@ -337,7 +337,8 @@ def _ref_monomial_logder(K: FieldInstance, mono: Monomial) -> Series:
 def _ref_derive(f: Series) -> Series:
     K = f.field
     out = K.zero_series()
-    for mono, c in f.terms.items():
+    for v, c in f.terms.items():
+        mono = K.monomial_of_value(v)
         out = out + K.monomial_series(mono, c) * _ref_monomial_logder(K, mono)
     if f.tau is not INFINITY:
         out = out.truncated(f.tau + K.derivation_shift)
@@ -353,7 +354,8 @@ class TestOnePassSums:
             if rng.randrange(2):
                 f = f.truncated(f.valuation() + random_value(K, rng, 0, 3))
             assert f.derive() == _ref_derive(f)
-            for mono in f.terms:
+            for v in f.terms:
+                mono = K.monomial_of_value(v)
                 assert K.monomial_logder(mono) == _ref_monomial_logder(K, mono)
 
     def test_truncated_logders_keep_least_tau(self):

@@ -28,7 +28,7 @@ from vdfield.hsolve import (
     solve_linear,
 )
 from vdfield.newton import ndeg_geq
-from vdfield.valgroup import GroupElement, zero
+from vdfield.valgroup import INFINITY, GroupElement, zero
 
 
 def u_mono(K, k, coeff=1):
@@ -433,38 +433,39 @@ class TestCarriedResidual:
 
 
 def _reachable_support(L, depth, tau):
-    """Monomials in the multiplicative monoid of the lambda terms with
-    value below tau (plus 1)."""
-    seen = {L.unit_monomial()}
-    frontier = [L.unit_monomial()]
-    gens = [L.monomial_from_dict({f"l{j}": -1 for j in range(k + 1)})
+    """Values in the additive monoid of the lambda term values that lie
+    below tau (plus 0): the monomials of the multiplicative monoid."""
+    seen = {zero(L.rank)}
+    frontier = [zero(L.rank)]
+    gens = [L.monomial_value(L.monomial_from_dict({f"l{j}": -1 for j in range(k + 1)}))
             for k in range(depth + 1)]
     while frontier:
         m = frontier.pop()
         for g in gens:
-            n = m * g
+            n = m + g
             if n in seen:
                 continue
-            if L.monomial_value(n) < tau:
+            if n < tau:
                 seen.add(n)
                 frontier.append(n)
-    return sorted(seen, key=lambda m: L.monomial_value(m).coords)
+    return sorted(seen, key=lambda m: m.coords)
 
 
 def _linear_system_solve(L, op, rhs, support, tau):
     """Exact Gaussian elimination for op(y) = rhs on a monomial ansatz,
     matching coefficients of every monomial below tau."""
-    images = [apply_op(op, L.monomial_series(m)) for m in support]
+    images = [apply_op(op, Series(L, {m: Fraction(1)}, INFINITY)) for m in support]
     rows = set()
     for img in images:
-        for mono in img.terms:
-            if L.monomial_value(mono) < tau:
-                rows.add(mono)
-    for mono in rhs.terms:
-        rows.add(mono)
-    rows = sorted(rows, key=lambda m: L.monomial_value(m).coords)
+        for v in img.terms:
+            if v < tau:
+                rows.add(v)
+    for v in rhs.terms:
+        rows.add(v)
+    rows = sorted(rows, key=lambda v: v.coords)
+    zero_c = Fraction(0)
     matrix = [
-        [img.coefficient(row) for img in images] + [rhs.coefficient(row)]
+        [img.terms.get(row, zero_c) for img in images] + [rhs.terms.get(row, zero_c)]
         for row in rows
     ]
     ncols = len(support)

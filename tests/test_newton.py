@@ -578,7 +578,7 @@ class TestGammaDerOracle:
 
         monkeypatch.setattr(newton, "_monomial_derivative_value", counting)
         K = transseries_fragment.__wrapped__(2)
-        samples = 200
-        gamma_der(K, samples=samples, seed=7)
+        samples = newton.ORACLE_SAMPLES
+        gamma_der(K)
         probes = 2 + max(10, samples // 2)
         assert 0 < calls <= samples + 2 * K.rank * probes
