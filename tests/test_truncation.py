@@ -124,8 +124,9 @@ def _logder(x, got):
     return x.f.logder(got.tau)
 
 
-# op(inputs, got): got is the truncated run's result on the exact run,
-# for the operations whose exact run needs a target, else None.
+# op(x, got) runs one operation on the inputs x.  got is None on the
+# truncated run; on the exact run it is the truncated run's result, from
+# which invert and logder take the exact run's target.
 OPERATIONS = {
     "add": lambda x, got: x.f + x.g,
     "mul": lambda x, got: x.f * x.g,
