@@ -99,6 +99,10 @@ _BUILTIN_PATTERN = re.compile(r"^(transseries_fragment|log_fragment)\((\d+)\)$")
 # solve, demo and check-bll, and N in transseries_fragment(N) and
 # log_fragment(N).
 MAX_DEPTH = 64
+# The largest --samples of probe and --max-iter of solve, demo and
+# check-bll: each sample or iteration is a full evaluation or residual.
+MAX_SAMPLES = 10_000
+MAX_ITER = 4_096
 
 
 def load_field(source: str) -> FieldInstance:
@@ -167,9 +171,11 @@ def _rational(text: str) -> Fraction:
         raise ParseError(f"expected a rational, found {text.strip()!r}")
 
 
-def _require_positive(n: int, flag: str) -> None:
+def _require_count(n: int, flag: str, limit: int) -> None:
     if n < 1:
         raise VdfError(f"{flag} must be at least 1, got {n}")
+    if n > limit:
+        raise VdfError(f"{flag} must be at most {limit}, got {n}")
 
 
 def _require_depth(depth: int) -> None:
@@ -242,7 +248,7 @@ def _cmd_coarsen(args) -> dict:
 
 
 def _cmd_probe(args) -> dict:
-    _require_positive(args.samples, "--samples")
+    _require_count(args.samples, "--samples", MAX_SAMPLES)
     field = load_field(args.field)
     P = parse_poly(args.expr, field)
     beta = _parse_vector(args.beta, field.rank)
@@ -264,7 +270,7 @@ def _solver_field(args):
 
 def _cmd_solve(args) -> dict:
     _require_depth(args.depth)
-    _require_positive(args.max_iter, "--max-iter")
+    _require_count(args.max_iter, "--max-iter", MAX_ITER)
     field = _solver_field(args)
     if args.op == "A":
         op = hsolve.op_A(field, args.depth)
@@ -292,7 +298,7 @@ def _cmd_solve(args) -> dict:
 
 def _cmd_demo(args) -> dict:
     _require_depth(args.depth)
-    _require_positive(args.max_iter, "--max-iter")
+    _require_count(args.max_iter, "--max-iter", MAX_ITER)
     c_list = [_rational(c) for c in args.c.split(",") if c.strip()]
     tau = None
     if args.tau:
@@ -303,7 +309,7 @@ def _cmd_demo(args) -> dict:
 
 def _cmd_check_bll(args) -> dict:
     _require_depth(args.depth)
-    _require_positive(args.max_iter, "--max-iter")
+    _require_count(args.max_iter, "--max-iter", MAX_ITER)
     tau = None
     if args.tau:
         tau = _parse_vector(args.tau, args.depth + 1)
@@ -411,6 +417,16 @@ def run(argv: Optional[List[str]] = None) -> int:
         return 3
     except VdfError as exc:
         print(json.dumps({"error": "contract", "message": str(exc)}),
+              file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        # an int past the interpreter's int-to-str digit limit: the result
+        # exists but cannot be rendered
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(json.dumps({"error": "contract", "message": "result too long to render: "
+                          f"it holds an integer of more than {limit} digits"}),
               file=sys.stderr)
         return 2
     print(json.dumps(report))

@@ -60,24 +60,23 @@ class Coarsening:
         """
         k = self.k
         R = self.residue_field
-        terms: Dict[GroupElement, Fraction] = {}
-        for v, c in f.terms.items():
-            head = v.coords[:k]
-            if any(x != 0 for x in head):
-                if GroupElement(head) < zero(k):
-                    raise VdfError(
-                        f"residue undefined: term of dotted valuation {head} < 0"
-                    )
+        terms: Dict[tuple, Fraction] = {}
+        for key, c in f.terms.items():
+            head = key[:k]
+            if any(head):
+                if head < (0,) * k:
+                    raise VdfError("residue undefined: term of dotted valuation "
+                                   f"{f._value(key).prefix(k)} < 0")
                 continue
-            terms[GroupElement(v.coords[k:])] = c
+            terms[key[k:]] = c
         tau = f.tau
         if tau is INFINITY:
-            return Series(R, terms, INFINITY)
+            return Series(R, terms, INFINITY, f.den)
         head = tau.coords[:k]
         if GroupElement(head) > zero(k):
-            return Series(R, terms, INFINITY)
+            return Series(R, terms, INFINITY, f.den)
         if GroupElement(head) == zero(k):
-            return Series(R, terms, GroupElement(tau.coords[k:]))
+            return Series(R, terms, GroupElement(tau.coords[k:]), f.den)
         raise VdfError("residue undefined: truncation has negative dotted part")
 
     def unit_part_residue_val(self, f: Series) -> GroupElement:

@@ -300,7 +300,7 @@ def dominant(P: DiffPoly) -> DominantData:
         {i: P.terms[i] for i in argmin if mi_weight(i) == dw},
         P.order,
     )
-    part = {i: P.terms[i].terms[v] for i in argmin}
+    part = {i: P.terms[i].dominant_term()[0] for i in argmin}
     return DominantData(dd, dw, D, W, P.field.monomial_of_value(v), part)
 
 

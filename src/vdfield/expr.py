@@ -32,6 +32,10 @@ MAX_POWER = 64
 # The largest derivative order, Y^(N) or N apostrophes: the conjugations
 # of an order-N polynomial expand kernels whose size grows quickly in N.
 MAX_ORDER = 16
+# The most digits of the numerator or denominator of a coefficient power
+# c^n, as of the interpreter's default int-to-str limit: a larger one
+# could not be printed.  Powers of +-1 are free of it (t^1000).
+MAX_COEFF_DIGITS = 4300
 
 
 # -- AST ----------------------------------------------------------------------
@@ -378,12 +382,26 @@ def _is_constant_poly(P: DiffPoly) -> bool:
 def _monomial_pow(coeff: Series, e: Fraction) -> Optional[Series]:
     """Exact rational power of a single-term series, when the
     coefficient power stays rational."""
-    (v, c), = coeff.terms.items()
+    (v, c), = coeff.sorted_terms()
     if e.denominator == 1:
-        return Series(coeff.field, {v.scale(e): c ** int(e)}, INFINITY)
+        _check_coeff_power(c, e.numerator)
+        return Series(coeff.field, {v.scale(e): c ** e.numerator}, INFINITY)
     if c == 1:
         return Series(coeff.field, {v.scale(e): c}, INFINITY)
     return None
+
+
+def _check_coeff_power(c: Fraction, n: int) -> None:
+    """Refuse c^n when its numerator or denominator would pass
+    MAX_COEFF_DIGITS digits, before computing it.  For x >= 2,
+    x^|n| >= 2^(|n| * (bit_length(x) - 1)), and 2^(4D) > 10^D: a large
+    |n| is refused on that count, and otherwise x^|n| < 2^(8D) is cheap
+    to compare with 10^D exactly."""
+    for x in (abs(c.numerator), c.denominator):
+        if x > 1 and (abs(n) * (x.bit_length() - 1) >= 4 * MAX_COEFF_DIGITS
+                      or x ** abs(n) >= 10 ** MAX_COEFF_DIGITS):
+            raise ParseError(f"a coefficient power with exponent {n} exceeds "
+                             f"{MAX_COEFF_DIGITS} digits")
 
 
 def lower_series(node: Node, field: FieldInstance) -> Series:

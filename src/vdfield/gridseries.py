@@ -13,8 +13,10 @@ rational coefficients plus a truncation level tau: the series is exact
 on all values below tau and unknown at or above it.  tau = +infinity
 means the series is known completely.  Every operation propagates the
 tightest truncation it can certify.  By the bijection a term is keyed
-by its value; exponents are computed from it only where a generator
-matters: derivatives, embeddings and printing.
+by its value v, as the int tuple v * den, den > 0 the least common
+denominator of the series' values; key order is value order.  Exponents
+are computed from values only where a generator matters: derivatives,
+embeddings and printing.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -107,13 +112,13 @@ class FieldInstance:
     # -- construction of elements ------------------------------------
 
     def zero_series(self) -> "Series":
-        return Series(self, {}, INFINITY)
+        return Series(self, {}, INFINITY, 1)
 
     def constant(self, c: Rat) -> "Series":
         c = _frac(c)
         if c == 0:
             return self.zero_series()
-        return Series(self, {zero(self.rank): c}, INFINITY)
+        return Series(self, {(0,) * self.rank: c}, INFINITY, 1)
 
     def one(self) -> "Series":
         return self.constant(1)
@@ -236,23 +241,44 @@ class FieldInstance:
 
 class Series:
     """A truncated grid series: a finite map from term values to
-    coefficients, plus the truncation tau.  The terms may also be given
-    keyed by Monomial; they are converted to values once."""
+    coefficients, plus the truncation tau.  The terms are given keyed by
+    GroupElement or Monomial, or, with den, by lattice key."""
 
-    __slots__ = ("field", "terms", "tau", "_val")
+    __slots__ = ("field", "terms", "den", "tau", "_val")
 
     def __init__(self, field: FieldInstance,
-                 terms: Dict[Union[GroupElement, Monomial], Fraction], tau):
-        if terms and isinstance(next(iter(terms)), Monomial):
-            terms = {field.monomial_value(m): c for m, c in terms.items()}
+                 terms: Dict[Union[GroupElement, Monomial, tuple], Fraction], tau,
+                 den: Optional[int] = None):
+        if den is None:
+            if terms and isinstance(next(iter(terms)), Monomial):
+                terms = {field.monomial_value(m): c for m, c in terms.items()}
+            den = lcm(*(x.denominator for v in terms for x in v.coords))
+            terms = {_lattice_key(v, den): c for v, c in terms.items()}
         if tau is INFINITY:
-            clean = {v: c for v, c in terms.items() if c}
+            clean = {k: c for k, c in terms.items() if c}
         else:
-            clean = {v: c for v, c in terms.items() if c and v < tau}
+            if tau.rank != field.rank:
+                raise RankMismatch(f"tau rank {tau.rank} != field rank {field.rank}")
+            bound = _lattice_key(tau, den)
+            clean = {k: c for k, c in terms.items() if c and k < bound}
+        if den != 1 and (g := gcd(den, *chain.from_iterable(clean))) != 1:
+            den //= g
+            clean = {tuple([x // g for x in k]): c for k, c in clean.items()}
         self.field = field
         self.terms = clean
+        self.den = den
         self.tau = tau
         self._val = None
+
+    def _value(self, key: tuple) -> GroupElement:
+        return GroupElement._raw(tuple([Fraction(x, self.den) for x in key]))
+
+    def _terms_at(self, den: int) -> Dict[tuple, Fraction]:
+        """The terms keyed on the finer lattice of den, a multiple of self.den."""
+        if den == self.den:
+            return self.terms
+        m = den // self.den
+        return {tuple([x * m for x in k]): c for k, c in self.terms.items()}
 
     # -- inspection -----------------------------------------------------
 
@@ -263,7 +289,7 @@ class Series:
         """min value over the support; +infinity for the true zero."""
         if self.terms:
             if self._val is None:
-                self._val = min(self.terms, key=lambda v: v.coords)
+                self._val = self._value(min(self.terms))
             return self._val
         if self.tau is INFINITY:
             return INFINITY
@@ -281,14 +307,15 @@ class Series:
         v = self.valuation()
         if v is INFINITY:
             raise VdfError("the zero series has no dominant term")
-        return self.terms[v], v
+        return self.terms[min(self.terms)], v
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(self.field.monomial_value(mono), Fraction(0))
+        key = _lattice_key(self.field.monomial_value(mono), self.den)
+        return self.terms.get(key, Fraction(0))
 
     def sorted_terms(self) -> List[Tuple[GroupElement, Fraction]]:
         """(value, coefficient) pairs by increasing value."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0].coords)
+        return [(self._value(k), c) for k, c in sorted(self.terms.items())]
 
     # -- ring operations ------------------------------------------------
 
@@ -301,7 +328,7 @@ class Series:
         return _sum_series(self.field, (self, other))
 
     def __neg__(self) -> "Series":
-        return Series(self.field, {m: -c for m, c in self.terms.items()}, self.tau)
+        return Series(self.field, {k: -c for k, c in self.terms.items()}, self.tau, self.den)
 
     def __sub__(self, other: "Series") -> "Series":
         return self + (-other)
@@ -310,26 +337,34 @@ class Series:
         q = _frac(q)
         if q == 0:
             return self.field.zero_series()
-        return Series(self.field, {m: q * c for m, c in self.terms.items()}, self.tau)
+        terms = {k: q * c for k, c in self.terms.items()}
+        return Series(self.field, terms, self.tau, self.den)
 
     def __mul__(self, other: "Series") -> "Series":
         self._check_field(other)
         if self.is_true_zero() or other.is_true_zero():
             return self.field.zero_series()
-        tau = _tau_min(
-            _tau_add(self.tau, other.val_or_tau()),
-            _tau_add(other.tau, self.val_or_tau()),
-        )
-        terms: Dict[GroupElement, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 + m2
-                s = terms.get(m, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(m, None)
+        tau = INFINITY
+        if self.tau is not INFINITY:
+            tau = self.tau + other.val_or_tau()
+        if other.tau is not INFINITY:
+            tau = _tau_min(tau, other.tau + self.val_or_tau())
+        den = lcm(self.den, other.den)
+        right = list(other._terms_at(den).items())
+        terms: Dict[tuple, Fraction] = {}
+        for k1, c1 in self._terms_at(den).items():
+            for k2, c2 in right:
+                k = tuple(map(add, k1, k2))
+                s = terms.get(k)
+                if s is None:
+                    terms[k] = c1 * c2
                 else:
-                    terms[m] = s
-        return Series(self.field, terms, tau)
+                    s += c1 * c2
+                    if s:
+                        terms[k] = s
+                    else:
+                        del terms[k]
+        return Series(self.field, terms, tau, den)
 
     def power(self, n: int) -> "Series":
         if n < 0:
@@ -345,7 +380,7 @@ class Series:
         return out
 
     def truncated(self, tau) -> "Series":
-        return Series(self.field, self.terms, _tau_min(self.tau, tau))
+        return Series(self.field, self.terms, _tau_min(self.tau, tau), self.den)
 
     # -- differential structure ------------------------------------------
 
@@ -354,8 +389,9 @@ class Series:
         tau + derivation_shift."""
         K = self.field
         out = _sum_series(K, [
-            Series(K, {v: c}, INFINITY) * K.monomial_logder(K.monomial_of_value(v))
-            for v, c in self.terms.items()
+            Series(K, {k: c}, INFINITY, self.den)
+            * K.monomial_logder(K.monomial_of_value(self._value(k)))
+            for k, c in self.terms.items()
         ])
         if self.tau is not INFINITY:
             out = out.truncated(self.tau + K.derivation_shift)
@@ -428,7 +464,7 @@ class Series:
         K = self.field
         if other is K:
             return self
-        terms = {embed_value(K, other, v): c for v, c in self.terms.items()}
+        terms = {embed_value(K, other, v): c for v, c in self.sorted_terms()}
         tau = self.tau
         if tau is not INFINITY:
             tau = embed_value(K, other, tau)
@@ -440,6 +476,7 @@ class Series:
         return (
             isinstance(other, Series)
             and self.field is other.field
+            and self.den == other.den
             and self.terms == other.terms
             and self.tau == other.tau
         )
@@ -450,7 +487,7 @@ class Series:
     def same_terms(self, other: "Series") -> bool:
         """Term-by-term equality ignoring the truncation levels."""
         self._check_field(other)
-        return self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:
@@ -500,20 +537,28 @@ def _sum_series(field: FieldInstance, parts: Sequence["Series"]) -> "Series":
     the dict per part."""
     if len(parts) == 1:
         return parts[0]
-    terms: Dict[GroupElement, Fraction] = {}
+    den = lcm(*(f.den for f in parts))
+    terms: Dict[tuple, Fraction] = {}
     tau = INFINITY
     for f in parts:
         tau = _tau_min(tau, f.tau)
         if not terms:
-            terms.update(f.terms)
+            terms.update(f._terms_at(den))
             continue
-        for v, c in f.terms.items():
-            s = terms.get(v, 0) + c
+        for k, c in f._terms_at(den).items():
+            s = terms.get(k, 0) + c
             if s == 0:
-                terms.pop(v, None)
+                terms.pop(k, None)
             else:
-                terms[v] = s
-    return Series(field, terms, tau)
+                terms[k] = s
+    return Series(field, terms, tau, den)
+
+
+def _lattice_key(gamma: GroupElement, den: int) -> tuple:
+    """gamma * den, with a Fraction where a coordinate is off the lattice:
+    it compares with lattice keys as gamma does with their values."""
+    return tuple([int(y) if y.denominator == 1 else y
+                  for y in (x * den for x in gamma.coords)])
 
 
 def _tau_min(a, b):

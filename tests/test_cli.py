@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vdfield.cli import (
     MAX_DEPTH,
+    MAX_ITER,
+    MAX_SAMPLES,
     field_from_config,
     field_to_config,
     load_field,
@@ -17,6 +22,7 @@ from vdfield.cli import (
 )
 from vdfield.errors import ParseError, UnboundSymbol
 from vdfield.expr import (
+    MAX_COEFF_DIGITS,
     MAX_ORDER,
     MAX_POWER,
     Add,
@@ -30,6 +36,7 @@ from vdfield.expr import (
     parse_poly,
     parse_series,
     print_expr,
+    _check_coeff_power,
 )
 from vdfield.gridseries import laurent_ddt, transseries_fragment
 
@@ -49,7 +56,7 @@ class TestGrammar:
     def test_monomial_exponents(self):
         M = transseries_fragment(2)
         f = parse_series("e_x^1/2 * l0^-1", M)
-        (v, c), = f.terms.items()
+        (v, c), = f.sorted_terms()
         assert c == 1
         assert M.exponents_of_value(v) == (Fraction(1, 2), Fraction(-1), Fraction(0),
                                            Fraction(0))
@@ -144,9 +151,7 @@ class TestFieldConfig:
         assert rebuilt.rank == M.rank
         for a, b in zip(M.generators, rebuilt.generators):
             assert a.name == b.name and a.value == b.value
-            assert a.logder.terms == {
-                m: c for m, c in b.logder.terms.items()
-            }
+            assert a.logder.sorted_terms() == b.logder.sorted_terms()
 
     def test_shift_validation(self):
         doc = {
@@ -328,6 +333,54 @@ class TestBadInput:
 
 
     @pytest.mark.parametrize("args", [
+        ["solve", "--depth", "3", "--max-iter", str(MAX_ITER + 1)],
+        ["demo", "--depth", "3", "--max-iter", str(MAX_ITER + 1)],
+        ["check-bll", "--depth", "3", "--max-iter", str(MAX_ITER + 1)],
+        ["probe", "--field", "configs/laurent.json", "Y'", "--beta", "5",
+         "--samples", str(MAX_SAMPLES + 1)],
+    ], ids=["solve", "demo", "check-bll", "probe"])
+    def test_counts_above_bound_rejected(self, args):
+        # refused on the argument, before any sample or iteration runs
+        proc = run_cli(args)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert "must be at most" in _json_error(proc)["message"]
+
+    @pytest.mark.parametrize("text", [
+        "3^10000",
+        "(1/3)^-10000",
+        f"10^{MAX_COEFF_DIGITS} * t",
+        f"(1/10*t)^{MAX_COEFF_DIGITS}",
+    ], ids=["numerator", "negative-exponent", "at-limit", "denominator"])
+    def test_coefficient_power_above_bound_is_parse_error(self, text):
+        proc = run_cli(["eval", "--field", "laurent_ddt", "Y", "--at", text])
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        assert "exceeds" in _json_error(proc)["message"]
+
+    def test_coefficient_power_bound_refuses_huge_exponent_uncomputed(self):
+        # the bit-length test refuses it; 3^99999999999 is never formed
+        with pytest.raises(ParseError, match="exceeds"):
+            _check_coeff_power(Fraction(3), 99999999999)
+        with pytest.raises(ParseError, match="exceeds"):
+            _check_coeff_power(Fraction(-1, 2), -99999999999)
+
+    def test_coefficient_power_bound_admits_its_limit(self):
+        K = laurent_ddt()
+        f = parse_series(f"10^{MAX_COEFF_DIGITS - 1} * t", K)
+        assert f.dominant_term()[0] == 10 ** (MAX_COEFF_DIGITS - 1)
+        # powers of +-1 coefficients are exact at any size
+        assert parse_series("t^100000", K).valuation().coords == (100000,)
+        assert parse_series("(-t)^100001", K).dominant_term()[0] == -1
+
+    def test_result_too_long_to_render_is_contract_error(self):
+        proc = run_cli(["eval", "--field", "laurent_ddt", "Y",
+                        "--at", "3^2700*3^2700*3^2700*3^2700"])
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert "too long to render" in _json_error(proc)["message"]
+
+    @pytest.mark.parametrize("args", [
         ["solve", "--depth", str(MAX_DEPTH + 1)],
         ["demo", "--depth", str(MAX_DEPTH + 1)],
         ["check-bll", "--depth", str(MAX_DEPTH + 1)],
@@ -430,3 +483,79 @@ class TestGolden:
         code = run(case["argv"])
         assert code == case["exit"]
         assert capsys.readouterr().out == case["stdout"]
+
+
+# -- fuzzing the command line -------------------------------------------------------
+
+_CONFIG = "<config>"  # replaced by the path of a generated config file
+_FIELDS = ["laurent_ddt", "laurent_tddt_coarse", "configs/laurent.json",
+           "configs/tddt.json", "transseries_fragment(1)", "log_fragment(0)",
+           "transseries_fragment(x)", "nosuch.json", _CONFIG]
+_garbage = st.text(alphabet="tsY'^*+-/()0123456789 e_xl,.", max_size=12)
+_exprs = st.one_of(_asts.map(print_expr), _garbage,
+                   st.tuples(_asts.map(print_expr), _garbage).map("".join))
+# every subcommand and option; "-h"/"--help" are left out (they print
+# the usage text, tested above)
+_tokens = st.one_of(
+    st.sampled_from(["val", "ddeg", "ndeg", "breakpoints", "conj", "eval",
+                     "gamma-der", "s-der", "coarsen", "probe", "solve", "demo",
+                     "check-bll", "--field", "--at", "--kind", "--by", "--beta",
+                     "--samples", "--seed", "--depth", "--op", "--a0", "--a1",
+                     "--rhs", "--tau", "--max-iter", "--c", "--prefix-len",
+                     "--bogus", "add", "mul", "comp", "A", "B", "custom", "-1",
+                     "0", "1", "2", "1/0", "abc", "", "Y", "t", "Y'", "t*Y"]),
+    st.sampled_from(_FIELDS),
+    _garbage,
+)
+_config_docs = st.one_of(
+    st.fixed_dictionaries({
+        "rank": st.one_of(st.integers(-1, 3), st.just("1"), st.just(1.5), st.none()),
+        "generators": st.lists(st.fixed_dictionaries({
+            "name": st.sampled_from(["t", "s", "", "t t"]),
+            "value": st.lists(st.sampled_from(["1", "-1", "0", "1/2", "1/0", "x", 1]),
+                              max_size=3),
+            "logder": st.one_of(_exprs, st.integers(-2, 2)),
+        }), max_size=3),
+    }, optional={"shift": st.lists(st.sampled_from(["-1", "0", "5", "abc"]),
+                                   max_size=2),
+                 "name": st.text(max_size=5)}).map(json.dumps),
+    st.text(max_size=30),
+)
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFuzz:
+    """Whatever the command line, expression or config file, vdf exits
+    0, 2 or 3 and prints exactly one JSON line: on stdout for 0, on
+    stderr otherwise."""
+
+    @given(argv=st.one_of(
+        st.tuples(st.sampled_from(["val", "ddeg", "eval"]), st.sampled_from(_FIELDS),
+                  _exprs, _exprs)
+        .map(lambda c: [c[0], "--field", c[1], c[2]]
+             + (["--at", c[3]] if c[0] == "eval" else [])),
+        st.lists(_tokens, max_size=6),
+    ), config=_config_docs)
+    @example(argv=["eval", "--field", "laurent_ddt", "Y", "--at", "3^10000"], config="")
+    @example(argv=["eval", "--field", "laurent_ddt", "Y",
+                   "--at", "3^2700*3^2700*3^2700*3^2700"], config="")
+    @settings(max_examples=250, deadline=None)
+    def test_exit_code_and_one_json_line(self, argv, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "field.json"
+            path.write_text(config)
+            argv = [str(path) if a == _CONFIG else a for a in argv]
+            with contextlib.chdir(REPO):
+                code, out, err = _run_in_process(argv)
+        assert code in (0, 2, 3)
+        stream, silent = (out, err) if code == 0 else (err, out)
+        assert silent == ""
+        lines = stream.splitlines()
+        assert len(lines) == 1 and stream.endswith("\n"), stream
+        json.loads(lines[0])

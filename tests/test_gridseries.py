@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ from conftest import (
     random_value,
     rat,
 )
-from vdfield.errors import IndeterminateValuation, TruncationUnreachable
+from test_truncation import FIELDS, _embedding_target, _line, _maybe_truncated
+from vdfield.errors import IndeterminateValuation, TruncationUnreachable, VdfError
 from vdfield.gridseries import (
     FieldInstance,
     Generator,
@@ -50,7 +52,7 @@ class TestRingOps:
         s = f + g
         # terms at or above tau never appear
         assert s.tau == GroupElement([3])
-        assert s.terms == {GroupElement([1]): Fraction(1)}
+        assert s.sorted_terms() == [(GroupElement([1]), Fraction(1))]
 
     def test_mul_truncation_bound(self):
         K = laurent_ddt()
@@ -337,7 +339,7 @@ def _ref_monomial_logder(K: FieldInstance, mono: Monomial) -> Series:
 def _ref_derive(f: Series) -> Series:
     K = f.field
     out = K.zero_series()
-    for v, c in f.terms.items():
+    for v, c in f.sorted_terms():
         mono = K.monomial_of_value(v)
         out = out + K.monomial_series(mono, c) * _ref_monomial_logder(K, mono)
     if f.tau is not INFINITY:
@@ -354,7 +356,7 @@ class TestOnePassSums:
             if rng.randrange(2):
                 f = f.truncated(f.valuation() + random_value(K, rng, 0, 3))
             assert f.derive() == _ref_derive(f)
-            for v in f.terms:
+            for v, _ in f.sorted_terms():
                 mono = K.monomial_of_value(v)
                 assert K.monomial_logder(mono) == _ref_monomial_logder(K, mono)
 
@@ -371,3 +373,100 @@ class TestOnePassSums:
         assert K.monomial_logder(mono).tau == GroupElement([0, 2])
         f = K.monomial_series(mono, 3) + K.gen("s", 2)
         assert f.derive() == _ref_derive(f)
+
+
+# -- integer lattice keys --------------------------------------------------------
+
+
+def _assert_lattice(f: Series):
+    """f's keys are int tuples of the field's rank, and f.den is the
+    least common denominator of f's values."""
+    assert type(f.den) is int and f.den >= 1
+    for k in f.terms:
+        assert type(k) is tuple and len(k) == f.field.rank
+        assert all(type(x) is int for x in k)
+    values = [v for v, _ in f.sorted_terms()]
+    assert f.den == math.lcm(*(x.denominator for v in values for x in v.coords))
+
+
+def _half(*coords):
+    return GroupElement([Fraction(c) for c in coords])
+
+
+class TestLattice:
+    def test_products_and_sums_across_lattices(self):
+        K = laurent_tddt_coarse()
+        f = Series(K, {_half("1/2", 0): 1, _half(0, "3/2"): 2}, INFINITY)
+        g = Series(K, {_half("1/3", 0): 3, _half(1, "-2/3"): -1}, INFINITY)
+        assert (f.den, g.den) == (2, 3)
+        expect = {}
+        for v, c in f.sorted_terms():
+            for w, d in g.sorted_terms():
+                expect[v + w] = expect.get(v + w, 0) + c * d
+        prod = f * g
+        assert prod.den == 6
+        assert prod.sorted_terms() == sorted(expect.items())
+        assert (f + g).den == 6
+        assert (f + g).sorted_terms() == sorted(f.sorted_terms() + g.sorted_terms())
+        # what cancels leaves the coarser lattice of what remains
+        assert (f + g) - f == g and ((f + g) - f).den == 3
+        assert (f - f).den == 1 and (f - f).is_true_zero()
+        for r in (prod, f + g, (f + g) - f, prod * prod, (f + g).power(3)):
+            _assert_lattice(r)
+
+    def test_equality_and_hash_ignore_the_lattice(self):
+        K = laurent_tddt_coarse()
+        t = K.gen("t")
+        half, third = K.gen("t", Fraction(1, 2)), K.gen("t", Fraction(1, 3))
+        for other in (half * half,                  # formed on the lattice 1/2
+                      (t + third) - third,          # formed on 1/3
+                      (t * half * third) * (half * third).invert()):
+            assert other == t and hash(other) == hash(t)
+            assert other.same_terms(t)
+        tau = _half(2, "1/2")
+        assert (half * half).truncated(tau) == t.truncated(tau)
+        assert hash((half * half).truncated(tau)) == hash(t.truncated(tau))
+        assert half * half != t.truncated(tau)
+
+    def test_tau_off_the_lattice(self):
+        K = laurent_tddt_coarse()
+        f = Series(K, {_half(1, 5): 1, _half(2, -7): 1, _half(1, 0): 2},
+                   _half("3/2", 0))
+        assert f.den == 1
+        assert [v for v, _ in f.sorted_terms()] == [_half(1, 0), _half(1, 5)]
+        g = Series(K, {_half(1, 0): 1, _half(1, 1): 1}, _half(1, "1/2"))
+        assert g.sorted_terms() == [(_half(1, 0), 1)]
+        # a finer tau truncating a series on a coarser lattice, and a
+        # product whose tau is on neither operand's lattice
+        assert (K.gen("t") + K.gen("t", 2)).truncated(_half("4/3", 0)) == K.gen("t", 1) \
+            .truncated(_half("4/3", 0))
+        p = g * K.gen("s", Fraction(1, 3))
+        assert p.tau == _half(1, "5/6") and p.sorted_terms() == [(_half(1, "1/3"), 1)]
+
+    def test_term_exactly_at_tau_is_dropped(self):
+        K = laurent_tddt_coarse()
+        f = Series(K, {_half("1/2", 0): 1, _half(1, 0): 1}, _half("1/2", 0))
+        assert not f.terms and f.tau == _half("1/2", 0)
+        with pytest.raises(IndeterminateValuation):
+            f.valuation()
+        g = K.gen("t", Fraction(1, 2)) + K.gen("t")
+        assert g.truncated(_half(1, 0)).sorted_terms() == [(_half("1/2", 0), 1)]
+        assert (g * g).truncated(_half(1, 0)).sorted_terms() == []
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_keys_are_int_tuples_after_every_operation(self, data):
+        K = data.draw(st.sampled_from(FIELDS))()
+        f, ft, step = data.draw(_line(K))
+        g, gt = data.draw(_maybe_truncated(K))
+        results = [f * g, ft * gt, f + gt, ft - g, f.derive(), ft.derive(),
+                   f.truncated(f.valuation() + step.scale(Fraction(3, 2))),
+                   ft.embed_into(_embedding_target(K))]
+        for op in (lambda h: h.invert(step.scale(2)), lambda h: h.logder(step.scale(2))):
+            for h in (f, ft):
+                try:
+                    results.append(op(h))
+                except VdfError:
+                    pass  # a refused inversion has no keys to check
+        for r in results:
+            _assert_lattice(r)

@@ -375,7 +375,7 @@ class TestCarriedResidual:
             trace = None
         for z, h in seen:
             expect = apply_op(op, y) - g
-            assert z.terms == expect.terms
+            assert z.same_terms(expect)
             assert z.tau == expect.tau
             y = y - h
         if trace is not None:
@@ -454,18 +454,20 @@ def _reachable_support(L, depth, tau):
 def _linear_system_solve(L, op, rhs, support, tau):
     """Exact Gaussian elimination for op(y) = rhs on a monomial ansatz,
     matching coefficients of every monomial below tau."""
-    images = [apply_op(op, Series(L, {m: Fraction(1)}, INFINITY)) for m in support]
+    images = [dict(apply_op(op, Series(L, {m: Fraction(1)}, INFINITY)).sorted_terms())
+              for m in support]
+    rhs_terms = dict(rhs.sorted_terms())
     rows = set()
     for img in images:
-        for v in img.terms:
+        for v in img:
             if v < tau:
                 rows.add(v)
-    for v in rhs.terms:
+    for v in rhs_terms:
         rows.add(v)
-    rows = sorted(rows, key=lambda v: v.coords)
+    rows = sorted(rows)
     zero_c = Fraction(0)
     matrix = [
-        [img.terms.get(row, zero_c) for img in images] + [rhs.terms.get(row, zero_c)]
+        [img.get(row, zero_c) for img in images] + [rhs_terms.get(row, zero_c)]
         for row in rows
     ]
     ncols = len(support)
