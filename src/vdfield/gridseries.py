@@ -252,6 +252,8 @@ class Series:
         if den is None:
             if terms and isinstance(next(iter(terms)), Monomial):
                 terms = {field.monomial_value(m): c for m, c in terms.items()}
+            if any(v.rank != field.rank for v in terms):
+                raise RankMismatch(f"a term value's rank differs from field rank {field.rank}")
             den = lcm(*(x.denominator for v in terms for x in v.coords))
             terms = {_lattice_key(v, den): c for v, c in terms.items()}
         if tau is INFINITY:

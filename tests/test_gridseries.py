@@ -12,7 +12,12 @@ from conftest import (
     rat,
 )
 from test_truncation import FIELDS, _embedding_target, _line, _maybe_truncated
-from vdfield.errors import IndeterminateValuation, TruncationUnreachable, VdfError
+from vdfield.errors import (
+    IndeterminateValuation,
+    RankMismatch,
+    TruncationUnreachable,
+    VdfError,
+)
 from vdfield.gridseries import (
     FieldInstance,
     Generator,
@@ -452,6 +457,14 @@ class TestLattice:
         g = K.gen("t", Fraction(1, 2)) + K.gen("t")
         assert g.truncated(_half(1, 0)).sorted_terms() == [(_half("1/2", 0), 1)]
         assert (g * g).truncated(_half(1, 0)).sorted_terms() == []
+
+    def test_wrong_rank_is_refused_at_the_boundary(self):
+        # int-tuple keys of another length would compare and add silently
+        K = laurent_tddt_coarse()
+        with pytest.raises(RankMismatch):
+            Series(K, {GroupElement([1]): 1}, INFINITY)
+        with pytest.raises(RankMismatch):
+            Series(K, {GroupElement([1, 0]): 1}, GroupElement([2]))
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
