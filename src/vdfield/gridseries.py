@@ -13,10 +13,9 @@ rational coefficients plus a truncation level tau: the series is exact
 on all values below tau and unknown at or above it.  tau = +infinity
 means the series is known completely.  Every operation propagates the
 tightest truncation it can certify.  By the bijection a term is keyed
-by its value v, as the int tuple v * den, den > 0 the least common
-denominator of the series' values; key order is value order.  Exponents
-are computed from values only where a generator matters: derivatives,
-embeddings and printing.
+by its value v, as the int tuple v * den (den: the least common
+denominator of the values); exponents are computed only where a
+generator matters: derivatives, embeddings and printing.
 """
 
 from __future__ import annotations
@@ -253,7 +252,7 @@ class Series:
             if terms and isinstance(next(iter(terms)), Monomial):
                 terms = {field.monomial_value(m): c for m, c in terms.items()}
             if any(v.rank != field.rank for v in terms):
-                raise RankMismatch(f"a term value's rank differs from field rank {field.rank}")
+                raise RankMismatch(f"a term value's rank is not field rank {field.rank}")
             den = lcm(*(x.denominator for v in terms for x in v.coords))
             terms = {_lattice_key(v, den): c for v, c in terms.items()}
         if tau is INFINITY:
@@ -330,7 +329,8 @@ class Series:
         return _sum_series(self.field, (self, other))
 
     def __neg__(self) -> "Series":
-        return Series(self.field, {k: -c for k, c in self.terms.items()}, self.tau, self.den)
+        terms = {k: -c for k, c in self.terms.items()}
+        return Series(self.field, terms, self.tau, self.den)
 
     def __sub__(self, other: "Series") -> "Series":
         return self + (-other)
