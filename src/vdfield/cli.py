@@ -23,7 +23,6 @@ from .gridseries import (
     FieldInstance,
     Generator,
     Series,
-    factor_strings,
     laurent_ddt,
     laurent_tddt_coarse,
     log_fragment,
@@ -74,23 +73,12 @@ def field_to_config(field: FieldInstance) -> dict:
             {
                 "name": g.name,
                 "value": g.value.as_strings(),
-                "logder": _series_expr(g.logder),
+                "logder": repr(g.logder),
             }
             for g in field.generators
         ],
         "shift": field.derivation_shift.as_strings(),
     }
-
-
-def _series_expr(f: Series) -> str:
-    """Render a series in the expression grammar."""
-    if not f.terms:
-        return "0"
-    parts = []
-    for v, c in f.sorted_terms():
-        factors = [str(c)] if c != 1 or v.is_zero() else []
-        parts.append("*".join(factors + factor_strings(f.field, v)))
-    return " + ".join(parts)
 
 
 _BUILTIN_PATTERN = re.compile(r"^(transseries_fragment|log_fragment)\((\d+)\)$")

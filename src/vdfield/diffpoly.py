@@ -28,7 +28,7 @@ from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import IndeterminateValuation, VdfError
-from .gridseries import FieldInstance, Monomial, Series, _sum_series
+from .gridseries import FieldInstance, Series, _sum_series
 from .valgroup import INFINITY, GroupElement
 
 MultiIndex = Tuple[int, ...]
@@ -253,21 +253,13 @@ def gauss_val(P: DiffPoly) -> GroupElement:
     """
     if P.is_zero():
         raise VdfError("gaussian valuation of the zero polynomial")
-    best = INFINITY
-    pending = []
-    for c in P.terms.values():
-        if c.terms:
-            v = c.valuation()
-            if best is INFINITY or v < best:
-                best = v
-        else:
-            pending.append(c.tau)
+    best = min((c.valuation() for c in P.terms.values() if c.terms), default=INFINITY)
     if best is INFINITY:
         raise IndeterminateValuation("no coefficient has a known term")
-    for tau in pending:
-        if not best < tau:
+    for c in P.terms.values():
+        if not c.terms and not best < c.tau:
             raise IndeterminateValuation(
-                f"a coefficient known only modulo {tau} could undercut {best}"
+                f"a coefficient known only modulo {c.tau} could undercut {best}"
             )
     return best
 
@@ -280,7 +272,6 @@ class DominantData:
     dwt: int
     D: DiffPoly
     W: DiffPoly
-    dominant_monomial: Monomial
     dominant_part: Dict[MultiIndex, Fraction]
 
 
@@ -301,7 +292,7 @@ def dominant(P: DiffPoly) -> DominantData:
         P.order,
     )
     part = {i: P.terms[i].dominant_term()[0] for i in argmin}
-    return DominantData(dd, dw, D, W, P.field.monomial_of_value(v), part)
+    return DominantData(dd, dw, D, W, part)
 
 
 def ddeg(P: DiffPoly) -> int:

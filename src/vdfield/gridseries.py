@@ -40,7 +40,6 @@ from .valgroup import (
     GroupElement,
     Rat,
     _frac,
-    group_min,
     unit,
     zero,
 )
@@ -191,17 +190,12 @@ class FieldInstance:
     def derivation_shift(self) -> GroupElement:
         """A certified s with v(f') >= v(f) + s for all f.
 
-        Computed as the minimum of the generator logder valuations;
-        validated by sampling in the test suite.
+        Computed as the minimum of the generator logder valuations
+        (zero when every logder is zero); validated by sampling in the
+        test suite.
         """
         if self._shift is None:
-            vals = []
-            for g in self.generators:
-                if g.logder is None:
-                    raise VdfError(f"generator {g.name} has no declared logder")
-                if g.logder.terms:
-                    vals.append(g.logder.valuation())
-            m = group_min(vals)
+            m = self.psi_floor(0)
             self._shift = zero(self.rank) if m is INFINITY else m
         return self._shift
 
@@ -215,20 +209,20 @@ class FieldInstance:
     def psi_floor(self, p: int):
         """min over i >= p of psi_level(i): the worst-case logder value
         of a monomial whose first nonzero exponent sits at position p."""
-        return group_min(self.psi_level(i) for i in range(p, self.rank))
+        return min((self.psi_level(i) for i in range(p, self.rank)), default=INFINITY)
 
     # -- extensions ------------------------------------------------------
 
-    def with_flat_generator(self, name: str = "_eps", sign: int = 1) -> "FieldInstance":
-        """Adjoin a generator of infinitesimal value (+/- the new least
-        significant coordinate) whose derivative is zero.  Used to
+    def with_flat_generator(self) -> "FieldInstance":
+        """Adjoin a generator _eps of infinitesimal value (the new least
+        significant unit coordinate) whose derivative is zero.  Used to
         realize symbolic one-sided limits as honest field elements."""
         n = self.rank + 1
         gens = [
             Generator(g.name, g.value.pad(n), None) for g in self.generators
         ]
-        gens.append(Generator(name, unit(n, n - 1, sign), None))
-        ext = FieldInstance(n, gens, name=f"{self.name}+{name}")
+        gens.append(Generator("_eps", unit(n, n - 1), None))
+        ext = FieldInstance(n, gens, name=f"{self.name}+_eps")
         for old, new in zip(self.generators, ext.generators):
             new.logder = old.logder.embed_into(ext)
         ext.generators[-1].logder = ext.zero_series()
@@ -350,7 +344,7 @@ class Series:
         if self.tau is not INFINITY:
             tau = self.tau + other.val_or_tau()
         if other.tau is not INFINITY:
-            tau = _tau_min(tau, other.tau + self.val_or_tau())
+            tau = min(tau, other.tau + self.val_or_tau())
         den = lcm(self.den, other.den)
         right = list(other._terms_at(den).items())
         terms: Dict[tuple, Fraction] = {}
@@ -382,7 +376,7 @@ class Series:
         return out
 
     def truncated(self, tau) -> "Series":
-        return Series(self.field, self.terms, _tau_min(self.tau, tau), self.den)
+        return Series(self.field, self.terms, min(self.tau, tau), self.den)
 
     # -- differential structure ------------------------------------------
 
@@ -413,17 +407,14 @@ class Series:
         if len(self.terms) == 1:
             if self.tau is INFINITY and tau is None:
                 return lead_inv
-            err = _tau_min(
-                tau if tau is not None else INFINITY,
-                _tau_add(self.tau, v.scale(-1)) if self.tau is not INFINITY else INFINITY,
-            )
-            return lead_inv.truncated(_tau_add(err, v.scale(-1)))
+            err = min(INFINITY if tau is None else tau, self.tau - v)
+            return lead_inv.truncated(err - v)
         if tau is None:
             if self.tau is INFINITY:
                 raise VdfError(
                     "inverting an exact multi-term series requires a target tau"
                 )
-            tau = self.tau + v.scale(-1)
+            tau = self.tau - v
         # the unit part self * lead_inv is inverted to tau itself:
         # self * g - 1 = self * lead_inv * acc - 1
         u = (self * lead_inv - self.field.one()).truncated(tau)
@@ -438,8 +429,7 @@ class Series:
             if not term.terms:
                 break
             acc = acc + term
-        g = (lead_inv * acc).truncated(_tau_add(tau, v.scale(-1)))
-        return g
+        return (lead_inv * acc).truncated(tau - v)
 
     def logder(self, tau=None) -> "Series":
         """f'/f to the available (or requested) truncation."""
@@ -492,21 +482,16 @@ class Series:
         return self.den == other.den and self.terms == other.terms
 
     def __repr__(self):
-        if not self.terms:
-            body = "0"
-        else:
-            parts = []
-            for v, c in self.sorted_terms():
-                factors = factor_strings(self.field, v)
-                if not factors:
-                    parts.append(str(c))
-                elif c == 1:
-                    parts.append("*".join(factors))
-                elif c == -1:
-                    parts.append("-" + "*".join(factors))
-                else:
-                    parts.append(f"{c}*" + "*".join(factors))
-            body = " + ".join(parts).replace("+ -", "- ")
+        """The series in the expression grammar, which parse_series reads
+        back for an exact series; a truncated one ends in + O(tau)."""
+        K = self.field
+        parts = []
+        for v, c in self.sorted_terms():
+            factors = [str(c)] if c != 1 or v.is_zero() else []
+            factors += [g.name if q == 1 else f"{g.name}^{q}"
+                        for q, g in zip(K.exponents_of_value(v), K.generators) if q]
+            parts.append("*".join(factors))
+        body = " + ".join(parts) or "0"
         if self.tau is INFINITY:
             return body
         return f"{body} + O({self.tau})"
@@ -526,13 +511,6 @@ def embed_value(src: FieldInstance, dst: FieldInstance, gamma: GroupElement) -> 
     return dst.monomial_value(Monomial(out))
 
 
-def factor_strings(field: FieldInstance, gamma: GroupElement) -> List[str]:
-    """The generator powers of the monomial of value gamma in the
-    expression grammar (name or name^q), omitting exponent zero."""
-    return [g.name if q == 1 else f"{g.name}^{q}"
-            for q, g in zip(field.exponents_of_value(gamma), field.generators) if q != 0]
-
-
 def _sum_series(field: FieldInstance, parts: Sequence["Series"]) -> "Series":
     """The sum of parts built in one term dict, with the least of their
     taus: the terms and tau of folding them with +, without a copy of
@@ -541,9 +519,7 @@ def _sum_series(field: FieldInstance, parts: Sequence["Series"]) -> "Series":
         return parts[0]
     den = lcm(*(f.den for f in parts))
     terms: Dict[tuple, Fraction] = {}
-    tau = INFINITY
     for f in parts:
-        tau = _tau_min(tau, f.tau)
         if not terms:
             terms.update(f._terms_at(den))
             continue
@@ -553,7 +529,7 @@ def _sum_series(field: FieldInstance, parts: Sequence["Series"]) -> "Series":
                 terms.pop(k, None)
             else:
                 terms[k] = s
-    return Series(field, terms, tau, den)
+    return Series(field, terms, min([f.tau for f in parts], default=INFINITY), den)
 
 
 def _lattice_key(gamma: GroupElement, den: int) -> tuple:
@@ -561,20 +537,6 @@ def _lattice_key(gamma: GroupElement, den: int) -> tuple:
     it compares with lattice keys as gamma does with their values."""
     return tuple([int(y) if y.denominator == 1 else y
                   for y in (x * den for x in gamma.coords)])
-
-
-def _tau_min(a, b):
-    if a is INFINITY:
-        return b
-    if b is INFINITY:
-        return a
-    return a if a < b else b
-
-
-def _tau_add(a, b):
-    if a is INFINITY or b is INFINITY:
-        return INFINITY
-    return a + b
 
 
 def _reachable(step: GroupElement, target: GroupElement) -> bool:

@@ -225,7 +225,7 @@ def solve_linear(op: LinearOperator, g: Series, tau: GroupElement,
         if step:
             z = z + apply_op(op, -h)
         if not z.terms:
-            if z.tau is INFINITY or z.tau >= tau:
+            if z.tau >= tau:
                 trace.termination = "reached_tau"
             else:
                 trace.termination = "truncation_exhausted"

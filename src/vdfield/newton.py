@@ -39,12 +39,10 @@ from .valgroup import (
     ALL,
     EMPTY,
     INFINITY,
-    PREFIX,
     ConvexSubgroup,
     Cut,
     GroupElement,
     cut_stabilizer,
-    group_min,
     with_infinitesimal,
     zero,
 )
@@ -143,11 +141,8 @@ def breakpoints(P: DiffPoly) -> List[GroupElement]:
 
 
 def _intersect_prefix(a: Cut, b: Cut) -> Cut:
-    """Intersection of two inclusive prefix cuts (it is one of them)."""
-    if a.kind == ALL:
-        return b
-    if b.kind == ALL:
-        return a
+    """Intersection of two inclusive prefix cuts (it is one of them);
+    the whole group is the one of depth 0."""
     if a.depth > b.depth:
         a, b = b, a
     pb = b.bound[: a.depth]
@@ -234,7 +229,7 @@ def _validate_gamma_der(field: FieldInstance, cut: Cut,
     small_values = [_random_positive_value(field, rng) for _ in range(samples)]
     # Membership direction: points in the cut are below every v(m').
     probes: List[GroupElement] = []
-    if cut.kind == PREFIX:
+    if cut.depth:
         b = cut.bound_element()
         probes.extend([b, b - _random_positive_value(field, rng)])
     for _ in range(max(10, samples // 2)):
@@ -245,13 +240,13 @@ def _validate_gamma_der(field: FieldInstance, cut: Cut,
     # probe is below every v(m') exactly when it is below the least one.
     derivative_values = [(delta, _monomial_derivative_value(field, delta))
                          for delta in small_values]
-    least = group_min(dv for _, dv in derivative_values)
+    least = min((dv for _, dv in derivative_values), default=INFINITY)
     for gamma in probes:
         if cut.contains(gamma):
             if gamma < least:
                 continue
             for delta, dv in derivative_values:
-                if not (dv is INFINITY or gamma < dv):
+                if not gamma < dv:
                     raise VdfError(
                         f"gamma_der validation failed: {gamma} in cut but "
                         f"v(m')={dv} for v(m)={delta}"
@@ -266,20 +261,17 @@ def _validate_gamma_der(field: FieldInstance, cut: Cut,
 
 def _witness_outside(field: FieldInstance, gamma: GroupElement) -> bool:
     """Find a monomial m < 1 with v(m') <= gamma."""
-    levels = []
+    candidates = []
     for i in range(field.rank):
         lvl = field.psi_level(i)
         if lvl is not INFINITY:
-            levels.append(lvl)
-    candidates = []
-    for lvl in levels:
-        delta = gamma - lvl
-        candidates.extend([delta, delta.scale(Fraction(1, 2))])
+            delta = gamma - lvl
+            candidates.extend([delta, delta.scale(Fraction(1, 2))])
     for delta in candidates:
         if not zero(field.rank) < delta:
             continue
         dv = _monomial_derivative_value(field, delta)
-        if dv is not INFINITY and dv <= gamma:
+        if dv <= gamma:
             return True
     return False
 
@@ -296,7 +288,7 @@ def s_der(field: FieldInstance) -> ConvexSubgroup:
 def _eps_extension(field: FieldInstance) -> FieldInstance:
     ext = getattr(field, "_eps_ext", None)
     if ext is None:
-        ext = field.with_flat_generator("_eps", sign=1)
+        ext = field.with_flat_generator()
         field._eps_ext = ext
     return ext
 

@@ -149,8 +149,10 @@ class GroupElement:
 class _Infinity:
     """The +infinity sentinel: valuation of the true zero series.
 
-    Larger than every group element of every rank; absorbing under
-    addition.  There is a single instance, ``INFINITY``.
+    Larger than every group element of every rank, so ``min`` over
+    values and taus needs no guard; absorbing under addition and under
+    subtraction of a group element.  There is a single instance,
+    ``INFINITY``.
     """
 
     _instance = None
@@ -182,6 +184,7 @@ class _Infinity:
         return INFINITY
 
     __radd__ = __add__
+    __sub__ = __add__
 
     def __neg__(self):
         raise VdfError("cannot negate +infinity")
@@ -191,17 +194,6 @@ class _Infinity:
 
 
 INFINITY = _Infinity()
-
-
-def group_min(values):
-    """Minimum of group elements and/or INFINITY; INFINITY for empty input."""
-    best = INFINITY
-    for v in values:
-        if v is INFINITY:
-            continue
-        if best is INFINITY or v < best:
-            best = v
-    return best
 
 
 def zero(rank: int) -> GroupElement:
@@ -251,59 +243,61 @@ PREFIX = "prefix"
 
 @dataclass(frozen=True)
 class Cut:
-    """A downward-closed subset of Q^rank.
+    """A downward-closed subset of Q^rank: {gamma : proj_depth(gamma) <
+    bound} plus, when inclusive, the whole coset {gamma : proj_depth(gamma)
+    = bound}, where depth = len(bound).
 
-    kind "empty" / "all" are the trivial cuts.  kind "prefix" is
-    {gamma : proj_depth(gamma) < bound} plus, when inclusive, the whole
-    coset {gamma : proj_depth(gamma) = bound}.  An inclusive cut of full
-    depth has a maximum element; an inclusive cut of smaller depth has a
-    realized top coset but no maximum.
+    The trivial cuts are the depth-0 cuts: the whole group is the
+    inclusive one and the empty set the exclusive one.  An inclusive cut
+    of full depth has a maximum element; an inclusive cut of smaller
+    depth has a realized top coset but no maximum.
     """
 
     ambient_rank: int
-    kind: str
-    depth: int = 0
     bound: tuple = ()
     inclusive: bool = True
 
     @staticmethod
     def all_of(rank: int) -> "Cut":
-        return Cut(rank, ALL)
+        return Cut(rank)
 
     @staticmethod
     def empty(rank: int) -> "Cut":
-        return Cut(rank, EMPTY)
+        return Cut(rank, (), False)
 
     @staticmethod
     def prefix(rank: int, bound: Sequence[Rat], inclusive: bool = True) -> "Cut":
         bound = tuple(_frac(b) for b in bound)
         if not 1 <= len(bound) <= rank:
             raise VdfError(f"cut depth {len(bound)} outside [1, {rank}]")
-        return Cut(rank, PREFIX, len(bound), bound, inclusive)
+        return Cut(rank, bound, inclusive)
 
     @staticmethod
     def below(bound: GroupElement, inclusive: bool = True) -> "Cut":
         """The full-depth cut {gamma <= bound} (or < for exclusive)."""
         return Cut.prefix(bound.rank, bound.coords, inclusive)
 
+    @property
+    def depth(self) -> int:
+        return len(self.bound)
+
+    @property
+    def kind(self) -> str:
+        """The name reports give the cut: "all", "empty" or "prefix"."""
+        if self.bound:
+            return PREFIX
+        return ALL if self.inclusive else EMPTY
+
     def contains(self, gamma: GroupElement) -> bool:
         if gamma.rank != self.ambient_rank:
             raise RankMismatch(f"rank {gamma.rank} vs cut rank {self.ambient_rank}")
-        if self.kind == ALL:
-            return True
-        if self.kind == EMPTY:
-            return False
         proj = gamma.coords[: self.depth]
         if proj < self.bound:
             return True
         return self.inclusive and proj == self.bound
 
     def has_max(self) -> bool:
-        return (
-            self.kind == PREFIX
-            and self.inclusive
-            and self.depth == self.ambient_rank
-        )
+        return self.inclusive and self.depth == self.ambient_rank
 
     def max_element(self) -> GroupElement:
         if not self.has_max():
@@ -312,22 +306,18 @@ class Cut:
 
     def bound_element(self) -> GroupElement:
         """The bound padded with zeros to full rank (a member iff inclusive)."""
-        if self.kind != PREFIX:
+        if not self.bound:
             raise VdfError("trivial cuts carry no bound")
         return GroupElement(self.bound).pad(self.ambient_rank)
 
     def shift_by_prefix(self, delta: GroupElement) -> "Cut":
         """The cut translated by -delta (the cut of the conjugated field),
         using only the first `depth` coordinates of delta."""
-        if self.kind != PREFIX:
-            return self
-        bound = tuple(
-            b - d for b, d in zip(self.bound, delta.coords[: self.depth])
-        )
-        return Cut(self.ambient_rank, PREFIX, self.depth, bound, self.inclusive)
+        bound = tuple(b - d for b, d in zip(self.bound, delta.coords))
+        return Cut(self.ambient_rank, bound, self.inclusive)
 
     def __repr__(self):
-        if self.kind != PREFIX:
+        if not self.bound:
             return f"Cut({self.kind}, rank {self.ambient_rank})"
         op = "<=" if self.inclusive else "<"
         b = "(" + ", ".join(str(c) for c in self.bound) + ")"
@@ -342,13 +332,11 @@ def cut_stabilizer(cut: Cut) -> ConvexSubgroup:
     """The largest convex subgroup Delta with cut + delta = cut for all
     delta in Delta.
 
-    Trivial cuts are fixed by everything.  A prefix cut of depth k is
-    fixed exactly by translations that leave its first k coordinates
-    alone: any translation touching a coordinate below k moves some
-    boundary element across the bound.
+    A cut of depth k is fixed exactly by translations that leave its
+    first k coordinates alone: any translation touching a coordinate
+    below k moves some boundary element across the bound.  The trivial
+    cuts, of depth 0, are fixed by everything.
     """
-    if cut.kind in (EMPTY, ALL):
-        return ConvexSubgroup(cut.ambient_rank, 0)
     return ConvexSubgroup(cut.ambient_rank, cut.depth)
 
 

@@ -15,6 +15,7 @@ from vdfield.cli import (
     MAX_DEPTH,
     MAX_ITER,
     MAX_SAMPLES,
+    cut_report,
     field_from_config,
     field_to_config,
     load_field,
@@ -39,6 +40,7 @@ from vdfield.expr import (
     _check_coeff_power,
 )
 from vdfield.gridseries import laurent_ddt, transseries_fragment
+from vdfield.valgroup import Cut
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = [json.loads(line) for line in
@@ -161,6 +163,10 @@ class TestFieldConfig:
         }
         with pytest.raises(Exception):
             field_from_config(doc)
+
+    def test_trivial_cut_reports(self):
+        assert cut_report(Cut.all_of(2)) == {"kind": "all"}
+        assert cut_report(Cut.empty(2)) == {"kind": "empty"}
 
     def test_builtin_names(self):
         assert load_field("laurent_ddt").name == "laurent_ddt"

@@ -28,6 +28,7 @@ from vdfield.gridseries import (
     log_fragment,
     transseries_fragment,
 )
+from vdfield.expr import parse_series
 from vdfield.hsolve import lambda_series
 from vdfield.valgroup import GroupElement, INFINITY, zero
 
@@ -262,9 +263,27 @@ class TestFieldStructure:
             assert (f * g).embed_into(M) == f.embed_into(M) * g.embed_into(M)
             assert (f + g).embed_into(M) == f.embed_into(M) + g.embed_into(M)
 
+    def test_zero_logders(self):
+        # psi_floor is +infinity, and the shift falls back to zero
+        K = FieldInstance(2, [Generator("t", GroupElement([1, 0])),
+                              Generator("s", GroupElement([0, 1]))])
+        for g in K.generators:
+            g.logder = K.zero_series()
+        assert K.psi_floor(0) is INFINITY and K.psi_floor(1) is INFINITY
+        assert K.derivation_shift == zero(2)
+
+    @pytest.mark.parametrize("make", ALL_FIELDS)
+    def test_derive_with_no_terms(self, make):
+        # the sum of no parts is the true zero, truncated only by the tail
+        K = make()
+        assert K.zero_series().derive().is_true_zero()
+        tau = GroupElement([Fraction(1, 2)] * K.rank)
+        d = Series(K, {}, tau).derive()
+        assert not d.terms and d.tau == tau + K.derivation_shift
+
     def test_flat_extension(self):
         K = laurent_ddt()
-        ext = K.with_flat_generator("_eps")
+        ext = K.with_flat_generator()
         assert ext.rank == 2
         eps = ext.gen("_eps")
         assert eps.derive().is_true_zero()
@@ -483,3 +502,31 @@ class TestLattice:
                     pass  # a refused inversion has no keys to check
         for r in results:
             _assert_lattice(r)
+
+
+# -- the repr is the expression grammar ----------------------------------------------
+
+
+@st.composite
+def _exact_series(draw):
+    """An exact series of 0-4 terms, with coefficients +-1 among others."""
+    K = draw(st.sampled_from(ALL_FIELDS))()
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        value = GroupElement([draw(_small) for _ in range(K.rank)])
+        terms[value] = draw(st.sampled_from([Fraction(1), Fraction(-1)]) | _coeffs)
+    return Series(K, terms, INFINITY)
+
+
+class TestRepr:
+    @given(_exact_series())
+    @settings(max_examples=200, deadline=None)
+    def test_parse_series_reads_the_repr_back(self, f):
+        assert parse_series(repr(f), f.field) == f
+
+    def test_coefficients_and_truncation(self):
+        K = laurent_ddt()
+        assert repr(K.zero_series()) == "0"
+        f = K.one() - K.gen("t") + K.gen("t", 2).scale(Fraction(3, 2))
+        assert repr(f) == "1 + -1*t + 3/2*t^2"
+        assert repr(f.truncated(GroupElement([2]))) == "1 + -1*t + O((2))"

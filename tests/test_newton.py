@@ -25,6 +25,8 @@ from vdfield.diffpoly import (
 )
 from vdfield.errors import VdfError
 from vdfield.gridseries import (
+    FieldInstance,
+    Generator,
     laurent_ddt,
     laurent_tddt_coarse,
     log_fragment,
@@ -182,6 +184,24 @@ class TestGammaDer:
                 gamma = random_value(K, rng, lo=-6, hi=6)
                 if cut.contains(gamma):
                     assert all(gamma < dv for dv in derivative_vals)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_intersect_with_the_whole_group(self, rank):
+        # the whole group is the depth-0 cut: the prefix formula returns
+        # the other cut in either argument order
+        whole = Cut.all_of(rank)
+        for cut in (whole, Cut.prefix(rank, [-1]), Cut.prefix(rank, [0] * rank)):
+            assert newton._intersect_prefix(whole, cut) == cut
+            assert newton._intersect_prefix(cut, whole) == cut
+
+    def test_zero_derivation_gives_the_whole_group(self):
+        K = FieldInstance(2, [Generator("t", GroupElement([1, 0])),
+                              Generator("s", GroupElement([0, 1]))], name="flat")
+        for g in K.generators:
+            g.logder = K.zero_series()
+        cut = gamma_der(K)
+        assert cut == Cut.all_of(2) and cut.kind == "all"
+        assert s_der(K).prefix_len == 0
 
     def test_s_der(self):
         assert s_der(laurent_ddt()).prefix_len == 1  # the trivial subgroup of Q

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vdfield.errors import RankMismatch
+from vdfield.errors import RankMismatch, VdfError
 from vdfield.valgroup import (
     ConvexSubgroup,
     Cut,
@@ -68,6 +68,17 @@ class TestLexOrder:
         assert INFINITY + g is INFINITY
         assert INFINITY == INFINITY
 
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @given(data=st.data())
+    def test_infinity_tops_and_absorbs_at_every_rank(self, rank, data):
+        # what lets min, + and - run on taus without an INFINITY guard
+        g = data.draw(elements(rank))
+        assert g + INFINITY is INFINITY and INFINITY + g is INFINITY
+        assert INFINITY - g is INFINITY
+        assert min(g, INFINITY) == g and min(INFINITY, g) == g
+        assert INFINITY >= g and not INFINITY <= g
+        assert min((), default=INFINITY) is INFINITY
+
 
 class TestCuts:
     def test_prefix_membership(self):
@@ -93,6 +104,23 @@ class TestCuts:
         cut = Cut.prefix(3, [1, Fraction(-1, 2)], inclusive=True)
         if delta <= gamma and cut.contains(gamma):
             assert cut.contains(delta)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_trivial_cuts_are_the_depth_0_cuts(self, rank, rng):
+        whole, empty = Cut.all_of(rank), Cut.empty(rank)
+        assert (whole.kind, empty.kind) == ("all", "empty")
+        assert whole.depth == empty.depth == 0
+        assert Cut.prefix(rank, [0]).kind == "prefix"
+        for _ in range(50):
+            g = GroupElement([Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                              for _ in range(rank)])
+            assert whole.contains(g) and not empty.contains(g)
+            assert whole.shift_by_prefix(g) == whole
+            assert empty.shift_by_prefix(g) == empty
+        for cut in (whole, empty):
+            assert not cut.has_max()
+            with pytest.raises(VdfError):
+                cut.bound_element()
 
     def test_max_element(self):
         full = Cut.prefix(2, [0, 0], inclusive=True)
