@@ -66,6 +66,9 @@ def field_from_config(doc: dict) -> FieldInstance:
 
 
 def field_to_config(field: FieldInstance) -> dict:
+    for g in field.generators:
+        if g.logder.tau is not INFINITY:  # its repr would end in + O(tau)
+            raise VdfError(f"generator {g.name}: a truncated logder has no config form")
     return {
         "name": field.name,
         "rank": field.rank,

@@ -60,7 +60,7 @@ class Coarsening:
         """
         k = self.k
         R = self.residue_field
-        terms: Dict[tuple, Fraction] = {}
+        terms: Dict[tuple, int] = {}
         for key, c in f.terms.items():
             head = key[:k]
             if any(head):
@@ -71,12 +71,12 @@ class Coarsening:
             terms[key[k:]] = c
         tau = f.tau
         if tau is INFINITY:
-            return Series(R, terms, INFINITY, f.den)
+            return Series(R, terms, INFINITY, f.den, f.cden)
         head = tau.coords[:k]
         if GroupElement(head) > zero(k):
-            return Series(R, terms, INFINITY, f.den)
+            return Series(R, terms, INFINITY, f.den, f.cden)
         if GroupElement(head) == zero(k):
-            return Series(R, terms, GroupElement(tau.coords[k:]), f.den)
+            return Series(R, terms, GroupElement(tau.coords[k:]), f.den, f.cden)
         raise VdfError("residue undefined: truncation has negative dotted part")
 
     def unit_part_residue_val(self, f: Series) -> GroupElement:

@@ -15,7 +15,10 @@ means the series is known completely.  Every operation propagates the
 tightest truncation it can certify.  By the bijection a term is keyed
 by its value v, as the int tuple v * den (den: the least common
 denominator of the values); exponents are computed only where a
-generator matters: derivatives, embeddings and printing.
+generator matters: derivatives, embeddings and printing.  Likewise a
+coefficient c is stored as the int c * cden (cden: the least common
+denominator of the coefficients), so products and sums of series do
+int arithmetic; Fractions appear only at the boundary.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ class FieldInstance:
         c = _frac(c)
         if c == 0:
             return self.zero_series()
-        return Series(self, {(0,) * self.rank: c}, INFINITY, 1)
+        return Series(self, {(0,) * self.rank: c.numerator}, INFINITY, 1, c.denominator)
 
     def one(self) -> "Series":
         return self.constant(1)
@@ -235,20 +238,23 @@ class FieldInstance:
 class Series:
     """A truncated grid series: a finite map from term values to
     coefficients, plus the truncation tau.  The terms are given keyed by
-    GroupElement or Monomial, or, with den, by lattice key."""
+    GroupElement or Monomial with rational coefficients, or, with den
+    and cden, by lattice key with int numerators over cden."""
 
-    __slots__ = ("field", "terms", "den", "tau", "_val")
+    __slots__ = ("field", "terms", "den", "cden", "tau", "_val")
 
     def __init__(self, field: FieldInstance,
-                 terms: Dict[Union[GroupElement, Monomial, tuple], Fraction], tau,
-                 den: Optional[int] = None):
+                 terms: Dict[Union[GroupElement, Monomial, tuple], Rat], tau,
+                 den: Optional[int] = None, cden: int = 1):
         if den is None:
             if terms and isinstance(next(iter(terms)), Monomial):
                 terms = {field.monomial_value(m): c for m, c in terms.items()}
             if any(v.rank != field.rank for v in terms):
                 raise RankMismatch(f"a term value's rank is not field rank {field.rank}")
             den = lcm(*(x.denominator for v in terms for x in v.coords))
-            terms = {_lattice_key(v, den): c for v, c in terms.items()}
+            cden = lcm(*(c.denominator for c in terms.values()))
+            terms = {_lattice_key(v, den): c.numerator * (cden // c.denominator)
+                     for v, c in terms.items()}
         if tau is INFINITY:
             clean = {k: c for k, c in terms.items() if c}
         else:
@@ -259,21 +265,26 @@ class Series:
         if den != 1 and (g := gcd(den, *chain.from_iterable(clean))) != 1:
             den //= g
             clean = {tuple([x // g for x in k]): c for k, c in clean.items()}
+        if cden != 1 and (g := gcd(cden, *clean.values())) != 1:
+            cden //= g
+            clean = {k: c // g for k, c in clean.items()}
         self.field = field
         self.terms = clean
         self.den = den
+        self.cden = cden
         self.tau = tau
         self._val = None
 
     def _value(self, key: tuple) -> GroupElement:
         return GroupElement._raw(tuple([Fraction(x, self.den) for x in key]))
 
-    def _terms_at(self, den: int) -> Dict[tuple, Fraction]:
-        """The terms keyed on the finer lattice of den, a multiple of self.den."""
-        if den == self.den:
-            return self.terms
-        m = den // self.den
-        return {tuple([x * m for x in k]): c for k, c in self.terms.items()}
+    def _terms_at(self, den: int, cden: int) -> Dict[tuple, int]:
+        """The terms keyed on the finer lattice of den, a multiple of
+        self.den, with numerators over cden, a multiple of self.cden."""
+        m, n = den // self.den, cden // self.cden
+        if m == 1:
+            return self.terms if n == 1 else {k: c * n for k, c in self.terms.items()}
+        return {tuple([x * m for x in k]): c * n for k, c in self.terms.items()}
 
     # -- inspection -----------------------------------------------------
 
@@ -302,15 +313,16 @@ class Series:
         v = self.valuation()
         if v is INFINITY:
             raise VdfError("the zero series has no dominant term")
-        return self.terms[min(self.terms)], v
+        return Fraction(self.terms[min(self.terms)], self.cden), v
 
     def coefficient(self, mono: Monomial) -> Fraction:
         key = _lattice_key(self.field.monomial_value(mono), self.den)
-        return self.terms.get(key, Fraction(0))
+        return Fraction(self.terms.get(key, 0), self.cden)
 
     def sorted_terms(self) -> List[Tuple[GroupElement, Fraction]]:
         """(value, coefficient) pairs by increasing value."""
-        return [(self._value(k), c) for k, c in sorted(self.terms.items())]
+        return [(self._value(k), Fraction(c, self.cden))
+                for k, c in sorted(self.terms.items())]
 
     # -- ring operations ------------------------------------------------
 
@@ -324,7 +336,7 @@ class Series:
 
     def __neg__(self) -> "Series":
         terms = {k: -c for k, c in self.terms.items()}
-        return Series(self.field, terms, self.tau, self.den)
+        return Series(self.field, terms, self.tau, self.den, self.cden)
 
     def __sub__(self, other: "Series") -> "Series":
         return self + (-other)
@@ -333,8 +345,9 @@ class Series:
         q = _frac(q)
         if q == 0:
             return self.field.zero_series()
-        terms = {k: q * c for k, c in self.terms.items()}
-        return Series(self.field, terms, self.tau, self.den)
+        n = q.numerator
+        terms = {k: n * c for k, c in self.terms.items()}
+        return Series(self.field, terms, self.tau, self.den, self.cden * q.denominator)
 
     def __mul__(self, other: "Series") -> "Series":
         self._check_field(other)
@@ -346,9 +359,9 @@ class Series:
         if other.tau is not INFINITY:
             tau = min(tau, other.tau + self.val_or_tau())
         den = lcm(self.den, other.den)
-        right = list(other._terms_at(den).items())
-        terms: Dict[tuple, Fraction] = {}
-        for k1, c1 in self._terms_at(den).items():
+        right = list(other._terms_at(den, other.cden).items())
+        terms: Dict[tuple, int] = {}
+        for k1, c1 in self._terms_at(den, self.cden).items():
             for k2, c2 in right:
                 k = tuple(map(add, k1, k2))
                 s = terms.get(k)
@@ -360,7 +373,7 @@ class Series:
                         terms[k] = s
                     else:
                         del terms[k]
-        return Series(self.field, terms, tau, den)
+        return Series(self.field, terms, tau, den, self.cden * other.cden)
 
     def power(self, n: int) -> "Series":
         if n < 0:
@@ -376,7 +389,7 @@ class Series:
         return out
 
     def truncated(self, tau) -> "Series":
-        return Series(self.field, self.terms, min(self.tau, tau), self.den)
+        return Series(self.field, self.terms, min(self.tau, tau), self.den, self.cden)
 
     # -- differential structure ------------------------------------------
 
@@ -385,7 +398,7 @@ class Series:
         tau + derivation_shift."""
         K = self.field
         out = _sum_series(K, [
-            Series(K, {k: c}, INFINITY, self.den)
+            Series(K, {k: c}, INFINITY, self.den, self.cden)
             * K.monomial_logder(K.monomial_of_value(self._value(k)))
             for k, c in self.terms.items()
         ])
@@ -469,17 +482,18 @@ class Series:
             isinstance(other, Series)
             and self.field is other.field
             and self.den == other.den
+            and self.cden == other.cden
             and self.terms == other.terms
             and self.tau == other.tau
         )
 
     def __hash__(self):
-        return hash((id(self.field), frozenset(self.terms.items()), self.tau))
+        return hash((id(self.field), frozenset(self.terms.items()), self.cden, self.tau))
 
     def same_terms(self, other: "Series") -> bool:
         """Term-by-term equality ignoring the truncation levels."""
         self._check_field(other)
-        return self.den == other.den and self.terms == other.terms
+        return (self.den, self.cden, self.terms) == (other.den, other.cden, other.terms)
 
     def __repr__(self):
         """The series in the expression grammar, which parse_series reads
@@ -518,18 +532,19 @@ def _sum_series(field: FieldInstance, parts: Sequence["Series"]) -> "Series":
     if len(parts) == 1:
         return parts[0]
     den = lcm(*(f.den for f in parts))
-    terms: Dict[tuple, Fraction] = {}
+    cden = lcm(*(f.cden for f in parts))
+    terms: Dict[tuple, int] = {}
     for f in parts:
         if not terms:
-            terms.update(f._terms_at(den))
+            terms.update(f._terms_at(den, cden))
             continue
-        for k, c in f._terms_at(den).items():
+        for k, c in f._terms_at(den, cden).items():
             s = terms.get(k, 0) + c
             if s == 0:
                 terms.pop(k, None)
             else:
                 terms[k] = s
-    return Series(field, terms, min([f.tau for f in parts], default=INFINITY), den)
+    return Series(field, terms, min([f.tau for f in parts], default=INFINITY), den, cden)
 
 
 def _lattice_key(gamma: GroupElement, den: int) -> tuple:

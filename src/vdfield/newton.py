@@ -226,7 +226,8 @@ def _validate_gamma_der(field: FieldInstance, cut: Cut,
                         samples: int = ORACLE_SAMPLES, seed: int = ORACLE_SEED):
     rng = random.Random(seed)
     n = field.rank
-    small_values = [_random_positive_value(field, rng) for _ in range(samples)]
+    # Gamma = {0} at rank 0 has no positive value to sample
+    small_values = [_random_positive_value(field, rng) for _ in range(samples if n else 0)]
     # Membership direction: points in the cut are below every v(m').
     probes: List[GroupElement] = []
     if cut.depth:

@@ -21,7 +21,7 @@ from vdfield.cli import (
     load_field,
     run,
 )
-from vdfield.errors import ParseError, UnboundSymbol
+from vdfield.errors import ParseError, UnboundSymbol, VdfError
 from vdfield.expr import (
     MAX_COEFF_DIGITS,
     MAX_ORDER,
@@ -39,8 +39,8 @@ from vdfield.expr import (
     print_expr,
     _check_coeff_power,
 )
-from vdfield.gridseries import laurent_ddt, transseries_fragment
-from vdfield.valgroup import Cut
+from vdfield.gridseries import FieldInstance, Generator, laurent_ddt, transseries_fragment
+from vdfield.valgroup import Cut, GroupElement
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = [json.loads(line) for line in
@@ -164,6 +164,21 @@ class TestFieldConfig:
         with pytest.raises(Exception):
             field_from_config(doc)
 
+    def test_truncated_logder_is_refused_by_name(self):
+        # the repr of a truncated logder ends in + O(tau), which
+        # field_from_config cannot read back
+        K = FieldInstance(2, [Generator("t", GroupElement([1, 0])),
+                              Generator("s", GroupElement([0, 1]))])
+        K.generators[0].logder = (K.one() + K.gen("s")).truncated(GroupElement([0, 2]))
+        K.generators[1].logder = K.gen("t").truncated(GroupElement([3, 0]))
+        with pytest.raises(VdfError, match="generator t"):
+            field_to_config(K)
+        K.generators[0].logder = K.one()
+        with pytest.raises(VdfError, match="generator s"):
+            field_to_config(K)
+        K.generators[1].logder = K.gen("t")
+        assert field_to_config(K)["generators"][1]["logder"] == "t"
+
     def test_trivial_cut_reports(self):
         assert cut_report(Cut.all_of(2)) == {"kind": "all"}
         assert cut_report(Cut.empty(2)) == {"kind": "empty"}
@@ -248,6 +263,23 @@ class TestCommands:
         doc = json.loads(proc.stdout)
         assert doc["rank"] == 1
         assert doc["generators"][0]["name"] == "s"
+
+    def test_rank_zero_field_from_coarsen(self, tmp_path):
+        # coarsening at the full prefix leaves Gamma = {0}: no generator,
+        # no positive value, and still no traceback
+        proc = run_cli(["coarsen", "--field", "configs/tddt.json", "--prefix-len", "2"])
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert doc["rank"] == 0 and doc["generators"] == []
+        path = tmp_path / "rank0.json"
+        path.write_bytes(proc.stdout)
+        for args in (["gamma-der"], ["s-der"], ["ndeg", "Y^2 + Y' + 1"]):
+            proc = run_cli([args[0], "--field", str(path)] + args[1:])
+            assert proc.returncode in (0, 2), proc.stderr
+            out = proc.stdout if proc.returncode == 0 else proc.stderr
+            lines = out.decode().splitlines()
+            assert len(lines) == 1, out
+            json.loads(lines[0])
 
     def test_probe_command(self):
         proc = run_cli(

@@ -404,13 +404,21 @@ class TestOnePassSums:
 
 def _assert_lattice(f: Series):
     """f's keys are int tuples of the field's rank, and f.den is the
-    least common denominator of f's values."""
+    least common denominator of f's values; f's coefficients are int
+    numerators over f.cden, the least common denominator of the
+    coefficients (1 for an empty series)."""
     assert type(f.den) is int and f.den >= 1
     for k in f.terms:
         assert type(k) is tuple and len(k) == f.field.rank
         assert all(type(x) is int for x in k)
     values = [v for v, _ in f.sorted_terms()]
     assert f.den == math.lcm(*(x.denominator for v in values for x in v.coords))
+    assert type(f.cden) is int and f.cden >= 1
+    assert all(type(c) is int for c in f.terms.values())
+    assert math.gcd(f.cden, *f.terms.values()) == 1
+    coeffs = [c for _, c in f.sorted_terms()]
+    assert all(type(c) is Fraction for c in coeffs)
+    assert f.cden == math.lcm(*(c.denominator for c in coeffs))
 
 
 def _half(*coords):
@@ -451,6 +459,35 @@ class TestLattice:
         assert (half * half).truncated(tau) == t.truncated(tau)
         assert hash((half * half).truncated(tau)) == hash(t.truncated(tau))
         assert half * half != t.truncated(tau)
+
+    def test_coefficients_are_ints_over_one_denominator(self):
+        K = laurent_tddt_coarse()
+        f = Series(K, {_half(1, 0): Fraction(1, 2), _half(0, 1): Fraction(-2, 3),
+                       _half(2, 0): 5}, INFINITY)
+        g = Series(K, {_half(0, 1): Fraction(1, 6), _half(1, 1): Fraction(3, 4)},
+                   _half(3, 0))
+        assert f.cden == 6 and f.terms == {(0, 1): -4, (1, 0): 3, (2, 0): 30}
+        assert f.dominant_term() == (Fraction(-2, 3), _half(0, 1))
+        assert type(f.dominant_term()[0]) is Fraction
+        t2 = K.monomial_from_dict({"t": 2})
+        assert type(f.coefficient(t2)) is Fraction and f.coefficient(t2) == 5
+        assert type(g.coefficient(t2)) is Fraction and g.coefficient(t2) == 0
+        # a value formed along different paths has one stored form
+        for h in (f, g, f * g, (f + g).power(2)):
+            back = h.scale(3).scale(Fraction(1, 3))
+            assert back == h and hash(back) == hash(h)
+            for other in (f, g, K.gen("s")):
+                back, same = (h + other) - other, h.truncated(other.tau)
+                assert back == same and hash(back) == hash(same)
+        # terms of denominators 2 and 3 cancel back to an integer coefficient
+        half_third = Series(K, {_half(1, 0): Fraction(1, 2)}, INFINITY) \
+            + Series(K, {_half(1, 0): Fraction(1, 2), _half(0, 1): Fraction(1, 3)},
+                     INFINITY) + Series(K, {_half(0, 1): Fraction(-1, 3)}, INFINITY)
+        assert half_third == K.gen("t") and half_third.cden == 1
+        assert half_third.terms == {(1, 0): 1}
+        for r in (f, g, f * g, f + g, f - f, f.scale(Fraction(-7, 5)), -g,
+                  g.truncated(_half(1, 0)), f.derive(), half_third, K.constant("-3/4")):
+            _assert_lattice(r)
 
     def test_tau_off_the_lattice(self):
         K = laurent_tddt_coarse()
