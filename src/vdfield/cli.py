@@ -61,7 +61,6 @@ def field_from_config(doc: dict) -> FieldInstance:
                 f"declared shift {declared} exceeds the certified bound "
                 f"{field.derivation_shift}"
             )
-        field._shift = declared
     return field
 
 

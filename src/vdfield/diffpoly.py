@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import IndeterminateValuation, VdfError
 from .gridseries import FieldInstance, Series, _sum_series
-from .valgroup import INFINITY, GroupElement
+from .valgroup import GroupElement
 
 MultiIndex = Tuple[int, ...]
 
@@ -242,26 +242,50 @@ class DiffPoly:
         return " + ".join(parts)
 
 
-# -- gaussian valuation and dominant data -------------------------------------
+# -- the certified min-plus argmin ---------------------------------------------
+
+
+def known_split(P: DiffPoly) -> Tuple[list, list]:
+    """The coefficients of P as pairs (i, v(P_i)) where a term is known
+    and pairs (i, tau_i) where none is.  Raises on the zero polynomial,
+    and IndeterminateValuation when no term is known."""
+    if P.is_zero():
+        raise VdfError("the zero polynomial has no dominant or tropical data")
+    known = [(i, c.valuation()) for i, c in P.terms.items() if c.terms]
+    if not known:
+        raise IndeterminateValuation("no coefficient has a known term")
+    return known, [(i, c.tau) for i, c in P.terms.items() if not c.terms]
+
+
+def tropical_argmin(P: DiffPoly, key_of) -> Tuple[object, List[MultiIndex]]:
+    """The least key_of(v(P_i), ||i||) over the coefficients with a
+    known term, and the indices i that reach it.
+
+    Certified against truncation: raises IndeterminateValuation unless
+    the least key lies strictly below key_of(tau, ||i||) for every
+    coefficient known only modulo its tau.  At the key v this is the
+    gaussian valuation; newton evaluates it at tropical keys.
+    """
+    known, unknown = known_split(P)
+    best, argmin = None, []
+    for i, v in known:
+        key = key_of(v, mi_weight(i))
+        if best is None or key < best:
+            best, argmin = key, [i]
+        elif key == best:
+            argmin.append(i)
+    for i, tau in unknown:
+        if not best < key_of(tau, mi_weight(i)):
+            raise IndeterminateValuation(
+                f"a coefficient known only modulo {tau} could reach the minimum"
+            )
+    return best, argmin
 
 
 def gauss_val(P: DiffPoly) -> GroupElement:
-    """min over the support of the coefficient valuations.
-
-    Certified against truncation: raises IndeterminateValuation when an
-    unknown coefficient tail could undercut the computed minimum.
-    """
-    if P.is_zero():
-        raise VdfError("gaussian valuation of the zero polynomial")
-    best = min((c.valuation() for c in P.terms.values() if c.terms), default=INFINITY)
-    if best is INFINITY:
-        raise IndeterminateValuation("no coefficient has a known term")
-    for c in P.terms.values():
-        if not c.terms and not best < c.tau:
-            raise IndeterminateValuation(
-                f"a coefficient known only modulo {c.tau} could undercut {best}"
-            )
-    return best
+    """min over the support of the coefficient valuations, certified
+    against truncation by tropical_argmin."""
+    return tropical_argmin(P, lambda v, w: v)[0]
 
 
 @dataclass
@@ -278,13 +302,9 @@ class DominantData:
 def dominant(P: DiffPoly) -> DominantData:
     """Dominant degree/weight, the parts D(P) and W(P), and the residue
     coefficients of the dominant part."""
-    v = gauss_val(P)
-    argmin = []
-    for i, c in P.terms.items():
-        if c.terms and c.valuation() == v:
-            argmin.append(i)
-    dd = max(mi_degree(i) for i in argmin)
-    dw = max(mi_weight(i) for i in argmin)
+    argmin = tropical_argmin(P, lambda v, w: v)[1]
+    dd = max(map(mi_degree, argmin))
+    dw = max(map(mi_weight, argmin))
     D = DiffPoly(P.field, {i: P.terms[i] for i in argmin}, P.order)
     W = DiffPoly(
         P.field,
@@ -296,7 +316,7 @@ def dominant(P: DiffPoly) -> DominantData:
 
 
 def ddeg(P: DiffPoly) -> int:
-    return dominant(P).ddeg
+    return max(map(mi_degree, tropical_argmin(P, lambda v, w: v)[1]))
 
 
 def dwt(P: DiffPoly) -> int:

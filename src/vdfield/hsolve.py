@@ -124,14 +124,14 @@ def dominant_solve(op: LinearOperator, z: Series) -> Series:
     pure_derivation = not op.a0.terms
     attempts: List[Tuple[GroupElement, object]] = []
     seen = set()
-    queue = list(dict.fromkeys(s.coords for s in seeds))
+    queue = list(dict.fromkeys(seeds))
     budget = 3 * K.rank + 6
     while queue and budget > 0:
         budget -= 1
-        gamma = GroupElement(queue.pop(0))
-        if gamma.coords in seen:
+        gamma = queue.pop(0)
+        if gamma in seen:
             continue
-        seen.add(gamma.coords)
+        seen.add(gamma)
         if pure_derivation and gamma.is_zero():
             continue
         response = op.a0 + op.a1 * K.monomial_logder(K.monomial_of_value(gamma))
@@ -145,8 +145,8 @@ def dominant_solve(op: LinearOperator, z: Series) -> Series:
             return Series(K, {gamma: c_target / dom_c}, INFINITY)
         attempts.append((gamma, v_resp))
         retry = beta - v_resp
-        if retry.coords not in seen:
-            queue.append(retry.coords)
+        if retry not in seen:
+            queue.append(retry)
     raise IntegrationGap(
         f"no single-term solution of op(h) ~ residual at value {beta}",
         attempts=attempts,

@@ -21,17 +21,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import List, Optional, Sequence
 
 from .diffpoly import (
     DiffPoly,
     add_conj,
     comp_conj,
-    dominant,
+    ddeg,
     evaluate,
+    known_split,
     mi_degree,
     mi_weight,
     mul_conj,
+    tropical_argmin,
 )
 from .errors import IndeterminateValuation, VdfError
 from .gridseries import FieldInstance, Series
@@ -48,31 +51,7 @@ from .valgroup import (
 )
 
 
-# -- raw tropical data ---------------------------------------------------------
-
-
-def tropical_profile(P: DiffPoly) -> List[Tuple[GroupElement, int, int]]:
-    """The pairs (v(P_i), ||i||) of the support, tagged with |i|."""
-    if P.is_zero():
-        raise VdfError("tropical profile of the zero polynomial")
-    out = []
-    for i, c in P.terms.items():
-        if not c.terms:
-            continue
-        out.append((c.valuation(), mi_weight(i), mi_degree(i)))
-    if not out:
-        raise VdfError("no coefficient of P has a known term")
-    return out
-
-
-def _unknown_tails(P: DiffPoly) -> List[Tuple[GroupElement, int]]:
-    """(tau, ||i||) for coefficients with no known term: lower bounds
-    that must stay strictly above any winning tropical key."""
-    out = []
-    for i, c in P.terms.items():
-        if not c.terms and c.tau is not INFINITY:
-            out.append((c.tau, mi_weight(i)))
-    return out
+# -- tropical degree and breakpoints --------------------------------------------
 
 
 def tropical_ddeg(P: DiffPoly, gamma: GroupElement) -> int:
@@ -84,56 +63,42 @@ def tropical_ddeg(P: DiffPoly, gamma: GroupElement) -> int:
     normalizing to small derivation, which is the caller's business;
     gamma >= 0 is rejected outright.
     """
-    n = P.field.rank
-    if gamma.rank < n:
+    if gamma.rank < P.field.rank:
         raise VdfError("gamma has lower rank than the field's value group")
     if not gamma < zero(gamma.rank):
         raise VdfError(
             "tropical formula needs gamma < 0; renormalize via comp_conj first"
         )
-    return _tropical_argmin(
+    _, argmin = tropical_argmin(
         P, lambda v, w: (v.pad(gamma.rank) + gamma.scale(w)).coords
     )
-
-
-def _tropical_argmin(P: DiffPoly, key_of) -> int:
-    """max |i| over the indices minimizing key_of(v(P_i), ||i||).
-
-    Raises IndeterminateValuation when a coefficient known only modulo
-    its truncation tau could reach the minimum: key_of(tau, ||i||) must
-    stay strictly above it."""
-    best_key = None
-    best_deg = -1
-    for v, w, d in tropical_profile(P):
-        key = key_of(v, w)
-        if best_key is None or key < best_key:
-            best_key, best_deg = key, d
-        elif key == best_key and d > best_deg:
-            best_deg = d
-    for tau, w in _unknown_tails(P):
-        if not best_key < key_of(tau, w):
-            raise IndeterminateValuation(
-                "a coefficient known only modulo its truncation could win"
-            )
-    return best_deg
+    return max(map(mi_degree, argmin))
 
 
 def breakpoints(P: DiffPoly) -> List[GroupElement]:
     """Crossings gamma(i,j) = (v(P_j) - v(P_i)) / (||i|| - ||j||) of the
     tropical affine family, restricted to gamma < 0, deduplicated and
-    sorted ascending."""
-    profile = tropical_profile(P)
-    n = P.field.rank
+    sorted ascending.
+
+    Raises IndeterminateValuation when a coefficient known only modulo
+    its tau could cross another below 0: a known one of smaller weight,
+    a known one of larger weight and valuation above tau, or an unknown
+    one of another weight."""
+    known, unknown = known_split(P)
+    profile = [(v, mi_weight(i)) for i, v in known]
+    tails = [(tau, mi_weight(j)) for j, tau in unknown]
+    if len({wu for _, wu in tails}) > 1 or any(
+            wu > w or (wu < w and tau < v) for tau, wu in tails for v, w in profile):
+        raise IndeterminateValuation(
+            "a coefficient known only modulo its tau could add a breakpoint"
+        )
     found = set()
-    for a in range(len(profile)):
-        va, wa, _ = profile[a]
-        for b in range(a + 1, len(profile)):
-            vb, wb, _ = profile[b]
-            if wa == wb:
-                continue
-            g = (vb - va).scale(Fraction(1, wa - wb))
-            if g < zero(n):
-                found.add(g.coords)
+    for (va, wa), (vb, wb) in combinations(profile, 2):
+        if wa == wb:
+            continue
+        g = (vb - va).scale(Fraction(1, wa - wb))
+        if g < zero(P.field.rank):
+            found.add(g.coords)
     return [GroupElement(c) for c in sorted(found)]
 
 
@@ -323,7 +288,7 @@ def ndeg(P: DiffPoly, base: Optional[GroupElement] = None,
     phi0 = Series(K, {base: Fraction(1)}, INFINITY)
     Q = comp_conj(P, phi0, twist)
     if cut.has_max() and base == cut.max_element():
-        return dominant(Q).ddeg
+        return ddeg(Q)
     shifted = cut.shift_by_prefix(base)
     return _top_tropical(Q, shifted.depth, shifted.bound)
 
@@ -340,7 +305,7 @@ def _top_tropical(Q: DiffPoly, depth: int, bound: Sequence[Fraction]) -> int:
         prefix = tuple(c + w * b for c, b in zip(v.coords[:depth], bound))
         return (prefix, w, v.coords[depth:])
 
-    return _tropical_argmin(Q, key_of)
+    return max(map(mi_degree, tropical_argmin(Q, key_of)[1]))
 
 
 def ndeg_geq(P: DiffPoly, gamma: GroupElement) -> int:

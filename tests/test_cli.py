@@ -164,6 +164,12 @@ class TestFieldConfig:
         with pytest.raises(Exception):
             field_from_config(doc)
 
+    def test_declared_shift_is_checked_not_applied(self):
+        # a declared shift at or below the computed bound is accepted,
+        # but derive keeps the computed one
+        doc = dict(field_to_config(laurent_ddt()), shift=["-2"])
+        assert field_from_config(doc).derivation_shift == GroupElement([-1])
+
     def test_truncated_logder_is_refused_by_name(self):
         # the repr of a truncated logder ends in + O(tau), which
         # field_from_config cannot read back
@@ -330,6 +336,14 @@ class TestBadInput:
         proc = run_cli(["val", "--field", str(path), "t"])
         assert proc.returncode == 2
         assert _json_error(proc)["error"] == "contract"
+
+    @pytest.mark.parametrize("cmd", ["ddeg", "ndeg", "breakpoints"])
+    @pytest.mark.parametrize("expr", ["0", "Y - Y"])
+    def test_zero_polynomial_is_contract_error(self, cmd, expr):
+        proc = run_cli([cmd, "--field", "configs/laurent.json", expr])
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert "zero polynomial" in _json_error(proc)["message"]
 
     def test_zero_denominator_exponent_is_parse_error(self):
         proc = run_cli(["val", "--field", "configs/laurent.json", "t^1/0"])

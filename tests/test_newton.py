@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     random_bounded_series,
     random_poly,
+    random_positive_value,
     random_series,
     random_small_series,
     random_unit_series,
@@ -21,12 +22,17 @@ from vdfield.diffpoly import (
     DiffPoly,
     add_conj,
     comp_conj,
+    ddeg,
     dominant,
+    gauss_val,
+    mi_degree,
+    mi_weight,
 )
-from vdfield.errors import VdfError
+from vdfield.errors import IndeterminateValuation, VdfError
 from vdfield.gridseries import (
     FieldInstance,
     Generator,
+    Series,
     laurent_ddt,
     laurent_tddt_coarse,
     log_fragment,
@@ -45,7 +51,7 @@ from vdfield.newton import (
     s_der,
     tropical_ddeg,
 )
-from vdfield.valgroup import INFINITY, PREFIX, Cut, GroupElement, zero
+from vdfield.valgroup import ALL, INFINITY, PREFIX, Cut, GroupElement, zero
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SMALL_DER = [laurent_tddt_coarse, lambda: transseries_fragment(2)]
@@ -602,3 +608,218 @@ class TestGammaDerOracle:
         gamma_der(K)
         probes = 2 + max(10, samples // 2)
         assert 0 < calls <= samples + 2 * K.rank * probes
+
+
+# -- the certified min-plus argmin against the two loops it replaced -------------
+
+
+def _reference_profile(P):
+    """(v(P_i), ||i||, |i|) over the coefficients with a known term."""
+    if P.is_zero():
+        raise VdfError("tropical profile of the zero polynomial")
+    out = [(c.valuation(), mi_weight(i), mi_degree(i))
+           for i, c in P.terms.items() if c.terms]
+    if not out:
+        raise VdfError("no coefficient of P has a known term")
+    return out
+
+
+def _reference_unknown_tails(P):
+    return [(c.tau, mi_weight(i)) for i, c in P.terms.items()
+            if not c.terms and c.tau is not INFINITY]
+
+
+def _reference_tropical_argmin(P, key_of):
+    """max |i| over the indices minimizing key_of(v(P_i), ||i||), with
+    its own certification against unknown tails.  Kept here only as a
+    reference for diffpoly.tropical_argmin."""
+    best_key, best_deg = None, -1
+    for v, w, d in _reference_profile(P):
+        key = key_of(v, w)
+        if best_key is None or key < best_key:
+            best_key, best_deg = key, d
+        elif key == best_key and d > best_deg:
+            best_deg = d
+    for tau, w in _reference_unknown_tails(P):
+        if not best_key < key_of(tau, w):
+            raise IndeterminateValuation("an unknown tail could win")
+    return best_deg
+
+
+def _reference_gauss_val(P):
+    if P.is_zero():
+        raise VdfError("gaussian valuation of the zero polynomial")
+    best = min((c.valuation() for c in P.terms.values() if c.terms), default=INFINITY)
+    if best is INFINITY:
+        raise IndeterminateValuation("no coefficient has a known term")
+    for c in P.terms.values():
+        if not c.terms and not best < c.tau:
+            raise IndeterminateValuation("an unknown tail could undercut")
+    return best
+
+
+def _reference_dominant(P):
+    """(ddeg, dwt) from the gaussian valuation's own argmin loop."""
+    v = _reference_gauss_val(P)
+    argmin = [i for i, c in P.terms.items() if c.terms and c.valuation() == v]
+    return max(mi_degree(i) for i in argmin), max(mi_weight(i) for i in argmin)
+
+
+def _reference_tropical_ddeg(P, gamma):
+    return _reference_tropical_argmin(
+        P, lambda v, w: (v.pad(gamma.rank) + gamma.scale(w)).coords)
+
+
+def _reference_top_tropical(Q, depth, bound):
+    bound = tuple(bound)
+
+    def key_of(v, w):
+        prefix = tuple(c + w * b for c, b in zip(v.coords[:depth], bound))
+        return (prefix, w, v.coords[depth:])
+
+    return _reference_tropical_argmin(Q, key_of)
+
+
+def _reference_ndeg(P):
+    K = P.field
+    cut = gamma_der(K)
+    if cut.kind == ALL:
+        return _reference_top_tropical(P, 0, ())
+    base = cut.bound_element()
+    Q = comp_conj(P, Series(K, {base: Fraction(1)}, INFINITY))
+    if cut.has_max() and base == cut.max_element():
+        return _reference_dominant(Q)[0]
+    shifted = cut.shift_by_prefix(base)
+    return _reference_top_tropical(Q, shifted.depth, shifted.bound)
+
+
+def _answer(fn, *args):
+    """fn(*args), or VdfError when it raises one."""
+    try:
+        return fn(*args)
+    except VdfError:
+        return VdfError
+
+
+def _partly_unknown(P, rng, truncate=True):
+    """P with some coefficients replaced by O(tau), and (when truncate)
+    some others cut at a random tau."""
+    K = P.field
+    terms = {}
+    for i, c in P.terms.items():
+        roll = rng.random()
+        if roll < 0.25:
+            c = Series(K, {}, random_value(K, rng))
+        elif truncate and roll < 0.5:
+            c = c.truncated(random_value(K, rng))
+        terms[i] = c
+    return DiffPoly(K, terms, P.order)
+
+
+class TestMinPlusArgmin:
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_agrees_with_the_reference_loops(self, name):
+        K = FRESH_FIELDS[name]()
+        rng = random.Random(f"argmin-{name}")
+        outcomes = set()
+        for _ in range(25):
+            P = _partly_unknown(random_poly(K, rng, order=2, max_degree=3, nterms=4), rng)
+            got = _answer(dominant, P)
+            got = got if got is VdfError else (got.ddeg, got.dwt)
+            assert got == _answer(_reference_dominant, P)
+            assert _answer(ddeg, P) == (got if got is VdfError else got[0])
+            assert _answer(gauss_val, P) == _answer(_reference_gauss_val, P)
+            for _ in range(3):
+                gamma = random_value(K, rng)
+                if gamma < zero(K.rank):
+                    assert (_answer(tropical_ddeg, P, gamma)
+                            == _answer(_reference_tropical_ddeg, P, gamma))
+            assert _answer(ndeg, P) == _answer(_reference_ndeg, P)
+            outcomes.add(got is VdfError)
+        # both the answering and the refusing path were exercised
+        assert outcomes == {True, False}
+
+    def test_zero_polynomial_is_refused_everywhere(self):
+        K = laurent_ddt()
+        Y = DiffPoly.variable(K, 0)
+        for fn in (gauss_val, dominant, ddeg, ndeg, breakpoints):
+            with pytest.raises(VdfError, match="zero polynomial"):
+                fn(Y - Y)
+        with pytest.raises(VdfError, match="zero polynomial"):
+            tropical_ddeg(Y - Y, GroupElement([-1]))
+
+    def test_no_known_coefficient_is_indeterminate(self):
+        K = laurent_ddt()
+        P = DiffPoly(K, {(1,): Series(K, {}, GroupElement([2]))})
+        for fn in (gauss_val, dominant, ddeg, ndeg, breakpoints):
+            with pytest.raises(IndeterminateValuation):
+                fn(P)
+        with pytest.raises(IndeterminateValuation):
+            tropical_ddeg(P, GroupElement([-1]))
+
+
+def _three_term(K, c):
+    """t^-5 Y + Y' + c Y''."""
+    return DiffPoly(K, {(1, 0, 0): K.gen("t", -5), (0, 1, 0): K.one(),
+                        (0, 0, 1): c}, order=2)
+
+
+class TestBreakpointCertification:
+    def test_unknown_coefficient_of_larger_weight_is_refused(self):
+        K = laurent_ddt()
+        t = K.gen("t")
+        # each filling of the unknown coefficient moves the breakpoints
+        assert breakpoints(_three_term(K, K.one())) == [
+            GroupElement([-5]), GroupElement([Fraction(-5, 2)])]
+        assert breakpoints(_three_term(K, t)) == [
+            GroupElement([-5]), GroupElement([-3]), GroupElement([-1])]
+        assert breakpoints(_three_term(K, K.gen("t", 7))) == [
+            GroupElement([-7]), GroupElement([-6]), GroupElement([-5])]
+        with pytest.raises(IndeterminateValuation):
+            breakpoints(_three_term(K, Series(K, {}, zero(1))))
+
+    def test_unknown_coefficient_that_cannot_cross_is_answered(self):
+        K = laurent_ddt()
+        for c in (Series(K, {}, zero(1)), K.one(), K.gen("t"), K.gen("t", 5)):
+            P = DiffPoly(K, {(1, 0): c, (0, 1): K.gen("t", -3)}, order=1)
+            assert breakpoints(P) == []
+
+    def test_two_unknown_coefficients_of_different_weight_are_refused(self):
+        K = laurent_ddt()
+        P = DiffPoly(K, {(0, 0, 1): K.gen("t", -10), (1, 0, 0): K.one(),
+                         (0, 1, 0): K.gen("t", 5)}, order=2)
+        assert breakpoints(P) == [GroupElement([-5])]
+        unknown = Series(K, {}, zero(1))
+        P = DiffPoly(K, {(0, 0, 1): K.gen("t", -10), (1, 0, 0): unknown,
+                         (0, 1, 0): unknown}, order=2)
+        with pytest.raises(IndeterminateValuation):
+            breakpoints(P)
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_an_answer_holds_for_every_filling(self, name):
+        K = FRESH_FIELDS[name]()
+        rng = random.Random(f"breakpoints-{name}")
+        answered = 0
+        for _ in range(60):
+            P = _partly_unknown(random_poly(K, rng, order=2, max_degree=3, nterms=4),
+                                rng, truncate=False)
+            try:
+                bps = breakpoints(P)
+            except IndeterminateValuation:
+                continue
+            if all(c.terms for c in P.terms.values()):
+                continue
+            answered += 1
+            for _ in range(3):
+                # an O(tau) coefficient is zero or has valuation >= tau
+                filled = {}
+                for i, c in P.terms.items():
+                    if not c.terms and rng.random() < 0.8:
+                        v = c.tau + (random_positive_value(K, rng)
+                                     if rng.random() < 0.7 else zero(K.rank))
+                        c = Series(K, {v: rat(rng, 1, 4)}, INFINITY)
+                    filled[i] = c
+                exact = DiffPoly(K, {i: c for i, c in filled.items() if c.terms},
+                                 P.order)
+                assert breakpoints(exact) == bps
+        assert answered > 0
