@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from .diffpoly import DiffPoly
@@ -31,9 +33,10 @@ from .gridseries import (
 from .valgroup import INFINITY, GroupElement, unit
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearOperator:
-    """a0 + a1 * der, applied as y -> a0*y + a1*y'."""
+    """a0 + a1 * der, applied as y -> a0*y + a1*y'.  Frozen, so the
+    cached seed_offsets cannot go stale."""
 
     a0: Series
     a1: Series
@@ -45,6 +48,15 @@ class LinearOperator:
     @property
     def field(self) -> FieldInstance:
         return self.a1.field
+
+    @cached_property
+    def seed_offsets(self) -> Tuple[GroupElement, ...]:
+        """v(a0) if a0 has terms, then v(a1) + psi_level(i) for each
+        non-flat generator i in index order."""
+        K, a1v = self.field, self.a1.valuation()
+        head = (self.a0.valuation(),) if self.a0.terms else ()
+        levels = (K.psi_level(i) for i in range(K.rank))
+        return head + tuple(a1v + lvl for lvl in levels if lvl is not INFINITY)
 
     def __call__(self, y: Series) -> Series:
         return apply_op(self, y)
@@ -101,34 +113,33 @@ def dominant_solve(op: LinearOperator, z: Series) -> Series:
     """A single term h = d*m with op(h) ~ z (same dominant term).
 
     Candidate values for v(h) come from the finitely many response
-    levels of the operator: v(a0) for the multiplication-dominated
-    balance and v(a1) + psi-level for the derivative-dominated one.
-    A candidate whose response cancels (resonance) re-enters the queue
-    shifted by the observed response valuation; when the queue exhausts
-    the equation has no single-term solution at this depth.
+    levels of the operator, op.seed_offsets: the seeds v(z) - offset,
+    drawn lazily in that order, a seed equal to an earlier one skipped
+    for free.  A candidate whose response cancels (resonance) is retried
+    after all seeds, shifted by the observed response valuation.  Every
+    other candidate spends one unit of the budget 3 * rank + 6; when the
+    queue or the budget runs out the equation has no single-term
+    solution at this depth.
     """
     K = op.field
     if not z.terms:
         raise VdfError("dominant_solve needs a residual with a known term")
     c_target, beta = z.dominant_term()
 
-    seeds: List[GroupElement] = []
-    if op.a0.terms:
-        seeds.append(beta - op.a0.valuation())
-    a1v = op.a1.valuation()
-    for i in range(K.rank):
-        lvl = K.psi_level(i)
-        if lvl is not INFINITY:
-            seeds.append(beta - a1v - lvl)
-
     pure_derivation = not op.a0.terms
     attempts: List[Tuple[GroupElement, object]] = []
     seen = set()
-    queue = list(dict.fromkeys(seeds))
-    budget = 3 * K.rank + 6
-    while queue and budget > 0:
-        budget -= 1
-        gamma = queue.pop(0)
+    retries: List[GroupElement] = []
+
+    def candidates():
+        for offset in op.seed_offsets:
+            gamma = beta - offset
+            if gamma not in seen:
+                yield gamma
+        while retries:
+            yield retries.pop(0)
+
+    for gamma in islice(candidates(), 3 * K.rank + 6):
         if gamma in seen:
             continue
         seen.add(gamma)
@@ -146,7 +157,7 @@ def dominant_solve(op: LinearOperator, z: Series) -> Series:
         attempts.append((gamma, v_resp))
         retry = beta - v_resp
         if retry not in seen:
-            queue.append(retry)
+            retries.append(retry)
     raise IntegrationGap(
         f"no single-term solution of op(h) ~ residual at value {beta}",
         attempts=attempts,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import List, Optional, Sequence
 
 from .diffpoly import (
@@ -121,9 +121,10 @@ def _analytic_cut(field: FieldInstance, k: int) -> Cut:
     intersection of {gamma : proj_(p+1)(gamma) <= proj_(p+1)(psi_floor(p))}.
     At k = rank this is Gamma(der); at a smaller k, Gamma(der) of the
     field coarsened to its first k coordinates."""
+    levels = [field.psi_level(i) for i in range(field.rank)] if k else []
+    floors = list(accumulate(reversed(levels), min))[::-1]  # floors[p] = psi_floor(p)
     cut = Cut.all_of(k)
-    for p in range(min(k, field.rank)):
-        level = field.psi_floor(p)
+    for p, level in enumerate(floors[:k]):
         if level is INFINITY:
             continue
         cut = _intersect_prefix(

@@ -66,6 +66,8 @@ class GroupElement:
         )
 
     def __sub__(self, other):
+        if other is INFINITY:
+            raise VdfError("cannot subtract +infinity")
         self._check_rank(other)
         return GroupElement._raw(
             tuple(a - b for a, b in zip(self.coords, other.coords))

@@ -242,6 +242,14 @@ class TestCommands:
         )
         assert proc.returncode == 2
 
+    def test_zero_a1_is_contract_error(self):
+        proc = run_cli(["solve", "--depth", "3", "--op", "custom", "--a0", "1",
+                        "--a1", "0"])
+        assert proc.returncode == 2
+        assert _json_error(proc) == {
+            "error": "contract",
+            "message": "a1 must be nonzero for a first-order operator"}
+
     def test_solve_command(self):
         proc = run_cli(["solve", "--depth", "3", "--op", "A", "--rhs", "e_x"])
         assert proc.returncode == 0, proc.stderr

@@ -20,6 +20,7 @@ from vdfield.hsolve import (
     check_bll,
     demo_nonuniqueness,
     derivation_op,
+    dominant_solve,
     lambda_series,
     op_A,
     op_B,
@@ -28,7 +29,7 @@ from vdfield.hsolve import (
     solve_linear,
 )
 from vdfield.newton import ndeg_geq
-from vdfield.valgroup import INFINITY, GroupElement, zero
+from vdfield.valgroup import INFINITY, GroupElement, unit, zero
 
 
 def u_mono(K, k, coeff=1):
@@ -496,6 +497,203 @@ def _linear_system_solve(L, op, rhs, support, tau):
             if val != 0:
                 coeffs[m] = val
     return Series(L, coeffs, tau)
+
+
+def _eager_dominant_solve(op, z):
+    """The dominant_solve that built every seed beta - v(a1) - psi_level
+    up front and deduplicated them with dict.fromkeys: the reference
+    for the lazy seeds of hsolve.dominant_solve."""
+    K = op.field
+    if not z.terms:
+        raise VdfError("dominant_solve needs a residual with a known term")
+    c_target, beta = z.dominant_term()
+    seeds = []
+    if op.a0.terms:
+        seeds.append(beta - op.a0.valuation())
+    a1v = op.a1.valuation()
+    for i in range(K.rank):
+        lvl = K.psi_level(i)
+        if lvl is not INFINITY:
+            seeds.append(beta - a1v - lvl)
+    pure_derivation = not op.a0.terms
+    attempts = []
+    seen = set()
+    queue = list(dict.fromkeys(seeds))
+    budget = 3 * K.rank + 6
+    while queue and budget > 0:
+        budget -= 1
+        gamma = queue.pop(0)
+        if gamma in seen:
+            continue
+        seen.add(gamma)
+        if pure_derivation and gamma.is_zero():
+            continue
+        response = op.a0 + op.a1 * K.monomial_logder(K.monomial_of_value(gamma))
+        if not response.terms:
+            attempts.append((gamma, response.tau))
+            continue
+        v_resp = response.valuation()
+        if gamma + v_resp == beta:
+            dom_c, _ = response.dominant_term()
+            return Series(K, {gamma: c_target / dom_c}, INFINITY)
+        attempts.append((gamma, v_resp))
+        retry = beta - v_resp
+        if retry not in seen:
+            queue.append(retry)
+    raise IntegrationGap(
+        f"no single-term solution of op(h) ~ residual at value {beta}",
+        attempts=attempts,
+    )
+
+
+class TestDominantSolveReference:
+    """The lazy seeds try the same candidates, in the same order and
+    under the same budget, as the eager queue: the same term comes back,
+    or the same IntegrationGap with the same attempt trail."""
+
+    @staticmethod
+    def _same_step(op, z):
+        try:
+            expect = _eager_dominant_solve(op, z)
+        except IntegrationGap as gap:
+            with pytest.raises(IntegrationGap) as got:
+                dominant_solve(op, z)
+            assert got.value.attempts == gap.attempts
+            assert all(isinstance(g, GroupElement) for g, _ in got.value.attempts)
+            assert str(got.value) == str(gap)
+            return gap
+        assert dominant_solve(op, z) == expect
+        return None
+
+    def _checked_solve(self, monkeypatch, op, g, tau, max_iter=64):
+        # compare the step on every residual solve_linear hands over
+        steps = []
+
+        def checking(op_, z):
+            steps.append(self._same_step(op_, z))
+            return dominant_solve(op_, z)
+
+        monkeypatch.setattr(hsolve, "dominant_solve", checking)
+        y, trace = solve_linear(op, g, tau, max_iter=max_iter)
+        monkeypatch.undo()
+        return steps, trace
+
+    @pytest.mark.parametrize("depth", range(3, 17))
+    def test_op_a_residuals(self, monkeypatch, depth):
+        M = transseries_fragment(depth)
+        exps = {f"l{j}": -1 for j in range(depth)}
+        exps["e_x"] = 1
+        tau = M.monomial_value(M.monomial_from_dict(exps))
+        steps, trace = self._checked_solve(
+            monkeypatch, op_A(M, depth), M.gen("e_x").scale(Fraction(-3, 2)), tau)
+        assert len(steps) >= depth and trace.termination == "reached_tau"
+
+    @pytest.mark.parametrize("depth", range(3, 17))
+    def test_op_b_residuals(self, monkeypatch, depth):
+        L = log_fragment(depth)
+        tau = L.monomial_value(
+            L.monomial_from_dict({f"l{j}": -1 for j in range(depth)}))
+        steps, trace = self._checked_solve(monkeypatch, op_B(L, depth), L.one(), tau)
+        assert len(steps) >= depth and trace.termination == "reached_tau"
+
+    def test_derivation_op_residuals(self, monkeypatch):
+        K = laurent_ddt()
+        t = K.gen("t")
+        g = t.power(2).scale(3) + t.power(5) - K.gen("t", Fraction(-7, 2))
+        steps, _ = self._checked_solve(monkeypatch, derivation_op(K), g,
+                                       GroupElement([10]))
+        assert len(steps) == 3
+        M = transseries_fragment(3)
+        g = M.gen("e_x") + M.gen("e_x") * M.gen("l0", -1) + M.gen("l0", -2)
+        steps, _ = self._checked_solve(monkeypatch, derivation_op(M), g,
+                                       GroupElement([1, 0, 0, 0, 0]))
+        assert len(steps) >= 2
+
+    @pytest.mark.parametrize("depth", [0, 2, 4, 8])
+    def test_derivation_op_gap(self, depth):
+        # integrating (l0...lN)^-1 needs l(N+1), one level past the fragment
+        M = transseries_fragment(depth)
+        gap = self._same_step(derivation_op(M), u_mono(M, depth))
+        assert gap is not None and gap.attempts
+
+    @pytest.mark.parametrize("depth", [3, 5, 9])
+    def test_constant_residual_cascade(self, monkeypatch, depth):
+        # the demo's flat constant against op_A, directly and through
+        # every step demo_nonuniqueness takes
+        M = transseries_fragment(depth)
+        gap = self._same_step(op_A(M, depth), M.constant(2))
+        assert gap is not None and len(gap.attempts) == depth + 2
+        steps = []
+
+        def checking(op_, z):
+            steps.append(self._same_step(op_, z))
+            return dominant_solve(op_, z)
+
+        monkeypatch.setattr(hsolve, "dominant_solve", checking)
+        report = demo_nonuniqueness(depth, [Fraction(0), Fraction(1), Fraction(2)])
+        assert report["differences"][0]["correction_monomials"]
+        assert any(s is not None for s in steps)
+
+    @staticmethod
+    def _endless_retries(monkeypatch, M, beta):
+        """Give M a monomial logder whose response to op_A at value gamma
+        has value beta - gamma - e with e = (1, 0, ...): no candidate
+        balances, and each retry gamma + e is new, so only the budget of
+        3 * rank + 6 candidates ends the search."""
+        e = unit(M.rank, 0, 1)
+
+        def logder(mono):
+            gamma = M.monomial_value(mono)
+            return M.monomial_series(M.monomial_of_value(beta - gamma - e))
+
+        monkeypatch.setattr(M, "monomial_logder", logder)
+
+    def test_budget_runs_out(self, monkeypatch):
+        M = transseries_fragment(4)
+        z = M.gen("e_x")
+        self._endless_retries(monkeypatch, M, z.valuation())
+        gap = self._same_step(op_A(M, 4), z)
+        assert len(gap.attempts) == 3 * M.rank + 6
+
+    def test_duplicate_seed_spends_no_budget(self, monkeypatch):
+        # v(a0) = v(lambda) = psi_level(l0), so op_A's first and third
+        # offsets agree: (0, 1, 0, 0, 0, 0) at depth 4
+        M = transseries_fragment(4)
+        A = op_A(M, 4)
+        assert A.seed_offsets[0] == A.seed_offsets[2] == GroupElement([0, 1, 0, 0, 0, 0])
+        assert len(set(A.seed_offsets)) == len(A.seed_offsets) - 1
+        z = M.gen("e_x")
+        self._endless_retries(monkeypatch, M, z.valuation())
+        with pytest.raises(IntegrationGap) as gap:
+            dominant_solve(A, z)
+        # every unit of budget went to a distinct attempt: the repeated
+        # seed took none
+        trail = [g for g, _ in gap.value.attempts]
+        assert len(trail) == len(set(trail)) == 3 * M.rank + 6
+        assert trail[:6] == [z.valuation() - off for off in dict.fromkeys(A.seed_offsets)]
+
+
+class TestLinearOperator:
+    def test_frozen(self):
+        M = transseries_fragment(2)
+        A = op_A(M, 2)
+        with pytest.raises(AttributeError):
+            A.a0 = M.one()
+        assert A.a0.same_terms(-lambda_series(2, M))
+
+    def test_seed_offsets_cached(self):
+        M = transseries_fragment(2)
+        A = op_A(M, 2)
+        assert A.seed_offsets is A.seed_offsets
+        # derivation_op has no a0 seed; its offsets are the psi levels
+        D = derivation_op(M)
+        assert D.seed_offsets == tuple(
+            M.psi_level(i) for i in range(M.rank) if M.psi_level(i) is not INFINITY)
+
+    def test_zero_a1_refused(self):
+        M = transseries_fragment(2)
+        with pytest.raises(VdfError, match="a1 must be nonzero"):
+            LinearOperator(M.one(), M.zero_series())
 
 
 class TestCheckBll:

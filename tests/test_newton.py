@@ -591,6 +591,19 @@ class TestGammaDerOracle:
         assert (_outcome(newton._validate_gamma_der, K, bad, samples, seed)
                 == _outcome(_reference_validate, K, bad, samples, seed))
 
+    @pytest.mark.parametrize("name", list(FRESH_FIELDS))
+    def test_analytic_cut_matches_psi_floor_at_every_prefix(self, name):
+        # the one-pass suffix minimum gives the cuts of psi_floor(p)
+        K = FRESH_FIELDS[name]()
+        for k in range(K.rank + 1):
+            expect = Cut.all_of(k)
+            for p in range(k):
+                level = K.psi_floor(p)
+                if level is not INFINITY:
+                    expect = newton._intersect_prefix(
+                        expect, Cut.prefix(k, level.coords[: p + 1], inclusive=True))
+            assert newton._analytic_cut(K, k) == expect
+
     def test_derivative_count_is_linear(self, monkeypatch):
         """A machine-independent guard: the oracle computes v(m') once per
         sample, plus at most 2 * rank per probe in the witness search."""

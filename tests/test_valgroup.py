@@ -79,6 +79,15 @@ class TestLexOrder:
         assert INFINITY >= g and not INFINITY <= g
         assert min((), default=INFINITY) is INFINITY
 
+    def test_subtracting_infinity_is_refused(self):
+        # g - inf would be -inf, which the value algebra does not have;
+        # like -INFINITY it is refused, not left to an AttributeError
+        g = GroupElement([1, 2])
+        with pytest.raises(VdfError, match="subtract"):
+            g - INFINITY
+        with pytest.raises(VdfError):
+            -INFINITY
+
 
 class TestCuts:
     def test_prefix_membership(self):
