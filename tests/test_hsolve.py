@@ -565,8 +565,9 @@ class TestDominantSolveReference:
         assert dominant_solve(op, z) == expect
         return None
 
-    def _checked_solve(self, monkeypatch, op, g, tau, max_iter=64):
-        # compare the step on every residual solve_linear hands over
+    def _check_every_step(self, monkeypatch):
+        """Route hsolve's own calls of dominant_solve through _same_step;
+        the returned list gets each step's gap, or None for a term."""
         steps = []
 
         def checking(op_, z):
@@ -574,8 +575,11 @@ class TestDominantSolveReference:
             return dominant_solve(op_, z)
 
         monkeypatch.setattr(hsolve, "dominant_solve", checking)
-        y, trace = solve_linear(op, g, tau, max_iter=max_iter)
-        monkeypatch.undo()
+        return steps
+
+    def _checked_solve(self, monkeypatch, op, g, tau):
+        steps = self._check_every_step(monkeypatch)
+        _, trace = solve_linear(op, g, tau)
         return steps, trace
 
     @pytest.mark.parametrize("depth", range(3, 17))
@@ -623,13 +627,7 @@ class TestDominantSolveReference:
         M = transseries_fragment(depth)
         gap = self._same_step(op_A(M, depth), M.constant(2))
         assert gap is not None and len(gap.attempts) == depth + 2
-        steps = []
-
-        def checking(op_, z):
-            steps.append(self._same_step(op_, z))
-            return dominant_solve(op_, z)
-
-        monkeypatch.setattr(hsolve, "dominant_solve", checking)
+        steps = self._check_every_step(monkeypatch)
         report = demo_nonuniqueness(depth, [Fraction(0), Fraction(1), Fraction(2)])
         assert report["differences"][0]["correction_monomials"]
         assert any(s is not None for s in steps)
@@ -649,7 +647,7 @@ class TestDominantSolveReference:
         monkeypatch.setattr(M, "monomial_logder", logder)
 
     def test_budget_runs_out(self, monkeypatch):
-        M = transseries_fragment(4)
+        M = transseries_fragment.__wrapped__(4)   # a fresh field to patch
         z = M.gen("e_x")
         self._endless_retries(monkeypatch, M, z.valuation())
         gap = self._same_step(op_A(M, 4), z)
@@ -658,7 +656,7 @@ class TestDominantSolveReference:
     def test_duplicate_seed_spends_no_budget(self, monkeypatch):
         # v(a0) = v(lambda) = psi_level(l0), so op_A's first and third
         # offsets agree: (0, 1, 0, 0, 0, 0) at depth 4
-        M = transseries_fragment(4)
+        M = transseries_fragment.__wrapped__(4)
         A = op_A(M, 4)
         assert A.seed_offsets[0] == A.seed_offsets[2] == GroupElement([0, 1, 0, 0, 0, 0])
         assert len(set(A.seed_offsets)) == len(A.seed_offsets) - 1

@@ -5,13 +5,13 @@
 
 Run from the root of a git checkout.  Each side runs from its own
 `git archive` copy of its commit, with that copy's unchanged
-perfbench/run.py; the two commits must have the same perfbench/ and
-BENCHMARK.json, so both sides run the same benchmark.  Seeds
---first-seed .. --first-seed + --pairs - 1 make one pair per workload
-each, and the side that runs first alternates from seed to seed; the
-check seed (4242 by default, held back by the benchmark) makes one
-more pair.  A traced run (--trace 1) of each side at the first seed
-gives the per-layer counts of the in-process workloads.
+perfbench/run.py and BENCHMARK.json's run_seconds; the two commits must
+have the same perfbench/ and BENCHMARK.json, so both sides run the same
+benchmark.  Seeds 11-20 make ten pairs per workload, and the side that
+runs first alternates from seed to seed; seed 4242, which the benchmark
+holds back for checking claims, makes one more pair.  A traced run
+(--trace 1) of each side at seed 11 gives the per-layer counts of the
+in-process workloads.
 
 The summary gives, per workload and end-to-end metric, each side's
 median and quartiles over the pairs, the pairs the change won (ties
@@ -39,6 +39,8 @@ from pathlib import Path
 WORKLOADS = ("cli", "conjugate", "fragment")
 TRACED = ("conjugate", "fragment")   # the workloads that trace in process
 SIDES = ("parent", "change")
+PAIR_SEEDS = list(range(11, 21))
+CHECK_SEED = 4242
 
 
 def git(*args, cwd) -> bytes:
@@ -83,12 +85,12 @@ def metric_of(run, name):
     return run["result"]["metrics"][name]["value"]
 
 
-def summarize(runs, metrics, pairs, check_seed, claim):
+def summarize(runs, metrics, claim):
     """{workload: {metric: {...}}} over the paired seeds; see the module doc."""
     by_key = {(r["workload"], r["seed"], r["side"]): r for r in runs if ok(r)}
     out = {}
     for workload in WORKLOADS:
-        seeds = [s for s in pairs if all((workload, s, side) in by_key for side in SIDES)]
+        seeds = [s for s in PAIR_SEEDS if all((workload, s, side) in by_key for side in SIDES)]
         if not seeds:
             continue
         out[workload] = {}
@@ -105,21 +107,21 @@ def summarize(runs, metrics, pairs, check_seed, claim):
                      "pairs": len(seeds), "bound": m["bound"],
                      "relative_change_better_positive": rel,
                      "within_bound": rel >= -m["bound"]}
-            check = {side: by_key.get((workload, check_seed, side)) for side in SIDES}
+            check = {side: by_key.get((workload, CHECK_SEED, side)) for side in SIDES}
             if all(check.values()):
-                entry[f"seed_{check_seed}"] = {side: metric_of(check[side], m["name"])
+                entry[f"seed_{CHECK_SEED}"] = {side: metric_of(check[side], m["name"])
                                                for side in SIDES}
             if claim == f"{workload} {m['name']}":
-                entry["gain"] = gain_rule(entry, sign, check_seed)
+                entry["gain"] = gain_rule(entry, sign)
             out[workload][m["name"]] = entry
     return out
 
 
-def gain_rule(entry, sign, check_seed):
+def gain_rule(entry, sign):
     parent, change = entry["parent"], entry["change"]
     iqr = parent["q3"] - parent["q1"]
     gap = sign * (change["median"] - parent["median"])
-    check = entry.get(f"seed_{check_seed}")
+    check = entry.get(f"seed_{CHECK_SEED}")
     holds_at_check = check is not None and sign * (check["change"] - check["parent"]) > 0
     return {"wins_needed": -(-9 * entry["pairs"] // 10), "parent_iqr": iqr,
             "median_gap": gap, "holds_at_check_seed": holds_at_check,
@@ -138,10 +140,6 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     ap.add_argument("--what", required=True, help="one line on what the change does")
     ap.add_argument("--claim", default=None, help='the claimed "<workload> <metric>", if any')
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=11)
-    ap.add_argument("--check-seed", type=int, default=4242)
-    ap.add_argument("--seconds", type=float, default=25)
     args = ap.parse_args(argv)
 
     repo = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()).decode().strip())
@@ -150,47 +148,46 @@ def main(argv=None) -> int:
     if not same_benchmark(repo, commits["parent"], commits["change"]):
         print("perfbench/ or BENCHMARK.json differs between the two commits", file=sys.stderr)
         return 2
-    pair_seeds = list(range(args.first_seed, args.first_seed + args.pairs))
-
     runs, traced = [], []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         copies = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             export(repo, commits[side], copies[side])
         with open(copies["parent"] / "BENCHMARK.json") as fh:
-            metrics = json.load(fh)["end_to_end"]
+            bench = json.load(fh)
+        metrics, seconds = bench["end_to_end"], bench["run_seconds"]
         for workload in WORKLOADS:
-            for k, seed in enumerate(pair_seeds + [args.check_seed]):
+            for k, seed in enumerate(PAIR_SEEDS + [CHECK_SEED]):
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
                 for side in order:
                     run = {"workload": workload, "seed": seed, "side": side,
                            "first": order[0], "trace": 0, "commit": commits[side]}
-                    run.update(run_once(copies[side], workload, seed, args.seconds, 0))
+                    run.update(run_once(copies[side], workload, seed, seconds, 0))
                     runs.append(run)
                     print(f"{workload} seed {seed} {side}: exit {run['exit']}", file=sys.stderr)
         for workload in TRACED:
             for side in SIDES:
-                run = {"workload": workload, "seed": pair_seeds[0], "side": side,
+                run = {"workload": workload, "seed": PAIR_SEEDS[0], "side": side,
                        "first": SIDES[0], "trace": 1, "commit": commits[side]}
-                run.update(run_once(copies[side], workload, pair_seeds[0], args.seconds, 1))
+                run.update(run_once(copies[side], workload, PAIR_SEEDS[0], seconds, 1))
                 traced.append(run)
 
     doc = {
         "what": args.what,
         "command": f"python3 perfbench/run.py --workload <w> --seed <s> "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0",
         "machine": f"{os.cpu_count()}-CPU {platform.system()} {platform.machine()}, "
                    f"Python {platform.python_version()}, one run at a time",
         "protocol": f"each side runs from its own git archive copy of its commit "
                     f"(parent {commits['parent'][:7]}, change {commits['change'][:7]}); "
-                    f"seeds {pair_seeds[0]}-{pair_seeds[-1]} are {args.pairs} pairs per "
-                    f"workload and seed {args.check_seed} one more, held back for checking "
-                    f"the claim; the side that runs first alternates from seed to seed; "
-                    f"the traced runs are at seed {pair_seeds[0]} with --trace 1",
+                    f"seeds {PAIR_SEEDS[0]}-{PAIR_SEEDS[-1]} are {len(PAIR_SEEDS)} pairs per "
+                    f"workload and seed {CHECK_SEED} one more, held back for checking the "
+                    f"claim; the side that runs first alternates from seed to seed; the "
+                    f"traced runs are at seed {PAIR_SEEDS[0]} with --trace 1",
         "claim": args.claim,
         "failed_runs": [{k: r[k] for k in ("workload", "seed", "side", "trace", "exit")}
                         for r in runs + traced if not ok(r)],
-        "summary": summarize(runs, metrics, pair_seeds, args.check_seed, args.claim),
+        "summary": summarize(runs, metrics, args.claim),
         "runs": runs,
         "traced": traced,
     }
