@@ -148,6 +148,7 @@ def main(argv=None) -> int:
     if not same_benchmark(repo, commits["parent"], commits["change"]):
         print("perfbench/ or BENCHMARK.json differs between the two commits", file=sys.stderr)
         return 2
+
     runs, traced = [], []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         copies = {side: Path(tmp) / side for side in SIDES}
