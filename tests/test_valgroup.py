@@ -80,8 +80,8 @@ class TestLexOrder:
         assert min((), default=INFINITY) is INFINITY
 
     def test_subtracting_infinity_is_refused(self):
-        # g - inf would be -inf, which the value algebra does not have;
-        # like -INFINITY it is refused, not left to an AttributeError
+        # g - inf would be -inf, which the value algebra does not have,
+        # so it is refused like -INFINITY
         g = GroupElement([1, 2])
         with pytest.raises(VdfError, match="subtract"):
             g - INFINITY
