@@ -189,6 +189,10 @@ class FieldInstance:
             parts.append(g.logder.scale(q))
         return _sum_series(self, parts)
 
+    def logder_of_value(self, gamma: GroupElement) -> "Series":
+        """The logarithmic derivative of the monomial of value gamma."""
+        return self.monomial_logder(self.monomial_of_value(gamma))
+
     @property
     def derivation_shift(self) -> GroupElement:
         """A certified s with v(f') >= v(f) + s for all f.
@@ -399,7 +403,7 @@ class Series:
         K = self.field
         out = _sum_series(K, [
             Series(K, {k: c}, INFINITY, self.den, self.cden)
-            * K.monomial_logder(K.monomial_of_value(self._value(k)))
+            * K.logder_of_value(self._value(k))
             for k, c in self.terms.items()
         ])
         if self.tau is not INFINITY:
@@ -549,9 +553,14 @@ def _sum_series(field: FieldInstance, parts: Sequence["Series"]) -> "Series":
 
 def _lattice_key(gamma: GroupElement, den: int) -> tuple:
     """gamma * den, with a Fraction where a coordinate is off the lattice:
-    it compares with lattice keys as gamma does with their values."""
-    return tuple([int(y) if y.denominator == 1 else y
-                  for y in (x * den for x in gamma.coords)])
+    it compares with lattice keys as gamma does with their values.
+    Computed on numerators and denominators, with no Fraction product."""
+    key = []
+    for x in gamma.coords:
+        n, d = x.numerator * den, x.denominator
+        q, r = divmod(n, d)
+        key.append(Fraction(n, d) if r else q)
+    return tuple(key)
 
 
 def _reachable(step: GroupElement, target: GroupElement) -> bool:

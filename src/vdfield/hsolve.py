@@ -36,7 +36,7 @@ from .valgroup import INFINITY, GroupElement, unit
 @dataclass(frozen=True)
 class LinearOperator:
     """a0 + a1 * der, applied as y -> a0*y + a1*y'.  Frozen, so the
-    cached seed_offsets cannot go stale."""
+    cached seed_offsets and responses cannot go stale."""
 
     a0: Series
     a1: Series
@@ -57,6 +57,12 @@ class LinearOperator:
         head = (self.a0.valuation(),) if self.a0.terms else ()
         levels = (K.psi_level(i) for i in range(K.rank))
         return head + tuple(a1v + lvl for lvl in levels if lvl is not INFINITY)
+
+    @cached_property
+    def responses(self) -> Dict[GroupElement, Series]:
+        """gamma -> a0 + a1 * logder(m_gamma), the response to the monomial
+        of value gamma, filled by dominant_solve as it tries values."""
+        return {}
 
     def __call__(self, y: Series) -> Series:
         return apply_op(self, y)
@@ -100,7 +106,7 @@ def psi_map(field: FieldInstance, gamma: GroupElement) -> GroupElement:
     """psi(v(m)) = v(logder of m) for the monomial m of value gamma."""
     if gamma.is_zero():
         raise VdfError("psi is undefined at 0")
-    ld = field.monomial_logder(field.monomial_of_value(gamma))
+    ld = field.logder_of_value(gamma)
     if not ld.terms:
         raise VdfError(f"monomial of value {gamma} has zero logarithmic derivative")
     return ld.valuation()
@@ -120,6 +126,9 @@ def dominant_solve(op: LinearOperator, z: Series) -> Series:
     other candidate spends one unit of the budget 3 * rank + 6; when the
     queue or the budget runs out the equation has no single-term
     solution at this depth.
+
+    Responses are memoised in op.responses, so a later call on the same
+    operator builds none again for a value already tried.
     """
     K = op.field
     if not z.terms:
@@ -145,7 +154,9 @@ def dominant_solve(op: LinearOperator, z: Series) -> Series:
         seen.add(gamma)
         if pure_derivation and gamma.is_zero():
             continue
-        response = op.a0 + op.a1 * K.monomial_logder(K.monomial_of_value(gamma))
+        response = op.responses.get(gamma)
+        if response is None:
+            response = op.responses[gamma] = op.a0 + op.a1 * K.logder_of_value(gamma)
         if not response.terms:
             # annihilated or uncertifiable in this direction
             attempts.append((gamma, response.tau))

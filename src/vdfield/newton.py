@@ -181,8 +181,7 @@ def _random_positive_value(field: FieldInstance, rng: random.Random) -> GroupEle
 def _monomial_derivative_value(field: FieldInstance, gamma: GroupElement):
     """v(m') for the monomial of value gamma, computed honestly from the
     generator logders."""
-    mono = field.monomial_of_value(gamma)
-    ld = field.monomial_logder(mono)
+    ld = field.logder_of_value(gamma)
     if not ld.terms:
         return INFINITY
     return gamma + ld.valuation()

@@ -25,6 +25,7 @@ from vdfield.gridseries import (
     Series,
     laurent_ddt,
     laurent_tddt_coarse,
+    _lattice_key,
     log_fragment,
     transseries_fragment,
 )
@@ -539,6 +540,36 @@ class TestLattice:
                     pass  # a refused inversion has no keys to check
         for r in results:
             _assert_lattice(r)
+
+
+def _fraction_lattice_key(gamma, den):
+    """The lattice key by one Fraction product per coordinate: the
+    reference for the integer arithmetic of _lattice_key."""
+    return tuple(int(y) if y.denominator == 1 else y for y in (x * den for x in gamma.coords))
+
+
+_key_coords = st.sampled_from([Fraction(0)]) | st.fractions(
+    min_value=-6, max_value=6, max_denominator=12)
+
+
+class TestLatticeKey:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_integer_key_matches_the_fraction_reference(self, data):
+        rank = data.draw(st.integers(1, 6))
+        gamma = GroupElement(data.draw(st.lists(_key_coords, min_size=rank, max_size=rank)))
+        den = data.draw(st.integers(1, 12))
+        key = _lattice_key(gamma, den)
+        expect = _fraction_lattice_key(gamma, den)
+        assert key == expect
+        assert [type(x) for x in key] == [type(x) for x in expect]
+        # keys order as their values do, also against lattice keys at
+        # and around the floor of each coordinate
+        other = tuple(math.floor(x) + data.draw(st.integers(-1, 1)) for x in key)
+        other_value = GroupElement([Fraction(x, den) for x in other])
+        assert (key < other) == (gamma < other_value)
+        assert (key == other) == (gamma == other_value)
+        assert (key > other) == (gamma > other_value)
 
 
 # -- the repr is the expression grammar ----------------------------------------------

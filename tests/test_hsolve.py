@@ -694,6 +694,73 @@ class TestLinearOperator:
             LinearOperator(M.one(), M.zero_series())
 
 
+def _op_a_problem(M, depth):
+    exps = {f"l{j}": -1 for j in range(depth)}
+    exps["e_x"] = 1
+    return M.gen("e_x").scale(Fraction(-3, 2)), M.monomial_value(M.monomial_from_dict(exps))
+
+
+def _op_b_problem(L, depth):
+    return L.one(), L.monomial_value(L.monomial_from_dict({f"l{j}": -1 for j in range(depth)}))
+
+
+class TestResponseMemo:
+    """dominant_solve memoises each response on its operator: a later
+    solve on the same operator finds the responses it needs already
+    built and gives the answer and trace of a freshly built operator."""
+
+    @staticmethod
+    def _same_solve(got, expect):
+        (y, trace), (y0, trace0) = got, expect
+        assert y == y0
+        assert trace.residual_valuations == trace0.residual_valuations
+        assert trace.iterates == trace0.iterates
+        assert trace.as_report() == trace0.as_report()
+
+    @pytest.mark.parametrize("depth", [4, 10, 16])
+    @pytest.mark.parametrize("build, field, problem", [
+        (op_A, transseries_fragment, _op_a_problem),
+        (op_B, log_fragment, _op_b_problem)])
+    def test_second_solve_hits_the_memo(self, depth, build, field, problem):
+        K = field(depth)
+        g, tau = problem(K, depth)
+        op = build(K, depth)
+        assert op.responses == {}
+        first = solve_linear(op, g, tau)
+        filled = dict(op.responses)
+        assert filled
+        second = solve_linear(op, g, tau)
+        # no response was built again: the same objects, and no new value
+        assert op.responses.keys() == filled.keys()
+        assert all(op.responses[v] is r for v, r in filled.items())
+        fresh = build(K, depth)
+        expect = solve_linear(fresh, g, tau)
+        for got in (first, second):
+            self._same_solve(got, expect)
+        # each entry is the response the eager reference builds
+        for gamma, response in filled.items():
+            assert response == op.a0 + op.a1 * K.monomial_logder(K.monomial_of_value(gamma))
+
+    def test_gap_trail_from_the_memo(self):
+        # the demo's flat constant against op_A fails the same way twice
+        M = transseries_fragment(5)
+        A = op_A(M, 5)
+        trails = []
+        for op in (A, A, op_A(M, 5)):
+            with pytest.raises(IntegrationGap) as gap:
+                dominant_solve(op, M.constant(2))
+            trails.append((str(gap.value), gap.value.attempts))
+        assert trails[0] == trails[1] == trails[2]
+
+    def test_operators_do_not_share_entries(self):
+        M = transseries_fragment(4)
+        A1, A2 = op_A(M, 4), op_A(M, 4)
+        assert A1 == A2 and A1.responses is not A2.responses
+        g, tau = _op_a_problem(M, 4)
+        solve_linear(A1, g, tau)
+        assert A1.responses and A2.responses == {}
+
+
 class TestCheckBll:
     def test_depth6(self):
         rep = check_bll(6)

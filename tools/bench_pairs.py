@@ -14,7 +14,8 @@ holds back for checking claims, makes one more pair.  A traced run
 in-process workloads.
 
 The summary gives, per workload and end-to-end metric, each side's
-median and quartiles over the pairs, the pairs the change won (ties
+median and quartiles over the pairs (a workload with fewer than two
+good pairs is marked unresolved instead), the pairs the change won (ties
 count for neither side), the relative change (positive is better) and
 whether it stays within the BENCHMARK.json bound.  For the claimed
 metric it also records the gain rule: the change wins at least nine
@@ -91,7 +92,9 @@ def summarize(runs, metrics, claim):
     out = {}
     for workload in WORKLOADS:
         seeds = [s for s in PAIR_SEEDS if all((workload, s, side) in by_key for side in SIDES)]
-        if not seeds:
+        if len(seeds) < 2:
+            # quartiles need two pairs; the runs are kept in the document
+            out[workload] = {"unresolved": True, "pairs": len(seeds)}
             continue
         out[workload] = {}
         for m in metrics:
