@@ -197,21 +197,28 @@ class FieldInstance:
     def derivation_shift(self) -> GroupElement:
         """A certified s with v(f') >= v(f) + s for all f.
 
-        Computed as the minimum of the generator logder valuations
-        (zero when every logder is zero); validated by sampling in the
-        test suite.
+        Computed as the least val_or_tau over the generator logders (zero
+        when every logder is the true zero), so a logder known only
+        modulo its tau bounds the shift by that tau; validated by
+        sampling in the test suite.
         """
         if self._shift is None:
-            m = self.psi_floor(0)
+            m = min((self._logder(i).val_or_tau() for i in range(self.rank)),
+                    default=INFINITY)
             self._shift = zero(self.rank) if m is INFINITY else m
         return self._shift
 
-    def psi_level(self, i: int):
-        """v(g_i-logder), or +infinity for a flat generator."""
+    def _logder(self, i: int) -> "Series":
         ld = self.generators[i].logder
         if ld is None:
             raise VdfError(f"generator {self.generators[i].name} has no logder")
-        return ld.valuation() if ld.terms else INFINITY
+        return ld
+
+    def psi_level(self, i: int):
+        """v(g_i-logder), +infinity for a flat generator (the true zero).
+        Raises IndeterminateValuation for a logder known only modulo its
+        tau: its filling may have any value at or above the tau."""
+        return self._logder(i).valuation()
 
     def psi_floor(self, p: int):
         """min over i >= p of psi_level(i): the worst-case logder value

@@ -133,113 +133,35 @@ def _analytic_cut(field: FieldInstance, k: int) -> Cut:
     return cut
 
 
-# The sampling oracle's budget and seed.
-ORACLE_SAMPLES = 200
-ORACLE_SEED = 7
-
-
 def gamma_der(field: FieldInstance) -> Cut:
     """The downward-closed set {v(phi) : der maps the maximal ideal into
-    phi times it}, as a prefix cut.
+    phi times it}, as a prefix cut, cached on the field instance.
 
-    For a grid field the binding constraints come from monomials m < 1
-    whose value approaches zero inside a generator class p: the cut is
-    the intersection over classes of {gamma : proj_(p+1)(gamma) <=
-    proj_(p+1)(psi_floor(p))}.  The result is validated by a sampling
-    oracle, which raises on any discrepancy, and cached on the field
-    instance.
+    It is _analytic_cut at full rank, and needs no check.  Take a
+    monomial m < 1 of class p (its first nonzero exponent is at p), let
+    floor_p = psi_floor(p) = min over i >= p of v(g_i-logder), and write
+    proj_k for the first k coordinates.
 
-    The oracle draws ORACLE_SAMPLES values delta > 0 and max(10,
-    ORACLE_SAMPLES // 2) probes gamma from ORACLE_SEED (two more at the
-    bound of a prefix cut).  It computes v(m') once per delta, so an
-    in-cut probe costs one comparison with the least v(m'), and an
-    out-of-cut probe at most 2 * rank derivatives in its witness search:
-    O(samples + probes) monomial derivatives, not O(samples * probes).
-    Which cuts it accepts, and the message it raises (the first
-    offending delta in sample order), are those of a check of every
-    (gamma, delta) pair.
+    Inside: the logder of m is the sum over i >= p of q_i * g_i-logder,
+    so its value is >= floor_p, and v(m) > 0 adds a positive entry at
+    coordinate p.  So proj_(p+1) v(m') > proj_(p+1) floor_p, and every
+    gamma in the cut has gamma < v(m').
+
+    Outside: say proj_(p+1) gamma > proj_(p+1) floor_p.  Take i >= p
+    with v(g_i-logder) = floor_p and m = g_i^(+-eps) < 1.  Then v(m') =
+    +-eps * v(g_i) + floor_p, which is <= gamma for small eps; when
+    i > p, eps * v(g_i) is zero on the first p + 1 coordinates.
+
+    Sums: derive works term by term, so v(f') is at least the least
+    v(m') over f's support, and monomials decide the cut.
+
+    Hypothesis: each generator logder is the true zero or has a known
+    term; psi_level raises IndeterminateValuation for any other.
     """
     cached = getattr(field, "_gamma_der_cut", None)
-    if cached is not None:
-        return cached
-    cut = _analytic_cut(field, field.rank)
-    _validate_gamma_der(field, cut)
-    field._gamma_der_cut = cut
-    return cut
-
-
-def _random_positive_value(field: FieldInstance, rng: random.Random) -> GroupElement:
-    n = field.rank
-    p = rng.randrange(n)
-    coords = [Fraction(0)] * n
-    coords[p] = Fraction(rng.randint(1, 6), rng.randint(1, 4))
-    for j in range(p + 1, n):
-        coords[j] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    return GroupElement(coords)
-
-
-def _monomial_derivative_value(field: FieldInstance, gamma: GroupElement):
-    """v(m') for the monomial of value gamma, computed honestly from the
-    generator logders."""
-    ld = field.logder_of_value(gamma)
-    if not ld.terms:
-        return INFINITY
-    return gamma + ld.valuation()
-
-
-def _validate_gamma_der(field: FieldInstance, cut: Cut,
-                        samples: int = ORACLE_SAMPLES, seed: int = ORACLE_SEED):
-    rng = random.Random(seed)
-    n = field.rank
-    # Gamma = {0} at rank 0 has no positive value to sample
-    small_values = [_random_positive_value(field, rng) for _ in range(samples if n else 0)]
-    # Membership direction: points in the cut are below every v(m').
-    probes: List[GroupElement] = []
-    if cut.depth:
-        b = cut.bound_element()
-        probes.extend([b, b - _random_positive_value(field, rng)])
-    for _ in range(max(10, samples // 2)):
-        probes.append(GroupElement(
-            [Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(n)]
-        ))
-    # v(m') depends on the sample alone: compute it once per sample.  A
-    # probe is below every v(m') exactly when it is below the least one.
-    derivative_values = [(delta, _monomial_derivative_value(field, delta))
-                         for delta in small_values]
-    least = min((dv for _, dv in derivative_values), default=INFINITY)
-    for gamma in probes:
-        if cut.contains(gamma):
-            if gamma < least:
-                continue
-            for delta, dv in derivative_values:
-                if not gamma < dv:
-                    raise VdfError(
-                        f"gamma_der validation failed: {gamma} in cut but "
-                        f"v(m')={dv} for v(m)={delta}"
-                    )
-        else:
-            if not _witness_outside(field, gamma):
-                raise VdfError(
-                    f"gamma_der validation failed: no witness that {gamma} "
-                    "lies outside the cut"
-                )
-
-
-def _witness_outside(field: FieldInstance, gamma: GroupElement) -> bool:
-    """Find a monomial m < 1 with v(m') <= gamma."""
-    candidates = []
-    for i in range(field.rank):
-        lvl = field.psi_level(i)
-        if lvl is not INFINITY:
-            delta = gamma - lvl
-            candidates.extend([delta, delta.scale(Fraction(1, 2))])
-    for delta in candidates:
-        if not zero(field.rank) < delta:
-            continue
-        dv = _monomial_derivative_value(field, delta)
-        if dv <= gamma:
-            return True
-    return False
+    if cached is None:
+        cached = field._gamma_der_cut = _analytic_cut(field, field.rank)
+    return cached
 
 
 def s_der(field: FieldInstance) -> ConvexSubgroup:

@@ -42,3 +42,20 @@ def test_one_traced_round_is_answered(name):
         t.uninstall()
     assert len(items) == size
     assert outcomes == [workloads.OK] * size
+
+
+def test_tracer_counts_gamma_der_calls_and_cache_hits():
+    # the tracer wraps newton.gamma_der and reads the field's
+    # _gamma_der_cut before each call to tell a cache hit
+    vd = workloads.modules()
+    K = workloads.fresh(vd.gridseries.transseries_fragment, 2)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        first = vd.newton.gamma_der(K)
+        assert vd.newton.gamma_der(K) is first
+    finally:
+        t.uninstall()
+    snap = t.snapshot()
+    assert snap["calls"]["newton.gamma_der"] == 2
+    assert snap["counts"]["newton.gamma_der.hits"] == 1

@@ -295,6 +295,25 @@ class TestCommands:
             assert len(lines) == 1, out
             json.loads(lines[0])
 
+    def test_config_whose_witness_a_sampled_search_missed(self, tmp_path):
+        # m = g1 has v(m') = (-1, 2) < (0, -7/2), so (0, -7/2) lies
+        # outside Gamma(der), as the analytic cut says
+        doc = {"name": "g0g1", "rank": 2, "generators": [
+            {"name": "g0", "value": ["2/3", "-3"], "logder": "0"},
+            {"name": "g1", "value": ["0", "1"], "logder": "-2/3*g0^-3/2*g1^-7/2"}]}
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(doc))
+        cases = [
+            (["gamma-der"],
+             b'{"kind": "prefix", "depth": 2, "bound": ["-1", "1"], "inclusive": true}\n'),
+            (["s-der"], b'{"prefix_len": 2}\n'),
+            (["ndeg", "Y'+Y"], b'{"ndeg": 1}\n'),
+        ]
+        for args, expected in cases:
+            proc = run_cli([args[0], "--field", str(path)] + args[1:])
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == expected
+
     def test_probe_command(self):
         proc = run_cli(
             ["probe", "--field", "configs/laurent.json", "Y'",

@@ -11,7 +11,13 @@ from conftest import (
     random_value,
     rat,
 )
-from test_truncation import FIELDS, _embedding_target, _line, _maybe_truncated
+from test_truncation import (
+    FIELDS,
+    _embedding_target,
+    _line,
+    _maybe_truncated,
+    tau_only_logder,
+)
 from vdfield.errors import (
     IndeterminateValuation,
     RankMismatch,
@@ -31,6 +37,7 @@ from vdfield.gridseries import (
 )
 from vdfield.expr import parse_series
 from vdfield.hsolve import lambda_series
+from vdfield.newton import gamma_der
 from vdfield.valgroup import GroupElement, INFINITY, zero
 
 SMALL_DER_FIELDS = [laurent_tddt_coarse, lambda: transseries_fragment(2)]
@@ -272,6 +279,18 @@ class TestFieldStructure:
             g.logder = K.zero_series()
         assert K.psi_floor(0) is INFINITY and K.psi_floor(1) is INFINITY
         assert K.derivation_shift == zero(2)
+
+    def test_logder_known_only_modulo_its_tau_is_not_flat(self):
+        # t-logder = O(t^-1) may be filled by t^-1: no psi-level, no cut,
+        # and the shift and the derivative's tau are bounded by that tau
+        K = tau_only_logder.__wrapped__()
+        with pytest.raises(IndeterminateValuation):
+            K.psi_level(0)
+        with pytest.raises(IndeterminateValuation):
+            gamma_der(K)
+        assert K.derivation_shift == GroupElement([-1])
+        d = Series(K, {}, GroupElement([5])).derive()
+        assert not d.terms and d.tau == GroupElement([4])
 
     @pytest.mark.parametrize("make", ALL_FIELDS)
     def test_derive_with_no_terms(self, make):

@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     random_bounded_series,
@@ -18,6 +20,7 @@ from conftest import (
 )
 from vdfield import newton
 from vdfield.cli import field_from_config
+from vdfield.coarsen import coarsen
 from vdfield.diffpoly import (
     DiffPoly,
     add_conj,
@@ -32,6 +35,7 @@ from vdfield.errors import IndeterminateValuation, VdfError
 from vdfield.gridseries import (
     FieldInstance,
     Generator,
+    Monomial,
     Series,
     laurent_ddt,
     laurent_tddt_coarse,
@@ -482,20 +486,111 @@ class TestFlexProbe:
         assert a <= b
 
 
-# -- the Gamma(der) sampling oracle against the nested loop it replaced ----------
+# -- the Gamma(der) sampling oracle: a test-side check of the analytic cut ------
+#
+# gamma_der returns the analytic cut, for the reason its docstring gives.
+# This oracle samples monomials m < 1 and checks both directions: a probe
+# in the cut lies below every sampled v(m'), and a probe outside it has a
+# witness m < 1 with v(m') <= gamma.  Its witness search tries only
+# gamma - psi_level(i) and its half, so it can miss a witness that exists;
+# the property test below gives it the proof's witness as well.
+
+# The sampling oracle's budget and seed.
+ORACLE_SAMPLES = 200
+ORACLE_SEED = 7
+
+
+def _random_positive_value(field, rng):
+    n = field.rank
+    p = rng.randrange(n)
+    coords = [Fraction(0)] * n
+    coords[p] = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+    for j in range(p + 1, n):
+        coords[j] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return GroupElement(coords)
+
+
+def _monomial_derivative_value(field, gamma):
+    """v(m') for the monomial of value gamma, computed honestly from the
+    generator logders; IndeterminateValuation when they cannot tell."""
+    ld = field.logder_of_value(gamma)
+    if ld.is_true_zero():
+        return INFINITY
+    return gamma + ld.valuation()
+
+
+def _witness_outside(field, gamma):
+    """Find a monomial m < 1 with v(m') <= gamma."""
+    candidates = []
+    for i in range(field.rank):
+        lvl = field.psi_level(i)
+        if lvl is not INFINITY:
+            delta = gamma - lvl
+            candidates.extend([delta, delta.scale(Fraction(1, 2))])
+    for delta in candidates:
+        if not zero(field.rank) < delta:
+            continue
+        dv = _monomial_derivative_value(field, delta)
+        if dv <= gamma:
+            return True
+    return False
+
+
+def _validate_gamma_der(field, cut, samples=ORACLE_SAMPLES, seed=ORACLE_SEED,
+                        witness_outside=_witness_outside):
+    """Raise VdfError unless cut passes the sampling oracle.
+
+    It draws samples values delta > 0 and max(10, samples // 2) probes
+    gamma from seed (two more at the bound of a prefix cut), computes
+    v(m') once per delta, so an in-cut probe costs one comparison with
+    the least v(m'), and an out-of-cut probe at most 2 * rank
+    derivatives in its witness search: O(samples + probes) monomial
+    derivatives.  Which cuts it accepts, and the message it raises (the
+    first offending delta in sample order), are those of the nested loop
+    _reference_validate."""
+    rng = random.Random(seed)
+    n = field.rank
+    # Gamma = {0} at rank 0 has no positive value to sample
+    small_values = [_random_positive_value(field, rng) for _ in range(samples if n else 0)]
+    probes = []
+    if cut.depth:
+        b = cut.bound_element()
+        probes.extend([b, b - _random_positive_value(field, rng)])
+    for _ in range(max(10, samples // 2)):
+        probes.append(GroupElement(
+            [Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(n)]
+        ))
+    derivative_values = [(delta, _monomial_derivative_value(field, delta))
+                         for delta in small_values]
+    least = min((dv for _, dv in derivative_values), default=INFINITY)
+    for gamma in probes:
+        if cut.contains(gamma):
+            if gamma < least:
+                continue
+            for delta, dv in derivative_values:
+                if not gamma < dv:
+                    raise VdfError(
+                        f"gamma_der validation failed: {gamma} in cut but "
+                        f"v(m')={dv} for v(m)={delta}"
+                    )
+        elif not witness_outside(field, gamma):
+            raise VdfError(
+                f"gamma_der validation failed: no witness that {gamma} "
+                "lies outside the cut"
+            )
 
 
 def _reference_validate(field, cut, samples, seed):
     """The (probe, sample) nested loop: v(m') recomputed for every pair.
-    Kept here only as a reference for newton._validate_gamma_der."""
+    Kept here only as a reference for _validate_gamma_der."""
     rng = random.Random(seed)
     n = field.rank
-    small_values = [newton._random_positive_value(field, rng)
+    small_values = [_random_positive_value(field, rng)
                     for _ in range(samples)]
     probes = []
     if cut.kind == PREFIX:
         b = cut.bound_element()
-        probes.extend([b, b - newton._random_positive_value(field, rng)])
+        probes.extend([b, b - _random_positive_value(field, rng)])
     for _ in range(max(10, samples // 2)):
         probes.append(GroupElement(
             [Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(n)]
@@ -503,13 +598,13 @@ def _reference_validate(field, cut, samples, seed):
     for gamma in probes:
         if cut.contains(gamma):
             for delta in small_values:
-                dv = newton._monomial_derivative_value(field, delta)
+                dv = _monomial_derivative_value(field, delta)
                 if not (dv is INFINITY or gamma < dv):
                     raise VdfError(
                         f"gamma_der validation failed: {gamma} in cut but "
                         f"v(m')={dv} for v(m)={delta}"
                     )
-        elif not newton._witness_outside(field, gamma):
+        elif not _witness_outside(field, gamma):
             raise VdfError(
                 f"gamma_der validation failed: no witness that {gamma} "
                 "lies outside the cut"
@@ -559,7 +654,7 @@ class TestGammaDerOracle:
         K = FRESH_FIELDS[name]()
         cut = newton._analytic_cut(K, K.rank)
         assert _outcome(_reference_validate, K, cut, samples, seed) is None
-        assert _outcome(newton._validate_gamma_der, K, cut, samples, seed) is None
+        assert _outcome(_validate_gamma_der, K, cut, samples, seed) is None
 
     @pytest.mark.parametrize("name", FAMILIES)
     @pytest.mark.parametrize("mutant", ["raised", "all"])
@@ -569,7 +664,7 @@ class TestGammaDerOracle:
         bad = _moved_bound(cut, 1) if mutant == "raised" else Cut.all_of(K.rank)
         expected = _outcome(_reference_validate, K, bad, 200, 7)
         assert expected is not None and " in cut but v(m')=" in expected
-        assert _outcome(newton._validate_gamma_der, K, bad, 200, 7) == expected
+        assert _outcome(_validate_gamma_der, K, bad, 200, 7) == expected
 
     @pytest.mark.parametrize("name", ["laurent_ddt", "laurent_tddt_coarse"])
     def test_rejects_a_cut_that_is_too_small(self, name):
@@ -577,7 +672,7 @@ class TestGammaDerOracle:
         bad = _moved_bound(newton._analytic_cut(K, K.rank), -1)
         expected = _outcome(_reference_validate, K, bad, 200, 7)
         assert expected is not None and "no witness that" in expected
-        assert _outcome(newton._validate_gamma_der, K, bad, 200, 7) == expected
+        assert _outcome(_validate_gamma_der, K, bad, 200, 7) == expected
 
     @pytest.mark.parametrize("name", ["transseries_fragment(2)", "log_fragment(2)"])
     @pytest.mark.parametrize("mutant", ["lowered", "shallower"])
@@ -588,7 +683,7 @@ class TestGammaDerOracle:
         cut = newton._analytic_cut(K, K.rank)
         bad = (_moved_bound(cut, -1) if mutant == "lowered"
                else Cut.prefix(K.rank, cut.bound[:-1], cut.inclusive))
-        assert (_outcome(newton._validate_gamma_der, K, bad, samples, seed)
+        assert (_outcome(_validate_gamma_der, K, bad, samples, seed)
                 == _outcome(_reference_validate, K, bad, samples, seed))
 
     @pytest.mark.parametrize("name", list(FRESH_FIELDS))
@@ -608,19 +703,134 @@ class TestGammaDerOracle:
         """A machine-independent guard: the oracle computes v(m') once per
         sample, plus at most 2 * rank per probe in the witness search."""
         calls = 0
-        honest = newton._monomial_derivative_value
+        honest = _monomial_derivative_value
 
         def counting(field, gamma):
             nonlocal calls
             calls += 1
             return honest(field, gamma)
 
-        monkeypatch.setattr(newton, "_monomial_derivative_value", counting)
+        monkeypatch.setitem(globals(), "_monomial_derivative_value", counting)
         K = transseries_fragment.__wrapped__(2)
-        samples = newton.ORACLE_SAMPLES
-        gamma_der(K)
-        probes = 2 + max(10, samples // 2)
-        assert 0 < calls <= samples + 2 * K.rank * probes
+        _validate_gamma_der(K, gamma_der(K))
+        probes = 2 + max(10, ORACLE_SAMPLES // 2)
+        assert 0 < calls <= ORACLE_SAMPLES + 2 * K.rank * probes
+
+
+def _proof_witness(field, gamma):
+    """The witness of gamma_der's proof: for a class p with
+    proj_(p+1) gamma > proj_(p+1) psi_floor(p), the monomial
+    m = g_i^(+-eps) < 1 for the first i >= p with v(g_i-logder) =
+    psi_floor(p), halving eps from 1 until v(m') <= gamma."""
+    for p in range(field.rank):
+        floor = field.psi_floor(p)
+        if floor is INFINITY or gamma.coords[: p + 1] <= floor.coords[: p + 1]:
+            continue
+        i = next(i for i in range(p, field.rank) if field.psi_level(i) == floor)
+        value = field.generators[i].value
+        eps = Fraction(1 if value.coords[i] > 0 else -1)
+        for _ in range(64):
+            if _monomial_derivative_value(field, value.scale(eps)) <= gamma:
+                return True
+            eps /= 2
+    return False
+
+
+def _edge_probes(cut):
+    """(inside, outside): the bound of an inclusive prefix cut, and the
+    bound raised by 1, 1/5 and 1/64 in its last coordinate, each with a
+    low and a high tail."""
+    if cut.kind != PREFIX:
+        return [], []
+    tails = [(t,) * (cut.ambient_rank - cut.depth) for t in (-8, 8)]
+    head, last = cut.bound[:-1], cut.bound[-1]
+    inside = [GroupElement(cut.bound + tail) for tail in tails]
+    outside = [GroupElement(head + (last + step,) + tail) for tail in tails
+               for step in (Fraction(1), Fraction(1, 5), Fraction(1, 64))]
+    return inside, outside
+
+
+def _powers_near_one(field):
+    """v(g_i^(+-eps)) < 1 for every generator and eps = 2^-k, k < 12:
+    the monomials that come closest to the bound of the cut."""
+    return [g.value.scale(Fraction(1 if g.value.coords[i] > 0 else -1, 2 ** k))
+            for i, g in enumerate(field.generators) for k in range(12)]
+
+
+_entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_exponents = st.sampled_from([Fraction(q) for q in ("0", "0", "1", "-1", "1/2", "-3/2", "2")])
+
+
+@st.composite
+def _triangular_fields(draw):
+    """A field of rank 1-4 with square triangular generator values and
+    exact logders of one or two terms, a fifth of them flat."""
+    rank = draw(st.integers(1, 4))
+    gens = [Generator(f"g{i}", GroupElement(
+        [0] * i + [draw(_entries.filter(bool))] + [draw(_entries) for _ in range(rank - i - 1)]))
+        for i in range(rank)]
+    K = FieldInstance(rank, gens, name="drawn")
+    for g in K.generators:
+        g.logder = K.zero_series()
+        if draw(st.integers(0, 4)):
+            for _ in range(draw(st.integers(1, 2))):
+                mono = Monomial([draw(_exponents) for _ in range(rank)])
+                g.logder = g.logder + K.monomial_series(mono, draw(_entries.filter(bool)))
+    return K
+
+
+# gamma_der and s_der of fresh copies, as printed before the oracle left
+# the library: (bound of the inclusive prefix cut, prefix_len of S(der)).
+GOLDEN_CUTS = {
+    "laurent_ddt": ([-1], 1),
+    "laurent_tddt_coarse": ([0], 1),
+    "transseries_fragment(2)": ([0, 1, 1, 1], 4),
+    "log_fragment(2)": ([1, 1, 1], 3),
+    "configs/laurent.json": ([-1], 1),
+    "configs/tddt.json": ([0], 1),
+}
+
+
+class TestGammaDerIsAnalytic:
+    @pytest.mark.parametrize("name", list(GOLDEN_CUTS))
+    def test_no_derivative_work(self, name, monkeypatch):
+        K = FRESH_FIELDS[name]()
+
+        def refuse(*args):
+            raise AssertionError("gamma_der computed a logarithmic derivative")
+
+        monkeypatch.setattr(FieldInstance, "logder_of_value", refuse)
+        monkeypatch.setattr(FieldInstance, "monomial_logder", refuse)
+        bound, prefix_len = GOLDEN_CUTS[name]
+        assert gamma_der(K) == Cut.prefix(K.rank, bound, inclusive=True)
+        assert s_der(K).prefix_len == prefix_len
+
+    @pytest.mark.parametrize("depth", [*range(9), 16, 32, 64])
+    @pytest.mark.parametrize("family", [transseries_fragment, log_fragment])
+    def test_the_oracle_accepts_the_fragments(self, family, depth):
+        K = family(depth)
+        _validate_gamma_der(K, gamma_der(K))
+
+    @given(K=_triangular_fields())
+    @settings(max_examples=100, deadline=None)
+    def test_the_cut_is_gamma_der_of_drawn_fields_and_coarsenings(self, K):
+        # coarsening at prefix 0 gives K back, so it starts at 1
+        fields = [K]
+        for k in range(1, K.rank + 1):
+            try:
+                fields.append(coarsen(K, k).residue_field)
+            except VdfError:
+                continue
+        for L in fields:
+            cut = gamma_der(L)
+            # in the cut: below every sampled v(m'); outside: the proof's witness
+            _validate_gamma_der(L, cut, witness_outside=_proof_witness)
+            inside, outside = _edge_probes(cut)
+            near = [_monomial_derivative_value(L, delta) for delta in _powers_near_one(L)]
+            for gamma in inside:
+                assert all(gamma < dv for dv in near), (L.generators, gamma)
+            for gamma in outside:
+                assert _proof_witness(L, gamma), (L.generators, gamma)
 
 
 # -- the certified min-plus argmin against the two loops it replaced -------------

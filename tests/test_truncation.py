@@ -23,6 +23,8 @@ from hypothesis import strategies as st
 from vdfield.diffpoly import DiffPoly, add_conj, comp_conj, evaluate, mul_conj
 from vdfield.errors import VdfError
 from vdfield.gridseries import (
+    FieldInstance,
+    Generator,
     Series,
     laurent_ddt,
     laurent_tddt_coarse,
@@ -31,9 +33,21 @@ from vdfield.gridseries import (
 )
 from vdfield.valgroup import GroupElement
 
+
+@functools.lru_cache(maxsize=None)
+def tau_only_logder():
+    """Rank 1, t of value (1), t-logder O(t^-1): a logder known only
+    modulo its tau.  The filling t^-1 gives (t^5)' = 5 t^4, so nothing
+    may read this derivation as flat."""
+    K = FieldInstance(1, [Generator("t", GroupElement([1]))], name="tau_only_logder")
+    K.generators[0].logder = Series(K, {}, GroupElement([-1]))
+    return K
+
+
 FIELDS = [laurent_ddt, laurent_tddt_coarse,
           *[functools.partial(transseries_fragment, n) for n in range(3)],
-          *[functools.partial(log_fragment, n) for n in range(3)]]
+          *[functools.partial(log_fragment, n) for n in range(3)],
+          tau_only_logder]
 
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 _coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(
