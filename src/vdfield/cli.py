@@ -14,8 +14,6 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from . import hsolve, newton
-from .coarsen import coarsen as coarsen_field
 from .diffpoly import DiffPoly, add_conj, comp_conj, dominant, evaluate, mul_conj
 from .errors import ConfigError, ParseError, VdfError
 from .expr import parse_poly, parse_series
@@ -26,9 +24,11 @@ from .gridseries import (
     laurent_ddt,
     laurent_tddt_coarse,
     log_fragment,
+    monomial_strings,
+    series_terms,
     transseries_fragment,
+    val_strings,
 )
-from .hsolve import monomial_strings, series_terms, val_strings
 from .valgroup import INFINITY, GroupElement, PREFIX
 
 
@@ -174,6 +174,8 @@ def _require_depth(depth: int) -> None:
 
 
 # -- subcommands -------------------------------------------------------------------
+# Each handler imports the newton, coarsen or hsolve layer it uses, so a
+# command that needs none of them does not load them.
 
 
 def _cmd_val(args) -> dict:
@@ -190,12 +192,14 @@ def _cmd_ddeg(args) -> dict:
 
 
 def _cmd_ndeg(args) -> dict:
+    from . import newton
     field = load_field(args.field)
     P = parse_poly(args.expr, field)
     return {"ndeg": newton.ndeg(P)}
 
 
 def _cmd_breakpoints(args) -> dict:
+    from . import newton
     field = load_field(args.field)
     P = parse_poly(args.expr, field)
     return {"breakpoints": [val_strings(b) for b in newton.breakpoints(P)]}
@@ -222,22 +226,26 @@ def _cmd_eval(args) -> dict:
 
 
 def _cmd_gamma_der(args) -> dict:
+    from . import newton
     field = load_field(args.field)
     return cut_report(newton.gamma_der(field))
 
 
 def _cmd_s_der(args) -> dict:
+    from . import newton
     field = load_field(args.field)
     return {"prefix_len": newton.s_der(field).prefix_len}
 
 
 def _cmd_coarsen(args) -> dict:
+    from .coarsen import coarsen
     field = load_field(args.field)
-    half = coarsen_field(field, args.prefix_len)
+    half = coarsen(field, args.prefix_len)
     return field_to_config(half.residue_field)
 
 
 def _cmd_probe(args) -> dict:
+    from . import newton
     _require_count(args.samples, "--samples", MAX_SAMPLES)
     field = load_field(args.field)
     P = parse_poly(args.expr, field)
@@ -259,6 +267,7 @@ def _solver_field(args):
 
 
 def _cmd_solve(args) -> dict:
+    from . import hsolve
     _require_depth(args.depth)
     _require_count(args.max_iter, "--max-iter", MAX_ITER)
     field = _solver_field(args)
@@ -287,6 +296,7 @@ def _cmd_solve(args) -> dict:
 
 
 def _cmd_demo(args) -> dict:
+    from . import hsolve
     _require_depth(args.depth)
     _require_count(args.max_iter, "--max-iter", MAX_ITER)
     c_list = [_rational(c) for c in args.c.split(",") if c.strip()]
@@ -298,6 +308,7 @@ def _cmd_demo(args) -> dict:
 
 
 def _cmd_check_bll(args) -> dict:
+    from . import hsolve
     _require_depth(args.depth)
     _require_count(args.max_iter, "--max-iter", MAX_ITER)
     tau = None

@@ -9,13 +9,13 @@ generators whose value starts with k zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict
 
 from .errors import VdfError
 from .gridseries import FieldInstance, Generator, Series
 from .newton import _analytic_cut
+from .records import Record
 from .valgroup import (
     INFINITY,
     ConvexSubgroup,
@@ -31,14 +31,17 @@ def coarse_val(f: Series, delta: ConvexSubgroup) -> GroupElement:
     return quotient_map(f.valuation(), delta)
 
 
-@dataclass
-class Coarsening:
+class Coarsening(Record):
     """A field together with a prefix convex subgroup and the residue
     presentation of the coarsened valuation ring."""
 
-    base: FieldInstance
-    delta: ConvexSubgroup
-    residue_field: FieldInstance
+    _fields = __slots__ = ("base", "delta", "residue_field")
+
+    def __init__(self, base: FieldInstance, delta: ConvexSubgroup,
+                 residue_field: FieldInstance):
+        self.base = base
+        self.delta = delta
+        self.residue_field = residue_field
 
     @property
     def k(self) -> int:

@@ -22,13 +22,13 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import IndeterminateValuation, VdfError
 from .gridseries import FieldInstance, Series, _sum_series
+from .records import Record
 from .valgroup import GroupElement
 
 MultiIndex = Tuple[int, ...]
@@ -288,15 +288,18 @@ def gauss_val(P: DiffPoly) -> GroupElement:
     return tropical_argmin(P, lambda v, w: v)[0]
 
 
-@dataclass
-class DominantData:
+class DominantData(Record):
     """Valuation-minimal slice of a differential polynomial."""
 
-    ddeg: int
-    dwt: int
-    D: DiffPoly
-    W: DiffPoly
-    dominant_part: Dict[MultiIndex, Fraction]
+    _fields = __slots__ = ("ddeg", "dwt", "D", "W", "dominant_part")
+
+    def __init__(self, ddeg: int, dwt: int, D: DiffPoly, W: DiffPoly,
+                 dominant_part: Dict[MultiIndex, Fraction]):
+        self.ddeg = ddeg
+        self.dwt = dwt
+        self.D = D
+        self.W = W
+        self.dominant_part = dominant_part
 
 
 def dominant(P: DiffPoly) -> DominantData:

@@ -16,13 +16,13 @@ parenthesized number after ^ is only legal as a derivative order on Y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from .diffpoly import DiffPoly, _sum_terms
 from .errors import ParseError, UnboundSymbol, VdfError
 from .gridseries import FieldInstance, Series
+from .records import FrozenRecord, Record
 from .valgroup import INFINITY
 
 
@@ -41,42 +41,56 @@ MAX_COEFF_DIGITS = 4300
 # -- AST ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: Fraction  # nonnegative by construction
+class Lit(FrozenRecord):
+    _fields = __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):  # nonnegative by construction
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str
+class Sym(FrozenRecord):
+    _fields = __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class DY:
+class DY(FrozenRecord):
     """The indeterminate Y differentiated `order` times."""
 
-    order: int
+    _fields = __slots__ = ("order",)
+
+    def __init__(self, order: int):
+        object.__setattr__(self, "order", order)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: Fraction
+class Pow(FrozenRecord):
+    _fields = __slots__ = ("base", "exponent")
+
+    def __init__(self, base: "Node", exponent: Fraction):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
+class Neg(FrozenRecord):
+    _fields = __slots__ = ("operand",)
+
+    def __init__(self, operand: "Node"):
+        object.__setattr__(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class Mul:
-    factors: Tuple["Node", ...]
+class Mul(FrozenRecord):
+    _fields = __slots__ = ("factors",)
+
+    def __init__(self, factors: Tuple["Node", ...]):
+        object.__setattr__(self, "factors", factors)
 
 
-@dataclass(frozen=True)
-class Add:
-    terms: Tuple["Node", ...]
+class Add(FrozenRecord):
+    _fields = __slots__ = ("terms",)
+
+    def __init__(self, terms: Tuple["Node", ...]):
+        object.__setattr__(self, "terms", terms)
 
 
 Node = Union[Lit, Sym, DY, Pow, Neg, Mul, Add]
@@ -85,12 +99,14 @@ Node = Union[Lit, Sym, DY, Pow, Neg, Mul, Add]
 # -- tokenizer ------------------------------------------------------------------
 
 
-@dataclass
-class Token:
-    kind: str  # num, name, op, end
-    text: str
-    line: int
-    col: int
+class Token(Record):
+    _fields = __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # num, name, op, end
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def _tokenize(text: str) -> List[Token]:

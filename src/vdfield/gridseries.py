@@ -24,7 +24,6 @@ int arithmetic; Fractions appear only at the boundary.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -38,6 +37,7 @@ from .errors import (
     TruncationUnreachable,
     VdfError,
 )
+from .records import Record
 from .valgroup import (
     INFINITY,
     GroupElement,
@@ -71,17 +71,19 @@ class Monomial:
         return "Monomial" + str(tuple(str(e) for e in self.exponents))
 
 
-@dataclass
-class Generator:
+class Generator(Record):
     """A named monomial generator: value vector plus logarithmic derivative.
 
     The logder is attached in a second phase because it is itself a
     series over the field being built.
     """
 
-    name: str
-    value: GroupElement
-    logder: Optional["Series"] = None
+    _fields = __slots__ = ("name", "value", "logder")
+
+    def __init__(self, name: str, value: GroupElement, logder: Optional["Series"] = None):
+        self.name = name
+        self.value = value
+        self.logder = logder
 
 
 class FieldInstance:
@@ -568,6 +570,32 @@ def _lattice_key(gamma: GroupElement, den: int) -> tuple:
         q, r = divmod(n, d)
         key.append(Fraction(n, d) if r else q)
     return tuple(key)
+
+
+# -- JSON renderings ---------------------------------------------------------
+# The one rendering of values and series in reports: group elements as
+# arrays of rational strings, series as term lists sorted by value.
+
+
+def val_strings(v):
+    if v is None:
+        return None
+    if v is INFINITY:
+        return "inf"
+    return v.as_strings()
+
+
+def series_terms(f: Series) -> list:
+    out = []
+    for v, c in f.sorted_terms():
+        out.append({"coeff": str(c), "monomial": monomial_strings(f.field, v)})
+    return out
+
+
+def monomial_strings(K: FieldInstance, gamma: GroupElement) -> list:
+    """[name, exponent] of the monomial of value gamma, exponent 0 omitted."""
+    return [[g.name, str(q)]
+            for g, q in zip(K.generators, K.exponents_of_value(gamma)) if q != 0]
 
 
 def _reachable(step: GroupElement, target: GroupElement) -> bool:

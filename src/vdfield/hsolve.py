@@ -15,7 +15,6 @@ op = der.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -28,22 +27,27 @@ from .gridseries import (
     Series,
     embed_value,
     log_fragment,
+    monomial_strings,
+    series_terms,
     transseries_fragment,
+    val_strings,
 )
+from .records import FrozenRecord, Record
 from .valgroup import INFINITY, GroupElement, unit
 
 
-@dataclass(frozen=True)
-class LinearOperator:
+class LinearOperator(FrozenRecord):
     """a0 + a1 * der, applied as y -> a0*y + a1*y'.  Frozen, so the
-    cached seed_offsets and responses cannot go stale."""
+    cached seed_offsets and responses cannot go stale; no __slots__, as
+    they are cached in the instance __dict__."""
 
-    a0: Series
-    a1: Series
+    _fields = ("a0", "a1")
 
-    def __post_init__(self):
-        if self.a1.is_true_zero():
+    def __init__(self, a0: Series, a1: Series):
+        if a1.is_true_zero():
             raise VdfError("a1 must be nonzero for a first-order operator")
+        object.__setattr__(self, "a0", a0)
+        object.__setattr__(self, "a1", a1)
 
     @property
     def field(self) -> FieldInstance:
@@ -193,16 +197,20 @@ def asym_integrate(f: Series) -> Series:
 # -- the solver ------------------------------------------------------------------
 
 
-@dataclass
-class SolveTrace:
+class SolveTrace(Record):
     """Iteration record: residual valuations are strictly increasing.
     The final entry may be the residual's truncation bound, or +infinity
     when the equation closed exactly."""
 
-    residual_valuations: List[GroupElement] = dc_field(default_factory=list)
-    iterates: List[Series] = dc_field(default_factory=list)
-    termination: str = "max_iter"
-    gap: Optional[IntegrationGap] = None
+    _fields = __slots__ = ("residual_valuations", "iterates", "termination", "gap")
+
+    def __init__(self, residual_valuations: Optional[List[GroupElement]] = None,
+                 iterates: Optional[List[Series]] = None, termination: str = "max_iter",
+                 gap: Optional[IntegrationGap] = None):
+        self.residual_valuations = [] if residual_valuations is None else residual_valuations
+        self.iterates = [] if iterates is None else iterates
+        self.termination = termination
+        self.gap = gap
 
     def as_report(self) -> dict:
         return {
@@ -388,28 +396,3 @@ def demo_nonuniqueness(depth: int, c_list: List[Fraction],
     report["differences"] = diffs
     return report
 
-
-# -- report helpers ----------------------------------------------------------------
-# The JSON renderings shared with the cli: group elements as arrays of
-# rational strings, series as term lists sorted by value.
-
-
-def val_strings(v):
-    if v is None:
-        return None
-    if v is INFINITY:
-        return "inf"
-    return v.as_strings()
-
-
-def series_terms(f: Series) -> list:
-    out = []
-    for v, c in f.sorted_terms():
-        out.append({"coeff": str(c), "monomial": monomial_strings(f.field, v)})
-    return out
-
-
-def monomial_strings(K: FieldInstance, gamma: GroupElement) -> list:
-    """[name, exponent] of the monomial of value gamma, exponent 0 omitted."""
-    return [[g.name, str(q)]
-            for g, q in zip(K.generators, K.exponents_of_value(gamma)) if q != 0]

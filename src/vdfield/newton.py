@@ -19,7 +19,6 @@ a flat generator of infinitesimal value.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
 from typing import List, Optional, Sequence
@@ -38,6 +37,7 @@ from .diffpoly import (
 )
 from .errors import IndeterminateValuation, VdfError
 from .gridseries import FieldInstance, Series
+from .records import Record
 from .valgroup import (
     ALL,
     EMPTY,
@@ -254,12 +254,14 @@ def ndeg_prec(P: DiffPoly, g: Series) -> int:
 # -- Newton degree along a pc-sequence ---------------------------------------------
 
 
-@dataclass
-class PcSequence:
+class PcSequence(Record):
     """A finite prefix of a pseudocauchy sequence."""
 
-    elements: List[Series]
-    window: int = 3
+    _fields = __slots__ = ("elements", "window")
+
+    def __init__(self, elements: List[Series], window: int = 3):
+        self.elements = elements
+        self.window = window
 
     def gaps(self) -> List[GroupElement]:
         out = []
@@ -276,12 +278,14 @@ class PcSequence:
         return out
 
 
-@dataclass
-class CutDegreeCertificate:
-    value: int
-    stabilized_at: int
-    window: int
-    history: List[int]
+class CutDegreeCertificate(Record):
+    _fields = __slots__ = ("value", "stabilized_at", "window", "history")
+
+    def __init__(self, value: int, stabilized_at: int, window: int, history: List[int]):
+        self.value = value
+        self.stabilized_at = stabilized_at
+        self.window = window
+        self.history = history
 
 
 def ndeg_in_cut(P: DiffPoly, seq: PcSequence) -> CutDegreeCertificate:

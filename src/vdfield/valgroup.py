@@ -14,11 +14,11 @@ the new coordinate (see :func:`with_infinitesimal`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import RankMismatch, VdfError
+from .records import FrozenRecord
 
 Rat = Union[int, str, Fraction]
 
@@ -216,21 +216,19 @@ def lex_cmp(a: GroupElement, b: GroupElement) -> int:
     return -1 if a.coords < b.coords else 1
 
 
-@dataclass(frozen=True)
-class ConvexSubgroup:
+class ConvexSubgroup(FrozenRecord):
     """The convex subgroup {gamma : coords 0..prefix_len-1 all zero} of Q^rank.
 
     prefix_len 0 is the whole group, prefix_len == rank is {0}.
     """
 
-    ambient_rank: int
-    prefix_len: int
+    _fields = __slots__ = ("ambient_rank", "prefix_len")
 
-    def __post_init__(self):
-        if not 0 <= self.prefix_len <= self.ambient_rank:
-            raise VdfError(
-                f"prefix_len {self.prefix_len} outside [0, {self.ambient_rank}]"
-            )
+    def __init__(self, ambient_rank: int, prefix_len: int):
+        if not 0 <= prefix_len <= ambient_rank:
+            raise VdfError(f"prefix_len {prefix_len} outside [0, {ambient_rank}]")
+        object.__setattr__(self, "ambient_rank", ambient_rank)
+        object.__setattr__(self, "prefix_len", prefix_len)
 
     def contains(self, gamma: GroupElement) -> bool:
         if gamma.rank != self.ambient_rank:
@@ -243,8 +241,7 @@ ALL = "all"
 PREFIX = "prefix"
 
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(FrozenRecord):
     """A downward-closed subset of Q^rank: {gamma : proj_depth(gamma) <
     bound} plus, when inclusive, the whole coset {gamma : proj_depth(gamma)
     = bound}, where depth = len(bound).
@@ -255,9 +252,12 @@ class Cut:
     depth has a realized top coset but no maximum.
     """
 
-    ambient_rank: int
-    bound: tuple = ()
-    inclusive: bool = True
+    _fields = __slots__ = ("ambient_rank", "bound", "inclusive")
+
+    def __init__(self, ambient_rank: int, bound: tuple = (), inclusive: bool = True):
+        object.__setattr__(self, "ambient_rank", ambient_rank)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "inclusive", inclusive)
 
     @staticmethod
     def all_of(rank: int) -> "Cut":

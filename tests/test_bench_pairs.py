@@ -1,5 +1,6 @@
 """tools/bench_pairs.py on synthetic run records: the gain rule, the two
-metric directions, the bound, and a workload with too few good pairs."""
+metric directions, the bound, a workload with too few good pairs, and
+the bytecode-cache state on the machine line."""
 
 import importlib.util
 import json
@@ -176,3 +177,22 @@ class TestTooFewPairs:
         assert all(r["trace"] == 1 for r in doc["traced"])
         assert doc["summary"]["fragment"] == {"unresolved": True, "pairs": 1}
         assert doc["summary"]["conjugate"]["items_per_s"]["change_wins"] == 10
+        assert doc["machine"] == bench_pairs.machine()
+
+
+class TestMachine:
+    def test_says_when_no_bytecode_cache_is_written(self, monkeypatch):
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+        line = bench_pairs.machine()
+        assert "PYTHONDONTWRITEBYTECODE set (no bytecode cache" in line
+        assert line.endswith(", one run at a time")
+
+    @pytest.mark.parametrize("value", [None, ""])
+    def test_says_when_the_bytecode_cache_is_used(self, monkeypatch, value):
+        # the interpreter reads an empty value as unset
+        if value is None:
+            monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+        assert "PYTHONDONTWRITEBYTECODE unset (bytecode cache written and read)" \
+            in bench_pairs.machine()

@@ -20,7 +20,7 @@ from conftest import (
 )
 from vdfield import newton
 from vdfield.cli import field_from_config
-from vdfield.coarsen import coarsen
+from vdfield.coarsen import coarse_val, coarsen, coarsened_gamma_der
 from vdfield.diffpoly import (
     DiffPoly,
     add_conj,
@@ -55,7 +55,7 @@ from vdfield.newton import (
     s_der,
     tropical_ddeg,
 )
-from vdfield.valgroup import ALL, INFINITY, PREFIX, Cut, GroupElement, zero
+from vdfield.valgroup import ALL, INFINITY, PREFIX, ConvexSubgroup, Cut, GroupElement, zero
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SMALL_DER = [laurent_tddt_coarse, lambda: transseries_fragment(2)]
@@ -698,6 +698,27 @@ class TestGammaDerOracle:
                     expect = newton._intersect_prefix(
                         expect, Cut.prefix(k, level.coords[: p + 1], inclusive=True))
             assert newton._analytic_cut(K, k) == expect
+
+    def test_a_coarse_cut_needs_the_floor_not_the_level(self):
+        """Class p's constraint uses psi_floor(p), the least level at or
+        after p, not psi_level(p).  g0 is flat (level +inf) and g1 has
+        logder 1 (level (0, 0)).  Coarsened to the first coordinate, the
+        witness m = g0^eps * g1 is small (v(m) = (eps, 1)), and m' = m has
+        dotted value eps: so Gamma(der) is proj_1 <= (0), where the levels
+        alone would give the whole group.  At k = rank the two agree."""
+        K = FieldInstance(2, [Generator("g0", GroupElement([1, 0])),
+                              Generator("g1", GroupElement([0, 1]))], name="flat_g0")
+        K.generators[0].logder = K.zero_series()
+        K.generators[1].logder = K.one()
+        delta = ConvexSubgroup(2, 1)
+        assert K.psi_level(0) is INFINITY
+        assert newton._analytic_cut(K, 1) == Cut.prefix(1, [0])
+        assert coarsened_gamma_der(K, delta) == Cut.prefix(1, [0])
+        assert newton._analytic_cut(K, 2) == Cut.prefix(2, [0, 0])
+        for eps in (Fraction(1), Fraction(1, 1000)):
+            m = K.monomial_series(Monomial([eps, 1]))
+            assert m.derive() == m
+            assert coarse_val(m.derive(), delta) == GroupElement([eps])
 
     def test_derivative_count_is_linear(self, monkeypatch):
         """A machine-independent guard: the oracle computes v(m') once per

@@ -6,8 +6,8 @@ import sys
 import threading
 
 from vdfield.expr import parse_poly
-from vdfield.gridseries import transseries_fragment
-from vdfield.hsolve import op_A, series_terms, solve_linear
+from vdfield.gridseries import series_terms, transseries_fragment
+from vdfield.hsolve import op_A, solve_linear
 from vdfield.newton import gamma_der, ndeg
 
 THREADS = 4

@@ -132,6 +132,18 @@ def gain_rule(entry, sign):
                     and holds_at_check)}
 
 
+def machine() -> str:
+    """The machine line, with the bytecode-cache state the runs inherit:
+    without a cache every cold `vdf` process of the cli workload compiles
+    src/ again, so its numbers depend on it."""
+    if os.environ.get("PYTHONDONTWRITEBYTECODE"):
+        cache = "PYTHONDONTWRITEBYTECODE set (no bytecode cache: each process compiles src/)"
+    else:
+        cache = "PYTHONDONTWRITEBYTECODE unset (bytecode cache written and read)"
+    return (f"{os.cpu_count()}-CPU {platform.system()} {platform.machine()}, "
+            f"Python {platform.python_version()}, {cache}, one run at a time")
+
+
 def ok(run):
     return run["exit"] == 0 and run["result"] is not None and run["result"]["correct"]
 
@@ -180,8 +192,7 @@ def main(argv=None) -> int:
         "what": args.what,
         "command": f"python3 perfbench/run.py --workload <w> --seed <s> "
                    f"--seconds {seconds:g} --trace 0",
-        "machine": f"{os.cpu_count()}-CPU {platform.system()} {platform.machine()}, "
-                   f"Python {platform.python_version()}, one run at a time",
+        "machine": machine(),
         "protocol": f"each side runs from its own git archive copy of its commit "
                     f"(parent {commits['parent'][:7]}, change {commits['change'][:7]}); "
                     f"seeds {PAIR_SEEDS[0]}-{PAIR_SEEDS[-1]} are {len(PAIR_SEEDS)} pairs per "
