@@ -174,8 +174,8 @@ def _require_depth(depth: int) -> None:
 
 
 # -- subcommands -------------------------------------------------------------------
-# Each handler imports the newton, coarsen or hsolve layer it uses, so a
-# command that needs none of them does not load them.
+# Each handler imports what it uses of the newton, coarsen or hsolve
+# layer, so a command that needs none of them does not load them.
 
 
 def _cmd_val(args) -> dict:
@@ -192,17 +192,17 @@ def _cmd_ddeg(args) -> dict:
 
 
 def _cmd_ndeg(args) -> dict:
-    from . import newton
+    from .newton import ndeg
     field = load_field(args.field)
     P = parse_poly(args.expr, field)
-    return {"ndeg": newton.ndeg(P)}
+    return {"ndeg": ndeg(P)}
 
 
 def _cmd_breakpoints(args) -> dict:
-    from . import newton
+    from .newton import breakpoints
     field = load_field(args.field)
     P = parse_poly(args.expr, field)
-    return {"breakpoints": [val_strings(b) for b in newton.breakpoints(P)]}
+    return {"breakpoints": [val_strings(b) for b in breakpoints(P)]}
 
 
 def _cmd_conj(args) -> dict:
@@ -226,15 +226,15 @@ def _cmd_eval(args) -> dict:
 
 
 def _cmd_gamma_der(args) -> dict:
-    from . import newton
+    from .newton import gamma_der
     field = load_field(args.field)
-    return cut_report(newton.gamma_der(field))
+    return cut_report(gamma_der(field))
 
 
 def _cmd_s_der(args) -> dict:
-    from . import newton
+    from .newton import s_der
     field = load_field(args.field)
-    return {"prefix_len": newton.s_der(field).prefix_len}
+    return {"prefix_len": s_der(field).prefix_len}
 
 
 def _cmd_coarsen(args) -> dict:
@@ -245,12 +245,12 @@ def _cmd_coarsen(args) -> dict:
 
 
 def _cmd_probe(args) -> dict:
-    from . import newton
+    from .newton import flex_probe
     _require_count(args.samples, "--samples", MAX_SAMPLES)
     field = load_field(args.field)
     P = parse_poly(args.expr, field)
     beta = _parse_vector(args.beta, field.rank)
-    classes = newton.flex_probe(P, beta, args.samples, seed=args.seed)
+    classes = flex_probe(P, beta, args.samples, seed=args.seed)
     return {
         "classes": [
             {"v": val_strings(v), "monomial": monomial_strings(field, v)}
@@ -267,18 +267,18 @@ def _solver_field(args):
 
 
 def _cmd_solve(args) -> dict:
-    from . import hsolve
+    from .hsolve import LinearOperator, op_A, op_B, solve_linear
     _require_depth(args.depth)
     _require_count(args.max_iter, "--max-iter", MAX_ITER)
     field = _solver_field(args)
     if args.op == "A":
-        op = hsolve.op_A(field, args.depth)
+        op = op_A(field, args.depth)
     elif args.op == "B":
-        op = hsolve.op_B(field, args.depth)
+        op = op_B(field, args.depth)
     else:
         if not args.a0 or not args.a1:
             raise VdfError("--op custom requires --a0 and --a1")
-        op = hsolve.LinearOperator(
+        op = LinearOperator(
             parse_series(args.a0, field), parse_series(args.a1, field)
         )
     rhs = parse_series(args.rhs, field)
@@ -288,7 +288,7 @@ def _cmd_solve(args) -> dict:
         tau = field.derivation_shift + rhs.valuation() + GroupElement(
             [1] + [0] * (field.rank - 1)
         )
-    y, trace = hsolve.solve_linear(op, rhs, tau, max_iter=args.max_iter)
+    y, trace = solve_linear(op, rhs, tau, max_iter=args.max_iter)
     report = trace.as_report()
     report["solution"] = series_report(y)
     report["tau"] = val_strings(tau)
@@ -296,25 +296,24 @@ def _cmd_solve(args) -> dict:
 
 
 def _cmd_demo(args) -> dict:
-    from . import hsolve
+    from .hsolve import demo_nonuniqueness
     _require_depth(args.depth)
     _require_count(args.max_iter, "--max-iter", MAX_ITER)
     c_list = [_rational(c) for c in args.c.split(",") if c.strip()]
     tau = None
     if args.tau:
         tau = _parse_vector(args.tau, args.depth + 2)
-    return hsolve.demo_nonuniqueness(args.depth, c_list, tau,
-                                     max_iter=args.max_iter)
+    return demo_nonuniqueness(args.depth, c_list, tau, max_iter=args.max_iter)
 
 
 def _cmd_check_bll(args) -> dict:
-    from . import hsolve
+    from .hsolve import check_bll
     _require_depth(args.depth)
     _require_count(args.max_iter, "--max-iter", MAX_ITER)
     tau = None
     if args.tau:
         tau = _parse_vector(args.tau, args.depth + 1)
-    return hsolve.check_bll(args.depth, tau, max_iter=args.max_iter)
+    return check_bll(args.depth, tau, max_iter=args.max_iter)
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -139,3 +139,6 @@ def test_the_package_import_runs_no_submodule():
 ])
 def test_a_command_loads_the_layer_it_uses(args, layer):
     assert layer in _vdf_loaded(*args)
+    # and the interpreter's import-time log, a profile of the cold start, shows it
+    log = _python("-X", "importtime", "-m", "vdfield.cli", *args).stderr
+    assert any(line.split("|")[-1].strip() == layer for line in log.splitlines())
