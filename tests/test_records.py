@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from vdfield.coarsen import Coarsening, coarsen
-from vdfield.diffpoly import DominantData, dominant
+from vdfield.diffpoly import dominant
 from vdfield.errors import VdfError
 from vdfield.expr import (
     DY,
@@ -196,9 +196,3 @@ def test_tokens_stay_mutable():
     tok = Token("num", "12", 1, 0)
     tok.col = 4
     assert tok == Token("num", "12", 1, 4)
-
-
-def test_dominant_data_fields():
-    data = _dominant()
-    assert isinstance(data, DominantData)
-    assert (data.ddeg, data.dwt) == (2, 2)
