@@ -106,10 +106,8 @@ def coarsen(base: FieldInstance, prefix_len: int) -> Coarsening:
     gens = [Generator(g.name, GroupElement(g.value.coords[k:])) for g in kept]
     residue_field = FieldInstance(n - k, gens, name=f"{base.name}/delta{k}")
     half = Coarsening(base, delta, residue_field)
-    for g, new_gen in zip(kept, residue_field.generators):
-        if g.logder is None:
-            raise VdfError(f"generator {g.name} has no logder")
-        new_gen.logder = half.residue(g.logder)
+    for i, new_gen in enumerate(residue_field.generators, k):
+        new_gen.logder = half.residue(base._logder(i))
     return half
 
 

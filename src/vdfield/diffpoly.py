@@ -461,7 +461,7 @@ def comp_conj(P: DiffPoly, phi: Series, twist: Optional[Series] = None) -> DiffP
     for n in range(1, P.order + 1):
         terms = {}
         for k in range(1, n + 1):
-            coeff = _evaluate_at(fnk(n, k).embed_into(K), der)
+            coeff = _evaluate_at(fnk(n, k), der)
             if not coeff.is_true_zero():
                 terms[_unit_index(k, P.order)] = coeff
         images.append(DiffPoly(K, terms, P.order))
@@ -485,13 +485,19 @@ def evaluate(P: DiffPoly, f: Series, twist: Optional[Series] = None) -> Series:
 
 
 def _evaluate_at(P: DiffPoly, der: List[Series]) -> Series:
-    """P at the point whose derivatives are der: the sum over the
-    support of coefficient times product of derivative powers."""
+    """P at the point whose derivatives are der, in der's field: the sum
+    over the support of coefficient times product of derivative powers.
+    A polynomial over Q (a kernel F(n, k)) scales each product by its
+    rational coefficient, which gives the terms and tau of multiplying
+    by the embedded constant: that is exact, of valuation 0."""
+    K = der[0].field
+    over_q = P.field is not K and P.field is rational_field()
     parts = []
     for i, c in P.terms.items():
-        term = c
+        term = None if over_q else c
         for j, ij in enumerate(i):
             if ij:
-                term = term * der[j].power(ij)
-        parts.append(term)
-    return _sum_series(P.field, parts)
+                p = der[j].power(ij)
+                term = p if term is None else term * p
+        parts.append((term or K.one()).scale(c.dominant_term()[0]) if over_q else term)
+    return _sum_series(K, parts)

@@ -27,7 +27,7 @@ import functools
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -111,6 +111,7 @@ class FieldInstance:
         self.name = name
         self._index = {g.name: i for i, g in enumerate(generators)}
         self._shift: Optional[GroupElement] = None
+        self._euler: Optional[Tuple[int, List[Tuple[int, ...]]]] = None
 
     # -- construction of elements ------------------------------------
 
@@ -182,14 +183,8 @@ class FieldInstance:
 
     def monomial_logder(self, mono: Monomial) -> "Series":
         """Logarithmic derivative of a monomial: sum of q_i * g_i-logder."""
-        parts = []
-        for q, g in zip(mono.exponents, self.generators):
-            if q == 0:
-                continue
-            if g.logder is None:
-                raise VdfError(f"generator {g.name} has no declared logder")
-            parts.append(g.logder.scale(q))
-        return _sum_series(self, parts)
+        return _sum_series(self, [self._logder(i).scale(q)
+                                  for i, q in enumerate(mono.exponents) if q])
 
     def logder_of_value(self, gamma: GroupElement) -> "Series":
         """The logarithmic derivative of the monomial of value gamma."""
@@ -211,10 +206,24 @@ class FieldInstance:
         return self._shift
 
     def _logder(self, i: int) -> "Series":
+        """Generator i's logder, read at call time: it is attached (and
+        may be replaced) after construction."""
         ld = self.generators[i].logder
         if ld is None:
             raise VdfError(f"generator {self.generators[i].name} has no logder")
         return ld
+
+    def _euler_rows(self) -> Tuple[int, List[Tuple[int, ...]]]:
+        """(D, rows): exponent i of the term of lattice key k over den is
+        k . rows[i] / (D * den).  rows[i] is column i of the inverse of
+        the triangular value matrix, as ints over their least common
+        denominator D; it depends only on generator values."""
+        if self._euler is None:
+            inv = [self.exponents_of_value(unit(self.rank, j)) for j in range(self.rank)]
+            D = lcm(*(q.denominator for row in inv for q in row))
+            self._euler = D, [tuple(int(row[i] * D) for row in inv)
+                              for i in range(self.rank)]
+        return self._euler
 
     def psi_level(self, i: int):
         """v(g_i-logder), +infinity for a flat generator (the true zero).
@@ -407,14 +416,19 @@ class Series:
     # -- differential structure ------------------------------------------
 
     def derive(self) -> "Series":
-        """Termwise derivative; the unknown tail contributes at
-        tau + derivation_shift."""
+        """The Euler form f' = sum_i theta_i(f) * g_i-logder, where
+        theta_i scales each term by its exponent i, one int dot product
+        of its key; the unknown tail contributes at tau +
+        derivation_shift."""
         K = self.field
-        out = _sum_series(K, [
-            Series(K, {k: c}, INFINITY, self.den, self.cden)
-            * K.logder_of_value(self._value(k))
-            for k, c in self.terms.items()
-        ])
+        D, rows = K._euler_rows()
+        parts = []
+        for i, row in enumerate(rows):
+            theta = {k: c * e for k, c in self.terms.items() if (e := sum(map(mul, k, row)))}
+            if theta:
+                cden = self.cden * D * self.den
+                parts.append(Series(K, theta, INFINITY, self.den, cden) * K._logder(i))
+        out = _sum_series(K, parts)
         if self.tau is not INFINITY:
             out = out.truncated(self.tau + K.derivation_shift)
         return out

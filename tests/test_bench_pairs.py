@@ -1,6 +1,7 @@
 """tools/bench_pairs.py on synthetic run records: the gain rule, the two
-metric directions, the bound, a workload with too few good pairs, and
-the bytecode-cache state on the machine line."""
+metric directions, the bound, a workload with too few good pairs, the
+traced counts of both sides, and the bytecode-cache state on the
+machine line."""
 
 import importlib.util
 import json
@@ -19,9 +20,21 @@ SEEDS = bench_pairs.PAIR_SEEDS + [bench_pairs.CHECK_SEED]
 
 
 def _run(workload, seed, side, items_per_s, item_ms_p50, exit_code=0):
-    metrics = {"items_per_s": {"value": items_per_s}, "item_ms_p50": {"value": item_ms_p50}}
+    metrics = {"items_per_s": {"value": items_per_s, "unit": "1/s"},
+               "item_ms_p50": {"value": item_ms_p50, "unit": "ms"}}
     return {"workload": workload, "seed": seed, "side": side, "trace": 0, "exit": exit_code,
             "result": {"correct": True, "metrics": metrics}}
+
+
+def _traced(workload, side, term_pairs, series_built, exit_code=0):
+    """A traced run at the first pair seed: two count metrics beside a
+    time and a ratio."""
+    metrics = {"gridseries.mul.term_pairs": {"value": term_pairs, "unit": "count"},
+               "gridseries.series_built": {"value": series_built, "unit": "count"},
+               "gridseries.mul.self_s": {"value": 0.1, "unit": "s"},
+               "trace.overhead_ratio": {"value": 1.1, "unit": "ratio"}}
+    return {"workload": workload, "seed": bench_pairs.PAIR_SEEDS[0], "side": side, "trace": 1,
+            "exit": exit_code, "result": {"correct": True, "metrics": metrics}}
 
 
 def _runs(parent, change, workload="fragment"):
@@ -162,6 +175,8 @@ class TestTooFewPairs:
             rate = 300 if copy.name == "parent" else 400
             good = workload != "fragment" or seed == bench_pairs.PAIR_SEEDS[0]
             run = _run(workload, seed, copy.name, rate, 1000 / rate, 0 if good else 1)
+            if trace:
+                run = _traced(workload, copy.name, rate * 100, rate * 10)
             return {"exit": run["exit"], "result": run["result"]}
 
         monkeypatch.setattr(bench_pairs, "git", git)
@@ -178,6 +193,28 @@ class TestTooFewPairs:
         assert doc["summary"]["fragment"] == {"unresolved": True, "pairs": 1}
         assert doc["summary"]["conjugate"]["items_per_s"]["change_wins"] == 10
         assert doc["machine"] == bench_pairs.machine()
+        assert doc["summary"]["traced"]["conjugate"]["gridseries.mul.term_pairs"] == \
+            {"parent": 30000, "change": 40000}
+
+
+class TestTracedCounts:
+    def test_each_count_metric_on_both_sides(self):
+        traced = [_traced("conjugate", "parent", 61802, 23623),
+                  _traced("conjugate", "change", 60063, 16687),
+                  _traced("fragment", "parent", 11469, 8233),
+                  _traced("fragment", "change", 11469, 8233)]
+        out = bench_pairs.traced_counts(traced)
+        assert out["conjugate"] == {
+            "gridseries.mul.term_pairs": {"parent": 61802, "change": 60063},
+            "gridseries.series_built": {"parent": 23623, "change": 16687}}
+        assert out["fragment"]["gridseries.series_built"] == {"parent": 8233, "change": 8233}
+
+    def test_a_side_without_a_good_traced_run_reads_none(self):
+        traced = [_traced("conjugate", "parent", 61802, 23623, exit_code=1),
+                  _traced("conjugate", "change", 60063, 16687)]
+        out = bench_pairs.traced_counts(traced)
+        assert out["conjugate"]["gridseries.series_built"] == {"parent": None, "change": 16687}
+        assert out["fragment"] == {}
 
 
 class TestMachine:

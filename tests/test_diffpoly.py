@@ -15,8 +15,10 @@ from conftest import (
 )
 from vdfield.diffpoly import (
     DiffPoly,
+    _evaluate_at,
     add_conj,
     comp_conj,
+    derivatives,
     dominant,
     evaluate,
     fnk,
@@ -32,6 +34,7 @@ from vdfield.gridseries import (
     Series,
     laurent_ddt,
     laurent_tddt_coarse,
+    log_fragment,
     transseries_fragment,
 )
 from vdfield.newton import breakpoints
@@ -256,6 +259,44 @@ class TestFKernel:
                     got = lhs.coefficient(idx)
                     want = rhs_coeffs.get(k, K.zero_series())
                     assert got == want, (n, k)
+
+
+BUILT_IN_FIELDS = [laurent_ddt, laurent_tddt_coarse, lambda: transseries_fragment(2),
+                   lambda: log_fragment(2)]
+
+
+class TestRationalKernel:
+    """F(n, k) over Q evaluated in K, each product of derivative powers
+    scaled by its rational coefficient, against the former path: F(n, k)
+    embedded into K and evaluated with series coefficients."""
+
+    @pytest.mark.parametrize("make", BUILT_IN_FIELDS)
+    @pytest.mark.parametrize("shape", ["exact", "truncated", "twisted"])
+    def test_matches_the_embedded_kernel(self, make, shape, rng):
+        K = make()
+        for _ in range(2):
+            phi = random_series(K, rng, nterms=2, lo=-2, hi=2)
+            twist = None
+            if shape == "truncated":
+                phi = phi.truncated(phi.valuation() + random_value(K, rng, 1, 3))
+            elif shape == "twisted":
+                twist = K.monomial_series(
+                    K.monomial_of_value(random_value(K, rng, -2, 2)), rat(rng, 1, 3))
+            for n in range(1, 7):
+                der = derivatives(phi, n - 1, twist)
+                for k in range(1, n + 1):
+                    want = _evaluate_at(fnk(n, k).embed_into(K), der)
+                    assert _evaluate_at(fnk(n, k), der) == want, (n, k)
+
+    def test_comp_conj_builds_no_embedding(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("comp_conj embedded a kernel polynomial")
+
+        monkeypatch.setattr(DiffPoly, "embed_into", refuse)
+        K = laurent_ddt()
+        t = K.gen("t")
+        P = DiffPoly.variable(K, 3) + DiffPoly.variable(K, 1).scale_series(t)
+        assert comp_conj(P, t) == conjugate_by_chain_rule(P, t)
 
 
 class TestCompConj:

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,7 @@ from vdfield.gridseries import (
     log_fragment,
     transseries_fragment,
 )
+from vdfield.coarsen import coarsen
 from vdfield.expr import parse_series
 from vdfield.hsolve import lambda_series
 from vdfield.newton import gamma_der
@@ -391,8 +393,31 @@ def _ref_derive(f: Series) -> Series:
     return out
 
 
+def _off_diagonal_field(truncated: bool) -> FieldInstance:
+    """Rank 3 with rational, off-diagonal generator values, so the
+    inverse value matrix has a common denominator D != 1; the logders
+    have two terms, and with truncated those of a and c are known only
+    below a finite tau."""
+    K = FieldInstance(3, [
+        Generator("a", GroupElement([Fraction(3, 2), Fraction(-2, 5), 3])),
+        Generator("b", GroupElement([0, Fraction(-2, 3), Fraction(1, 4)])),
+        Generator("c", GroupElement([0, 0, Fraction(5, 7)]))], name="off_diagonal")
+    a, b, c = K.generators
+    a.logder = K.gen("b", -1).scale(3) + K.gen("c", Fraction(1, 2))
+    b.logder = K.one() - K.gen("a", Fraction(-1, 3)).scale(Fraction(2, 5))
+    c.logder = K.gen("a", -1) + K.gen("b", 2).scale(-4)
+    if truncated:
+        a.logder = a.logder.truncated(GroupElement([0, 1, 0]))
+        c.logder = c.logder.truncated(GroupElement([-1, 2, Fraction(1, 3)]))
+    return K
+
+
+OFF_DIAGONAL_FIELDS = [lambda: _off_diagonal_field(False), lambda: _off_diagonal_field(True)]
+
+
 class TestOnePassSums:
-    @pytest.mark.parametrize("make", ALL_FIELDS + [lambda: transseries_fragment(6)])
+    @pytest.mark.parametrize("make", ALL_FIELDS + [lambda: transseries_fragment(6)]
+                             + OFF_DIAGONAL_FIELDS)
     def test_derive_and_monomial_logder_match_repeated_add(self, make, rng):
         K = make()
         for _ in range(60):
@@ -417,6 +442,40 @@ class TestOnePassSums:
         assert K.monomial_logder(mono).tau == GroupElement([0, 2])
         f = K.monomial_series(mono, 3) + K.gen("s", 2)
         assert f.derive() == _ref_derive(f)
+
+    @pytest.mark.parametrize("make", ALL_FIELDS + OFF_DIAGONAL_FIELDS)
+    def test_euler_rows_invert_the_value_matrix(self, make, rng):
+        # exponent i of a term is its key dotted with row i, over D * den
+        K = make()
+        D, rows = K._euler_rows()
+        if make in OFF_DIAGONAL_FIELDS:
+            assert D != 1 and any(r[j] for i, r in enumerate(rows) for j in range(i))
+        for _ in range(30):
+            f = random_series(K, rng, nterms=1)
+            (key,) = f.terms
+            exps = K.exponents_of_value(f.valuation())
+            assert exps == tuple(Fraction(sum(map(operator.mul, key, r)), D * f.den)
+                                 for r in rows)
+
+    def test_a_missing_logder_refuses_only_where_its_exponent_is_used(self):
+        K = FieldInstance(2, [Generator("t", GroupElement([1, Fraction(1, 2)])),
+                              Generator("s", GroupElement([0, 1]))])
+        K.generators[1].logder = K.gen("t", -1)
+        f = K.gen("s", 2).scale(3) - K.gen("s", Fraction(-1, 3))
+        assert f.derive() == _ref_derive(f)
+        with pytest.raises(VdfError, match="generator t has no"):
+            (f + K.gen("t")).derive()
+
+    def test_one_message_for_a_missing_logder(self):
+        K = FieldInstance(2, [Generator("t", GroupElement([1, 0])),
+                              Generator("s", GroupElement([0, 1]))])
+        K.generators[1].logder = K.zero_series()
+        refusals = [lambda: K.gen("t").derive(),
+                    lambda: K.monomial_logder(K.monomial_from_dict({"t": 1})),
+                    lambda: coarsen(K, 0)]
+        for refuse in refusals:
+            with pytest.raises(VdfError, match="^generator t has no logder$"):
+                refuse()
 
 
 # -- integer lattice keys --------------------------------------------------------

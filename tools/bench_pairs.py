@@ -21,6 +21,9 @@ whether it stays within the BENCHMARK.json bound.  For the claimed
 metric it also records the gain rule: the change wins at least nine
 tenths of the pairs, its median is better than the parent's by more than
 the parent's interquartile range, and it is better at the check seed.
+Its `traced` block gives each count metric of the traced runs on both
+sides (term pairs multiplied, series built, ...), which move with the
+work done but not with the machine.
 """
 
 from __future__ import annotations
@@ -120,6 +123,21 @@ def summarize(runs, metrics, claim):
     return out
 
 
+def traced_counts(traced):
+    """{workload: {metric: {side: value}}} over the count metrics of the
+    traced runs; a side without a good traced run reads None."""
+    by_key = {(r["workload"], r["side"]): r for r in traced if ok(r)}
+    out = {}
+    for workload in TRACED:
+        sides = {side: by_key.get((workload, side)) for side in SIDES}
+        names = dict.fromkeys(name for r in sides.values() if r
+                              for name, m in r["result"]["metrics"].items()
+                              if m["unit"] == "count")
+        out[workload] = {name: {side: metric_of(r, name) if r else None
+                                for side, r in sides.items()} for name in names}
+    return out
+
+
 def gain_rule(entry, sign):
     parent, change = entry["parent"], entry["change"]
     iqr = parent["q3"] - parent["q1"]
@@ -202,7 +220,7 @@ def main(argv=None) -> int:
         "claim": args.claim,
         "failed_runs": [{k: r[k] for k in ("workload", "seed", "side", "trace", "exit")}
                         for r in runs + traced if not ok(r)],
-        "summary": summarize(runs, metrics, args.claim),
+        "summary": {**summarize(runs, metrics, args.claim), "traced": traced_counts(traced)},
         "runs": runs,
         "traced": traced,
     }
