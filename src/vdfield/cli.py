@@ -16,7 +16,7 @@ from typing import List, Optional
 
 from .diffpoly import DiffPoly, add_conj, comp_conj, dominant, evaluate, mul_conj
 from .errors import ConfigError, ParseError, VdfError
-from .expr import parse_poly, parse_series
+from .expr import bounded_decimal, parse_poly, parse_series
 from .gridseries import (
     FieldInstance,
     Generator,
@@ -29,7 +29,7 @@ from .gridseries import (
     transseries_fragment,
     val_strings,
 )
-from .valgroup import INFINITY, GroupElement, PREFIX
+from .valgroup import INFINITY, PREFIX, GroupElement, unit
 
 
 # -- field configs ----------------------------------------------------------------
@@ -103,12 +103,11 @@ def load_field(source: str) -> FieldInstance:
         return laurent_tddt_coarse()
     m = _BUILTIN_PATTERN.match(source)
     if m:
-        # the length check refuses a huge N before int() converts it
-        digits = m.group(2).lstrip("0") or "0"
-        if len(digits) > len(str(MAX_DEPTH)) or int(digits) > MAX_DEPTH:
+        depth = bounded_decimal(m.group(2), MAX_DEPTH)
+        if depth is None:
             raise VdfError(f"{m.group(1)}(N) needs N <= {MAX_DEPTH}")
         return (transseries_fragment if m.group(1) == "transseries_fragment"
-                else log_fragment)(int(digits))
+                else log_fragment)(depth)
     try:
         with open(source) as fh:
             doc = json.load(fh)
@@ -168,9 +167,10 @@ def _require_count(n: int, flag: str, limit: int) -> None:
         raise VdfError(f"{flag} must be at most {limit}, got {n}")
 
 
-def _require_depth(depth: int) -> None:
-    if depth > MAX_DEPTH:
-        raise VdfError(f"--depth must be at most {MAX_DEPTH}, got {depth}")
+def _require_solver_sizes(args) -> None:
+    if args.depth > MAX_DEPTH:
+        raise VdfError(f"--depth must be at most {MAX_DEPTH}, got {args.depth}")
+    _require_count(args.max_iter, "--max-iter", MAX_ITER)
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -209,13 +209,8 @@ def _cmd_conj(args) -> dict:
     field = load_field(args.field)
     P = parse_poly(args.expr, field)
     by = parse_series(args.by, field)
-    if args.kind == "add":
-        Q = add_conj(P, by)
-    elif args.kind == "mul":
-        Q = mul_conj(P, by)
-    else:
-        Q = comp_conj(P, by)
-    return {"kind": args.kind, "result": poly_report(Q)}
+    conj = {"add": add_conj, "mul": mul_conj, "comp": comp_conj}[args.kind]
+    return {"kind": args.kind, "result": poly_report(conj(P, by))}
 
 
 def _cmd_eval(args) -> dict:
@@ -260,34 +255,21 @@ def _cmd_probe(args) -> dict:
     }
 
 
-def _solver_field(args):
-    if args.op == "B":
-        return log_fragment(args.depth)
-    return transseries_fragment(args.depth)
-
-
 def _cmd_solve(args) -> dict:
     from .hsolve import LinearOperator, op_A, op_B, solve_linear
-    _require_depth(args.depth)
-    _require_count(args.max_iter, "--max-iter", MAX_ITER)
-    field = _solver_field(args)
-    if args.op == "A":
-        op = op_A(field, args.depth)
-    elif args.op == "B":
-        op = op_B(field, args.depth)
+    _require_solver_sizes(args)
+    field = (log_fragment if args.op == "B" else transseries_fragment)(args.depth)
+    if args.op != "custom":
+        op = (op_A if args.op == "A" else op_B)(field, args.depth)
+    elif not args.a0 or not args.a1:
+        raise VdfError("--op custom requires --a0 and --a1")
     else:
-        if not args.a0 or not args.a1:
-            raise VdfError("--op custom requires --a0 and --a1")
-        op = LinearOperator(
-            parse_series(args.a0, field), parse_series(args.a1, field)
-        )
+        op = LinearOperator(parse_series(args.a0, field), parse_series(args.a1, field))
     rhs = parse_series(args.rhs, field)
     if args.tau:
         tau = _parse_vector(args.tau, field.rank)
     else:
-        tau = field.derivation_shift + rhs.valuation() + GroupElement(
-            [1] + [0] * (field.rank - 1)
-        )
+        tau = field.derivation_shift + rhs.valuation() + unit(field.rank, 0)
     y, trace = solve_linear(op, rhs, tau, max_iter=args.max_iter)
     report = trace.as_report()
     report["solution"] = series_report(y)
@@ -297,8 +279,7 @@ def _cmd_solve(args) -> dict:
 
 def _cmd_demo(args) -> dict:
     from .hsolve import demo_nonuniqueness
-    _require_depth(args.depth)
-    _require_count(args.max_iter, "--max-iter", MAX_ITER)
+    _require_solver_sizes(args)
     c_list = [_rational(c) for c in args.c.split(",") if c.strip()]
     tau = None
     if args.tau:
@@ -308,8 +289,7 @@ def _cmd_demo(args) -> dict:
 
 def _cmd_check_bll(args) -> dict:
     from .hsolve import check_bll
-    _require_depth(args.depth)
-    _require_count(args.max_iter, "--max-iter", MAX_ITER)
+    _require_solver_sizes(args)
     tau = None
     if args.tau:
         tau = _parse_vector(args.tau, args.depth + 1)
@@ -325,85 +305,53 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise VdfError(f"{self.prog}: {message}")
 
 
+_FIELD = ("--field", dict(required=True, help="config path or built-in name"))
+_EXPR = ("expr", {})
+_DEPTH = ("--depth", dict(type=int, required=True))
+
+# subcommand -> (help, handler, options), each option as (name, the
+# keywords of add_argument), in the order --help lists them
+COMMANDS = {
+    "val": ("valuation of a series", _cmd_val, [_FIELD, _EXPR]),
+    "ddeg": ("dominant degree and weight", _cmd_ddeg, [_FIELD, _EXPR]),
+    "ndeg": ("Newton degree", _cmd_ndeg, [_FIELD, _EXPR]),
+    "breakpoints": ("tropical breakpoints", _cmd_breakpoints, [_FIELD, _EXPR]),
+    "conj": ("conjugate a polynomial", _cmd_conj, [
+        _FIELD, _EXPR, ("--kind", dict(choices=["add", "mul", "comp"], required=True)),
+        ("--by", dict(required=True))]),
+    "eval": ("evaluate a polynomial", _cmd_eval, [_FIELD, _EXPR, ("--at", dict(required=True))]),
+    "gamma-der": ("the cut Gamma(der)", _cmd_gamma_der, [_FIELD]),
+    "s-der": ("stabilizer of Gamma(der)", _cmd_s_der, [_FIELD]),
+    "coarsen": ("residue config of a coarsening", _cmd_coarsen, [
+        _FIELD, ("--prefix-len", dict(type=int, required=True))]),
+    "probe": ("flexibility sampling probe", _cmd_probe, [
+        _FIELD, _EXPR, ("--beta", dict(required=True, help="comma-separated rationals")),
+        ("--samples", dict(type=int, default=100)), ("--seed", dict(type=int, default=11))]),
+    "solve": ("first-order linear solve in a fragment", _cmd_solve, [
+        _DEPTH, ("--op", dict(choices=["A", "B", "custom"], default="A")),
+        ("--a0", dict(help="custom operator: constant part")),
+        ("--a1", dict(help="custom operator: derivative part")),
+        ("--rhs", dict(default="e_x")), ("--tau", dict(help="comma-separated rationals")),
+        ("--max-iter", dict(type=int, default=64))]),
+    "demo": ("non-uniqueness report", _cmd_demo, [
+        _DEPTH, ("--c", dict(default="0,1", help="comma-separated constants")),
+        ("--tau", {}), ("--max-iter", dict(type=int, default=128))]),
+    "check-bll": ("solve B(y)=1 and lift along e_x", _cmd_check_bll, [
+        _DEPTH, ("--tau", {}), ("--max-iter", dict(type=int, default=128))]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(
         prog="vdf",
         description="exact computations in grid-presented valued differential fields",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def with_field(p):
-        p.add_argument("--field", required=True,
-                       help="config path or built-in name")
-        return p
-
-    p = with_field(sub.add_parser("val", help="valuation of a series"))
-    p.add_argument("expr")
-    p.set_defaults(fn=_cmd_val)
-
-    p = with_field(sub.add_parser("ddeg", help="dominant degree and weight"))
-    p.add_argument("expr")
-    p.set_defaults(fn=_cmd_ddeg)
-
-    p = with_field(sub.add_parser("ndeg", help="Newton degree"))
-    p.add_argument("expr")
-    p.set_defaults(fn=_cmd_ndeg)
-
-    p = with_field(sub.add_parser("breakpoints", help="tropical breakpoints"))
-    p.add_argument("expr")
-    p.set_defaults(fn=_cmd_breakpoints)
-
-    p = with_field(sub.add_parser("conj", help="conjugate a polynomial"))
-    p.add_argument("expr")
-    p.add_argument("--kind", choices=["add", "mul", "comp"], required=True)
-    p.add_argument("--by", required=True)
-    p.set_defaults(fn=_cmd_conj)
-
-    p = with_field(sub.add_parser("eval", help="evaluate a polynomial"))
-    p.add_argument("expr")
-    p.add_argument("--at", required=True)
-    p.set_defaults(fn=_cmd_eval)
-
-    p = with_field(sub.add_parser("gamma-der", help="the cut Gamma(der)"))
-    p.set_defaults(fn=_cmd_gamma_der)
-
-    p = with_field(sub.add_parser("s-der", help="stabilizer of Gamma(der)"))
-    p.set_defaults(fn=_cmd_s_der)
-
-    p = with_field(sub.add_parser("coarsen", help="residue config of a coarsening"))
-    p.add_argument("--prefix-len", type=int, required=True)
-    p.set_defaults(fn=_cmd_coarsen)
-
-    p = with_field(sub.add_parser("probe", help="flexibility sampling probe"))
-    p.add_argument("expr")
-    p.add_argument("--beta", required=True, help="comma-separated rationals")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=11)
-    p.set_defaults(fn=_cmd_probe)
-
-    p = sub.add_parser("solve", help="first-order linear solve in a fragment")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--op", choices=["A", "B", "custom"], default="A")
-    p.add_argument("--a0", help="custom operator: constant part")
-    p.add_argument("--a1", help="custom operator: derivative part")
-    p.add_argument("--rhs", default="e_x")
-    p.add_argument("--tau", help="comma-separated rationals")
-    p.add_argument("--max-iter", type=int, default=64)
-    p.set_defaults(fn=_cmd_solve)
-
-    p = sub.add_parser("demo", help="non-uniqueness report")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--c", default="0,1", help="comma-separated constants")
-    p.add_argument("--tau")
-    p.add_argument("--max-iter", type=int, default=128)
-    p.set_defaults(fn=_cmd_demo)
-
-    p = sub.add_parser("check-bll", help="solve B(y)=1 and lift along e_x")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--tau")
-    p.add_argument("--max-iter", type=int, default=128)
-    p.set_defaults(fn=_cmd_check_bll)
-
+    for name, (text, fn, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for option, keywords in options:
+            p.add_argument(option, **keywords)
+        p.set_defaults(fn=fn)
     return ap
 
 

@@ -37,12 +37,6 @@ class Coarsening(Record):
 
     _fields = __slots__ = ("base", "delta", "residue_field")
 
-    def __init__(self, base: FieldInstance, delta: ConvexSubgroup,
-                 residue_field: FieldInstance):
-        self.base = base
-        self.delta = delta
-        self.residue_field = residue_field
-
     @property
     def k(self) -> int:
         return self.delta.prefix_len
@@ -98,8 +92,6 @@ def coarsen(base: FieldInstance, prefix_len: int) -> Coarsening:
     only involve kept generators (this is checked).
     """
     n = base.rank
-    if not 0 <= prefix_len <= n:
-        raise VdfError(f"prefix_len {prefix_len} outside [0, {n}]")
     delta = ConvexSubgroup(n, prefix_len)
     k = prefix_len
     kept = base.generators[k:]

@@ -293,14 +293,6 @@ class DominantData(Record):
 
     _fields = __slots__ = ("ddeg", "dwt", "D", "W", "dominant_part")
 
-    def __init__(self, ddeg: int, dwt: int, D: DiffPoly, W: DiffPoly,
-                 dominant_part: Dict[MultiIndex, Fraction]):
-        self.ddeg = ddeg
-        self.dwt = dwt
-        self.D = D
-        self.W = W
-        self.dominant_part = dominant_part
-
 
 def dominant(P: DiffPoly) -> DominantData:
     """Dominant degree/weight, the parts D(P) and W(P), and the residue

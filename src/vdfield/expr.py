@@ -17,7 +17,7 @@ parenthesized number after ^ is only legal as a derivative order on Y.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 from .diffpoly import DiffPoly, _sum_terms
 from .errors import ParseError, UnboundSymbol, VdfError
@@ -42,17 +42,11 @@ MAX_COEFF_DIGITS = 4300
 
 
 class Lit(FrozenRecord):
-    _fields = __slots__ = ("value",)
-
-    def __init__(self, value: Fraction):  # nonnegative by construction
-        object.__setattr__(self, "value", value)
+    _fields = __slots__ = ("value",)  # a nonnegative Fraction
 
 
 class Sym(FrozenRecord):
     _fields = __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
 
 
 class DY(FrozenRecord):
@@ -60,37 +54,21 @@ class DY(FrozenRecord):
 
     _fields = __slots__ = ("order",)
 
-    def __init__(self, order: int):
-        object.__setattr__(self, "order", order)
-
 
 class Pow(FrozenRecord):
     _fields = __slots__ = ("base", "exponent")
-
-    def __init__(self, base: "Node", exponent: Fraction):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
 
 
 class Neg(FrozenRecord):
     _fields = __slots__ = ("operand",)
 
-    def __init__(self, operand: "Node"):
-        object.__setattr__(self, "operand", operand)
-
 
 class Mul(FrozenRecord):
     _fields = __slots__ = ("factors",)
 
-    def __init__(self, factors: Tuple["Node", ...]):
-        object.__setattr__(self, "factors", factors)
-
 
 class Add(FrozenRecord):
     _fields = __slots__ = ("terms",)
-
-    def __init__(self, terms: Tuple["Node", ...]):
-        object.__setattr__(self, "terms", terms)
 
 
 Node = Union[Lit, Sym, DY, Pow, Neg, Mul, Add]
@@ -100,13 +78,7 @@ Node = Union[Lit, Sym, DY, Pow, Neg, Mul, Add]
 
 
 class Token(Record):
-    _fields = __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind  # num, name, op, end
-        self.text = text
-        self.line = line
-        self.col = col
+    _fields = __slots__ = ("kind", "text", "line", "col")  # kind: num, name, op or end
 
 
 def _tokenize(text: str) -> List[Token]:
@@ -151,6 +123,15 @@ def _tokenize(text: str) -> List[Token]:
     return toks
 
 
+def bounded_decimal(digits: str, limit: int) -> Optional[int]:
+    """The value of a string of decimal digits, or None above limit; the
+    length check refuses a huge one before int() converts it."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(limit)) or int(digits) > limit:
+        return None
+    return int(digits)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
@@ -184,12 +165,11 @@ class _Parser:
                              tok.line, tok.col)
 
     def order(self, digits: str, tok: Token) -> int:
-        """A derivative order in decimal digits; the length check refuses
-        one above MAX_ORDER before int() converts it."""
-        digits = digits.lstrip("0") or "0"
-        if len(digits) > len(str(MAX_ORDER)) or int(digits) > MAX_ORDER:
+        """A derivative order in decimal digits, at most MAX_ORDER."""
+        order = bounded_decimal(digits, MAX_ORDER)
+        if order is None:
             raise ParseError(f"derivative order exceeds {MAX_ORDER}", tok.line, tok.col)
-        return int(digits)
+        return order
 
     # grammar ------------------------------------------------------------
 
@@ -355,7 +335,7 @@ def lower_poly(node: Node, field: FieldInstance) -> DiffPoly:
         return DiffPoly.from_coeff(field, field.constant(node.value))
     if isinstance(node, Sym):
         if node.name not in field._index:
-            raise UnboundSymbol(f"unknown generator {node.name!r}")
+            raise UnboundSymbol(f"unknown generator {node.name!r} in field {field.name!r}")
         return DiffPoly.from_coeff(field, field.gen(node.name))
     if isinstance(node, DY):
         return DiffPoly.variable(field, node.order)

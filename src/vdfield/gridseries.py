@@ -37,7 +37,7 @@ from .errors import (
     TruncationUnreachable,
     VdfError,
 )
-from .records import Record
+from .records import FrozenRecord, Record
 from .valgroup import (
     INFINITY,
     GroupElement,
@@ -48,24 +48,13 @@ from .valgroup import (
 )
 
 
-class Monomial:
+class Monomial(FrozenRecord):
     """A product of rational powers of the field's generators."""
 
-    __slots__ = ("exponents",)
+    _fields = __slots__ = ("exponents",)
 
     def __init__(self, exponents: Iterable[Rat]):
-        object.__setattr__(
-            self, "exponents", tuple(_frac(e) for e in exponents)
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exponents == other.exponents
-
-    def __hash__(self):
-        return hash(self.exponents)
+        super().__init__(tuple(_frac(e) for e in exponents))
 
     def __repr__(self):
         return "Monomial" + str(tuple(str(e) for e in self.exponents))
@@ -79,11 +68,7 @@ class Generator(Record):
     """
 
     _fields = __slots__ = ("name", "value", "logder")
-
-    def __init__(self, name: str, value: GroupElement, logder: Optional["Series"] = None):
-        self.name = name
-        self.value = value
-        self.logder = logder
+    _defaults = (None,)
 
 
 class FieldInstance:

@@ -43,11 +43,10 @@ class LinearOperator(FrozenRecord):
 
     _fields = ("a0", "a1")
 
-    def __init__(self, a0: Series, a1: Series):
-        if a1.is_true_zero():
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.a1.is_true_zero():
             raise VdfError("a1 must be nonzero for a first-order operator")
-        object.__setattr__(self, "a0", a0)
-        object.__setattr__(self, "a1", a1)
 
     @property
     def field(self) -> FieldInstance:
@@ -203,14 +202,15 @@ class SolveTrace(Record):
     when the equation closed exactly."""
 
     _fields = __slots__ = ("residual_valuations", "iterates", "termination", "gap")
+    _defaults = (None, None, "max_iter", None)
 
-    def __init__(self, residual_valuations: Optional[List[GroupElement]] = None,
-                 iterates: Optional[List[Series]] = None, termination: str = "max_iter",
-                 gap: Optional[IntegrationGap] = None):
-        self.residual_valuations = [] if residual_valuations is None else residual_valuations
-        self.iterates = [] if iterates is None else iterates
-        self.termination = termination
-        self.gap = gap
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a fresh list per trace, as the steps append to them
+        if self.residual_valuations is None:
+            self.residual_valuations = []
+        if self.iterates is None:
+            self.iterates = []
 
     def as_report(self) -> dict:
         return {
@@ -255,10 +255,7 @@ def solve_linear(op: LinearOperator, g: Series, tau: GroupElement,
         if step:
             z = z + apply_op(op, -h)
         if not z.terms:
-            if z.tau >= tau:
-                trace.termination = "reached_tau"
-            else:
-                trace.termination = "truncation_exhausted"
+            trace.termination = "reached_tau" if z.tau >= tau else "truncation_exhausted"
             trace.residual_valuations.append(z.tau)
             return y, trace
         v = z.valuation()
@@ -351,6 +348,10 @@ def demo_nonuniqueness(depth: int, c_list: List[Fraction],
         raise VdfError("demo_nonuniqueness needs depth >= 3")
     if not c_list:
         raise VdfError("demo_nonuniqueness needs at least one constant c")
+    c_list = [Fraction(c) for c in c_list]
+    for i, c in enumerate(c_list):
+        if c in c_list[:i]:  # two equal constants leave no difference to solve
+            raise VdfError(f"demo_nonuniqueness needs distinct constants; c = {c} is repeated")
     M = transseries_fragment(depth)
     A = op_A(M, depth)
     if tau is None:
@@ -360,7 +361,6 @@ def demo_nonuniqueness(depth: int, c_list: List[Fraction],
     runs = []
     solutions: Dict[Fraction, Series] = {}
     for c in c_list:
-        c = Fraction(c)
         g = M.gen("e_x") + M.constant(c)
         y, trace = solve_linear(A, g, tau, max_iter=max_iter)
         solutions[c] = y
@@ -368,10 +368,9 @@ def demo_nonuniqueness(depth: int, c_list: List[Fraction],
         entry.update(trace.as_report())
         runs.append(entry)
     report = {"depth": depth, "tau": val_strings(tau), "runs": runs}
-    base_c = Fraction(c_list[0])
+    base_c = c_list[0]
     diffs = []
     for c in c_list[1:]:
-        c = Fraction(c)
         diff = solutions[c] - solutions[base_c]
         resid = apply_op(A, diff) - M.constant(c - base_c)
         entry = {

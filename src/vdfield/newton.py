@@ -258,10 +258,7 @@ class PcSequence(Record):
     """A finite prefix of a pseudocauchy sequence."""
 
     _fields = __slots__ = ("elements", "window")
-
-    def __init__(self, elements: List[Series], window: int = 3):
-        self.elements = elements
-        self.window = window
+    _defaults = (3,)
 
     def gaps(self) -> List[GroupElement]:
         out = []
@@ -280,12 +277,6 @@ class PcSequence(Record):
 
 class CutDegreeCertificate(Record):
     _fields = __slots__ = ("value", "stabilized_at", "window", "history")
-
-    def __init__(self, value: int, stabilized_at: int, window: int, history: List[int]):
-        self.value = value
-        self.stabilized_at = stabilized_at
-        self.window = window
-        self.history = history
 
 
 def ndeg_in_cut(P: DiffPoly, seq: PcSequence) -> CutDegreeCertificate:

@@ -14,6 +14,7 @@ the new coordinate (see :func:`with_infinitesimal`).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -25,6 +26,19 @@ Rat = Union[int, str, Fraction]
 
 def _frac(x: Rat) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _order(op):
+    """The comparison op of group elements: lexicographic on coords of
+    equal rank; +infinity lies above every element."""
+
+    def compare(self, other):
+        if other is INFINITY:
+            return op(0, 1)  # as a smaller element to a larger one
+        self._check_rank(other)
+        return op(self.coords, other.coords)
+
+    return compare
 
 
 class GroupElement:
@@ -117,29 +131,10 @@ class GroupElement:
     def __hash__(self):
         return hash(self.coords)
 
-    def __lt__(self, other):
-        if other is INFINITY:
-            return True
-        self._check_rank(other)
-        return self.coords < other.coords
-
-    def __le__(self, other):
-        if other is INFINITY:
-            return True
-        self._check_rank(other)
-        return self.coords <= other.coords
-
-    def __gt__(self, other):
-        if other is INFINITY:
-            return False
-        self._check_rank(other)
-        return self.coords > other.coords
-
-    def __ge__(self, other):
-        if other is INFINITY:
-            return False
-        self._check_rank(other)
-        return self.coords >= other.coords
+    __lt__ = _order(operator.lt)
+    __le__ = _order(operator.le)
+    __gt__ = _order(operator.gt)
+    __ge__ = _order(operator.ge)
 
     def __repr__(self):
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -224,11 +219,10 @@ class ConvexSubgroup(FrozenRecord):
 
     _fields = __slots__ = ("ambient_rank", "prefix_len")
 
-    def __init__(self, ambient_rank: int, prefix_len: int):
-        if not 0 <= prefix_len <= ambient_rank:
-            raise VdfError(f"prefix_len {prefix_len} outside [0, {ambient_rank}]")
-        object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "prefix_len", prefix_len)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if not 0 <= self.prefix_len <= self.ambient_rank:
+            raise VdfError(f"prefix_len {self.prefix_len} outside [0, {self.ambient_rank}]")
 
     def contains(self, gamma: GroupElement) -> bool:
         if gamma.rank != self.ambient_rank:
@@ -253,11 +247,7 @@ class Cut(FrozenRecord):
     """
 
     _fields = __slots__ = ("ambient_rank", "bound", "inclusive")
-
-    def __init__(self, ambient_rank: int, bound: tuple = (), inclusive: bool = True):
-        object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "inclusive", inclusive)
+    _defaults = ((), True)
 
     @staticmethod
     def all_of(rank: int) -> "Cut":

@@ -38,6 +38,7 @@ from vdfield.expr import (
     parse_series,
     print_expr,
     _check_coeff_power,
+    bounded_decimal,
 )
 from vdfield.gridseries import FieldInstance, Generator, laurent_ddt, transseries_fragment
 from vdfield.valgroup import Cut, GroupElement
@@ -87,7 +88,7 @@ class TestGrammar:
 
     def test_unbound_symbol(self):
         K = laurent_ddt()
-        with pytest.raises(UnboundSymbol):
+        with pytest.raises(UnboundSymbol, match="unknown generator 'q' in field 'laurent_ddt'"):
             parse_series("q + 1", K)
 
     def test_parenthesized_power_on_non_y_rejected(self):
@@ -268,6 +269,26 @@ class TestCommands:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert len(doc["runs"]) == 2
+
+    @pytest.mark.parametrize("c", ["0,0", "1,0,0/1", "1/2,2/4"])
+    def test_demo_refuses_a_repeated_constant_by_name(self, c):
+        # equal constants, compared as rationals, leave no difference to solve
+        proc = run_cli(["demo", "--depth", "3", "--c", c])
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        repeated = str(Fraction(c.split(",")[-1]))
+        assert _json_error(proc) == {
+            "error": "contract",
+            "message": f"demo_nonuniqueness needs distinct constants; c = {repeated} is repeated"}
+
+    def test_unknown_generator_names_the_field(self):
+        # op B solves in the flat fragment, which has no e_x, the default --rhs
+        proc = run_cli(["solve", "--depth", "3", "--op", "B"])
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        assert _json_error(proc) == {
+            "error": "parse",
+            "message": "unknown generator 'e_x' in field 'log_fragment(3)'"}
 
     def test_coarsen_command(self):
         proc = run_cli(
@@ -485,6 +506,12 @@ class TestBadInput:
         assert proc.returncode == 3
         assert proc.stdout == b""
         assert _json_error(proc)["error"] == "parse"
+
+    @pytest.mark.parametrize("digits, value", [
+        ("0", 0), ("000", 0), ("16", 16), ("0016", 16), ("17", None), ("9" * 5000, None),
+    ])
+    def test_bounded_decimal(self, digits, value):
+        assert bounded_decimal(digits, 16) == value
 
     def test_bounds_admit_their_limit(self):
         # the bound itself is accepted: checked on the argument, without a solve

@@ -44,6 +44,19 @@ class TestCoarseVal:
             assert half.coarse_val(f * g) == half.coarse_val(f) + half.coarse_val(g)
 
 
+class TestPrefixLen:
+    @pytest.mark.parametrize("build", [laurent_tddt_coarse, lambda: transseries_fragment(2)],
+                             ids=["tddt", "fragment"])
+    def test_prefix_len_outside_the_rank_is_refused(self, build):
+        # the range check is ConvexSubgroup's; coarsen keeps no copy of it
+        K = build()
+        for k in (-1, K.rank + 1):
+            with pytest.raises(VdfError, match=rf"prefix_len {k} outside \[0, {K.rank}\]"):
+                coarsen(K, k)
+        assert coarsen(K, 0).residue_field.rank == K.rank
+        assert coarsen(K, K.rank).residue_field.rank == 0
+
+
 class TestResidue:
     def test_examples(self):
         K = laurent_tddt_coarse()

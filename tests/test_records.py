@@ -1,6 +1,8 @@
-"""The contract of the seventeen record classes: equality, hash (or
-unhashability), repr and frozen-ness as @dataclass gave them, so the
-plain classes that replaced the decorator change nothing a caller sees."""
+"""The contract of every record class: construction, equality, hash
+(or unhashability), repr and frozen-ness as @dataclass gave them, so the
+plain classes that replaced the decorator change nothing a caller sees.
+The classes are found by walking Record's subclasses, so a new record
+class must be pinned here."""
 
 from fractions import Fraction as F
 
@@ -22,9 +24,16 @@ from vdfield.expr import (
     parse_poly,
     parse_series,
 )
-from vdfield.gridseries import Generator, laurent_ddt, laurent_tddt_coarse, transseries_fragment
+from vdfield.gridseries import (
+    Generator,
+    Monomial,
+    laurent_ddt,
+    laurent_tddt_coarse,
+    transseries_fragment,
+)
 from vdfield.hsolve import LinearOperator, SolveTrace, op_A
 from vdfield.newton import CutDegreeCertificate, PcSequence
+from vdfield.records import FrozenRecord, Record
 from vdfield.valgroup import ConvexSubgroup, Cut, GroupElement
 
 
@@ -65,6 +74,7 @@ FROZEN = {
     "LinearOperator": (_op,
                        "LinearOperator(a0=-1*l0^-1 + -1*l0^-1*l1^-1 + O((0, 1, 2)), a1=1)",
                        None),
+    "Monomial": (lambda: Monomial([1, F(1, 2)]), "Monomial('1', '1/2')", Monomial([1, 0])),
 }
 
 MUTABLE = {
@@ -108,15 +118,59 @@ FIELDS = {
     "CutDegreeCertificate": ("value", "stabilized_at", "window", "history"),
     "Coarsening": ("base", "delta", "residue_field"),
     "SolveTrace": ("residual_valuations", "iterates", "termination", "gap"),
+    "Monomial": ("exponents",),
 }
+
+
+def _record_classes():
+    """name -> class, for every subclass of Record at any depth."""
+    found, stack = {}, [Record]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if cls is not FrozenRecord:
+                found[cls.__qualname__] = cls
+    return found
+
+
+RECORDS = _record_classes()
 
 
 def _astuple(name, record):
     return tuple(getattr(record, f) for f in FIELDS[name])
 
 
-def test_all_seventeen_are_pinned():
-    assert len(FROZEN) + len(MUTABLE) == len(FIELDS) == 17
+def test_every_record_class_is_pinned():
+    assert len(RECORDS) == 18
+    assert set(RECORDS) == set(FIELDS) == set(FROZEN) | set(MUTABLE)
+    assert not set(FROZEN) & set(MUTABLE)
+    for name, cls in RECORDS.items():
+        assert cls._fields == FIELDS[name]
+        assert issubclass(cls, FrozenRecord) == (name in FROZEN)
+
+
+def _bad_calls(name):
+    """(call, the TypeError it must raise) for each way of calling the
+    class name that a Python function would refuse."""
+    cls, fields = RECORDS[name], FIELDS[name]
+    every = dict.fromkeys(fields)
+    calls = [
+        (lambda: cls(*[None] * (len(fields) + 1)), "takes"),
+        (lambda: cls(**every, no_such_field=None), "unexpected keyword argument 'no_such_field'"),
+        (lambda: cls(None, **every), f"multiple values for argument '{fields[0]}'"),
+    ]
+    first_default = len(fields) - len(cls._defaults)
+    for f in fields[:first_default]:
+        rest = {g: None for g in fields if g != f}
+        calls.append((lambda rest=rest: cls(**rest), f"missing .*'{f}'"))
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_a_call_that_does_not_fit_the_fields_raises_type_error(name):
+    for call, message in _bad_calls(name):
+        with pytest.raises(TypeError, match=message):
+            call()
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN) + sorted(MUTABLE))
