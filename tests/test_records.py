@@ -123,12 +123,13 @@ FIELDS = {
 
 
 def _record_classes():
-    """name -> class, for every subclass of Record at any depth."""
+    """name -> class, for every subclass of Record at any depth that
+    the library defines."""
     found, stack = {}, [Record]
     while stack:
         for cls in stack.pop().__subclasses__():
             stack.append(cls)
-            if cls is not FrozenRecord:
+            if cls is not FrozenRecord and cls.__module__.startswith("vdfield."):
                 found[cls.__qualname__] = cls
     return found
 
