@@ -209,8 +209,13 @@ def _cmd_conj(args) -> dict:
     field = load_field(args.field)
     P = parse_poly(args.expr, field)
     by = parse_series(args.by, field)
-    conj = {"add": add_conj, "mul": mul_conj, "comp": comp_conj}[args.kind]
-    return {"kind": args.kind, "result": poly_report(conj(P, by))}
+    if args.kind == "add":
+        Q = add_conj(P, by)
+    elif args.kind == "mul":
+        Q = mul_conj(P, by)
+    else:
+        Q = comp_conj(P, by)
+    return {"kind": args.kind, "result": poly_report(Q)}
 
 
 def _cmd_eval(args) -> dict:
@@ -255,16 +260,26 @@ def _cmd_probe(args) -> dict:
     }
 
 
+def _solver_field(args):
+    if args.op == "B":
+        return log_fragment(args.depth)
+    return transseries_fragment(args.depth)
+
+
 def _cmd_solve(args) -> dict:
     from .hsolve import LinearOperator, op_A, op_B, solve_linear
     _require_solver_sizes(args)
-    field = (log_fragment if args.op == "B" else transseries_fragment)(args.depth)
-    if args.op != "custom":
-        op = (op_A if args.op == "A" else op_B)(field, args.depth)
-    elif not args.a0 or not args.a1:
-        raise VdfError("--op custom requires --a0 and --a1")
+    field = _solver_field(args)
+    if args.op == "A":
+        op = op_A(field, args.depth)
+    elif args.op == "B":
+        op = op_B(field, args.depth)
     else:
-        op = LinearOperator(parse_series(args.a0, field), parse_series(args.a1, field))
+        if not args.a0 or not args.a1:
+            raise VdfError("--op custom requires --a0 and --a1")
+        op = LinearOperator(
+            parse_series(args.a0, field), parse_series(args.a1, field)
+        )
     rhs = parse_series(args.rhs, field)
     if args.tau:
         tau = _parse_vector(args.tau, field.rank)
@@ -317,27 +332,39 @@ COMMANDS = {
     "ndeg": ("Newton degree", _cmd_ndeg, [_FIELD, _EXPR]),
     "breakpoints": ("tropical breakpoints", _cmd_breakpoints, [_FIELD, _EXPR]),
     "conj": ("conjugate a polynomial", _cmd_conj, [
-        _FIELD, _EXPR, ("--kind", dict(choices=["add", "mul", "comp"], required=True)),
+        _FIELD, _EXPR,
+        ("--kind", dict(choices=["add", "mul", "comp"], required=True)),
         ("--by", dict(required=True))]),
-    "eval": ("evaluate a polynomial", _cmd_eval, [_FIELD, _EXPR, ("--at", dict(required=True))]),
+    "eval": ("evaluate a polynomial", _cmd_eval, [
+        _FIELD, _EXPR,
+        ("--at", dict(required=True))]),
     "gamma-der": ("the cut Gamma(der)", _cmd_gamma_der, [_FIELD]),
     "s-der": ("stabilizer of Gamma(der)", _cmd_s_der, [_FIELD]),
     "coarsen": ("residue config of a coarsening", _cmd_coarsen, [
-        _FIELD, ("--prefix-len", dict(type=int, required=True))]),
+        _FIELD,
+        ("--prefix-len", dict(type=int, required=True))]),
     "probe": ("flexibility sampling probe", _cmd_probe, [
-        _FIELD, _EXPR, ("--beta", dict(required=True, help="comma-separated rationals")),
-        ("--samples", dict(type=int, default=100)), ("--seed", dict(type=int, default=11))]),
+        _FIELD, _EXPR,
+        ("--beta", dict(required=True, help="comma-separated rationals")),
+        ("--samples", dict(type=int, default=100)),
+        ("--seed", dict(type=int, default=11))]),
     "solve": ("first-order linear solve in a fragment", _cmd_solve, [
-        _DEPTH, ("--op", dict(choices=["A", "B", "custom"], default="A")),
+        _DEPTH,
+        ("--op", dict(choices=["A", "B", "custom"], default="A")),
         ("--a0", dict(help="custom operator: constant part")),
         ("--a1", dict(help="custom operator: derivative part")),
-        ("--rhs", dict(default="e_x")), ("--tau", dict(help="comma-separated rationals")),
+        ("--rhs", dict(default="e_x")),
+        ("--tau", dict(help="comma-separated rationals")),
         ("--max-iter", dict(type=int, default=64))]),
     "demo": ("non-uniqueness report", _cmd_demo, [
-        _DEPTH, ("--c", dict(default="0,1", help="comma-separated constants")),
-        ("--tau", {}), ("--max-iter", dict(type=int, default=128))]),
+        _DEPTH,
+        ("--c", dict(default="0,1", help="comma-separated constants")),
+        ("--tau", {}),
+        ("--max-iter", dict(type=int, default=128))]),
     "check-bll": ("solve B(y)=1 and lift along e_x", _cmd_check_bll, [
-        _DEPTH, ("--tau", {}), ("--max-iter", dict(type=int, default=128))]),
+        _DEPTH,
+        ("--tau", {}),
+        ("--max-iter", dict(type=int, default=128))]),
 }
 
 

@@ -427,11 +427,8 @@ def mul_conj(P: DiffPoly, a: Series) -> DiffPoly:
     der = derivatives(a, P.order)
     images = []
     for j in range(P.order + 1):
-        terms = {}
-        for k in range(j + 1):
-            coeff = der[j - k].scale(math.comb(j, k))
-            if not coeff.is_true_zero():
-                terms[_unit_index(k, P.order)] = coeff
+        terms = {_unit_index(k, P.order): der[j - k].scale(math.comb(j, k))
+                 for k in range(j + 1)}
         images.append(DiffPoly(K, terms, P.order))
     return substitute(P, images)
 
@@ -451,11 +448,8 @@ def comp_conj(P: DiffPoly, phi: Series, twist: Optional[Series] = None) -> DiffP
     der = derivatives(phi, max(P.order - 1, 0), twist)
     images = [DiffPoly.variable(K, 0)]
     for n in range(1, P.order + 1):
-        terms = {}
-        for k in range(1, n + 1):
-            coeff = _evaluate_at(fnk(n, k), der)
-            if not coeff.is_true_zero():
-                terms[_unit_index(k, P.order)] = coeff
+        terms = {_unit_index(k, P.order): _evaluate_at(fnk(n, k), der)
+                 for k in range(1, n + 1)}
         images.append(DiffPoly(K, terms, P.order))
     return substitute(P, images)
 

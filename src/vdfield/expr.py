@@ -42,7 +42,8 @@ MAX_COEFF_DIGITS = 4300
 
 
 class Lit(FrozenRecord):
-    _fields = __slots__ = ("value",)  # a nonnegative Fraction
+    # value is a Fraction, nonnegative by construction
+    _fields = __slots__ = ("value",)
 
 
 class Sym(FrozenRecord):
@@ -78,7 +79,8 @@ Node = Union[Lit, Sym, DY, Pow, Neg, Mul, Add]
 
 
 class Token(Record):
-    _fields = __slots__ = ("kind", "text", "line", "col")  # kind: num, name, op or end
+    # kind is num, name, op or end
+    _fields = __slots__ = ("kind", "text", "line", "col")
 
 
 def _tokenize(text: str) -> List[Token]:
@@ -220,30 +222,27 @@ class _Parser:
         if tok.kind != "num":
             raise ParseError(f"expected a rational exponent, found {tok.text!r}",
                              tok.line, tok.col)
-        num = self.integer(tok)
-        if self.peek().text == "/":
-            self.next()
-            return Fraction(sign * num, self.denominator())
-        return Fraction(sign * num)
+        return sign * self.rational(tok)
 
-    def denominator(self) -> int:
-        """The nonzero natural after a consumed '/'."""
+    def rational(self, tok: Token) -> Fraction:
+        """The value of a num token, over the nonzero natural after a '/'
+        when one follows."""
+        num = self.integer(tok)
+        if self.peek().text != "/":
+            return Fraction(num)
+        self.next()
         tok = self.next()
         if tok.kind != "num":
             raise ParseError("expected a denominator", tok.line, tok.col)
         den = self.integer(tok)
         if den == 0:
             raise ParseError("zero denominator", tok.line, tok.col)
-        return den
+        return Fraction(num, den)
 
     def primary(self) -> Node:
         tok = self.next()
         if tok.kind == "num":
-            num = self.integer(tok)
-            if self.peek().text == "/":
-                self.next()
-                return Lit(Fraction(num, self.denominator()))
-            return Lit(Fraction(num))
+            return Lit(self.rational(tok))
         if tok.kind == "name":
             if tok.text == "Y":
                 marks = self.peek()

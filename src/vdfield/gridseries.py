@@ -643,30 +643,28 @@ def transseries_fragment(n_depth: int) -> FieldInstance:
     """The depth-N fragment of the exp-log monomial field: generators
     e_x (value -e_0, logder 1) and l0..lN with v(l_k) = -e_(k+1) and
     l_k-logder = (l0*...*l_k)^-1."""
-    if n_depth < 0:
-        raise ConfigError("depth must be >= 0")
-    rank = n_depth + 2
-    gens = [Generator("e_x", unit(rank, 0, -1))]
-    for k in range(n_depth + 1):
-        gens.append(Generator(f"l{k}", unit(rank, k + 1, -1)))
-    K = FieldInstance(rank, gens, name=f"transseries_fragment({n_depth})")
+    K = _fragment("transseries_fragment", n_depth, ["e_x"])
     K.generators[0].logder = K.one()
-    for k in range(n_depth + 1):
-        exps = {f"l{j}": -1 for j in range(k + 1)}
-        K.generators[k + 1].logder = K.monomial_series(K.monomial_from_dict(exps))
     return K
 
 
 @functools.lru_cache(maxsize=None)
 def log_fragment(n_depth: int) -> FieldInstance:
     """The flat restriction of the depth-N fragment: l0..lN only."""
+    return _fragment("log_fragment", n_depth, [])
+
+
+def _fragment(name: str, n_depth: int, head: List[str]) -> FieldInstance:
+    """The field name(N) on the generators head, then l0..lN: generator
+    i has value -e_i, and l_k has logder (l0*...*l_k)^-1; the logders of
+    head are left to the caller."""
     if n_depth < 0:
         raise ConfigError("depth must be >= 0")
-    rank = n_depth + 1
-    gens = [Generator(f"l{k}", unit(rank, k, -1)) for k in range(n_depth + 1)]
-    K = FieldInstance(rank, gens, name=f"log_fragment({n_depth})")
+    names = head + [f"l{k}" for k in range(n_depth + 1)]
+    rank = len(names)
+    gens = [Generator(g, unit(rank, i, -1)) for i, g in enumerate(names)]
+    K = FieldInstance(rank, gens, name=f"{name}({n_depth})")
     for k in range(n_depth + 1):
         exps = {f"l{j}": -1 for j in range(k + 1)}
-        K.generators[k].logder = K.monomial_series(K.monomial_from_dict(exps))
+        K.generators[len(head) + k].logder = K.monomial_series(K.monomial_from_dict(exps))
     return K
-

@@ -255,7 +255,10 @@ def solve_linear(op: LinearOperator, g: Series, tau: GroupElement,
         if step:
             z = z + apply_op(op, -h)
         if not z.terms:
-            trace.termination = "reached_tau" if z.tau >= tau else "truncation_exhausted"
+            if z.tau >= tau:
+                trace.termination = "reached_tau"
+            else:
+                trace.termination = "truncation_exhausted"
             trace.residual_valuations.append(z.tau)
             return y, trace
         v = z.valuation()

@@ -1,9 +1,9 @@
-"""The lines of a Python source tree by kind: code, docstring, comment, blank.
+"""The lines of the repository's src/ by kind: code, docstring, comment, blank.
 
-    python3 tools/src_lines.py [DIR]
+    python3 tools/src_lines.py
 
-DIR defaults to the repository's src/.  Each physical line of each .py
-file under DIR counts once, as the first of these that holds:
+Each physical line of each .py file under src/ counts once, as the
+first of these that holds:
 
 * blank: it holds only whitespace (inside a string too);
 * docstring: it lies within the first-statement string of a module,
@@ -70,10 +70,8 @@ def count_tree(root: Path) -> dict:
             for path in sorted(root.rglob("*.py"))}
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src"
-    rows = count_tree(root)
+def main() -> int:
+    rows = count_tree(Path(__file__).resolve().parents[1] / "src")
     total = {k: sum(c[k] for c in rows.values()) for k in KINDS}
     width = max(len(name) for name in [*rows, "total"])
     print(f"{'file':<{width}}  {'lines':>6}" + "".join(f"  {k:>9}" for k in KINDS))
