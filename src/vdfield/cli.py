@@ -35,19 +35,22 @@ from .valgroup import INFINITY, PREFIX, GroupElement, unit
 # -- field configs ----------------------------------------------------------------
 
 
+def _config_entry(what: str, x, *types):
+    """x if its type is one of types (a bool is no int, a float no rational)."""
+    if type(x) not in types:
+        raise ConfigError(f"malformed field config: {what} is a {type(x).__name__}: {x!r}")
+    return x
+
+
 def field_from_config(doc: dict) -> FieldInstance:
     try:
-        rank = doc["rank"]
-        if type(rank) is not int:
-            raise ConfigError(
-                f"malformed field config: rank must be an integer, got {rank!r}"
-            )
+        rank = _config_entry("rank", doc["rank"], int)
         gen_docs = list(doc["generators"])
-        gens = [Generator(str(gd["name"]),
-                          GroupElement([Fraction(x) for x in gd["value"]]))
+        gens = [Generator(str(gd["name"]), GroupElement(
+                    [_config_entry("value", x, int, str) for x in gd["value"]]))
                 for gd in gen_docs]
         logders = [str(gd["logder"]) for gd in gen_docs]
-        declared = (GroupElement([Fraction(x) for x in doc["shift"]])
+        declared = (GroupElement([_config_entry("shift", x, int, str) for x in doc["shift"]])
                     if "shift" in doc else None)
         name = str(doc.get("name", "config"))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

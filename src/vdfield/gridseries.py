@@ -18,7 +18,8 @@ denominator of the values); exponents are computed only where a
 generator matters: derivatives, embeddings and printing.  Likewise a
 coefficient c is stored as the int c * cden (cden: the least common
 denominator of the coefficients), so products and sums of series do
-int arithmetic; Fractions appear only at the boundary.
+int arithmetic; Fractions appear only at the boundary, and there an
+integral value coordinate is an int, equal and hash-equal to its Fraction.
 """
 
 from __future__ import annotations
@@ -136,13 +137,13 @@ class FieldInstance:
 
     def monomial_value(self, mono: Monomial) -> GroupElement:
         """sum q_i * v(g_i), over the nonzero exponents and entries."""
-        coords = [Fraction(0)] * self.rank
+        coords = [0] * self.rank
         for q, g in zip(mono.exponents, self.generators):
             if q:
                 for j, x in enumerate(g.value.coords):
                     if x:
                         coords[j] += q * x
-        return GroupElement._raw(tuple(coords))
+        return GroupElement(coords)
 
     def exponents_of_value(self, gamma: GroupElement) -> Tuple[Fraction, ...]:
         """Invert the triangular exponent-to-value map: exponent i is
@@ -154,7 +155,8 @@ class FieldInstance:
         residual = list(gamma.coords)
         for i, g in enumerate(self.generators):
             if residual[i]:
-                q = exps[i] = residual[i] / g.value.coords[i]
+                # in Fraction: two int coordinates would divide to a float
+                q = exps[i] = Fraction(residual[i]) / g.value.coords[i]
                 for j in range(i + 1, self.rank):
                     x = g.value.coords[j]
                     if x:
@@ -283,6 +285,8 @@ class Series:
         self._val = None
 
     def _value(self, key: tuple) -> GroupElement:
+        if self.den == 1:
+            return GroupElement._raw(key)
         return GroupElement._raw(tuple([Fraction(x, self.den) for x in key]))
 
     def _terms_at(self, den: int, cden: int) -> Dict[tuple, int]:
@@ -526,7 +530,7 @@ class Series:
 def embed_value(src: FieldInstance, dst: FieldInstance, gamma: GroupElement) -> GroupElement:
     """Translate a value from src's group to dst's: the value in dst of
     src's exponents on the same-named generators."""
-    out = [Fraction(0)] * dst.rank
+    out = [0] * dst.rank
     for q, g in zip(src.exponents_of_value(gamma), src.generators):
         if q == 0:
             continue

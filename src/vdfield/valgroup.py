@@ -1,10 +1,12 @@
 """Lexicographically ordered rational value groups.
 
 Elements of Gamma = Q^n are compared left to right (earlier coordinates
-are infinitely more significant).  Convex subgroups of Q^n are exactly
-the "zero prefix" subgroups, and every downward-closed subset used by
-this library is a prefix cut: membership is decided by comparing a
-fixed-length prefix of the coordinates against a bound.
+are infinitely more significant).  A coordinate that is an integer is
+stored as an int, equal and hash-equal to the Fraction it stands for;
+any other is a Fraction.  Convex subgroups of Q^n are exactly the "zero
+prefix" subgroups, and every downward-closed subset used by this library
+is a prefix cut: membership is decided by comparing a fixed-length
+prefix of the coordinates against a bound.
 
 One-sided limits never use numeric epsilons.  Instead an element is
 re-embedded in Q^(n+1) with an extra least-significant coordinate, and
@@ -26,6 +28,13 @@ Rat = Union[int, str, Fraction]
 
 def _frac(x: Rat) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _coord(x: Rat) -> Union[int, Fraction]:
+    """x as a coordinate: an int if x is an integer, else a Fraction."""
+    if type(x) is not int and (x := _frac(x)).denominator == 1:
+        return x.numerator
+    return x
 
 
 def _order(op):
@@ -51,14 +60,17 @@ class GroupElement:
     __slots__ = ("coords",)
 
     def __init__(self, coords: Iterable[Rat]):
-        object.__setattr__(self, "coords", tuple(_frac(c) for c in coords))
+        object.__setattr__(self, "coords", tuple(map(_coord, coords)))
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupElement is immutable")
 
     @staticmethod
     def _raw(coords: tuple) -> "GroupElement":
-        """Trusted constructor: coords is already a tuple of Fractions."""
+        """Trusted constructor from a tuple of ints and Fractions; an
+        integral Fraction (a sum may give one) becomes its int."""
+        if Fraction in map(type, coords):
+            coords = tuple(map(_coord, coords))
         out = object.__new__(GroupElement)
         object.__setattr__(out, "coords", coords)
         return out
@@ -76,7 +88,7 @@ class GroupElement:
             return INFINITY
         self._check_rank(other)
         return GroupElement._raw(
-            tuple(a + b for a, b in zip(self.coords, other.coords))
+            tuple(map(operator.add, self.coords, other.coords))
         )
 
     def __sub__(self, other):
@@ -84,14 +96,14 @@ class GroupElement:
             raise VdfError("cannot subtract +infinity")
         self._check_rank(other)
         return GroupElement._raw(
-            tuple(a - b for a, b in zip(self.coords, other.coords))
+            tuple(map(operator.sub, self.coords, other.coords))
         )
 
     def __neg__(self):
-        return GroupElement._raw(tuple(-a for a in self.coords))
+        return GroupElement._raw(tuple(map(operator.neg, self.coords)))
 
     def scale(self, q: Rat) -> "GroupElement":
-        q = _frac(q)
+        q = _coord(q)
         return GroupElement._raw(tuple(q * a for a in self.coords))
 
     def __mul__(self, q: Rat):
@@ -119,7 +131,7 @@ class GroupElement:
         """Embed into Q^rank by appending zeros; identity if already there."""
         if rank < self.rank:
             raise RankMismatch(f"cannot pad rank {self.rank} down to {rank}")
-        return GroupElement(self.coords + (Fraction(0),) * (rank - self.rank))
+        return GroupElement(self.coords + (0,) * (rank - self.rank))
 
     def __eq__(self, other):
         if other is INFINITY:
@@ -194,12 +206,12 @@ INFINITY = _Infinity()
 
 
 def zero(rank: int) -> GroupElement:
-    return GroupElement([Fraction(0)] * rank)
+    return GroupElement([0] * rank)
 
 
 def unit(rank: int, position: int, value: Rat = 1) -> GroupElement:
-    coords = [Fraction(0)] * rank
-    coords[position] = _frac(value)
+    coords = [0] * rank
+    coords[position] = value
     return GroupElement(coords)
 
 
@@ -259,7 +271,7 @@ class Cut(FrozenRecord):
 
     @staticmethod
     def prefix(rank: int, bound: Sequence[Rat], inclusive: bool = True) -> "Cut":
-        bound = tuple(_frac(b) for b in bound)
+        bound = tuple(map(_coord, bound))
         if not 1 <= len(bound) <= rank:
             raise VdfError(f"cut depth {len(bound)} outside [1, {rank}]")
         return Cut(rank, bound, inclusive)
@@ -305,7 +317,7 @@ class Cut(FrozenRecord):
     def shift_by_prefix(self, delta: GroupElement) -> "Cut":
         """The cut translated by -delta (the cut of the conjugated field),
         using only the first `depth` coordinates of delta."""
-        bound = tuple(b - d for b, d in zip(self.bound, delta.coords))
+        bound = tuple(_coord(b - d) for b, d in zip(self.bound, delta.coords))
         return Cut(self.ambient_rank, bound, self.inclusive)
 
     def __repr__(self):
@@ -350,5 +362,5 @@ def with_infinitesimal(gamma: GroupElement, sign: str) -> GroupElement:
     """
     if sign not in ("below", "above"):
         raise VdfError(f"sign must be 'below' or 'above', got {sign!r}")
-    step = Fraction(-1) if sign == "below" else Fraction(1)
+    step = -1 if sign == "below" else 1
     return GroupElement(gamma.coords + (step,))

@@ -376,8 +376,11 @@ class TestBadInput:
         {"rank": 1.5, "generators": [_T_GEN]},
         {"rank": "1", "generators": [_T_GEN]},
         {"rank": True, "generators": [_T_GEN]},
+        {"rank": 1, "generators": [dict(_T_GEN, value=[0.1])]},
+        {"rank": 1, "generators": [_T_GEN], "shift": [-1.0]},
+        {"rank": 1, "generators": [dict(_T_GEN, value=[True])]},
     ], ids=["missing-value", "zero-denominator", "bad-shift", "float-rank",
-            "string-rank", "bool-rank"])
+            "string-rank", "bool-rank", "float-value", "float-shift", "bool-value"])
     def test_malformed_config_is_contract_error(self, tmp_path, doc):
         path = tmp_path / "field.json"
         path.write_text(json.dumps(doc))

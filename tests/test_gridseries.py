@@ -35,6 +35,7 @@ from vdfield.gridseries import (
     _lattice_key,
     log_fragment,
     transseries_fragment,
+    val_strings,
 )
 from vdfield.coarsen import coarsen
 from vdfield.expr import parse_series
@@ -648,6 +649,42 @@ class TestLatticeKey:
         assert (key < other) == (gamma < other_value)
         assert (key == other) == (gamma == other_value)
         assert (key > other) == (gamma > other_value)
+
+
+class TestIntCoordinates:
+    """A value coordinate that is an integer is an int, so every true
+    division of one must go through Fraction: with generator value 2
+    and gamma = (1,), the exponent is 1/2, not the float 0.5."""
+
+    @staticmethod
+    def _field():
+        K = FieldInstance(1, [Generator("t", GroupElement([2]))], name="t_of_value_2")
+        K.generators[0].logder = K.gen("t", -1)
+        return K
+
+    def test_exponent_of_a_half_step_is_a_fraction(self):
+        K = self._field()
+        assert type(K.generators[0].value.coords[0]) is int
+        exps = K.exponents_of_value(GroupElement([1]))
+        assert exps == (Fraction(1, 2),) and type(exps[0]) is Fraction
+
+    def test_euler_rows_build(self):
+        assert self._field()._euler_rows() == (2, [(1,)])
+
+    def test_derive_is_the_term_by_term_product_rule(self):
+        K = self._field()
+        f = (K.gen("t", Fraction(1, 2)).scale(3) + K.gen("t", 2)
+             - K.gen("t", -3).scale(5) + K.one())
+        for g in (f, f.truncated(GroupElement([5]))):
+            want = _ref_derive(g)
+            assert g.derive().sorted_terms() == want.sorted_terms()
+            assert g.derive().tau == want.tau
+
+    def test_int_and_fraction_coordinates_render_alike(self):
+        from_int, from_fraction = GroupElement([2]), GroupElement([Fraction(2)])
+        assert val_strings(from_int) == val_strings(from_fraction) == ["2"]
+        assert type(from_fraction.coords[0]) is int
+        assert hash(from_int) == hash(GroupElement._raw((Fraction(2),)))
 
 
 # -- the repr is the expression grammar ----------------------------------------------

@@ -31,7 +31,8 @@ from vdfield.gridseries import (
     log_fragment,
     transseries_fragment,
 )
-from vdfield.valgroup import GroupElement
+from vdfield.newton import gamma_der
+from vdfield.valgroup import INFINITY, Cut, GroupElement
 
 
 @functools.lru_cache(maxsize=None)
@@ -162,33 +163,101 @@ def _assert_agree(exact, got):
     assert exact.truncated(got.tau).sorted_terms() == got.sorted_terms(), (exact, got)
 
 
+def _run(name, data):
+    """Operation name on drawn inputs, truncated and then exact:
+    (exact, got), or None when the truncated run refuses."""
+    K = data.draw(st.sampled_from(FIELDS))()
+    f, ft, step = data.draw(_line(K))
+    # draw only what the operation reads
+    g = gt = P = Pt = n = target = None
+    if name in ("add", "mul"):
+        g, gt = data.draw(_maybe_truncated(K))
+    elif name in ("evaluate", "add_conj", "mul_conj", "comp_conj"):
+        P, Pt = data.draw(_poly(K))
+    elif name == "power":
+        n = data.draw(st.integers(0, 4))
+    elif name in ("invert", "logder"):
+        k = data.draw(st.sampled_from([None, 1, 2, 3]))
+        target = None if k is None else step.scale(k)
+    op = OPERATIONS[name]
+    try:
+        got = op(Inputs(ft, gt, Pt, n, target), None)
+    except VdfError:
+        return None  # a refusal claims nothing
+    return op(Inputs(f, g, P, n, target), got), got
+
+
 class TestTruncationOracle:
     @pytest.mark.parametrize("name", list(OPERATIONS))
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_truncated_run_agrees_below_its_tau(self, name, data):
-        K = data.draw(st.sampled_from(FIELDS))()
-        f, ft, step = data.draw(_line(K))
-        # draw only what the operation reads
-        g = gt = P = Pt = n = target = None
-        if name in ("add", "mul"):
-            g, gt = data.draw(_maybe_truncated(K))
-        elif name in ("evaluate", "add_conj", "mul_conj", "comp_conj"):
-            P, Pt = data.draw(_poly(K))
-        elif name == "power":
-            n = data.draw(st.integers(0, 4))
-        elif name in ("invert", "logder"):
-            k = data.draw(st.sampled_from([None, 1, 2, 3]))
-            target = None if k is None else step.scale(k)
-        op = OPERATIONS[name]
-        try:
-            got = op(Inputs(ft, gt, Pt, n, target), None)
-        except VdfError:
-            return  # a refusal claims nothing
-        exact = op(Inputs(f, g, P, n, target), got)
+        ran = _run(name, data)
+        if ran is None:
+            return
+        exact, got = ran
         if isinstance(exact, DiffPoly):
             assert exact.order == got.order
             for i in set(exact.terms) | set(got.terms):
                 _assert_agree(exact.coefficient(i), got.coefficient(i))
         else:
             _assert_agree(exact, got)
+
+
+# -- the types of coordinates ------------------------------------------------
+
+
+def _series_of(result):
+    """result itself, or the coefficients of a DiffPoly."""
+    return list(result.terms.values()) if isinstance(result, DiffPoly) else [result]
+
+
+def _reported_values(f):
+    """Every value f reports: its terms' values, tau, val_or_tau and,
+    where it is known, the valuation (+infinity left out)."""
+    values = [v for v, _ in f.sorted_terms()] + [f.tau, f.val_or_tau()]
+    if f.terms or f.tau is INFINITY:
+        values.append(f.valuation())
+    return [v for v in values if v is not INFINITY]
+
+
+def _assert_rational(x):
+    """x is an int or a Fraction: never a float, nor a bool."""
+    assert type(x) in (int, Fraction), (type(x), x)
+
+
+def _assert_value_coordinate(x):
+    """x is a rational, stored as an int when it is an integer."""
+    _assert_rational(x)
+    assert type(x) is int or x.denominator != 1, x
+
+
+class TestCoordinateTypes:
+    """On the oracle's drawn inputs, every coordinate a result reports
+    is exact, and an integral value coordinate is an int: an int and its
+    Fraction hash and print alike, but a float does not."""
+
+    @pytest.mark.parametrize("name", list(OPERATIONS))
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_integral_value_coordinates_are_ints(self, name, data):
+        ran = _run(name, data)
+        if ran is None:
+            return
+        for f in (f for result in ran for f in _series_of(result)):
+            K = f.field
+            values = _reported_values(f) + [K.derivation_shift]
+            cuts = [Cut.below(v) for v in values]
+            try:
+                cuts.append(gamma_der(K))
+            except VdfError:
+                pass  # a logder known only modulo its tau
+            cuts += [cut.shift_by_prefix(values[-1]) for cut in cuts]
+            for v in values:
+                for x in v.coords:
+                    _assert_value_coordinate(x)
+                for q in K.exponents_of_value(v):
+                    _assert_rational(q)
+            for cut in cuts:
+                for b in cut.bound:
+                    _assert_value_coordinate(b)
