@@ -67,8 +67,7 @@ class GroupElement:
 
     @staticmethod
     def _raw(coords: tuple) -> "GroupElement":
-        """Trusted constructor from a tuple of ints and Fractions; an
-        integral Fraction (a sum may give one) becomes its int."""
+        """Trusted constructor from ints and Fractions (integral ones become ints)."""
         if Fraction in map(type, coords):
             coords = tuple(map(_coord, coords))
         out = object.__new__(GroupElement)

@@ -9,7 +9,8 @@ claims nothing.
 
 Terms are read only through `sorted_terms`, `truncated` and `tau`, never
 through the keys of `Series.terms`, so the oracle does not depend on how
-a series stores its terms.
+a series stores its terms.  The same draws pin the types of the
+coordinates that results report (TestCoordinateTypes).
 """
 
 import functools
@@ -215,8 +216,9 @@ def _series_of(result):
 def _reported_values(f):
     """Every value f reports: its terms' values, tau, val_or_tau and,
     where it is known, the valuation (+infinity left out)."""
-    values = [v for v, _ in f.sorted_terms()] + [f.tau, f.val_or_tau()]
-    if f.terms or f.tau is INFINITY:
+    terms = [v for v, _ in f.sorted_terms()]
+    values = terms + [f.tau, f.val_or_tau()]
+    if terms or f.tau is INFINITY:
         values.append(f.valuation())
     return [v for v in values if v is not INFINITY]
 
