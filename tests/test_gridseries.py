@@ -676,9 +676,9 @@ class TestIntCoordinates:
         f = (K.gen("t", Fraction(1, 2)).scale(3) + K.gen("t", 2)
              - K.gen("t", -3).scale(5) + K.one())
         for g in (f, f.truncated(GroupElement([5]))):
-            want = _ref_derive(g)
-            assert g.derive().sorted_terms() == want.sorted_terms()
-            assert g.derive().tau == want.tau
+            got, want = g.derive(), _ref_derive(g)
+            assert got.sorted_terms() == want.sorted_terms()
+            assert got.tau == want.tau
 
     def test_int_and_fraction_coordinates_render_alike(self):
         from_int, from_fraction = GroupElement([2]), GroupElement([Fraction(2)])
