@@ -8,8 +8,9 @@ the sum of the entries, weight ||i|| is sum of j * i_j.
 The three conjugations (additive, multiplicative, compositional) are
 all instances of one substitution morphism: each variable Y^(j) is
 replaced by an affine expression in the variables, and the polynomial
-is re-expanded.  The compositional images use the universal kernel
-polynomials F(n, k) over Q, generated by the recursion
+is re-expanded on term lists, with one collect per product.  The
+compositional images use the universal kernel polynomials F(n, k) over
+Q, generated by the recursion
 
     F(n+1, k) = F(n, k)' + X * F(n, k-1),  F(0,0) = 1, F(n,0) = 0 (n>=1),
 
@@ -24,7 +25,8 @@ import math
 import threading
 from fractions import Fraction
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import add
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import IndeterminateValuation, VdfError
 from .gridseries import FieldInstance, Series, _sum_series
@@ -75,6 +77,15 @@ def _collect(field: FieldInstance, pairs: Iterable[Tuple[MultiIndex, Series]],
         if not c.is_true_zero():
             out[i] = c
     return out
+
+
+def _products(left: Iterable, right: Iterable) -> Iterator[Tuple[MultiIndex, Series]]:
+    """The terms (i + j, c * d) of two term lists of equal-length indices."""
+    return ((tuple(map(add, i, j)), c * d) for i, c in left for j, d in right)
+
+
+def _padded(terms: Dict[MultiIndex, Series], order: int) -> List[Tuple[MultiIndex, Series]]:
+    return [(_pad(i, order), c) for i, c in terms.items()]
 
 
 def _sum_terms(field: FieldInstance, pairs: Iterable[Tuple[MultiIndex, Series]],
@@ -173,11 +184,8 @@ class DiffPoly:
 
     def __mul__(self, other: "DiffPoly") -> "DiffPoly":
         order = self._align(other)
-        right = [(_pad(j, order), d) for j, d in other.terms.items()]
-        return _sum_terms(self.field, (
-            (tuple(a + b for a, b in zip(_pad(i, order), j)), c * d)
-            for i, c in self.terms.items() for j, d in right
-        ), order)
+        return _sum_terms(self.field, _products(_padded(self.terms, order),
+                                                _padded(other.terms, order)), order)
 
     def scale_series(self, a: Series) -> "DiffPoly":
         if a.is_true_zero():
@@ -368,29 +376,34 @@ def _fnk(n: int, k: int) -> DiffPoly:
 
 
 def substitute(P: DiffPoly, images: List[DiffPoly]) -> DiffPoly:
-    """The ring morphism sending Y^(j) to images[j]."""
+    """The ring morphism sending Y^(j) to images[j], on term lists with one
+    _collect per product: each term (i, c) of P, from [(zero index, c)],
+    times each images[j]^(i_j), built once per call; one _sum_terms sums all."""
     if len(images) < P.order + 1:
         raise VdfError("substitution needs an image for every variable")
+    K = P.field
+    if any(img.field is not K for img in images):
+        raise VdfError("polynomials over different field instances")
     order = max([img.order for img in images] + [0])
-    pow_cache: Dict[Tuple[int, int], DiffPoly] = {}
+    lists = [_padded(img.terms, order) for img in images]
 
-    def img_pow(j: int, e: int) -> DiffPoly:
-        got = pow_cache.get((j, e))
-        if got is None:
-            got = images[j]
-            for _ in range(e - 1):
-                got = got * images[j]
-            pow_cache[(j, e)] = got
-        return got
+    def times(left, right):
+        return _collect(K, _products(left, right), order).items()
+
+    # the term times the power, not times images[j] e times: that order
+    # certifies a lower tau when an image's own terms cancel in the power
+    @functools.lru_cache(maxsize=None)
+    def power(j, e):
+        return lists[j] if e == 1 else times(power(j, e - 1), lists[j])
 
     pairs = []
     for i, c in P.terms.items():
-        term = DiffPoly.from_coeff(P.field, c)
-        for j, ij in enumerate(i):
-            if ij:
-                term = term * img_pow(j, ij)
-        pairs.extend(term.terms.items())
-    return _sum_terms(P.field, pairs, order)
+        term = [((0,) * (order + 1), c)]
+        for j, e in enumerate(i):
+            if e:
+                term = times(term, power(j, e))
+        pairs.extend(term)
+    return _sum_terms(K, pairs, order)
 
 
 def derivatives(a: Series, count: int, twist: Optional[Series] = None) -> List[Series]:

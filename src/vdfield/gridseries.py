@@ -360,10 +360,21 @@ class Series:
         terms = {k: n * c for k, c in self.terms.items()}
         return Series(self.field, terms, self.tau, self.den, self.cden * q.denominator)
 
+    def _is_one(self) -> bool:
+        return (self.tau is INFINITY and self.cden == 1
+                and self.terms == {(0,) * self.field.rank: 1})
+
     def __mul__(self, other: "Series") -> "Series":
+        """The product.  A factor that is exactly one (the term 1 at value
+        0 alone, cden 1, tau +infinity) returns the other factor itself,
+        which has the general path's terms, den, cden and tau."""
         self._check_field(other)
         if self.is_true_zero() or other.is_true_zero():
             return self.field.zero_series()
+        if other._is_one():
+            return self
+        if self._is_one():
+            return other
         tau = INFINITY
         if self.tau is not INFINITY:
             tau = self.tau + other.val_or_tau()
@@ -387,17 +398,14 @@ class Series:
         return Series(self.field, terms, tau, den, self.cden * other.cden)
 
     def power(self, n: int) -> "Series":
+        """self^n by square-and-multiply, with no product by one():
+        power(0) is one() and power(1) is self itself."""
         if n < 0:
             raise VdfError("negative powers go through invert()")
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        if n < 2:
+            return self if n else self.field.one()
+        half = self.power(n // 2)
+        return half * half * self if n % 2 else half * half
 
     def truncated(self, tau) -> "Series":
         return Series(self.field, self.terms, min(self.tau, tau), self.den, self.cden)
@@ -564,9 +572,11 @@ def _sum_series(field: FieldInstance, parts: Sequence["Series"]) -> "Series":
 
 
 def _lattice_key(gamma: GroupElement, den: int) -> tuple:
-    """gamma * den, with a Fraction where a coordinate is off the lattice:
-    it compares with lattice keys as gamma does with their values.
-    Computed on numerators and denominators, with no Fraction product."""
+    """gamma * den (gamma.coords at den 1), with a Fraction where a
+    coordinate is off the lattice: it compares with lattice keys as gamma
+    does with their values.  Computed on integers, with no Fraction product."""
+    if den == 1:
+        return gamma.coords
     key = []
     for x in gamma.coords:
         n, d = x.numerator * den, x.denominator

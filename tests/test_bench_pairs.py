@@ -1,7 +1,7 @@
 """tools/bench_pairs.py on synthetic run records: the gain rule, the two
 metric directions, the bound, a workload with too few good pairs, the
-traced counts of both sides, and the bytecode-cache state on the
-machine line."""
+failed items of both sides, the traced counts of both sides, and the
+bytecode-cache state on the machine line."""
 
 import importlib.util
 import json
@@ -19,11 +19,14 @@ METRICS = [{"name": "items_per_s", "better": "higher", "bound": 0.25},
 SEEDS = bench_pairs.PAIR_SEEDS + [bench_pairs.CHECK_SEED]
 
 
-def _run(workload, seed, side, items_per_s, item_ms_p50, exit_code=0):
+def _run(workload, seed, side, items_per_s, item_ms_p50, exit_code=0, failed=0):
+    """A run of 90 items, `failed` of which raised: the run is still
+    correct, as perfbench reports one whose items raise but none is wrong."""
     metrics = {"items_per_s": {"value": items_per_s, "unit": "1/s"},
                "item_ms_p50": {"value": item_ms_p50, "unit": "ms"}}
     return {"workload": workload, "seed": seed, "side": side, "trace": 0, "exit": exit_code,
-            "result": {"correct": True, "metrics": metrics}}
+            "result": {"correct": True, "attempted": 90, "failed": failed,
+                       "metrics": metrics}}
 
 
 def _traced(workload, side, term_pairs, series_built, exit_code=0):
@@ -34,7 +37,8 @@ def _traced(workload, side, term_pairs, series_built, exit_code=0):
                "gridseries.mul.self_s": {"value": 0.1, "unit": "s"},
                "trace.overhead_ratio": {"value": 1.1, "unit": "ratio"}}
     return {"workload": workload, "seed": bench_pairs.PAIR_SEEDS[0], "side": side, "trace": 1,
-            "exit": exit_code, "result": {"correct": True, "metrics": metrics}}
+            "exit": exit_code, "result": {"correct": True, "attempted": 90, "failed": 0,
+                                          "metrics": metrics}}
 
 
 def _runs(parent, change, workload="fragment"):
@@ -84,6 +88,26 @@ class TestGainRule:
         entry = _summary(no_check)["items_per_s"]
         assert f"seed_{bench_pairs.CHECK_SEED}" not in entry
         assert not entry["gain"]["holds_at_check_seed"] and not entry["gain"]["met"]
+
+    def test_a_faster_change_that_fails_more_items_is_not_a_gain(self):
+        runs = _runs(lambda k: 300 + k, lambda k: 400 + k)
+        for r in runs:
+            if r["side"] == "change" and r["seed"] == SEEDS[3]:
+                r["result"]["failed"] = 2
+        summary = _summary(runs)
+        assert summary["failures"] == {"parent": {"attempted": 900, "failed": 0},
+                                       "change": {"attempted": 900, "failed": 2}}
+        gain = summary["items_per_s"]["gain"]
+        assert summary["items_per_s"]["change_wins"] == 10 and gain["holds_at_check_seed"]
+        assert not gain["failed_share_not_above_parent"] and not gain["met"]
+
+    def test_an_equal_failed_share_does_not_stop_a_gain(self):
+        runs = _runs(lambda k: 300 + k, lambda k: 400 + k)
+        for r in runs:
+            if r["seed"] == SEEDS[0]:
+                r["result"]["failed"] = 3
+        gain = _summary(runs)["items_per_s"]["gain"]
+        assert gain["failed_share_not_above_parent"] and gain["met"]
 
     def test_only_the_claimed_metric_gets_a_gain_rule(self):
         summary = _summary(_runs(lambda k: 300 + k, lambda k: 400 + k))
@@ -192,6 +216,8 @@ class TestTooFewPairs:
         assert all(r["trace"] == 1 for r in doc["traced"])
         assert doc["summary"]["fragment"] == {"unresolved": True, "pairs": 1}
         assert doc["summary"]["conjugate"]["items_per_s"]["change_wins"] == 10
+        assert doc["summary"]["conjugate"]["failures"]["change"] == {"attempted": 900,
+                                                                     "failed": 0}
         assert doc["machine"] == bench_pairs.machine()
         assert doc["summary"]["traced"]["conjugate"]["gridseries.mul.term_pairs"] == \
             {"parent": 30000, "change": 40000}

@@ -13,9 +13,12 @@ from conftest import (
     random_value,
     rat,
 )
+import vdfield.diffpoly as diffpoly_module
 from vdfield.diffpoly import (
     DiffPoly,
     _evaluate_at,
+    _pad,
+    _sum_terms,
     add_conj,
     comp_conj,
     derivatives,
@@ -37,6 +40,7 @@ from vdfield.gridseries import (
     log_fragment,
     transseries_fragment,
 )
+from vdfield.expr import parse_series
 from vdfield.newton import breakpoints
 from vdfield.valgroup import GroupElement, zero
 
@@ -297,6 +301,156 @@ class TestRationalKernel:
         t = K.gen("t")
         P = DiffPoly.variable(K, 3) + DiffPoly.variable(K, 1).scale_series(t)
         assert comp_conj(P, t) == conjugate_by_chain_rule(P, t)
+
+
+# -- the term-list substitution against the DiffPoly-product one -------------
+
+
+def _ref_mul(A, B):
+    """DiffPoly.__mul__ as the zip product over padded indices."""
+    order = A._align(B)
+    right = [(_pad(j, order), d) for j, d in B.terms.items()]
+    return _sum_terms(A.field, (
+        (tuple(a + b for a, b in zip(_pad(i, order), j)), c * d)
+        for i, c in A.terms.items() for j, d in right
+    ), order)
+
+
+def _ref_substitute(P, images):
+    """substitute through DiffPoly products: each term of P, as a
+    polynomial, times the cached DiffPoly power of each image it uses."""
+    if len(images) < P.order + 1:
+        raise VdfError("substitution needs an image for every variable")
+    order = max([img.order for img in images] + [0])
+    pow_cache = {}
+
+    def img_pow(j, e):
+        got = pow_cache.get((j, e))
+        if got is None:
+            got = images[j]
+            for _ in range(e - 1):
+                got = _ref_mul(got, images[j])
+            pow_cache[(j, e)] = got
+        return got
+
+    pairs = []
+    for i, c in P.terms.items():
+        term = DiffPoly.from_coeff(P.field, c)
+        for j, ij in enumerate(i):
+            if ij:
+                term = _ref_mul(term, img_pow(j, ij))
+        pairs.extend(term.terms.items())
+    return _sum_terms(P.field, pairs, order)
+
+
+def _assert_same_poly(got, want):
+    """Equal order, the same indices in the same order (dominant's argmin
+    follows it), and coefficients equal in terms, den, cden and tau."""
+    assert got.field is want.field and got.order == want.order
+    assert list(got.terms) == list(want.terms)
+    for i, c in want.terms.items():
+        d = got.terms[i]
+        assert (d.terms, d.den, d.cden, d.tau) == (c.terms, c.den, c.cden, c.tau), i
+
+
+def _maybe_cut(K, c, rng):
+    """c, or c truncated above its valuation (above its tau if it has no term)."""
+    if rng.random() < 0.5:
+        return c
+    return c.truncated(c.val_or_tau() + random_value(K, rng, 1, 3))
+
+
+def _drawn_poly(K, rng, order, max_degree, nterms=3):
+    P = random_poly(K, rng, order=order, max_degree=max_degree, nterms=nterms)
+    return DiffPoly(K, {i: _maybe_cut(K, c, rng) for i, c in P.terms.items()}, P.order)
+
+
+class TestSubstituteReference:
+    """substitute on term lists, and DiffPoly.__mul__, against the
+    DiffPoly-product substitution and zip product kept above."""
+
+    @staticmethod
+    def _images(monkeypatch, conj, P, a):
+        """The images that conj(P, a) hands to substitute."""
+        seen = []
+
+        def record(Q, images):
+            seen.append(images)
+            return substitute(Q, images)
+
+        with monkeypatch.context() as m:
+            m.setattr(diffpoly_module, "substitute", record)
+            conj(P, a)
+        return seen[0]
+
+    @pytest.mark.parametrize("make", BUILT_IN_FIELDS)
+    @pytest.mark.parametrize("conj", [add_conj, mul_conj, comp_conj])
+    def test_conjugation_images(self, make, conj, rng, monkeypatch):
+        K = make()
+        for _ in range(10):
+            P = _drawn_poly(K, rng, rng.randint(0, 3), 4)
+            a = _maybe_cut(K, random_series(K, rng, nterms=2, lo=-2, hi=2), rng)
+            images = self._images(monkeypatch, conj, P, a)
+            got = substitute(P, images)
+            _assert_same_poly(got, _ref_substitute(P, images))
+            _assert_same_poly(conj(P, a), got)
+
+    @pytest.mark.parametrize("make", BUILT_IN_FIELDS)
+    def test_non_affine_and_empty_images(self, make, rng):
+        K = make()
+        for _ in range(12):
+            r = rng.randint(0, 3)
+            P = _drawn_poly(K, rng, r, 4)
+            images = [_drawn_poly(K, rng, r, 2, nterms=2) for _ in range(r + 1)]
+            j = rng.randrange(r + 1)
+            images[j] = DiffPoly(K, {}, r)
+            if r:
+                Y, Y1 = DiffPoly.variable(K, 0), DiffPoly.variable(K, 1)
+                images[rng.choice([k for k in range(r + 1) if k != j])] = (
+                    (Y * Y1).scale_series(_maybe_cut(K, random_series(K, rng, nterms=2), rng))
+                    + DiffPoly.from_coeff(K, random_series(K, rng, nterms=1)))
+            _assert_same_poly(substitute(P, images), _ref_substitute(P, images))
+
+    def test_a_truncated_non_affine_image_keeps_the_reference_tau(self):
+        """Here multiplying each term by an image i_j times, instead of by
+        its cached power, certifies the coefficients of Y'^2 and Y'^4 only
+        below v = 6, not 7: the power's own sums cancel a term first."""
+        K = laurent_ddt()
+
+        def s(text, tau=None):
+            f = parse_series(text, K)
+            return f if tau is None else f.truncated(GroupElement([tau]))
+
+        P = DiffPoly(K, {(3, 1, 0): s("-1", 2)}, 2)
+        images = [DiffPoly(K, {(0, 0, 0): s("t - t^2", 4), (0, 1, 0): s("-t + t^2"),
+                               (0, 2, 0): s("-t")}, 2),
+                  DiffPoly(K, {(0, 0, 0): s("t", 3)}, 2),
+                  DiffPoly(K, {(0, 0, 1): s("-1 - t", 3)}, 2)]
+        got = substitute(P, images)
+        _assert_same_poly(got, _ref_substitute(P, images))
+        assert got.coefficient((0, 2, 0)).tau == GroupElement([7])
+        assert got.coefficient((0, 4, 0)).tau == GroupElement([7])
+
+    @pytest.mark.parametrize("make", BUILT_IN_FIELDS)
+    def test_product_matches_the_zip_product(self, make, rng):
+        K = make()
+        for _ in range(12):
+            A = _drawn_poly(K, rng, rng.randint(0, 3), 3)
+            B = _drawn_poly(K, rng, rng.randint(0, 3), 3)
+            _assert_same_poly(A * B, _ref_mul(A, B))
+
+    def test_images_over_another_field_are_refused(self):
+        K, L = laurent_ddt(), laurent_tddt_coarse()
+        Y, Y1 = DiffPoly.variable(K, 0), DiffPoly.variable(K, 1)
+        P = Y * Y1
+        for foreign in (DiffPoly(L, {}, 1), DiffPoly.variable(L, 1)):
+            for images in ([foreign, Y1], [Y, foreign]):
+                for sub in (substitute, _ref_substitute):
+                    with pytest.raises(VdfError):
+                        sub(P, images)
+            # also an image that no term of P uses
+            with pytest.raises(VdfError):
+                substitute(Y, [Y, foreign])
 
 
 class TestCompConj:

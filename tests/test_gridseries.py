@@ -38,6 +38,7 @@ from vdfield.gridseries import (
     val_strings,
 )
 from vdfield.coarsen import coarsen
+from vdfield.diffpoly import rational_field
 from vdfield.expr import parse_series
 from vdfield.hsolve import lambda_series
 from vdfield.newton import gamma_der
@@ -96,6 +97,90 @@ class TestRingOps:
         K = laurent_ddt()
         f = K.gen("t").truncated(GroupElement([5]))
         assert f.scale(0).is_true_zero()
+
+
+def _exactly(f: Series):
+    return f.field, f.terms, f.den, f.cden, f.tau
+
+
+def _power_cases(K, rng):
+    """Exact and truncated series of K, and its true zero (Q's single
+    value 0 leaves no room for a truncation above it)."""
+    out = [K.zero_series(), K.one(), K.constant(Fraction(-3, 2))]
+    if K.rank:
+        for _ in range(3):
+            f = random_series(K, rng, nterms=2, lo=-2, hi=2)
+            out += [f, f.truncated(f.valuation() + random_value(K, rng, 1, 3)),
+                    Series(K, {}, random_value(K, rng, -2, 2))]
+    return out
+
+
+class TestPowerAndOne:
+    """power by square-and-multiply with no product by one(), and the
+    product's shortcut for a factor that is exactly one, against the
+    general path (the shortcut switched off)."""
+
+    FIELDS = ALL_FIELDS + [rational_field]
+
+    @staticmethod
+    def _general(monkeypatch):
+        monkeypatch.setattr(Series, "_is_one", lambda self: False)
+
+    @pytest.mark.parametrize("make", FIELDS)
+    def test_power_zero_and_one(self, make, rng):
+        K = make()
+        for f in _power_cases(K, rng):
+            assert _exactly(f.power(0)) == _exactly(K.one())
+            assert f.power(1) is f
+
+    @pytest.mark.parametrize("make", FIELDS)
+    def test_power_is_the_n_fold_product_from_one(self, make, rng, monkeypatch):
+        K = make()
+        cases = _power_cases(K, rng)
+        got = {(k, n): f.power(n) for k, f in enumerate(cases) for n in range(7)}
+        self._general(monkeypatch)
+        for k, f in enumerate(cases):
+            want = K.one()
+            for n in range(7):
+                assert _exactly(got[k, n]) == _exactly(want), (f, n)
+                want = want * f
+
+    @pytest.mark.parametrize("make", FIELDS)
+    def test_a_factor_of_exactly_one_returns_the_other(self, make, rng, monkeypatch):
+        K = make()
+        cases = _power_cases(K, rng)
+        for f in cases:
+            if not f.is_true_zero():
+                assert f * K.one() is f
+                # with two exact ones the left factor comes back
+                assert K.one() * f is f or f._is_one()
+        self._general(monkeypatch)
+        for f in cases:
+            assert _exactly(f * K.one()) == _exactly(K.one() * f) == _exactly(f)
+
+    @pytest.mark.parametrize("make", ALL_FIELDS)
+    def test_a_truncated_one_takes_the_general_path(self, make, rng, monkeypatch):
+        K = make()
+        near_one = K.one().truncated(random_value(K, rng, 1, 3))
+        assert near_one.sorted_terms() == K.one().sorted_terms()
+        assert not near_one._is_one() and K.one()._is_one()
+        cases = [f for f in _power_cases(K, rng) if not f.is_true_zero()]
+        got = [(f * near_one, near_one * f) for f in cases]
+        for f, (right, left) in zip(cases, got):
+            assert right is not f and left is not f
+            assert right.tau == min(f.tau, near_one.tau + f.val_or_tau())
+        self._general(monkeypatch)
+        for f, (right, left) in zip(cases, got):
+            assert _exactly(right) == _exactly(f * near_one)
+            assert _exactly(left) == _exactly(near_one * f)
+
+    def test_one_of_another_field_is_refused(self):
+        K, L = laurent_ddt(), laurent_tddt_coarse()
+        for f in (K.gen("t"), K.one()):
+            with pytest.raises(VdfError):
+                f * L.one()
+            with pytest.raises(VdfError):
+                L.one() * f
 
 
 class TestValuation:
@@ -649,6 +734,16 @@ class TestLatticeKey:
         assert (key < other) == (gamma < other_value)
         assert (key == other) == (gamma == other_value)
         assert (key > other) == (gamma > other_value)
+
+    @given(coords=st.lists(_key_coords, min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_den_one_key_is_the_coordinates(self, coords):
+        """Coordinates are ints and off-lattice Fractions, the den-1 key."""
+        gamma = GroupElement(coords)
+        key = _lattice_key(gamma, 1)
+        assert key == gamma.coords == _fraction_lattice_key(gamma, 1)
+        assert [type(x) for x in key] == [type(x) for x in gamma.coords] \
+            == [type(x) for x in _fraction_lattice_key(gamma, 1)]
 
 
 class TestIntCoordinates:

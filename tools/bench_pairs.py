@@ -17,10 +17,13 @@ The summary gives, per workload and end-to-end metric, each side's
 median and quartiles over the pairs (a workload with fewer than two
 good pairs is marked unresolved instead), the pairs the change won (ties
 count for neither side), the relative change (positive is better) and
-whether it stays within the BENCHMARK.json bound.  For the claimed
-metric it also records the gain rule: the change wins at least nine
-tenths of the pairs, its median is better than the parent's by more than
-the parent's interquartile range, and it is better at the check seed.
+whether it stays within the BENCHMARK.json bound; per workload it gives
+each side's items attempted and failed (an item that raised or answered
+wrong) over the pairs.  For the claimed metric it also records the gain
+rule: the change wins at least nine tenths of the pairs, its median is
+better than the parent's by more than the parent's interquartile range,
+it is better at the check seed, and its failed share is not above the
+parent's.
 Its `traced` block gives each count metric of the traced runs on both
 sides (term pairs multiplied, series built, ...), which move with the
 work done but not with the machine.
@@ -99,7 +102,9 @@ def summarize(runs, metrics, claim):
             # quartiles need two pairs; the runs are kept in the document
             out[workload] = {"unresolved": True, "pairs": len(seeds)}
             continue
-        out[workload] = {}
+        failures = {side: {key: sum(by_key[workload, s, side]["result"][key] for s in seeds)
+                           for key in ("attempted", "failed")} for side in SIDES}
+        out[workload] = {"failures": failures}
         for m in metrics:
             sign = 1 if m["better"] == "higher" else -1
             vals = {side: [metric_of(by_key[workload, s, side], m["name"]) for s in seeds]
@@ -118,7 +123,7 @@ def summarize(runs, metrics, claim):
                 entry[f"seed_{CHECK_SEED}"] = {side: metric_of(check[side], m["name"])
                                                for side in SIDES}
             if claim == f"{workload} {m['name']}":
-                entry["gain"] = gain_rule(entry, sign)
+                entry["gain"] = gain_rule(entry, sign, failures)
             out[workload][m["name"]] = entry
     return out
 
@@ -138,16 +143,22 @@ def traced_counts(traced):
     return out
 
 
-def gain_rule(entry, sign):
+def failed_share(side):
+    return side["failed"] / side["attempted"] if side["attempted"] else 0
+
+
+def gain_rule(entry, sign, failures):
     parent, change = entry["parent"], entry["change"]
     iqr = parent["q3"] - parent["q1"]
     gap = sign * (change["median"] - parent["median"])
     check = entry.get(f"seed_{CHECK_SEED}")
     holds_at_check = check is not None and sign * (check["change"] - check["parent"]) > 0
+    fails_no_more = failed_share(failures["change"]) <= failed_share(failures["parent"])
     return {"wins_needed": -(-9 * entry["pairs"] // 10), "parent_iqr": iqr,
             "median_gap": gap, "holds_at_check_seed": holds_at_check,
+            "failed_share_not_above_parent": fails_no_more,
             "met": (10 * entry["change_wins"] >= 9 * entry["pairs"] and gap > iqr
-                    and holds_at_check)}
+                    and holds_at_check and fails_no_more)}
 
 
 def machine() -> str:
