@@ -59,18 +59,15 @@ def _order_of(indices: Iterable[MultiIndex]) -> int:
     return max((j for i in indices for j, ij in enumerate(i) if ij), default=0)
 
 
-def _collect(field: FieldInstance, pairs: Iterable[Tuple[MultiIndex, Series]],
-             order: int) -> Dict[MultiIndex, Series]:
-    """The term map of the coefficient terms (index, c): indices padded
-    to order + 1 entries, the coefficients of equal indices summed by
-    one gridseries._sum_series, zero sums dropped.  These are the terms
-    of folding them with +, without a copy of the term map per step."""
+def _collect(field: FieldInstance,
+             pairs: Iterable[Tuple[MultiIndex, Series]]) -> Dict[MultiIndex, Series]:
+    """The term map of the coefficient terms (index, c), whose indices
+    already have one length: the coefficients of equal indices summed
+    by one gridseries._sum_series, zero sums dropped.  These are the
+    terms of folding them with +, without a copy of the term map per step."""
     groups: Dict[MultiIndex, List[Series]] = {}
     for i, c in pairs:
-        key = _pad(i, order)
-        if len(key) > order + 1:
-            raise VdfError(f"index {tuple(i)} has an entry beyond order {order}")
-        groups.setdefault(key, []).append(c)
+        groups.setdefault(i, []).append(c)
     out: Dict[MultiIndex, Series] = {}
     for i, cs in groups.items():
         c = _sum_series(field, cs)
@@ -90,9 +87,9 @@ def _padded(terms: Dict[MultiIndex, Series], order: int) -> List[Tuple[MultiInde
 
 def _sum_terms(field: FieldInstance, pairs: Iterable[Tuple[MultiIndex, Series]],
                order: int) -> "DiffPoly":
-    """The polynomial sum of coefficient terms (index, c)."""
+    """The polynomial sum of coefficient terms (index, c) of order + 1 entries."""
     P = DiffPoly(field, {}, order)
-    P.terms = _collect(field, pairs, order)
+    P.terms = _collect(field, pairs)
     return P
 
 
@@ -105,9 +102,13 @@ class DiffPoly:
                  order: Optional[int] = None):
         if order is None:
             order = _order_of(terms)
+        pairs = _padded(terms, order)
+        for i, _ in pairs:
+            if len(i) > order + 1:
+                raise VdfError(f"index {i} has an entry beyond order {order}")
         self.field = field
         self.order = order
-        self.terms = _collect(field, terms.items(), order)
+        self.terms = _collect(field, pairs)
 
     @staticmethod
     def from_coeff(field: FieldInstance, coeff: Series,
@@ -173,8 +174,8 @@ class DiffPoly:
 
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
         order = self._align(other)
-        return _sum_terms(self.field, chain(self.terms.items(), other.terms.items()),
-                          order)
+        return _sum_terms(self.field, chain(_padded(self.terms, order),
+                                            _padded(other.terms, order)), order)
 
     def __neg__(self) -> "DiffPoly":
         return DiffPoly(self.field, {i: -c for i, c in self.terms.items()}, self.order)
@@ -388,7 +389,7 @@ def substitute(P: DiffPoly, images: List[DiffPoly]) -> DiffPoly:
     lists = [_padded(img.terms, order) for img in images]
 
     def times(left, right):
-        return _collect(K, _products(left, right), order).items()
+        return _collect(K, _products(left, right)).items()
 
     # the term times the power, not times images[j] e times: that order
     # certifies a lower tau when an image's own terms cancel in the power

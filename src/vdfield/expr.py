@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Union
 
-from .diffpoly import DiffPoly, _sum_terms
+from .diffpoly import DiffPoly, _padded, _sum_terms
 from .errors import ParseError, UnboundSymbol, VdfError
 from .gridseries import FieldInstance, Series
 from .records import FrozenRecord, Record
@@ -342,8 +342,8 @@ def lower_poly(node: Node, field: FieldInstance) -> DiffPoly:
         return -lower_poly(node.operand, field)
     if isinstance(node, Add):
         parts = [lower_poly(t, field) for t in node.terms]
-        return _sum_terms(field, (kv for P in parts for kv in P.terms.items()),
-                          max(P.order for P in parts))
+        order = max(P.order for P in parts)
+        return _sum_terms(field, (kv for P in parts for kv in _padded(P.terms, order)), order)
     if isinstance(node, Mul):
         out = lower_poly(node.factors[0], field)
         for f in node.factors[1:]:

@@ -28,7 +28,7 @@ import functools
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, is_not, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -96,7 +96,6 @@ class FieldInstance:
         self.generators = list(generators)
         self.name = name
         self._index = {g.name: i for i, g in enumerate(generators)}
-        self._shift: Optional[GroupElement] = None
         self._euler: Optional[Tuple[int, List[Tuple[int, ...]]]] = None
 
     # -- construction of elements ------------------------------------
@@ -113,10 +112,15 @@ class FieldInstance:
     def one(self) -> "Series":
         return self.constant(1)
 
-    def gen(self, name: str, power: Rat = 1) -> "Series":
-        if name not in self._index:
+    def index_of(self, name: str) -> int:
+        """The position of the generator called name."""
+        i = self._index.get(name)
+        if i is None:
             raise ConfigError(f"unknown generator {name!r} in field {self.name!r}")
-        value = self.generators[self._index[name]].value.scale(power)
+        return i
+
+    def gen(self, name: str, power: Rat = 1) -> "Series":
+        value = self.generators[self.index_of(name)].value.scale(power)
         return Series(self, {value: Fraction(1)}, INFINITY)
 
     def monomial_series(self, mono: Monomial, coeff: Rat = 1) -> "Series":
@@ -126,11 +130,9 @@ class FieldInstance:
         return Series(self, {mono: coeff}, INFINITY)
 
     def monomial_from_dict(self, powers: Dict[str, Rat]) -> Monomial:
-        exps = [Fraction(0)] * self.rank
+        exps = [0] * self.rank
         for name, q in powers.items():
-            if name not in self._index:
-                raise ConfigError(f"unknown generator {name!r}")
-            exps[self._index[name]] = _frac(q)
+            exps[self.index_of(name)] = q
         return Monomial(exps)
 
     # -- values and exponents ------------------------------------------
@@ -186,11 +188,11 @@ class FieldInstance:
         modulo its tau bounds the shift by that tau; validated by
         sampling in the test suite.
         """
-        if self._shift is None:
+        def least():
             m = min((self._logder(i).val_or_tau() for i in range(self.rank)),
                     default=INFINITY)
-            self._shift = zero(self.rank) if m is INFINITY else m
-        return self._shift
+            return zero(self.rank) if m is INFINITY else m
+        return self._derived("_derivation_shift", least)
 
     def _logder(self, i: int) -> "Series":
         """Generator i's logder, read at call time: it is attached (and
@@ -199,6 +201,16 @@ class FieldInstance:
         if ld is None:
             raise VdfError(f"generator {self.generators[i].name} has no logder")
         return ld
+
+    def _derived(self, name: str, build):
+        """build(), kept in the attribute name with the logders it was built
+        from, and built again once any generator's logder is no longer the
+        same object: the one cache of data that follows from the logders."""
+        logders = [g.logder for g in self.generators]
+        kept = self.__dict__.get(name)
+        if kept is None or any(map(is_not, kept[0], logders)):
+            kept = self.__dict__[name] = (logders, build())
+        return kept[1]
 
     def _euler_rows(self) -> Tuple[int, List[Tuple[int, ...]]]:
         """(D, rows): exponent i of the term of lattice key k over den is
@@ -670,15 +682,17 @@ def log_fragment(n_depth: int) -> FieldInstance:
 
 def _fragment(name: str, n_depth: int, head: List[str]) -> FieldInstance:
     """The field name(N) on the generators head, then l0..lN: generator
-    i has value -e_i, and l_k has logder (l0*...*l_k)^-1; the logders of
-    head are left to the caller."""
+    i has value -e_i, and l_k has logder (l0*...*l_k)^-1, the monomial of
+    value e_h + ... + e_(h+k) for h = len(head): the one place the exp-log
+    ladder is spelled.  The logders of head are left to the caller."""
     if n_depth < 0:
         raise ConfigError("depth must be >= 0")
     names = head + [f"l{k}" for k in range(n_depth + 1)]
-    rank = len(names)
+    rank, h = len(names), len(head)
     gens = [Generator(g, unit(rank, i, -1)) for i, g in enumerate(names)]
     K = FieldInstance(rank, gens, name=f"{name}({n_depth})")
+    rung = [0] * rank
     for k in range(n_depth + 1):
-        exps = {f"l{j}": -1 for j in range(k + 1)}
-        K.generators[len(head) + k].logder = K.monomial_series(K.monomial_from_dict(exps))
+        rung[h + k] = 1
+        K.generators[h + k].logder = Series(K, {tuple(rung): 1}, INFINITY, 1)
     return K

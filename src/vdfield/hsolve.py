@@ -25,6 +25,7 @@ from .errors import IntegrationGap, NonDecreasingResidual, VdfError
 from .gridseries import (
     FieldInstance,
     Series,
+    _sum_series,
     embed_value,
     log_fragment,
     monomial_strings,
@@ -93,16 +94,13 @@ def operator_poly(op: LinearOperator, g: Optional[Series] = None) -> DiffPoly:
 
 
 def lambda_series(depth: int, field: Optional[FieldInstance] = None) -> Series:
-    """sum_{k<=depth} (l0...lk)^-1 with truncation one grid step past
-    the last kept term, so products with small factors stay certified."""
+    """lambda = sum_{k<=depth} l_k-logder = sum_{k<=depth} (l0...lk)^-1,
+    the field's own ladder, truncated one grid step past the last kept
+    term, so products with small factors stay certified."""
     K = field if field is not None else log_fragment(depth)
-    out = K.zero_series()
-    for k in range(depth + 1):
-        exps = {f"l{j}": -1 for j in range(k + 1)}
-        out = out + K.monomial_series(K.monomial_from_dict(exps))
-    last = K.monomial_value(K.monomial_from_dict({f"l{j}": -1 for j in range(depth + 1)}))
-    tau = last + unit(K.rank, K.rank - 1, 1)
-    return out.truncated(tau)
+    rungs = [K._logder(K.index_of(f"l{k}")) for k in range(depth + 1)]
+    tau = rungs[-1].valuation() + unit(K.rank, K.rank - 1, 1)
+    return _sum_series(K, rungs).truncated(tau)
 
 
 def psi_map(field: FieldInstance, gamma: GroupElement) -> GroupElement:
@@ -306,9 +304,7 @@ def check_bll(depth: int, tau: Optional[GroupElement] = None,
         raise VdfError("check_bll needs depth >= 3")
     L = log_fragment(depth)
     if tau is None:
-        tau = L.monomial_value(
-            L.monomial_from_dict({f"l{j}": -1 for j in range(depth)})
-        )
+        tau = L._logder(L.index_of(f"l{depth - 1}")).valuation()
     B = op_B(L, depth)
     y, trace = solve_linear(B, L.one(), tau, max_iter=max_iter)
     solved = trace.termination == "reached_tau"
@@ -319,7 +315,7 @@ def check_bll(depth: int, tau: Optional[GroupElement] = None,
     lifted = y_M * M.gen("e_x")
     residual = apply_op(A, lifted) - M.gen("e_x")
     tau_M = embed_value(L, M, tau)
-    target = tau_M + M.monomial_value(M.monomial_from_dict({"e_x": 1}))
+    target = tau_M + M.generators[M.index_of("e_x")].value
     bound = residual.val_or_tau()
     passed = solved and bound >= target
     return {
@@ -358,9 +354,8 @@ def demo_nonuniqueness(depth: int, c_list: List[Fraction],
     M = transseries_fragment(depth)
     A = op_A(M, depth)
     if tau is None:
-        exps = {f"l{j}": -1 for j in range(depth)}
-        exps["e_x"] = 1
-        tau = M.monomial_value(M.monomial_from_dict(exps))
+        tau = (M._logder(M.index_of(f"l{depth - 1}")).valuation()
+               + M.generators[M.index_of("e_x")].value)
     runs = []
     solutions: Dict[Fraction, Series] = {}
     for c in c_list:

@@ -135,7 +135,7 @@ def _analytic_cut(field: FieldInstance, k: int) -> Cut:
 
 def gamma_der(field: FieldInstance) -> Cut:
     """The downward-closed set {v(phi) : der maps the maximal ideal into
-    phi times it}, as a prefix cut, cached on the field instance.
+    phi times it}, as a prefix cut, kept by FieldInstance._derived.
 
     It is _analytic_cut at full rank, and needs no check.  Take a
     monomial m < 1 of class p (its first nonzero exponent is at p), let
@@ -158,10 +158,7 @@ def gamma_der(field: FieldInstance) -> Cut:
     Hypothesis: each generator logder is the true zero or has a known
     term; psi_level raises IndeterminateValuation for any other.
     """
-    cached = getattr(field, "_gamma_der_cut", None)
-    if cached is None:
-        cached = field._gamma_der_cut = _analytic_cut(field, field.rank)
-    return cached
+    return field._derived("_gamma_der_cut", lambda: _analytic_cut(field, field.rank))
 
 
 def s_der(field: FieldInstance) -> ConvexSubgroup:
@@ -171,14 +168,6 @@ def s_der(field: FieldInstance) -> ConvexSubgroup:
 
 
 # -- Newton degree ----------------------------------------------------------------
-
-
-def _eps_extension(field: FieldInstance) -> FieldInstance:
-    ext = getattr(field, "_eps_ext", None)
-    if ext is None:
-        ext = field.with_flat_generator()
-        field._eps_ext = ext
-    return ext
 
 
 def ndeg(P: DiffPoly, base: Optional[GroupElement] = None,
@@ -236,7 +225,7 @@ def ndeg_geq(P: DiffPoly, gamma: GroupElement) -> int:
     n+1 is interpreted in the flat infinitesimal extension."""
     K = P.field
     if gamma.rank == K.rank + 1:
-        K = _eps_extension(K)
+        K = K._derived("_eps_ext", K.with_flat_generator)
         P = P.embed_into(K)
     elif gamma.rank != K.rank:
         raise VdfError(f"gamma rank {gamma.rank} does not match field rank {K.rank}")

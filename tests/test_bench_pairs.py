@@ -1,7 +1,8 @@
 """tools/bench_pairs.py on synthetic run records: the gain rule, the two
-metric directions, the bound, a workload with too few good pairs, the
-failed items of both sides, the traced counts of both sides, and the
-bytecode-cache state on the machine line."""
+metric directions, the bound, whether the parent's spread resolves it, a
+workload with too few good pairs, the failed items of both sides, the
+traced counts of both sides, and the bytecode-cache state on the
+machine line."""
 
 import importlib.util
 import json
@@ -155,6 +156,33 @@ class TestWithinBound:
         entry = _summary(runs)["item_ms_p50"]
         assert entry["relative_change_better_positive"] == pytest.approx(1 - factor)
         assert entry["within_bound"] is within
+
+
+class TestResolved:
+    """A metric is resolved when the parent's IQR over its median is
+    within the bound, or when every change run beats every parent run."""
+
+    def test_a_narrow_parent_spread_resolves_the_bound(self):
+        entry = _summary(_runs(lambda k: 400 + k, lambda k: 290 + k))["items_per_s"]
+        assert entry["parent_spread"] == pytest.approx(4.5 / 404.5)
+        assert entry["resolved"] and not entry["within_bound"]
+
+    def test_a_parent_spread_wider_than_the_bound_is_unresolved(self):
+        # parent 200..560: IQR 290..470 over a median of 380 is 0.47 > 0.25
+        entry = _summary(_runs(lambda k: 200 + 40 * k, lambda k: 210 + 40 * k))["items_per_s"]
+        assert entry["parent_spread"] == pytest.approx(180 / 380)
+        assert entry["change_wins"] == 10 and entry["within_bound"]
+        assert not entry["resolved"]
+        worse = _summary(_runs(lambda k: 200 + 40 * k, lambda k: 190 + 40 * k))
+        assert all(not worse[name]["resolved"] for name in ("items_per_s", "item_ms_p50"))
+
+    @pytest.mark.parametrize("change", [lambda k: 600 + k, lambda k: 100 + k])
+    def test_only_a_change_that_beats_every_parent_run_resolves_it(self, change):
+        # in both directions; a change below every parent run stays unresolved
+        summary = _summary(_runs(lambda k: 200 + 40 * k, change))
+        for name in ("items_per_s", "item_ms_p50"):
+            assert summary[name]["parent_spread"] > summary[name]["bound"]
+            assert summary[name]["resolved"] is (change(0) > 560)
 
 
 def _fail_all_but_one_fragment_pair(runs):

@@ -21,7 +21,7 @@ from vdfield.cli import (
     load_field,
     run,
 )
-from vdfield.errors import ParseError, UnboundSymbol, VdfError
+from vdfield.errors import ConfigError, ParseError, UnboundSymbol, VdfError
 from vdfield.expr import (
     MAX_COEFF_DIGITS,
     MAX_ORDER,
@@ -90,6 +90,11 @@ class TestGrammar:
         K = laurent_ddt()
         with pytest.raises(UnboundSymbol, match="unknown generator 'q' in field 'laurent_ddt'"):
             parse_series("q + 1", K)
+        # the library's one lookup by name gives the same message
+        message = "^unknown generator 'q' in field 'laurent_ddt'$"
+        for lookup in (lambda: K.gen("q"), lambda: K.monomial_from_dict({"t": 1, "q": 2})):
+            with pytest.raises(ConfigError, match=message):
+                lookup()
 
     def test_parenthesized_power_on_non_y_rejected(self):
         with pytest.raises(ParseError):

@@ -339,7 +339,7 @@ def _ref_substitute(P, images):
         for j, ij in enumerate(i):
             if ij:
                 term = _ref_mul(term, img_pow(j, ij))
-        pairs.extend(term.terms.items())
+        pairs.extend((_pad(i, order), c) for i, c in term.terms.items())
     return _sum_terms(P.field, pairs, order)
 
 

@@ -5,13 +5,15 @@ import pytest
 from conftest import rat, random_series, random_value
 from vdfield import hsolve
 from vdfield.diffpoly import evaluate
-from vdfield.errors import IntegrationGap, NonDecreasingResidual, VdfError
+from vdfield.errors import ConfigError, IntegrationGap, NonDecreasingResidual, VdfError
 from vdfield.gridseries import (
     Series,
+    embed_value,
     laurent_ddt,
     laurent_tddt_coarse,
     log_fragment,
     transseries_fragment,
+    val_strings,
 )
 from vdfield.hsolve import (
     LinearOperator,
@@ -58,6 +60,57 @@ class TestLambda:
         L = log_fragment(3)
         tail = L.gen("l1") + L.gen("l2") + L.gen("l3")
         assert tail.derive().same_terms(lambda_series(2, L))
+
+
+# -- the ladder against its Monomial-built reference ----------------------------
+
+
+def _ref_rung_value(K, k):
+    """v((l0...lk)^-1), through Monomial."""
+    return K.monomial_value(K.monomial_from_dict({f"l{j}": -1 for j in range(k + 1)}))
+
+
+def _ref_lambdas(K, depth):
+    """lambda_series(d, K) for d = 0..depth as the ladder was first
+    built: partial sums of the Monomial-built rungs, each truncated one
+    grid step past its last rung."""
+    out, lams = K.zero_series(), []
+    for k in range(depth + 1):
+        out = out + u_mono(K, k)
+        lams.append(out.truncated(_ref_rung_value(K, k) + unit(K.rank, K.rank - 1, 1)))
+    return lams
+
+
+def _exactly(f):
+    return f.terms, f.den, f.cden, f.tau
+
+
+class TestLadderReference:
+    @pytest.mark.parametrize("depth", [*range(17), 32, 64])
+    @pytest.mark.parametrize("family", [transseries_fragment, log_fragment])
+    def test_logders_and_lambdas(self, family, depth):
+        K = family.__wrapped__(depth)
+        head = K.rank - depth - 1
+        if head:
+            assert _exactly(K.generators[0].logder) == _exactly(K.one())
+        for k in range(depth + 1):
+            assert _exactly(K.generators[head + k].logder) == _exactly(u_mono(K, k))
+        for d, want in enumerate(_ref_lambdas(K, depth)):
+            assert _exactly(lambda_series(d, K)) == _exactly(want)
+
+    @pytest.mark.parametrize("depth", range(3, 9))
+    def test_default_targets(self, depth):
+        L, M = log_fragment(depth), transseries_fragment(depth)
+        v_ex = M.monomial_value(M.monomial_from_dict({"e_x": 1}))
+        tau_M = embed_value(L, M, _ref_rung_value(L, depth - 1))
+        assert check_bll(depth)["required_bound"] == val_strings(tau_M + v_ex)
+        demo = demo_nonuniqueness(depth, [Fraction(0), Fraction(1)])
+        assert demo["tau"] == val_strings(_ref_rung_value(M, depth - 1) + v_ex)
+
+    def test_a_depth_beyond_the_ladder_is_a_config_error(self):
+        message = r"^unknown generator 'l4' in field 'log_fragment\(3\)'$"
+        with pytest.raises(ConfigError, match=message):
+            lambda_series(4, log_fragment(3))
 
 
 class TestPsi:

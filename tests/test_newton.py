@@ -228,6 +228,47 @@ class TestGammaDer:
             assert s_der(K).prefix_len == K.rank
 
 
+def _t_field(logder):
+    """The rank-1 field on t of value (1) with t's logder logder(K)."""
+    K = FieldInstance(1, [Generator("t", GroupElement([1]))])
+    K.generators[0].logder = logder(K)
+    return K
+
+
+def _derived_data(K):
+    """derivation_shift, the tau of a truncated derive, gamma_der and
+    ndeg_geq at rank + 1, of Y*Y' + Y at (0, 1): 1 when der is zero, 2
+    for d/dt."""
+    f = (K.gen("t", 2) + K.gen("t", 3)).truncated(GroupElement([5]))
+    P = DiffPoly(K, {(1, 1): K.one(), (1, 0): K.one()})
+    return (K.derivation_shift, f.derive().tau, gamma_der(K),
+            ndeg_geq(P, GroupElement([0, 1])))
+
+
+class TestDerivedDataFollowsLogders:
+    """Every cache of data that follows from the logders is built again
+    when a logder is replaced after construction."""
+
+    def test_a_replaced_logder_gives_a_fresh_fields_data(self):
+        K = _t_field(lambda K: K.zero_series())
+        assert _derived_data(K) == (GroupElement([0]), GroupElement([5]), Cut.all_of(1), 1)
+        K.generators[0].logder = K.gen("t", -1)
+        fresh = _derived_data(_t_field(lambda K: K.gen("t", -1)))
+        assert fresh == (GroupElement([-1]), GroupElement([4]),
+                         Cut.prefix(1, [-1], inclusive=True), 2)
+        assert _derived_data(K) == fresh
+
+    def test_without_a_replacement_the_data_is_kept(self):
+        K = _t_field(lambda K: K.gen("t", -1))
+        assert gamma_der(K) is gamma_der(K)
+        assert K.derivation_shift is K.derivation_shift
+        builds = []
+        assert K._derived("_probe", lambda: builds.append(1) or len(builds)) == 1
+        assert K._derived("_probe", lambda: builds.append(1) or len(builds)) == 1
+        K.generators[0].logder = K.gen("t", -1)  # an equal logder, but a new object
+        assert K._derived("_probe", lambda: builds.append(1) or len(builds)) == 2
+
+
 class TestNdeg:
     def test_laurent_example(self):
         K = laurent_ddt()

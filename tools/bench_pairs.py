@@ -17,9 +17,12 @@ The summary gives, per workload and end-to-end metric, each side's
 median and quartiles over the pairs (a workload with fewer than two
 good pairs is marked unresolved instead), the pairs the change won (ties
 count for neither side), the relative change (positive is better) and
-whether it stays within the BENCHMARK.json bound; per workload it gives
-each side's items attempted and failed (an item that raised or answered
-wrong) over the pairs.  For the claimed metric it also records the gain
+whether it stays within the BENCHMARK.json bound.  It also says whether
+the pairs can tell that at all: a metric is not `resolved` when the
+parent's own interquartile range over its median (`parent_spread`) is
+wider than the bound, unless every change run beats every parent run.
+Per workload it gives each side's items attempted and failed (an item
+that raised or answered wrong) over the pairs.  For the claimed metric it also records the gain
 rule: the change wins at least nine tenths of the pairs, its median is
 better than the parent's by more than the parent's interquartile range,
 it is better at the check seed, and its failed share is not above the
@@ -110,14 +113,17 @@ def summarize(runs, metrics, claim):
             vals = {side: [metric_of(by_key[workload, s, side], m["name"]) for s in seeds]
                     for side in SIDES}
             stats = {side: quartiles(vals[side]) for side in SIDES}
-            rel = sign * (stats["change"]["median"] - stats["parent"]["median"]) \
-                / stats["parent"]["median"]
+            parent = stats["parent"]
+            rel = sign * (stats["change"]["median"] - parent["median"]) / parent["median"]
+            spread = (parent["q3"] - parent["q1"]) / parent["median"]
+            beats_all = all(sign * (c - p) > 0 for c in vals["change"] for p in vals["parent"])
             entry = {**stats,
                      "change_wins": sum(sign * (c - p) > 0
                                         for p, c in zip(vals["parent"], vals["change"])),
                      "pairs": len(seeds), "bound": m["bound"],
                      "relative_change_better_positive": rel,
-                     "within_bound": rel >= -m["bound"]}
+                     "within_bound": rel >= -m["bound"], "parent_spread": spread,
+                     "resolved": spread <= m["bound"] or beats_all}
             check = {side: by_key.get((workload, CHECK_SEED, side)) for side in SIDES}
             if all(check.values()):
                 entry[f"seed_{CHECK_SEED}"] = {side: metric_of(check[side], m["name"])
