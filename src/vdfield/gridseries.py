@@ -202,14 +202,16 @@ class FieldInstance:
             raise VdfError(f"generator {self.generators[i].name} has no logder")
         return ld
 
-    def _derived(self, name: str, build):
-        """build(), kept in the attribute name with the logders it was built
-        from, and built again once any generator's logder is no longer the
-        same object: the one cache of data that follows from the logders."""
+    def _derived(self, name: str, build, holder=None):
+        """build(), kept in the attribute name of holder (by default the
+        field) with the logders it was built from, and built again once any
+        generator's logder is no longer the same object: the one cache of
+        data that follows from the logders."""
+        store = (self if holder is None else holder).__dict__
         logders = [g.logder for g in self.generators]
-        kept = self.__dict__.get(name)
+        kept = store.get(name)
         if kept is None or any(map(is_not, kept[0], logders)):
-            kept = self.__dict__[name] = (logders, build())
+            kept = store[name] = (logders, build())
         return kept[1]
 
     def _euler_rows(self) -> Tuple[int, List[Tuple[int, ...]]]:
@@ -277,7 +279,9 @@ class Series:
             terms = {_lattice_key(v, den): c.numerator * (cden // c.denominator)
                      for v, c in terms.items()}
         if tau is INFINITY:
-            clean = {k: c for k, c in terms.items() if c}
+            # an exact dict with no zero is kept, not copied: term dicts are
+            # never mutated once handed to a Series or read from .terms
+            clean = terms if all(terms.values()) else {k: c for k, c in terms.items() if c}
         else:
             if tau.rank != field.rank:
                 raise RankMismatch(f"tau rank {tau.rank} != field rank {field.rank}")
@@ -373,13 +377,15 @@ class Series:
         return Series(self.field, terms, self.tau, self.den, self.cden * q.denominator)
 
     def _is_one(self) -> bool:
-        return (self.tau is INFINITY and self.cden == 1
+        return (len(self.terms) == 1 and self.tau is INFINITY and self.cden == 1
                 and self.terms == {(0,) * self.field.rank: 1})
 
     def __mul__(self, other: "Series") -> "Series":
         """The product.  A factor that is exactly one (the term 1 at value
         0 alone, cden 1, tau +infinity) returns the other factor itself,
-        which has the general path's terms, den, cden and tau."""
+        which has the general path's terms, den, cden and tau.  By a
+        single-term factor the product is a shift of the other's keys,
+        which can neither collide nor cancel."""
         self._check_field(other)
         if self.is_true_zero() or other.is_true_zero():
             return self.field.zero_series()
@@ -392,21 +398,22 @@ class Series:
             tau = self.tau + other.val_or_tau()
         if other.tau is not INFINITY:
             tau = min(tau, other.tau + self.val_or_tau())
-        den = lcm(self.den, other.den)
-        right = list(other._terms_at(den, other.cden).items())
+        den, left, right = self.den, self.terms, other.terms
+        if den != other.den:
+            den = lcm(den, other.den)
+            left, right = self._terms_at(den, self.cden), other._terms_at(den, other.cden)
+        if len(left) == 1:
+            left, right = right, left
+        if len(right) == 1:
+            ((k2, c2),) = right.items()
+            terms = {tuple(map(add, k1, k2)): c1 * c2 for k1, c1 in left.items()}
+            return Series(self.field, terms, tau, den, self.cden * other.cden)
+        right = list(right.items())
         terms: Dict[tuple, int] = {}
-        for k1, c1 in self._terms_at(den, self.cden).items():
+        for k1, c1 in left.items():
             for k2, c2 in right:
                 k = tuple(map(add, k1, k2))
-                s = terms.get(k)
-                if s is None:
-                    terms[k] = c1 * c2
-                else:
-                    s += c1 * c2
-                    if s:
-                        terms[k] = s
-                    else:
-                        del terms[k]
+                terms[k] = terms.get(k, 0) + c1 * c2
         return Series(self.field, terms, tau, den, self.cden * other.cden)
 
     def power(self, n: int) -> "Series":
@@ -427,20 +434,34 @@ class Series:
     def derive(self) -> "Series":
         """The Euler form f' = sum_i theta_i(f) * g_i-logder, where
         theta_i scales each term by its exponent i, one int dot product
-        of its key; the unknown tail contributes at tau +
-        derivation_shift."""
+        of its key; the products are summed in one term dict.  The
+        unknown tail contributes at tau + derivation_shift, and a
+        logder known only below its tau at that tau plus the least
+        value of theta_i(f): the least of these is the tau, and a term a
+        product alone would drop lies at or above it."""
         K = self.field
         D, rows = K._euler_rows()
-        parts = []
+        used = []
         for i, row in enumerate(rows):
-            theta = {k: c * e for k, c in self.terms.items() if (e := sum(map(mul, k, row)))}
+            theta = [(k, c * e) for k, c in self.terms.items() if (e := sum(map(mul, k, row)))]
             if theta:
-                cden = self.cden * D * self.den
-                parts.append(Series(K, theta, INFINITY, self.den, cden) * K._logder(i))
-        out = _sum_series(K, parts)
-        if self.tau is not INFINITY:
-            out = out.truncated(self.tau + K.derivation_shift)
-        return out
+                used.append((theta, K._logder(i)))
+        den = lcm(self.den, *(ld.den for _, ld in used))
+        cden = lcm(*(ld.cden for _, ld in used))
+        m = den // self.den
+        tau = INFINITY if self.tau is INFINITY else self.tau + K.derivation_shift
+        terms: Dict[tuple, int] = {}
+        for theta, ld in used:
+            if ld.tau is not INFINITY:
+                tau = min(tau, ld.tau + self._value(min(theta)[0]))
+            right = ld._terms_at(den, cden).items()
+            for k1, c1 in theta:
+                if m != 1:
+                    k1 = tuple([x * m for x in k1])
+                for k2, c2 in right:
+                    k = tuple(map(add, k1, k2))
+                    terms[k] = terms.get(k, 0) + c1 * c2
+        return Series(K, terms, tau, den, self.cden * D * self.den * cden)
 
     def invert(self, tau=None) -> "Series":
         """A series g with v(self * g - 1) >= tau.

@@ -16,7 +16,6 @@ op = der.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
@@ -38,9 +37,10 @@ from .valgroup import INFINITY, GroupElement, unit
 
 
 class LinearOperator(FrozenRecord):
-    """a0 + a1 * der, applied as y -> a0*y + a1*y'.  Frozen, so the
-    cached seed_offsets and responses cannot go stale; no __slots__, as
-    they are cached in the instance __dict__."""
+    """a0 + a1 * der, applied as y -> a0*y + a1*y'.  Its seed_offsets and
+    responses follow from the field's logders and are kept in the
+    instance __dict__ (hence no __slots__) by FieldInstance._derived, so
+    a replaced logder rebuilds them."""
 
     _fields = ("a0", "a1")
 
@@ -53,20 +53,22 @@ class LinearOperator(FrozenRecord):
     def field(self) -> FieldInstance:
         return self.a1.field
 
-    @cached_property
+    @property
     def seed_offsets(self) -> Tuple[GroupElement, ...]:
         """v(a0) if a0 has terms, then v(a1) + psi_level(i) for each
         non-flat generator i in index order."""
-        K, a1v = self.field, self.a1.valuation()
-        head = (self.a0.valuation(),) if self.a0.terms else ()
-        levels = (K.psi_level(i) for i in range(K.rank))
-        return head + tuple(a1v + lvl for lvl in levels if lvl is not INFINITY)
+        def build():
+            K, a1v = self.field, self.a1.valuation()
+            head = (self.a0.valuation(),) if self.a0.terms else ()
+            levels = (K.psi_level(i) for i in range(K.rank))
+            return head + tuple(a1v + lvl for lvl in levels if lvl is not INFINITY)
+        return self.field._derived("seed_offsets", build, self)
 
-    @cached_property
+    @property
     def responses(self) -> Dict[GroupElement, Series]:
         """gamma -> a0 + a1 * logder(m_gamma), the response to the monomial
         of value gamma, filled by dominant_solve as it tries values."""
-        return {}
+        return self.field._derived("responses", dict, self)
 
     def __call__(self, y: Series) -> Series:
         return apply_op(self, y)
@@ -137,6 +139,7 @@ def dominant_solve(op: LinearOperator, z: Series) -> Series:
     c_target, beta = z.dominant_term()
 
     pure_derivation = not op.a0.terms
+    responses = op.responses
     attempts: List[Tuple[GroupElement, object]] = []
     seen = set()
     retries: List[GroupElement] = []
@@ -155,9 +158,9 @@ def dominant_solve(op: LinearOperator, z: Series) -> Series:
         seen.add(gamma)
         if pure_derivation and gamma.is_zero():
             continue
-        response = op.responses.get(gamma)
+        response = responses.get(gamma)
         if response is None:
-            response = op.responses[gamma] = op.a0 + op.a1 * K.logder_of_value(gamma)
+            response = responses[gamma] = op.a0 + op.a1 * K.logder_of_value(gamma)
         if not response.terms:
             # annihilated or uncertifiable in this direction
             attempts.append((gamma, response.tau))

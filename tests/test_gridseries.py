@@ -38,7 +38,14 @@ from vdfield.gridseries import (
     val_strings,
 )
 from vdfield.coarsen import coarsen
-from vdfield.diffpoly import rational_field
+from vdfield.diffpoly import (
+    DiffPoly,
+    add_conj,
+    comp_conj,
+    mul_conj,
+    rational_field,
+    substitute,
+)
 from vdfield.expr import parse_series
 from vdfield.hsolve import lambda_series
 from vdfield.newton import gamma_der
@@ -562,6 +569,134 @@ class TestOnePassSums:
         for refuse in refusals:
             with pytest.raises(VdfError, match="^generator t has no logder$"):
                 refuse()
+
+    def test_a_truncated_zero_logder(self, rng):
+        # t's logder is known to be 0 only below (0, 2): theta_t(f) times it
+        # has no term, and bounds the tau at v(theta_t(f)) + (0, 2)
+        K = FieldInstance(2, [Generator("t", GroupElement([1, 0])),
+                              Generator("s", GroupElement([0, 1]))])
+        K.generators[0].logder = Series(K, {}, GroupElement([0, 2]))
+        K.generators[1].logder = K.gen("t", -1).scale(Fraction(2, 3))
+        for _ in range(40):
+            f = random_series(K, rng, nterms=rng.randint(1, 4))
+            if rng.randrange(2):
+                f = f.truncated(f.valuation() + random_value(K, rng, 0, 3))
+            assert f.derive() == _ref_derive(f)
+        f = K.gen("t", 2) + K.gen("s")
+        assert f.derive().tau == GroupElement([2, 2])
+
+    def test_a_missing_logder_between_used_generators(self, rng):
+        # b has no logder; f has no b-exponent, so b's logder is never read
+        K = _off_diagonal_field(False)
+        K.generators[1].logder = None
+        for _ in range(40):
+            terms = {K.monomial_from_dict({"a": rat(rng), "c": rat(rng)}): rat(rng, 1, 5)
+                     for _ in range(rng.randint(1, 4))}
+            f = Series(K, terms, INFINITY)
+            assert f.derive() == _ref_derive(f)
+
+    def test_the_rank_0_field(self):
+        Q = rational_field()
+        for f in (Q.zero_series(), Q.one(), Q.constant(Fraction(-7, 3)),
+                  Series(Q, {}, zero(0)), Q.constant(2).truncated(zero(0))):
+            assert f.derive() == _ref_derive(f)
+            assert not f.derive().terms
+
+
+# -- products against the loop of the general path -----------------------------------
+
+
+def _ref_mul(a: Series, b: Series) -> Series:
+    """The product by the loop over all term pairs, with no shortcut for
+    a single-term factor or one, and keys and numerators always brought
+    to the common den and to their own cden."""
+    K = a.field
+    if a.is_true_zero() or b.is_true_zero():
+        return K.zero_series()
+    tau = INFINITY
+    if a.tau is not INFINITY:
+        tau = a.tau + b.val_or_tau()
+    if b.tau is not INFINITY:
+        tau = min(tau, b.tau + a.val_or_tau())
+    den = math.lcm(a.den, b.den)
+    right = list(b._terms_at(den, b.cden).items())
+    terms = {}
+    for k1, c1 in a._terms_at(den, a.cden).items():
+        for k2, c2 in right:
+            k = tuple(map(operator.add, k1, k2))
+            s = terms.get(k)
+            if s is None:
+                terms[k] = c1 * c2
+            else:
+                s += c1 * c2
+                if s:
+                    terms[k] = s
+                else:
+                    del terms[k]
+    return Series(K, terms, tau, den, a.cden * b.cden)
+
+
+def _product_cases(K, rng):
+    """Single terms on integer and off-integer values, sums and
+    differences of two of them (whose products cancel), longer series,
+    their truncations, a truncated zero, the true zero and exactly one."""
+    def term(integral):
+        v = (GroupElement([rng.randint(-3, 3) for _ in range(K.rank)]) if integral
+             else random_value(K, rng, -3, 3))
+        return Series(K, {v: rat(rng, 1, 5) * rng.choice((1, -1))}, INFINITY)
+    x, y, z = term(True), term(False), term(False)
+    cases = [K.zero_series(), K.one(), K.constant(Fraction(-3, 2)), x, y, z,
+             x + y, x - y, y + z, random_series(K, rng, nterms=4),
+             Series(K, {}, random_value(K, rng, -2, 2))]
+    for f in (y, x + y, cases[-2]):
+        cases.append(f.truncated(f.valuation() + random_value(K, rng, 0, 3)))
+    return cases
+
+
+class TestProductReference:
+    @pytest.mark.parametrize("make", ALL_FIELDS + OFF_DIAGONAL_FIELDS)
+    def test_product_matches_the_reference_loop(self, make, rng):
+        K = make()
+        for _ in range(3):
+            cases = _product_cases(K, rng)
+            assert len({f.den for f in cases}) > 1
+            for a in cases:
+                for b in cases:
+                    got, want = a * b, _ref_mul(a, b)
+                    assert (got.terms, got.den, got.cden, got.tau) \
+                        == (want.terms, want.den, want.cden, want.tau), (a, b)
+
+
+# -- term dicts are shared, never mutated ---------------------------------------------
+
+
+class TestSharedTermDicts:
+    """An exact Series keeps the dict it is given, so a term dict may be
+    shared between operands and results: no operation may change one."""
+
+    @pytest.mark.parametrize("make", ALL_FIELDS + OFF_DIAGONAL_FIELDS)
+    def test_no_operation_changes_an_operand(self, make, rng):
+        K = make()
+        cases = [f for f in _product_cases(K, rng) if f.terms]
+        units = [K.one(), K.constant(3) + random_small_series(K, rng)]
+        P = DiffPoly(K, {(2, 0): cases[3], (0, 1): cases[6], (1, 1): cases[-1]})
+        seen = cases + units + list(P.terms.values())
+        kept = [(f, dict(f.terms)) for f in seen]
+        results = []
+        for a in cases:
+            tau = a.val_or_tau() + random_value(K, rng, 1, 3)
+            results += [-a, a.scale(Fraction(-2, 3)), a.power(2), a.power(3),
+                        a.truncated(tau)]
+            results += [a.derive(), a.invert(tau), a.logder(tau)]
+            for b in cases:
+                results += [a + b, a - b, a * b]
+        for u in units:
+            results += [substitute(P, [DiffPoly.from_coeff(K, u),
+                                       DiffPoly.variable(K, 0) + DiffPoly.variable(K, 1)]),
+                        comp_conj(P, u), add_conj(P, u), mul_conj(P, u)]
+        kept += [(f, dict(f.terms)) for f in results if isinstance(f, Series)]
+        for f, terms in kept:
+            assert f.terms == terms
 
 
 # -- integer lattice keys --------------------------------------------------------

@@ -7,6 +7,8 @@ from vdfield import hsolve
 from vdfield.diffpoly import evaluate
 from vdfield.errors import ConfigError, IntegrationGap, NonDecreasingResidual, VdfError
 from vdfield.gridseries import (
+    FieldInstance,
+    Generator,
     Series,
     embed_value,
     laurent_ddt,
@@ -812,6 +814,24 @@ class TestResponseMemo:
         g, tau = _op_a_problem(M, 4)
         solve_linear(A1, g, tau)
         assert A1.responses and A2.responses == {}
+
+
+class TestOperatorCachesFollowLogders:
+    """seed_offsets and responses follow from the logders: once one is
+    replaced, the same operator answers as a freshly built one does."""
+
+    def test_a_replaced_logder_rebuilds_seed_offsets_and_responses(self):
+        K = FieldInstance(1, [Generator("t", GroupElement([1]))])
+        K.generators[0].logder = K.gen("t", -1)
+        op = derivation_op(K)
+        t2 = K.gen("t", 2)
+        assert dominant_solve(op, t2) == K.gen("t", 3).scale(Fraction(1, 3))
+        assert op.seed_offsets == (GroupElement([-1]),) and op.responses
+        K.generators[0].logder = K.one()
+        assert op.seed_offsets == (GroupElement([0]),)
+        assert dominant_solve(op, t2) == t2.scale(Fraction(1, 2))
+        assert dominant_solve(derivation_op(K), t2) == t2.scale(Fraction(1, 2))
+        assert op.responses.keys() == {GroupElement([2])}
 
 
 class TestCheckBll:
