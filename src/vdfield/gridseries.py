@@ -301,9 +301,10 @@ class Series:
         self._val = None
 
     def _value(self, key: tuple) -> GroupElement:
-        if self.den == 1:
+        den = self.den
+        if den == 1:
             return GroupElement._raw(key)
-        return GroupElement._raw(tuple([Fraction(x, self.den) for x in key]))
+        return GroupElement._raw(tuple([Fraction(x, den) if x % den else x // den for x in key]))
 
     def _terms_at(self, den: int, cden: int) -> Dict[tuple, int]:
         """The terms keyed on the finer lattice of den, a multiple of

@@ -680,21 +680,22 @@ class TestSharedTermDicts:
         cases = [f for f in _product_cases(K, rng) if f.terms]
         units = [K.one(), K.constant(3) + random_small_series(K, rng)]
         P = DiffPoly(K, {(2, 0): cases[3], (0, 1): cases[6], (1, 1): cases[-1]})
-        seen = cases + units + list(P.terms.values())
-        kept = [(f, dict(f.terms)) for f in seen]
-        results = []
+        kept = []
+
+        def keep(*fs):
+            kept.extend((f, dict(f.terms)) for f in fs)
+
+        keep(*cases, *units, *P.terms.values())
         for a in cases:
             tau = a.val_or_tau() + random_value(K, rng, 1, 3)
-            results += [-a, a.scale(Fraction(-2, 3)), a.power(2), a.power(3),
-                        a.truncated(tau)]
-            results += [a.derive(), a.invert(tau), a.logder(tau)]
+            keep(-a, a.scale(Fraction(-2, 3)), a.power(2), a.power(3), a.truncated(tau),
+                 a.derive(), a.invert(tau), a.logder(tau))
             for b in cases:
-                results += [a + b, a - b, a * b]
+                keep(a + b, a - b, a * b)
         for u in units:
-            results += [substitute(P, [DiffPoly.from_coeff(K, u),
-                                       DiffPoly.variable(K, 0) + DiffPoly.variable(K, 1)]),
-                        comp_conj(P, u), add_conj(P, u), mul_conj(P, u)]
-        kept += [(f, dict(f.terms)) for f in results if isinstance(f, Series)]
+            images = [DiffPoly.from_coeff(K, u), DiffPoly.variable(K, 0) + DiffPoly.variable(K, 1)]
+            for Q in (substitute(P, images), comp_conj(P, u), add_conj(P, u), mul_conj(P, u)):
+                keep(*Q.terms.values())
         for f, terms in kept:
             assert f.terms == terms
 
