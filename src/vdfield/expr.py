@@ -36,6 +36,11 @@ MAX_ORDER = 16
 # c^n, as of the interpreter's default int-to-str limit: a larger one
 # could not be printed.  Powers of +-1 are free of it (t^1000).
 MAX_COEFF_DIGITS = 4300
+# The deepest nesting the parser takes, in its own recursive calls: five
+# per parenthesis (expr, term, factor, atom, primary), one per unary minus.
+MAX_NESTING = 800
+# The most coefficient term pairs one product in lower_poly multiplies.
+MAX_TERM_PAIRS = 300_000
 
 
 # -- AST ----------------------------------------------------------------------
@@ -138,6 +143,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -197,10 +203,17 @@ class _Parser:
         return factors[0] if len(factors) == 1 else Mul(tuple(factors))
 
     def factor(self) -> Node:
+        # one call deeper; primary adds the four more calls of a parenthesis
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"expression nests deeper than {MAX_NESTING} parser calls")
         if self.peek().text == "-":
             self.next()
-            return Neg(self.factor())
-        return self.atom()
+            node = Neg(self.factor())
+        else:
+            node = self.atom()
+        self.depth -= 1
+        return node
 
     def atom(self) -> Node:
         base = self.primary()
@@ -264,7 +277,9 @@ class _Parser:
                 return DY(order)
             return Sym(tok.text)
         if tok.text == "(":
+            self.depth += 4
             inner = self.expr()
+            self.depth -= 4
             self.expect(")")
             return inner
         raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
@@ -347,7 +362,7 @@ def lower_poly(node: Node, field: FieldInstance) -> DiffPoly:
     if isinstance(node, Mul):
         out = lower_poly(node.factors[0], field)
         for f in node.factors[1:]:
-            out = out * lower_poly(f, field)
+            out = _times(out, lower_poly(f, field))
         return out
     if isinstance(node, Pow):
         base = lower_poly(node.base, field)
@@ -365,9 +380,18 @@ def lower_poly(node: Node, field: FieldInstance) -> DiffPoly:
                              "for a base that is not a single monomial")
         out = DiffPoly.from_coeff(field, field.one())
         for _ in range(int(e)):
-            out = out * base
+            out = _times(out, base)
         return out
     raise VdfError(f"unknown AST node {node!r}")
+
+
+def _times(P: DiffPoly, Q: DiffPoly) -> DiffPoly:
+    """P * Q, refused before it is built past MAX_TERM_PAIRS."""
+    size = [sum(len(c.terms) for c in R.terms.values()) for R in (P, Q)]
+    if size[0] * size[1] > MAX_TERM_PAIRS:
+        raise ParseError(f"a product of {size[0]} by {size[1]} terms exceeds "
+                         f"{MAX_TERM_PAIRS} term pairs")
+    return P * Q
 
 
 def _is_constant_poly(P: DiffPoly) -> bool:

@@ -4,10 +4,11 @@ The fragment fields carry the element lambda = sum (l0...lk)^-1 and the
 operators A = der - lambda and B = der + (1 - lambda).  Equations
 op(y) = g are solved by dominant balance: each step finds a single term
 h with op(h) asymptotically equal to the residual and subtracts it, so
-the residual valuation strictly increases.  When the residual sits in a
-class the operator cannot reach (the depth-N shadow of the gap
-phenomenon) the step fails with IntegrationGap and the attempt trail
-records the resonance cascade.
+the residual valuation strictly increases; the residual moves by op(h),
+one product of h with the response memoised for v(h).  When the
+residual sits in a class the operator cannot reach (the depth-N shadow
+of the gap phenomenon) the step fails with IntegrationGap and the
+attempt trail records the resonance cascade.
 
 Asymptotic integration I (pick If with (If)' ~ f) is the special case
 op = der.
@@ -234,27 +235,26 @@ def solve_linear(op: LinearOperator, g: Series, tau: GroupElement,
     zero modulo its own truncation, which falls short of tau), or
     max_iter.
 
-    Invariant: the residual z = op(y) - g is computed once and then
-    carried, z <- z + op(-h) after each step y <- y - h, so a step costs
-    op on one term instead of op on the whole iterate; op is linear, so
-    op(-h) = -op(h), and negating the single term h is cheaper than
-    negating op(h).  The carried z
-    has the terms and the tau of op(y) - g recomputed.  Each h has a new
-    value, since op(h) ~ z and the residual valuation rises, so v(y) is
-    the least v(h) over the steps; likewise v(y') is the least v(h')
-    when the h' have distinct values, as gamma -> gamma + psi(gamma) is
-    injective in every built-in field.  The truncations a0*y and a1*y'
-    contribute are then the least over the steps too.  (Were two h'
-    to cancel, the carried tau could only be lower, never unsound.)
+    Invariant: z = op(y) - g starts as -g = op(0) - g and is carried as
+    z <- z + (-h)*r after each step y <- y + (-h), with r = a0 +
+    a1*m-logder the response dominant_solve memoised at v(h): the single
+    exact term h = c*m has op(h) = h*r, whose tau v(h) + min(a0.tau,
+    a1.tau + v(m-logder), m-logder.tau + v(a1)) is that of a0*h + a1*h'.
+    So a step costs one product and one sum, and z has the terms and tau
+    of op(y) - g recomputed: each h has a new value, since op(h) ~ z and
+    the residual valuation rises, so v(y) is the least v(h); likewise
+    v(y') is the least v(h') when the h' have distinct values, as gamma ->
+    gamma + psi(gamma) is injective in every built-in field, and the
+    truncations of a0*y and a1*y' are the least over the steps.  (Were
+    two h' to cancel, the carried tau could only be lower, never unsound.)
     """
-    K = op.field
-    y = K.zero_series()
-    z = apply_op(op, y) - g
+    y = op.field.zero_series()
+    z = -g
     trace = SolveTrace()
     prev: Optional[GroupElement] = None
     for step in range(max_iter):
         if step:
-            z = z + apply_op(op, -h)
+            z = z + mh * op.responses[mh.valuation()]
         if not z.terms:
             if z.tau >= tau:
                 trace.termination = "reached_tau"
@@ -278,7 +278,7 @@ def solve_linear(op: LinearOperator, g: Series, tau: GroupElement,
             trace.termination = "integration_gap"
             trace.gap = gap
             return y, trace
-        y = y - h
+        y = y + (mh := -h)
         trace.iterates.append(y)
     trace.termination = "max_iter"
     return y, trace

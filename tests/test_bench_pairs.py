@@ -1,8 +1,8 @@
 """tools/bench_pairs.py on synthetic run records: the gain rule, the two
 metric directions, the bound, whether the parent's spread resolves it, a
 workload with too few good pairs, the failed items of both sides, the
-traced counts of both sides, and the bytecode-cache state on the
-machine line."""
+traced counts of both sides, the interleaved ratios, and the
+bytecode-cache state on the machine line."""
 
 import importlib.util
 import json
@@ -231,9 +231,15 @@ class TestTooFewPairs:
                 run = _traced(workload, copy.name, rate * 100, rate * 10)
             return {"exit": run["exit"], "result": run["result"]}
 
+        def interleave_once(repo, commits, workload):
+            assert commits == {"parent": "p" * 7, "change": "c" * 7}
+            repeats = bench_pairs.INTERLEAVE[workload][1]
+            return {"exit": 0, "ratios": [1.25] * repeats, "stderr_tail": ""}
+
         monkeypatch.setattr(bench_pairs, "git", git)
         monkeypatch.setattr(bench_pairs, "export", export)
         monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        monkeypatch.setattr(bench_pairs, "interleave_once", interleave_once)
         assert bench_pairs.main(["--parent", "p", "--change", "c", "--label", "t",
                                  "--what", "synthetic", "--claim", "fragment items_per_s"]) == 0
         doc = json.loads((tmp_path / "BENCH_t.json").read_text())
@@ -249,6 +255,9 @@ class TestTooFewPairs:
         assert doc["machine"] == bench_pairs.machine()
         assert doc["summary"]["traced"]["conjugate"]["gridseries.mul.term_pairs"] == \
             {"parent": 30000, "change": 40000}
+        assert [r["workload"] for r in doc["interleaved"]] == list(bench_pairs.INTERLEAVE)
+        assert doc["summary"]["interleave"]["fragment"] == {
+            "rounds": 3, "repeats": 15, "median": 1.25, "low": 1.25, "high": 1.25}
 
 
 class TestTracedCounts:
@@ -269,6 +278,40 @@ class TestTracedCounts:
         out = bench_pairs.traced_counts(traced)
         assert out["conjugate"]["gridseries.series_built"] == {"parent": None, "change": 16687}
         assert out["fragment"] == {}
+
+
+# the lines tools/interleave.py prints for two repeats of one workload
+INTERLEAVE_STDOUT = """repeat 0: a 0.412 s, b 0.350 s, ratio 1.1771 (75 items, a first: True)
+repeat 1: a 0.398 s, b 0.341 s, ratio 1.1672 (75 items, a first: False)
+median ratio a/b over 2 repeats: 1.1722
+"""
+
+
+def _interleaved(workload, ratios, exit_code=0):
+    return {"workload": workload, "exit": exit_code, "ratios": ratios, "stderr_tail": ""}
+
+
+class TestInterleave:
+    def test_reads_the_ratio_of_each_repeat(self):
+        assert bench_pairs.repeat_ratios(INTERLEAVE_STDOUT) == [1.1771, 1.1672]
+        assert bench_pairs.repeat_ratios("FAILED: item 3 on side b answered wrong\n") == []
+
+    def test_median_and_range_per_workload(self):
+        conj = [1.0 + k / 100 for k in range(9)]
+        frag = [1.2, 0.9] + [1.1] * 13
+        out = bench_pairs.interleave_summary(
+            [_interleaved("conjugate", conj), _interleaved("fragment", frag)])
+        assert out["conjugate"] == {"rounds": 2, "repeats": 9, "median": 1.04,
+                                    "low": 1.0, "high": 1.08}
+        assert out["fragment"] == {"rounds": 3, "repeats": 15, "median": 1.1,
+                                   "low": 0.9, "high": 1.2}
+
+    def test_a_failed_or_cut_run_is_unresolved(self):
+        out = bench_pairs.interleave_summary(
+            [_interleaved("conjugate", [1.0] * 4, exit_code=1),
+             _interleaved("fragment", [1.0] * 14)])
+        assert out == {"conjugate": {"unresolved": True, "exit": 1},
+                       "fragment": {"unresolved": True, "exit": 0}}
 
 
 class TestMachine:

@@ -24,8 +24,10 @@ from vdfield.cli import (
 from vdfield.errors import ConfigError, ParseError, UnboundSymbol, VdfError
 from vdfield.expr import (
     MAX_COEFF_DIGITS,
+    MAX_NESTING,
     MAX_ORDER,
     MAX_POWER,
+    MAX_TERM_PAIRS,
     Add,
     DY,
     Lit,
@@ -38,6 +40,7 @@ from vdfield.expr import (
     parse_series,
     print_expr,
     _check_coeff_power,
+    _times,
     bounded_decimal,
 )
 from vdfield.gridseries import FieldInstance, Generator, laurent_ddt, transseries_fragment
@@ -373,6 +376,13 @@ def _json_error(proc):
 _T_GEN = {"name": "t", "value": ["1"], "logder": "t^-1"}
 
 
+def _config(tmp, logder):
+    """The path of a rank-1 field config whose generator t has logder."""
+    path = tmp / "field.json"
+    path.write_text(json.dumps({"rank": 1, "generators": [dict(_T_GEN, logder=logder)]}))
+    return str(path)
+
+
 class TestBadInput:
     @pytest.mark.parametrize("doc", [
         {"rank": 1, "generators": [{"name": "t", "logder": "t^-1"}]},
@@ -514,6 +524,58 @@ class TestBadInput:
         assert proc.returncode == 3
         assert proc.stdout == b""
         assert _json_error(proc)["error"] == "parse"
+
+    @pytest.mark.parametrize("make", [
+        lambda tmp: ["val", "--field", "laurent_ddt", "(" * 200 + "t" + ")" * 200],
+        lambda tmp: ["val", "--field", "laurent_ddt", "--", "-" * 1000 + "t"],
+        lambda tmp: ["val", "--field", _config(tmp, "(" * 300 + "t^-1" + ")" * 300), "t"],
+    ], ids=["parentheses", "unary-minus", "config-logder"])
+    def test_deep_nesting_is_parse_error(self, tmp_path, make):
+        # each of these overflowed the recursive-descent parser's stack
+        proc = run_cli(make(tmp_path))
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        error = _json_error(proc)
+        assert error["error"] == "parse"
+        assert f"nests deeper than {MAX_NESTING}" in error["message"]
+        assert "(line 1, column " in error["message"]
+
+    def test_nesting_bound_admits_its_limit(self):
+        # a parenthesis costs five parser calls and a unary minus one,
+        # beside the outermost call
+        K = laurent_ddt()
+        deepest = (MAX_NESTING - 1) // 5
+        assert parse_series("(" * deepest + "t" + ")" * deepest, K) == K.gen("t")
+        assert parse_series("-" * (MAX_NESTING - 1) + "t", K) == -K.gen("t")
+        with pytest.raises(ParseError, match="nests deeper") as exc:
+            parse_series("(" * (deepest + 1) + "t" + ")" * (deepest + 1), K)
+        assert exc.value.line == 1
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse_series("-" * MAX_NESTING + "t", K)
+        # the depths that passed as recursion allowed still pass
+        assert parse_series("(" * 150 + "t" + ")" * 150, K) == K.gen("t")
+        assert parse_series("-" * 300 + "t", K) == K.gen("t")
+
+    def test_nested_power_past_term_pairs_is_parse_error(self):
+        # each level of a power of a power multiplies the terms; the
+        # product that would pass the bound is refused before it runs
+        proc = run_cli(["val", "--field", "laurent_tddt_coarse", "((t + s + 1)^16)^8"])
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        error = _json_error(proc)
+        assert error["error"] == "parse"
+        assert error["message"] == (f"a product of 2145 by 153 terms exceeds "
+                                    f"{MAX_TERM_PAIRS} term pairs")
+
+    def test_term_pairs_bound_admits_its_limit(self):
+        K = laurent_ddt()
+        P = parse_poly(" + ".join(f"t^{k}" for k in range(600)), K)
+        Q = parse_poly(" + ".join(f"t^{k}" for k in range(500)), K)
+        assert 600 * 500 == MAX_TERM_PAIRS
+        assert _times(P, Q) == P * Q
+        R = P + parse_poly("t^-1", K)
+        with pytest.raises(ParseError, match="601 by 500 terms"):
+            _times(R, Q)
 
     @pytest.mark.parametrize("digits, value", [
         ("0", 0), ("000", 0), ("16", 16), ("0016", 16), ("17", None), ("9" * 5000, None),

@@ -30,6 +30,16 @@ parent's.
 Its `traced` block gives each count metric of the traced runs on both
 sides (term pairs multiplied, series built, ...), which move with the
 work done but not with the machine.
+
+Last, tools/interleave.py of this checkout times the two commits item by
+item in one process (the parent as its a side, the change as b) on each
+in-process workload.  The `interleave` block gives, per workload, the
+rounds and repeats, and the median, least and greatest of the per-repeat
+ratios time(parent) / time(change): above 1, the change is faster.  A
+machine whose speed drifts slows both sides of a repeat alike, so this
+ratio can resolve a change smaller than the spread of whole runs.  A
+workload whose interleaved run failed reads unresolved, with its exit
+status.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -51,6 +62,8 @@ TRACED = ("conjugate", "fragment")   # the workloads that trace in process
 SIDES = ("parent", "change")
 PAIR_SEEDS = list(range(11, 21))
 CHECK_SEED = 4242
+# workload: (rounds, repeats) of its interleaved run
+INTERLEAVE = {"conjugate": (2, 9), "fragment": (3, 15)}
 
 
 def git(*args, cwd) -> bytes:
@@ -84,6 +97,42 @@ def run_once(copy: Path, workload: str, seed: int, seconds: float, trace: int) -
     except json.JSONDecodeError:
         result = None
     return {"exit": proc.returncode, "result": result, "stderr_tail": proc.stderr[-2000:]}
+
+
+def interleave_once(repo: Path, commits: dict, workload: str) -> dict:
+    """One run of repo's tools/interleave.py, parent against change: its
+    exit status and the ratio of each repeat it printed."""
+    rounds, repeats = INTERLEAVE[workload]
+    argv = [sys.executable, str(repo / "tools" / "interleave.py"), "--a", commits["parent"],
+            "--b", commits["change"], "--workload", workload, "--rounds", str(rounds),
+            "--repeats", str(repeats)]
+    try:
+        proc = subprocess.run(argv, cwd=repo, capture_output=True, text=True, timeout=3600)
+    except subprocess.TimeoutExpired as exc:
+        return {"exit": None, "ratios": [], "stderr_tail": f"timed out after {exc.timeout} s"}
+    return {"exit": proc.returncode, "ratios": repeat_ratios(proc.stdout),
+            "stderr_tail": proc.stderr[-2000:]}
+
+
+def repeat_ratios(stdout: str) -> list:
+    """The ratio on each `repeat k: ...` line that tools/interleave.py prints."""
+    return [float(m.group(1)) for m in re.finditer(r"^repeat \d+: .* ratio ([0-9.]+) ",
+                                                   stdout, re.MULTILINE)]
+
+
+def interleave_summary(interleaved) -> dict:
+    """{workload: median and range of time(parent) / time(change)}."""
+    out = {}
+    for r in interleaved:
+        rounds, repeats = INTERLEAVE[r["workload"]]
+        ratios = r["ratios"]
+        if r["exit"] != 0 or len(ratios) != repeats:
+            out[r["workload"]] = {"unresolved": True, "exit": r["exit"]}
+            continue
+        out[r["workload"]] = {"rounds": rounds, "repeats": repeats,
+                              "median": statistics.median(ratios),
+                              "low": min(ratios), "high": max(ratios)}
+    return out
 
 
 def quartiles(values):
@@ -222,6 +271,10 @@ def main(argv=None) -> int:
                        "first": SIDES[0], "trace": 1, "commit": commits[side]}
                 run.update(run_once(copies[side], workload, PAIR_SEEDS[0], seconds, 1))
                 traced.append(run)
+    interleaved = []
+    for workload in INTERLEAVE:
+        interleaved.append({"workload": workload, **interleave_once(repo, commits, workload)})
+        print(f"{workload} interleaved: exit {interleaved[-1]['exit']}", file=sys.stderr)
 
     doc = {
         "what": args.what,
@@ -233,13 +286,17 @@ def main(argv=None) -> int:
                     f"seeds {PAIR_SEEDS[0]}-{PAIR_SEEDS[-1]} are {len(PAIR_SEEDS)} pairs per "
                     f"workload and seed {CHECK_SEED} one more, held back for checking the "
                     f"claim; the side that runs first alternates from seed to seed; the "
-                    f"traced runs are at seed {PAIR_SEEDS[0]} with --trace 1",
+                    f"traced runs are at seed {PAIR_SEEDS[0]} with --trace 1; "
+                    f"tools/interleave.py times the parent (a) against the change (b) in "
+                    f"one process, and its ratios are time(parent) / time(change)",
         "claim": args.claim,
         "failed_runs": [{k: r[k] for k in ("workload", "seed", "side", "trace", "exit")}
                         for r in runs + traced if not ok(r)],
-        "summary": {**summarize(runs, metrics, args.claim), "traced": traced_counts(traced)},
+        "summary": {**summarize(runs, metrics, args.claim), "traced": traced_counts(traced),
+                    "interleave": interleave_summary(interleaved)},
         "runs": runs,
         "traced": traced,
+        "interleaved": interleaved,
     }
     out = repo / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
