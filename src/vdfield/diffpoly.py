@@ -25,11 +25,10 @@ import math
 import threading
 from fractions import Fraction
 from itertools import chain
-from operator import add
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import IndeterminateValuation, VdfError
-from .gridseries import FieldInstance, Series, _sum_series
+from .gridseries import _ADD, FieldInstance, Series, _sum_series, _tuple_kernel
 from .records import Record
 from .valgroup import GroupElement
 
@@ -76,9 +75,10 @@ def _collect(field: FieldInstance,
     return out
 
 
-def _products(left: Iterable, right: Iterable) -> Iterator[Tuple[MultiIndex, Series]]:
-    """The terms (i + j, c * d) of two term lists of equal-length indices."""
-    return ((tuple(map(add, i, j)), c * d) for i, c in left for j, d in right)
+def _products(left: Iterable, right: Iterable, n: int) -> Iterator[Tuple[MultiIndex, Series]]:
+    """The terms (i + j, c * d) of two term lists of indices of length n."""
+    add = _tuple_kernel(n, _ADD)
+    return ((add(i, j), c * d) for i, c in left for j, d in right)
 
 
 def _padded(terms: Dict[MultiIndex, Series], order: int) -> List[Tuple[MultiIndex, Series]]:
@@ -186,7 +186,7 @@ class DiffPoly:
     def __mul__(self, other: "DiffPoly") -> "DiffPoly":
         order = self._align(other)
         return _sum_terms(self.field, _products(_padded(self.terms, order),
-                                                _padded(other.terms, order)), order)
+                                                _padded(other.terms, order), order + 1), order)
 
     def scale_series(self, a: Series) -> "DiffPoly":
         if a.is_true_zero():
@@ -389,7 +389,7 @@ def substitute(P: DiffPoly, images: List[DiffPoly]) -> DiffPoly:
     lists = [_padded(img.terms, order) for img in images]
 
     def times(left, right):
-        return _collect(K, _products(left, right)).items()
+        return _collect(K, _products(left, right, order + 1)).items()
 
     # the term times the power, not times images[j] e times: that order
     # certifies a lower tau when an image's own terms cancel in the power

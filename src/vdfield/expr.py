@@ -39,8 +39,9 @@ MAX_COEFF_DIGITS = 4300
 # The deepest nesting the parser takes, in its own recursive calls: five
 # per parenthesis (expr, term, factor, atom, primary), one per unary minus.
 MAX_NESTING = 800
-# The most coefficient term pairs one product in lower_poly multiplies.
+# The most coefficient term pairs lower_poly multiplies in one product and in all.
 MAX_TERM_PAIRS = 300_000
+MAX_EXPR_TERM_PAIRS = 1_000_000
 
 
 # -- AST ----------------------------------------------------------------------
@@ -343,8 +344,10 @@ def print_expr(node: Node) -> str:
 # -- lowering ---------------------------------------------------------------------
 
 
-def lower_poly(node: Node, field: FieldInstance) -> DiffPoly:
-    """AST to differential polynomial (series are order-0 polynomials)."""
+def lower_poly(node: Node, field: FieldInstance, spent: Optional[List[int]] = None) -> DiffPoly:
+    """AST to differential polynomial (series are order-0 polynomials);
+    spent[0] counts the term pairs of its products, from 0 at the top."""
+    spent = [0] if spent is None else spent
     if isinstance(node, Lit):
         return DiffPoly.from_coeff(field, field.constant(node.value))
     if isinstance(node, Sym):
@@ -354,18 +357,18 @@ def lower_poly(node: Node, field: FieldInstance) -> DiffPoly:
     if isinstance(node, DY):
         return DiffPoly.variable(field, node.order)
     if isinstance(node, Neg):
-        return -lower_poly(node.operand, field)
+        return -lower_poly(node.operand, field, spent)
     if isinstance(node, Add):
-        parts = [lower_poly(t, field) for t in node.terms]
+        parts = [lower_poly(t, field, spent) for t in node.terms]
         order = max(P.order for P in parts)
         return _sum_terms(field, (kv for P in parts for kv in _padded(P.terms, order)), order)
     if isinstance(node, Mul):
-        out = lower_poly(node.factors[0], field)
+        out = lower_poly(node.factors[0], field, spent)
         for f in node.factors[1:]:
-            out = _times(out, lower_poly(f, field))
+            out = _times(out, lower_poly(f, field, spent), spent)
         return out
     if isinstance(node, Pow):
-        base = lower_poly(node.base, field)
+        base = lower_poly(node.base, field, spent)
         e = node.exponent
         if _is_constant_poly(base) and len(base.terms) == 1:
             coeff = next(iter(base.terms.values()))
@@ -380,17 +383,23 @@ def lower_poly(node: Node, field: FieldInstance) -> DiffPoly:
                              "for a base that is not a single monomial")
         out = DiffPoly.from_coeff(field, field.one())
         for _ in range(int(e)):
-            out = _times(out, base)
+            out = _times(out, base, spent)
         return out
     raise VdfError(f"unknown AST node {node!r}")
 
 
-def _times(P: DiffPoly, Q: DiffPoly) -> DiffPoly:
-    """P * Q, refused before it is built past MAX_TERM_PAIRS."""
+def _times(P: DiffPoly, Q: DiffPoly, spent: Optional[List[int]] = None) -> DiffPoly:
+    """P * Q, refused before it is built past MAX_TERM_PAIRS, or past
+    MAX_EXPR_TERM_PAIRS with the spent[0] pairs of the products before it."""
     size = [sum(len(c.terms) for c in R.terms.values()) for R in (P, Q)]
     if size[0] * size[1] > MAX_TERM_PAIRS:
         raise ParseError(f"a product of {size[0]} by {size[1]} terms exceeds "
                          f"{MAX_TERM_PAIRS} term pairs")
+    if spent is not None:
+        spent[0] += size[0] * size[1]
+        if spent[0] > MAX_EXPR_TERM_PAIRS:
+            raise ParseError(f"the products of one expression exceed "
+                             f"{MAX_EXPR_TERM_PAIRS} term pairs")
     return P * Q
 
 

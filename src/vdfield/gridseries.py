@@ -28,7 +28,7 @@ import functools
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import add, is_not, mul
+from operator import is_not
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -47,6 +47,23 @@ from .valgroup import (
     unit,
     zero,
 )
+
+
+# Per-coordinate templates of _tuple_kernel: {0} is a coordinate, {1} its row entry.
+_ADD, _SCALE, _FLOOR, _DOT = "a[{0}] + b[{0}]", "a[{0}] * b", "a[{0}] // b", "a[{0}] * {1:d}"
+
+
+@functools.lru_cache(maxsize=None)
+def _tuple_kernel(n: int, term: str, row: Optional[Tuple[int, ...]] = None):
+    """lambda a, b: the tuple display (term at 0, ..., term at n - 1), or with
+    a row the sum of term over its nonzero entries (0 if none), a dot product:
+    the one path of key and index arithmetic.  Compiled by eval, as namedtuple
+    compiles its __new__, from a template above and ints alone."""
+    if row is None:
+        body = "(" + "".join(term.format(i) + ", " for i in range(n)) + ")"
+    else:
+        body = " + ".join(term.format(i, e) for i, e in enumerate(row) if e) or "0"
+    return eval("lambda a, b=None: " + body)
 
 
 class Monomial(FrozenRecord):
@@ -97,6 +114,7 @@ class FieldInstance:
         self.name = name
         self._index = {g.name: i for i, g in enumerate(generators)}
         self._euler: Optional[Tuple[int, List[Tuple[int, ...]]]] = None
+        self._add, self._scale = _tuple_kernel(rank, _ADD), _tuple_kernel(rank, _SCALE)
 
     # -- construction of elements ------------------------------------
 
@@ -218,12 +236,14 @@ class FieldInstance:
         """(D, rows): exponent i of the term of lattice key k over den is
         k . rows[i] / (D * den).  rows[i] is column i of the inverse of
         the triangular value matrix, as ints over their least common
-        denominator D; it depends only on generator values."""
+        denominator D; it depends only on generator values.  _thetas keeps
+        the dot product with each row, compiled by _tuple_kernel."""
         if self._euler is None:
             inv = [self.exponents_of_value(unit(self.rank, j)) for j in range(self.rank)]
             D = lcm(*(q.denominator for row in inv for q in row))
             self._euler = D, [tuple(int(row[i] * D) for row in inv)
                               for i in range(self.rank)]
+            self._thetas = [_tuple_kernel(self.rank, _DOT, row) for row in self._euler[1]]
         return self._euler
 
     def psi_level(self, i: int):
@@ -289,7 +309,8 @@ class Series:
             clean = {k: c for k, c in terms.items() if c and k < bound}
         if den != 1 and (g := gcd(den, *chain.from_iterable(clean))) != 1:
             den //= g
-            clean = {tuple([x // g for x in k]): c for k, c in clean.items()}
+            floor = _tuple_kernel(field.rank, _FLOOR)
+            clean = {floor(k, g): c for k, c in clean.items()}
         if cden != 1 and (g := gcd(cden, *clean.values())) != 1:
             cden //= g
             clean = {k: c // g for k, c in clean.items()}
@@ -309,10 +330,10 @@ class Series:
     def _terms_at(self, den: int, cden: int) -> Dict[tuple, int]:
         """The terms keyed on the finer lattice of den, a multiple of
         self.den, with numerators over cden, a multiple of self.cden."""
-        m, n = den // self.den, cden // self.cden
+        m, n, scale = den // self.den, cden // self.cden, self.field._scale
         if m == 1:
             return self.terms if n == 1 else {k: c * n for k, c in self.terms.items()}
-        return {tuple([x * m for x in k]): c * n for k, c in self.terms.items()}
+        return {scale(k, m): c * n for k, c in self.terms.items()}
 
     # -- inspection -----------------------------------------------------
 
@@ -399,7 +420,7 @@ class Series:
             tau = self.tau + other.val_or_tau()
         if other.tau is not INFINITY:
             tau = min(tau, other.tau + self.val_or_tau())
-        den, left, right = self.den, self.terms, other.terms
+        den, left, right, add = self.den, self.terms, other.terms, self.field._add
         if den != other.den:
             den = lcm(den, other.den)
             left, right = self._terms_at(den, self.cden), other._terms_at(den, other.cden)
@@ -407,13 +428,13 @@ class Series:
             left, right = right, left
         if len(right) == 1:
             ((k2, c2),) = right.items()
-            terms = {tuple(map(add, k1, k2)): c1 * c2 for k1, c1 in left.items()}
+            terms = {add(k1, k2): c1 * c2 for k1, c1 in left.items()}
             return Series(self.field, terms, tau, den, self.cden * other.cden)
         right = list(right.items())
         terms: Dict[tuple, int] = {}
         for k1, c1 in left.items():
             for k2, c2 in right:
-                k = tuple(map(add, k1, k2))
+                k = add(k1, k2)
                 terms[k] = terms.get(k, 0) + c1 * c2
         return Series(self.field, terms, tau, den, self.cden * other.cden)
 
@@ -441,15 +462,15 @@ class Series:
         value of theta_i(f): the least of these is the tau, and a term a
         product alone would drop lies at or above it."""
         K = self.field
-        D, rows = K._euler_rows()
+        D = K._euler_rows()[0]
         used = []
-        for i, row in enumerate(rows):
-            theta = [(k, c * e) for k, c in self.terms.items() if (e := sum(map(mul, k, row)))]
+        for i, dot in enumerate(K._thetas):
+            theta = [(k, c * e) for k, c in self.terms.items() if (e := dot(k))]
             if theta:
                 used.append((theta, K._logder(i)))
         den = lcm(self.den, *(ld.den for _, ld in used))
         cden = lcm(*(ld.cden for _, ld in used))
-        m = den // self.den
+        m, add, scale = den // self.den, K._add, K._scale
         tau = INFINITY if self.tau is INFINITY else self.tau + K.derivation_shift
         terms: Dict[tuple, int] = {}
         for theta, ld in used:
@@ -458,9 +479,9 @@ class Series:
             right = ld._terms_at(den, cden).items()
             for k1, c1 in theta:
                 if m != 1:
-                    k1 = tuple([x * m for x in k1])
+                    k1 = scale(k1, m)
                 for k2, c2 in right:
-                    k = tuple(map(add, k1, k2))
+                    k = add(k1, k2)
                     terms[k] = terms.get(k, 0) + c1 * c2
         return Series(K, terms, tau, den, self.cden * D * self.den * cden)
 

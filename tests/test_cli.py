@@ -24,6 +24,7 @@ from vdfield.cli import (
 from vdfield.errors import ConfigError, ParseError, UnboundSymbol, VdfError
 from vdfield.expr import (
     MAX_COEFF_DIGITS,
+    MAX_EXPR_TERM_PAIRS,
     MAX_NESTING,
     MAX_ORDER,
     MAX_POWER,
@@ -42,6 +43,7 @@ from vdfield.expr import (
     _check_coeff_power,
     _times,
     bounded_decimal,
+    lower_poly,
 )
 from vdfield.gridseries import FieldInstance, Generator, laurent_ddt, transseries_fragment
 from vdfield.valgroup import Cut, GroupElement
@@ -566,6 +568,32 @@ class TestBadInput:
         assert error["error"] == "parse"
         assert error["message"] == (f"a product of 2145 by 153 terms exceeds "
                                     f"{MAX_TERM_PAIRS} term pairs")
+
+    def test_expression_past_term_pairs_budget_is_parse_error(self):
+        # each product is under MAX_TERM_PAIRS, but the 64 products of
+        # the outer power multiply about 8.6M pairs in all
+        proc = run_cli(["val", "--field", "laurent_ddt", "((t+1)^64)^64"])
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        assert _json_error(proc) == {
+            "error": "parse",
+            "message": f"the products of one expression exceed {MAX_EXPR_TERM_PAIRS} term pairs"}
+
+    @pytest.mark.parametrize("text, pairs", [
+        ("(1 + t)^64", 4_160), ("((t + 1)^16)^16", 33_184), ("(1 + t)*(t - 1)*t^-1", 6),
+    ])
+    def test_term_pairs_budget_counts_every_product(self, text, pairs):
+        K = laurent_ddt()
+        spent = [0]
+        assert lower_poly(parse_expr(text), K, spent) == parse_poly(text, K)
+        assert spent == [pairs]
+
+    def test_term_pairs_budget_admits_its_limit(self, monkeypatch):
+        K = laurent_ddt()
+        monkeypatch.setattr("vdfield.expr.MAX_EXPR_TERM_PAIRS", 4_160)
+        assert parse_poly("(1 + t)^64", K) == parse_poly("(t + 1)^64", K)
+        with pytest.raises(ParseError, match="exceed 4160 term pairs"):
+            parse_poly("(1 + t)^64 * t", K)
 
     def test_term_pairs_bound_admits_its_limit(self):
         K = laurent_ddt()
