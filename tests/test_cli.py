@@ -571,7 +571,7 @@ class TestBadInput:
 
     def test_expression_past_term_pairs_budget_is_parse_error(self):
         # each product is under MAX_TERM_PAIRS, but the 64 products of
-        # the outer power multiply about 8.6M pairs in all
+        # the outer power multiply 8,390,720 pairs in all
         proc = run_cli(["val", "--field", "laurent_ddt", "((t+1)^64)^64"])
         assert proc.returncode == 3
         assert proc.stdout == b""
