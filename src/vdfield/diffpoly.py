@@ -75,9 +75,9 @@ def _collect(field: FieldInstance,
     return out
 
 
-def _products(left: Iterable, right: Iterable, n: int) -> Iterator[Tuple[MultiIndex, Series]]:
-    """The terms (i + j, c * d) of two term lists of indices of length n."""
-    add = _tuple_kernel(n, _ADD)
+def _products(left: Iterable, right: Iterable, order: int) -> Iterator[Tuple[MultiIndex, Series]]:
+    """The terms (i + j, c * d) of two term lists of indices of order + 1 entries."""
+    add = _tuple_kernel(order + 1, _ADD)
     return ((add(i, j), c * d) for i, c in left for j, d in right)
 
 
@@ -186,7 +186,7 @@ class DiffPoly:
     def __mul__(self, other: "DiffPoly") -> "DiffPoly":
         order = self._align(other)
         return _sum_terms(self.field, _products(_padded(self.terms, order),
-                                                _padded(other.terms, order), order + 1), order)
+                                                _padded(other.terms, order), order), order)
 
     def scale_series(self, a: Series) -> "DiffPoly":
         if a.is_true_zero():
@@ -389,7 +389,7 @@ def substitute(P: DiffPoly, images: List[DiffPoly]) -> DiffPoly:
     lists = [_padded(img.terms, order) for img in images]
 
     def times(left, right):
-        return _collect(K, _products(left, right, order + 1)).items()
+        return _collect(K, _products(left, right, order)).items()
 
     # the term times the power, not times images[j] e times: that order
     # certifies a lower tau when an image's own terms cancel in the power

@@ -388,18 +388,16 @@ def lower_poly(node: Node, field: FieldInstance, spent: Optional[List[int]] = No
     raise VdfError(f"unknown AST node {node!r}")
 
 
-def _times(P: DiffPoly, Q: DiffPoly, spent: Optional[List[int]] = None) -> DiffPoly:
-    """P * Q, refused before it is built past MAX_TERM_PAIRS, or past
-    MAX_EXPR_TERM_PAIRS with the spent[0] pairs of the products before it."""
+def _times(P: DiffPoly, Q: DiffPoly, spent: List[int]) -> DiffPoly:
+    """P * Q, refused before it is built past MAX_TERM_PAIRS or MAX_EXPR_TERM_PAIRS in spent[0]."""
     size = [sum(len(c.terms) for c in R.terms.values()) for R in (P, Q)]
     if size[0] * size[1] > MAX_TERM_PAIRS:
         raise ParseError(f"a product of {size[0]} by {size[1]} terms exceeds "
                          f"{MAX_TERM_PAIRS} term pairs")
-    if spent is not None:
-        spent[0] += size[0] * size[1]
-        if spent[0] > MAX_EXPR_TERM_PAIRS:
-            raise ParseError(f"the products of one expression exceed "
-                             f"{MAX_EXPR_TERM_PAIRS} term pairs")
+    spent[0] += size[0] * size[1]
+    if spent[0] > MAX_EXPR_TERM_PAIRS:
+        raise ParseError(f"the products of one expression exceed "
+                         f"{MAX_EXPR_TERM_PAIRS} term pairs")
     return P * Q
 
 

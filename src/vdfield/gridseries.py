@@ -49,21 +49,25 @@ from .valgroup import (
 )
 
 
-# Per-coordinate templates of _tuple_kernel: {0} is a coordinate, {1} its row entry.
+# Per-coordinate templates of _tuple_kernel ({0} is a coordinate) and _dot_kernel ({1} its entry).
 _ADD, _SCALE, _FLOOR, _DOT = "a[{0}] + b[{0}]", "a[{0}] * b", "a[{0}] // b", "a[{0}] * {1:d}"
 
 
-@functools.lru_cache(maxsize=None)
-def _tuple_kernel(n: int, term: str, row: Optional[Tuple[int, ...]] = None):
-    """lambda a, b: the tuple display (term at 0, ..., term at n - 1), or with
-    a row the sum of term over its nonzero entries (0 if none), a dot product:
-    the one path of key and index arithmetic.  Compiled by eval, as namedtuple
-    compiles its __new__, from a template above and ints alone."""
-    if row is None:
-        body = "(" + "".join(term.format(i) + ", " for i in range(n)) + ")"
-    else:
-        body = " + ".join(term.format(i, e) for i, e in enumerate(row) if e) or "0"
+def _compiled(body: str):
+    """lambda a, b=None: body, compiled by eval as namedtuple compiles its __new__,
+    from a template above and ints alone: the one path of key and index arithmetic."""
     return eval("lambda a, b=None: " + body)
+
+
+@functools.lru_cache(maxsize=None)
+def _tuple_kernel(n: int, term: str):
+    """lambda a, b: the tuple display (term at 0, ..., term at n - 1)."""
+    return _compiled("(" + "".join(term.format(i) + ", " for i in range(n)) + ")")
+
+
+def _dot_kernel(row: Tuple[int, ...]):
+    """lambda a: the dot product of a and row (0 if row is 0); a field keeps its own."""
+    return _compiled(" + ".join(_DOT.format(i, e) for i, e in enumerate(row) if e) or "0")
 
 
 class Monomial(FrozenRecord):
@@ -236,14 +240,13 @@ class FieldInstance:
         """(D, rows): exponent i of the term of lattice key k over den is
         k . rows[i] / (D * den).  rows[i] is column i of the inverse of
         the triangular value matrix, as ints over their least common
-        denominator D; it depends only on generator values.  _thetas keeps
-        the dot product with each row, compiled by _tuple_kernel."""
+        denominator D; it depends only on generator values.  _thetas, the
+        dot product with each row, is set first: whoever finds _euler finds it."""
         if self._euler is None:
             inv = [self.exponents_of_value(unit(self.rank, j)) for j in range(self.rank)]
             D = lcm(*(q.denominator for row in inv for q in row))
-            self._euler = D, [tuple(int(row[i] * D) for row in inv)
-                              for i in range(self.rank)]
-            self._thetas = [_tuple_kernel(self.rank, _DOT, row) for row in self._euler[1]]
+            rows = [tuple(int(row[i] * D) for row in inv) for i in range(self.rank)]
+            self._thetas, self._euler = [_dot_kernel(row) for row in rows], (D, rows)
         return self._euler
 
     def psi_level(self, i: int):
@@ -308,8 +311,7 @@ class Series:
             bound = _lattice_key(tau, den)
             clean = {k: c for k, c in terms.items() if c and k < bound}
         if den != 1 and (g := gcd(den, *chain.from_iterable(clean))) != 1:
-            den //= g
-            floor = _tuple_kernel(field.rank, _FLOOR)
+            den, floor = den // g, _tuple_kernel(field.rank, _FLOOR)
             clean = {floor(k, g): c for k, c in clean.items()}
         if cden != 1 and (g := gcd(cden, *clean.values())) != 1:
             cden //= g

@@ -73,3 +73,19 @@ def test_threads_sharing_one_operator_agree_with_a_serial_run():
     shared = op_A(transseries_fragment.__wrapped__(OP_DEPTH), OP_DEPTH)
     assert _in_threads(lambda: _solves(shared)) == [expected] * THREADS
     assert shared.responses
+
+
+def _derivatives(M):
+    """Two derivatives of one series of M, in field-independent form."""
+    f = M.gen("e_x").scale(3) + M.gen("l1") * M.gen("l0") + M.constant(2)
+    return [series_terms(g) for g in (f.derive(), f.derive().derive())]
+
+
+def test_threads_deriving_on_a_fresh_field_agree_with_a_serial_run():
+    # the first derive of a field builds its Euler rows and their dots: a
+    # short window, so the race is run on several fresh fields
+    expected = _derivatives(transseries_fragment.__wrapped__(DEPTH))
+    for _ in range(10):
+        shared = transseries_fragment.__wrapped__(DEPTH)
+        assert shared._euler is None
+        assert _in_threads(lambda: _derivatives(shared)) == [expected] * THREADS

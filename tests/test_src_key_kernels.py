@@ -1,6 +1,6 @@
 """One code path for lattice-key and index arithmetic, checked on the
 parse tree of src/, so nothing has to run: eval is called once, in
-gridseries._tuple_kernel, and gridseries and diffpoly compute no key or
+gridseries._compiled, and gridseries and diffpoly compute no key or
 index by map(add, ...) or by a tuple comprehension of per-coordinate
 arithmetic.  (A key's conversion to its value, one Fraction or quotient
 per coordinate, is not key arithmetic.)"""
@@ -68,7 +68,7 @@ def test_src_has_one_eval_in_the_kernel_builder():
     found = [(str(path.relative_to(_SRC)), function)
              for path in sorted(_SRC.rglob("*.py"))
              for function, _ in _eval_calls(ast.parse(path.read_text()))]
-    assert found == [("vdfield/gridseries.py", "_tuple_kernel")]
+    assert found == [("vdfield/gridseries.py", "_compiled")]
 
 
 def test_keys_and_indices_take_the_kernels():

@@ -2,7 +2,9 @@
 at every length from 0 (the field Q) to 66 (transseries_fragment(64)),
 on negative ints and ints beyond 2^64."""
 
+import gc
 import random
+import weakref
 from operator import add, mul
 
 import pytest
@@ -15,6 +17,7 @@ from vdfield.gridseries import (
     _DOT,
     _FLOOR,
     _SCALE,
+    _dot_kernel,
     _tuple_kernel,
     laurent_ddt,
     laurent_tddt_coarse,
@@ -79,7 +82,7 @@ def test_divider(one, g):
 def test_dot(pair, kept):
     # rows of the value matrices are mostly zero
     k, row = pair[0], tuple(x if keep else 0 for x, keep in zip(pair[1], kept))
-    assert _tuple_kernel(len(k), _DOT, row)(k) == _generic(_DOT, k, row=row)
+    assert _dot_kernel(row)(k) == _generic(_DOT, k, row=row)
 
 
 @pytest.mark.parametrize("n", LENGTHS)
@@ -91,14 +94,14 @@ def test_every_length(n):
     assert _tuple_kernel(n, _ADD)(a, b) == _generic(_ADD, a, b)
     assert _tuple_kernel(n, _SCALE)(a, m) == _generic(_SCALE, a, m)
     assert _tuple_kernel(n, _FLOOR)(a, m) == _generic(_FLOOR, a, m)
-    assert _tuple_kernel(n, _DOT, row)(a) == _generic(_DOT, a, row=row)
+    assert _dot_kernel(row)(a) == _generic(_DOT, a, row=row)
 
 
 def test_a_row_entry_must_be_an_int():
     # the compiled source is made from ints only
     for entry in ("0); import os; (0", 1.5):
         with pytest.raises(ValueError):
-            _tuple_kernel(1, _DOT, (entry,))
+            _dot_kernel((entry,))
 
 
 @pytest.mark.parametrize("make", [rational_field, laurent_ddt, laurent_tddt_coarse,
@@ -114,3 +117,13 @@ def test_a_field_keeps_the_kernels_of_its_rank(make):
     for dot, row in zip(K._thetas, rows, strict=True):
         k = tuple(rng.randrange(-BIG, BIG) for _ in range(K.rank))
         assert dot(k) == _generic(_DOT, k, row=row)
+
+
+def test_a_fields_dots_go_with_it():
+    # a field keeps its dots in _thetas, and no cache keeps them past it
+    K = transseries_fragment.__wrapped__(3)
+    K._euler_rows()
+    dots = [weakref.ref(dot) for dot in K._thetas]
+    del K
+    gc.collect()
+    assert [ref() for ref in dots] == [None] * len(dots)
