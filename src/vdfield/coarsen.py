@@ -9,7 +9,6 @@ generators whose value starts with k zeros.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict
 
 from .errors import VdfError
@@ -80,7 +79,7 @@ class Coarsening(Record):
         """Residue valuation of f divided by the monomial realizing its
         dotted valuation: the Delta-part of v(f)."""
         gamma_dot = self.coarse_val(f).pad(self.base.rank)
-        u = f * Series(self.base, {-gamma_dot: Fraction(1)}, INFINITY)
+        u = f * self.base.term(-gamma_dot)
         return self.residue(u).valuation()
 
 

@@ -379,30 +379,30 @@ def _fnk(n: int, k: int) -> DiffPoly:
 def substitute(P: DiffPoly, images: List[DiffPoly]) -> DiffPoly:
     """The ring morphism sending Y^(j) to images[j], on term lists with one
     _collect per product: each term (i, c) of P, from [(zero index, c)],
-    times each images[j]^(i_j), built once per call; one _sum_terms sums all."""
+    times each images[j]^(i_j), listed once per call; one _sum_terms sums all."""
     if len(images) < P.order + 1:
         raise VdfError("substitution needs an image for every variable")
     K = P.field
     if any(img.field is not K for img in images):
         raise VdfError("polynomials over different field instances")
     order = max([img.order for img in images] + [0])
-    lists = [_padded(img.terms, order) for img in images]
 
     def times(left, right):
         return _collect(K, _products(left, right, order)).items()
 
+    powers = [[None, _padded(img.terms, order)] for img in images]  # [j][e]: images[j]^e
+    for power, top in zip(powers, map(max, zip(*P.terms))):
+        while len(power) <= top:
+            power.append(times(power[-1], power[1]))
+
     # the term times the power, not times images[j] e times: that order
     # certifies a lower tau when an image's own terms cancel in the power
-    @functools.lru_cache(maxsize=None)
-    def power(j, e):
-        return lists[j] if e == 1 else times(power(j, e - 1), lists[j])
-
     pairs = []
     for i, c in P.terms.items():
         term = [((0,) * (order + 1), c)]
         for j, e in enumerate(i):
             if e:
-                term = times(term, power(j, e))
+                term = times(term, powers[j][e])
         pairs.extend(term)
     return _sum_terms(K, pairs, order)
 

@@ -17,13 +17,13 @@ parenthesized number after ^ is only legal as a derivative order on Y.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Union
 
 from .diffpoly import DiffPoly, _padded, _sum_terms
 from .errors import ParseError, UnboundSymbol, VdfError
 from .gridseries import FieldInstance, Series
 from .records import FrozenRecord, Record
-from .valgroup import INFINITY
 
 
 # The largest integer exponent lower_poly expands by repeated
@@ -389,7 +389,8 @@ def lower_poly(node: Node, field: FieldInstance, spent: Optional[List[int]] = No
 
 
 def _times(P: DiffPoly, Q: DiffPoly, spent: List[int]) -> DiffPoly:
-    """P * Q, refused before it is built past MAX_TERM_PAIRS or MAX_EXPR_TERM_PAIRS in spent[0]."""
+    """P * Q, refused before it is built past MAX_TERM_PAIRS or MAX_EXPR_TERM_PAIRS in
+    spent[0], or when a numerator or denominator of it could pass MAX_COEFF_DIGITS digits."""
     size = [sum(len(c.terms) for c in R.terms.values()) for R in (P, Q)]
     if size[0] * size[1] > MAX_TERM_PAIRS:
         raise ParseError(f"a product of {size[0]} by {size[1]} terms exceeds "
@@ -398,6 +399,14 @@ def _times(P: DiffPoly, Q: DiffPoly, spent: List[int]) -> DiffPoly:
     if spent[0] > MAX_EXPR_TERM_PAIRS:
         raise ParseError(f"the products of one expression exceed "
                          f"{MAX_EXPR_TERM_PAIRS} term pairs")
+    # a coefficient of P * Q sums at most size[0] * size[1] products n_P * n_Q over D_P * D_Q
+    num, den = size[0] * size[1], 1
+    for cs in (P.terms.values(), Q.terms.values()):
+        D = lcm(*(c.cden for c in cs))
+        num *= max((abs(n) * (D // c.cden) for c in cs for n in c.terms.values()), default=0)
+        den *= D
+    if max(num, den) >= 10 ** MAX_COEFF_DIGITS:
+        raise ParseError(f"a product's coefficients could exceed {MAX_COEFF_DIGITS} digits")
     return P * Q
 
 
@@ -411,9 +420,9 @@ def _monomial_pow(coeff: Series, e: Fraction) -> Optional[Series]:
     (v, c), = coeff.sorted_terms()
     if e.denominator == 1:
         _check_coeff_power(c, e.numerator)
-        return Series(coeff.field, {v.scale(e): c ** e.numerator}, INFINITY)
+        return coeff.field.term(v.scale(e), c ** e.numerator)
     if c == 1:
-        return Series(coeff.field, {v.scale(e): c}, INFINITY)
+        return coeff.field.term(v.scale(e), c)
     return None
 
 

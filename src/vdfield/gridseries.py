@@ -28,7 +28,7 @@ import functools
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import is_not
+from operator import is_
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -47,22 +47,7 @@ from .valgroup import (
     unit,
     zero,
 )
-
-
-# Per-coordinate templates of _tuple_kernel ({0} is a coordinate) and _dot_kernel ({1} its entry).
-_ADD, _SCALE, _FLOOR, _DOT = "a[{0}] + b[{0}]", "a[{0}] * b", "a[{0}] // b", "a[{0}] * {1:d}"
-
-
-def _compiled(body: str):
-    """lambda a, b=None: body, compiled by eval as namedtuple compiles its __new__,
-    from a template above and ints alone: the one path of key and index arithmetic."""
-    return eval("lambda a, b=None: " + body)
-
-
-@functools.lru_cache(maxsize=None)
-def _tuple_kernel(n: int, term: str):
-    """lambda a, b: the tuple display (term at 0, ..., term at n - 1)."""
-    return _compiled("(" + "".join(term.format(i) + ", " for i in range(n)) + ")")
+from .valgroup import _ADD, _DOT, _FLOOR, _SCALE, _compiled, _tuple_kernel
 
 
 def _dot_kernel(row: Tuple[int, ...]):
@@ -127,12 +112,17 @@ class FieldInstance:
 
     def constant(self, c: Rat) -> "Series":
         c = _frac(c)
-        if c == 0:
-            return self.zero_series()
         return Series(self, {(0,) * self.rank: c.numerator}, INFINITY, 1, c.denominator)
 
     def one(self) -> "Series":
         return self.constant(1)
+
+    def term(self, gamma: GroupElement, c: Rat = 1) -> "Series":
+        """Series(self, {gamma: c}, INFINITY), the term c * m_gamma, built on the lattice."""
+        if gamma.rank != self.rank:
+            raise RankMismatch(f"a term value's rank is not field rank {self.rank}")
+        c, den = _frac(c), lcm(*[x.denominator for x in gamma.coords])
+        return Series(self, {_lattice_key(gamma, den): c.numerator}, INFINITY, den, c.denominator)
 
     def index_of(self, name: str) -> int:
         """The position of the generator called name."""
@@ -142,14 +132,10 @@ class FieldInstance:
         return i
 
     def gen(self, name: str, power: Rat = 1) -> "Series":
-        value = self.generators[self.index_of(name)].value.scale(power)
-        return Series(self, {value: Fraction(1)}, INFINITY)
+        return self.term(self.generators[self.index_of(name)].value.scale(power))
 
     def monomial_series(self, mono: Monomial, coeff: Rat = 1) -> "Series":
-        coeff = _frac(coeff)
-        if coeff == 0:
-            return self.zero_series()
-        return Series(self, {mono: coeff}, INFINITY)
+        return self.term(self.monomial_value(mono), coeff)
 
     def monomial_from_dict(self, powers: Dict[str, Rat]) -> Monomial:
         exps = [0] * self.rank
@@ -230,10 +216,9 @@ class FieldInstance:
         generator's logder is no longer the same object: the one cache of
         data that follows from the logders."""
         store = (self if holder is None else holder).__dict__
-        logders = [g.logder for g in self.generators]
         kept = store.get(name)
-        if kept is None or any(map(is_not, kept[0], logders)):
-            kept = store[name] = (logders, build())
+        if kept is None or not all(map(is_, kept[0], (g.logder for g in self.generators))):
+            kept = store[name] = ([g.logder for g in self.generators], build())
         return kept[1]
 
     def _euler_rows(self) -> Tuple[int, List[Tuple[int, ...]]]:
@@ -364,7 +349,7 @@ class Series:
         v = self.valuation()
         if v is INFINITY:
             raise VdfError("the zero series has no dominant term")
-        return Fraction(self.terms[min(self.terms)], self.cden), v
+        return Fraction(self.terms[_lattice_key(v, self.den)], self.cden), v
 
     def coefficient(self, mono: Monomial) -> Fraction:
         key = _lattice_key(self.field.monomial_value(mono), self.den)
@@ -440,6 +425,18 @@ class Series:
                 terms[k] = terms.get(k, 0) + c1 * c2
         return Series(self.field, terms, tau, den, self.cden * other.cden)
 
+    def _plus_term_times(self, h: "Series", r: "Series") -> "Series":
+        """self + h * r for an exact one-term h, in one copy of self's term dict: the
+        terms, den, cden and tau min(self.tau, r.tau + v(h)) of the product and the sum."""
+        den, cden = lcm(self.den, h.den, r.den), lcm(self.cden, h.cden * r.cden)
+        ((kh, ch),) = h._terms_at(den, cden // r.cden).items()
+        terms, add = dict(self._terms_at(den, cden)), self.field._add
+        for k, c in r._terms_at(den, r.cden).items():
+            k = add(k, kh)
+            if s := terms.pop(k, 0) + c * ch:  # a zero sum stays popped
+                terms[k] = s
+        return Series(self.field, terms, min(self.tau, r.tau + h.valuation()), den, cden)
+
     def power(self, n: int) -> "Series":
         """self^n by square-and-multiply, with no product by one():
         power(0) is one() and power(1) is self itself."""
@@ -497,7 +494,7 @@ class Series:
         if not self.terms:
             raise VdfError("cannot invert a series with no known terms")
         c, v = self.dominant_term()
-        lead_inv = Series(self.field, {-v: Fraction(1) / c}, INFINITY)
+        lead_inv = self.field.term(-v, 1 / c)
         if len(self.terms) == 1:
             if self.tau is INFINITY and tau is None:
                 return lead_inv

@@ -5,7 +5,7 @@ operators A = der - lambda and B = der + (1 - lambda).  Equations
 op(y) = g are solved by dominant balance: each step finds a single term
 h with op(h) asymptotically equal to the residual and subtracts it, so
 the residual valuation strictly increases; the residual moves by op(h),
-one product of h with the response memoised for v(h).  When the
+h times the response memoised for v(h), added to it in one pass.  When the
 residual sits in a class the operator cannot reach (the depth-N shadow
 of the gap phenomenon) the step fails with IntegrationGap and the
 attempt trail records the resonance cascade.
@@ -169,7 +169,7 @@ def dominant_solve(op: LinearOperator, z: Series) -> Series:
         v_resp = response.valuation()
         if gamma + v_resp == beta:
             dom_c, _ = response.dominant_term()
-            return Series(K, {gamma: c_target / dom_c}, INFINITY)
+            return K.term(gamma, c_target / dom_c)
         attempts.append((gamma, v_resp))
         retry = beta - v_resp
         if retry not in seen:
@@ -240,8 +240,8 @@ def solve_linear(op: LinearOperator, g: Series, tau: GroupElement,
     a1*m-logder the response dominant_solve memoised at v(h): the single
     exact term h = c*m has op(h) = h*r, whose tau v(h) + min(a0.tau,
     a1.tau + v(m-logder), m-logder.tau + v(a1)) is that of a0*h + a1*h'.
-    So a step costs one product and one sum, and z has the terms and tau
-    of op(y) - g recomputed: each h has a new value, since op(h) ~ z and
+    So a step is one pass (Series._plus_term_times), and z has the terms
+    and tau of op(y) - g recomputed: each h has a new value, since op(h) ~ z and
     the residual valuation rises, so v(y) is the least v(h); likewise
     v(y') is the least v(h') when the h' have distinct values, as gamma ->
     gamma + psi(gamma) is injective in every built-in field, and the
@@ -254,7 +254,7 @@ def solve_linear(op: LinearOperator, g: Series, tau: GroupElement,
     prev: Optional[GroupElement] = None
     for step in range(max_iter):
         if step:
-            z = z + mh * op.responses[mh.valuation()]
+            z = z._plus_term_times(mh, op.responses[mh.valuation()])
         if not z.terms:
             if z.tau >= tau:
                 trace.termination = "reached_tau"

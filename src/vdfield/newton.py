@@ -196,7 +196,7 @@ def ndeg(P: DiffPoly, base: Optional[GroupElement] = None,
         base = cut.bound_element()
     if not cut.contains(base):
         raise VdfError("base point must lie in gamma_der")
-    phi0 = Series(K, {base: Fraction(1)}, INFINITY)
+    phi0 = K.term(base)
     Q = comp_conj(P, phi0, twist)
     if cut.has_max() and base == cut.max_element():
         return ddeg(Q)
@@ -229,7 +229,7 @@ def ndeg_geq(P: DiffPoly, gamma: GroupElement) -> int:
         P = P.embed_into(K)
     elif gamma.rank != K.rank:
         raise VdfError(f"gamma rank {gamma.rank} does not match field rank {K.rank}")
-    return ndeg(mul_conj(P, Series(K, {gamma: Fraction(1)}, INFINITY)))
+    return ndeg(mul_conj(P, K.term(gamma)))
 
 
 def ndeg_prec(P: DiffPoly, g: Series) -> int:
@@ -322,7 +322,7 @@ def flex_probe(P: DiffPoly, beta: GroupElement, sample_count: int,
         if coords[p] == 0 and not (-beta < gamma < beta):
             continue
         c = Fraction(rng.randint(1, 9), rng.randint(1, 4))
-        val = evaluate(P, Series(K, {gamma: c}, INFINITY))
+        val = evaluate(P, K.term(gamma, c))
         if val.terms:
             seen.add(val.valuation())
     return sorted(seen, key=lambda v: v.coords)

@@ -16,6 +16,7 @@ the new coordinate (see :func:`with_infinitesimal`).
 
 from __future__ import annotations
 
+import functools
 import operator
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -24,6 +25,23 @@ from .errors import RankMismatch, VdfError
 from .records import FrozenRecord
 
 Rat = Union[int, str, Fraction]
+
+
+# Per-coordinate templates of the kernels: {0} is a coordinate, {1} a row entry.
+_ADD, _SUB, _NEG = "a[{0}] + b[{0}]", "a[{0}] - b[{0}]", "-a[{0}]"
+_SCALE, _FLOOR, _DOT = "a[{0}] * b", "a[{0}] // b", "a[{0}] * {1:d}"
+
+
+def _compiled(body: str):
+    """lambda a, b=None: body, compiled by eval as namedtuple compiles its __new__,
+    from a template and ints alone: the one path of key, index and value arithmetic."""
+    return eval("lambda a, b=None: " + body)
+
+
+@functools.lru_cache(maxsize=None)
+def _tuple_kernel(n: int, term: str):
+    """lambda a, b: the tuple display (term at 0, ..., term at n - 1)."""
+    return _compiled("(" + "".join(term.format(i) + ", " for i in range(n)) + ")")
 
 
 def _frac(x: Rat) -> Fraction:
@@ -60,7 +78,7 @@ class GroupElement:
     __slots__ = ("coords",)
 
     def __init__(self, coords: Iterable[Rat]):
-        object.__setattr__(self, "coords", tuple(map(_coord, coords)))
+        _set_coords(self, tuple(map(_coord, coords)))
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupElement is immutable")
@@ -71,7 +89,7 @@ class GroupElement:
         if Fraction in map(type, coords):
             coords = tuple(map(_coord, coords))
         out = object.__new__(GroupElement)
-        object.__setattr__(out, "coords", coords)
+        _set_coords(out, coords)
         return out
 
     @property
@@ -86,24 +104,19 @@ class GroupElement:
         if other is INFINITY:
             return INFINITY
         self._check_rank(other)
-        return GroupElement._raw(
-            tuple(map(operator.add, self.coords, other.coords))
-        )
+        return GroupElement._raw(_tuple_kernel(len(self.coords), _ADD)(self.coords, other.coords))
 
     def __sub__(self, other):
         if other is INFINITY:
             raise VdfError("cannot subtract +infinity")
         self._check_rank(other)
-        return GroupElement._raw(
-            tuple(map(operator.sub, self.coords, other.coords))
-        )
+        return GroupElement._raw(_tuple_kernel(len(self.coords), _SUB)(self.coords, other.coords))
 
     def __neg__(self):
-        return GroupElement._raw(tuple(map(operator.neg, self.coords)))
+        return GroupElement._raw(_tuple_kernel(len(self.coords), _NEG)(self.coords))
 
     def scale(self, q: Rat) -> "GroupElement":
-        q = _coord(q)
-        return GroupElement._raw(tuple(q * a for a in self.coords))
+        return GroupElement._raw(_tuple_kernel(len(self.coords), _SCALE)(self.coords, _coord(q)))
 
     def __mul__(self, q: Rat):
         return self.scale(q)
@@ -154,6 +167,7 @@ class GroupElement:
         return [str(c) for c in self.coords]
 
 
+
 class _Infinity:
     """The +infinity sentinel: valuation of the true zero series.
 
@@ -202,6 +216,7 @@ class _Infinity:
 
 
 INFINITY = _Infinity()
+_set_coords = GroupElement.coords.__set__  # the slot's setter, past __setattr__'s refusal
 
 
 def zero(rank: int) -> GroupElement:

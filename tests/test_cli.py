@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -494,11 +496,42 @@ class TestBadInput:
         assert parse_series("(-t)^100001", K).dominant_term()[0] == -1
 
     def test_result_too_long_to_render_is_contract_error(self):
-        proc = run_cli(["eval", "--field", "laurent_ddt", "Y",
-                        "--at", "3^2700*3^2700*3^2700*3^2700"])
+        # the evaluation, not the parse, makes the 5,153-digit coefficient 3^10800
+        proc = run_cli(["eval", "--field", "laurent_ddt", "Y^4", "--at", "3^2700"])
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert "too long to render" in _json_error(proc)["message"]
+
+    @pytest.mark.parametrize("text", [
+        f"({'9' * (MAX_COEFF_DIGITS - 1)}*t + {'9' * (MAX_COEFF_DIGITS - 1)})^64",
+        "3^2700*3^2700*3^2700*3^2700",
+        f"(t + 1/{'7' * (MAX_COEFF_DIGITS // 2 + 1)})^2",
+    ], ids=["power", "product", "denominator"])
+    def test_coefficient_product_above_bound_is_parse_error(self, text):
+        # refused before the product that could pass the bound is built;
+        # the power ran for about 40 s in a cold process before
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="could exceed"):
+            parse_series(text, laurent_ddt())
+        assert time.perf_counter() - start < 2
+        proc = run_cli(["val", "--field", "laurent_ddt", text])
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        assert _json_error(proc) == {
+            "error": "parse",
+            "message": f"a product's coefficients could exceed {MAX_COEFF_DIGITS} digits"}
+
+    def test_coefficient_product_bound_admits_its_limit(self):
+        K = laurent_ddt()
+        big = parse_poly(f"10^{MAX_COEFF_DIGITS - 1}", K)
+        assert _times(big, parse_poly("9*t", K), [0]) == parse_poly(f"9*10^{MAX_COEFF_DIGITS - 1}*t", K)
+        with pytest.raises(ParseError, match="could exceed"):
+            _times(big, parse_poly("10*t", K), [0])
+        # binomial powers keep their exact coefficients
+        for text, n in (("(1 + t)^64", 64), ("((t + 1)^16)^16", 256)):
+            f = parse_series(text, K)
+            assert f.sorted_terms() == [(GroupElement([k]), Fraction(math.comb(n, k)))
+                                        for k in range(n + 1)]
 
     @pytest.mark.parametrize("args", [
         ["solve", "--depth", str(MAX_DEPTH + 1)],

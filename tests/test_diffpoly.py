@@ -1,3 +1,4 @@
+import gc
 import itertools
 from fractions import Fraction
 
@@ -410,6 +411,24 @@ class TestSubstituteReference:
                     (Y * Y1).scale_series(_maybe_cut(K, random_series(K, rng, nterms=2), rng))
                     + DiffPoly.from_coeff(K, random_series(K, rng, nterms=1)))
             _assert_same_poly(substitute(P, images), _ref_substitute(P, images))
+
+    @pytest.mark.parametrize("make", BUILT_IN_FIELDS)
+    def test_leaves_no_reference_cycle(self, make, rng):
+        """A call's image powers are freed when it returns: with the
+        cyclic collector off, a call leaves nothing for gc.collect()."""
+        K = make()
+        for _ in range(6):
+            r = rng.randint(0, 2)
+            P = _drawn_poly(K, rng, r, 4) * _drawn_poly(K, rng, r, 2)
+            images = [_drawn_poly(K, rng, r, 2, nterms=2) for _ in range(r + 1)]
+            assert max(max(i) for i in P.terms) >= 2
+            gc.collect()
+            gc.disable()
+            try:
+                substitute(P, images)
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
 
     def test_a_truncated_non_affine_image_keeps_the_reference_tau(self):
         """Here multiplying each term by an image i_j times, instead of by

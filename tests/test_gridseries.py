@@ -667,6 +667,66 @@ class TestProductReference:
                         == (want.terms, want.den, want.cden, want.tau), (a, b)
 
 
+# -- the one-pass residual update and the one-term constructor ------------------------
+
+
+class TestOnePassUpdate:
+    """z._plus_term_times(h, r), the solver's residual update, has the
+    terms, den, cden and tau of z + h * r built by a product and a sum."""
+
+    @staticmethod
+    def _check(z, h, r):
+        got, want = z._plus_term_times(h, r), z + h * r
+        assert (got.terms, got.den, got.cden, got.tau) \
+            == (want.terms, want.den, want.cden, want.tau), (z, h, r)
+        return got
+
+    @pytest.mark.parametrize("make", ALL_FIELDS + OFF_DIAGONAL_FIELDS)
+    def test_matches_the_product_and_sum(self, make, rng):
+        K = make()
+        for _ in range(3):
+            cases = _product_cases(K, rng)
+            # exact one-term h, among them a fractional value with a rational coefficient
+            hs = [f for f in cases if len(f.terms) == 1 and f.tau is INFINITY]
+            hs.append(K.term(GroupElement([Fraction(-2, 3)] * K.rank), Fraction(-5, 3)))
+            assert len({f.den for f in cases}) > 1
+            assert any(r.tau is INFINITY for r in cases) and any(r.tau is not INFINITY for r in cases)
+            for h in hs:
+                for r in cases:
+                    for z in cases:
+                        self._check(z, h, r)
+                    # the update cancels every term of z
+                    emptied = self._check(-(h * r), h, r)
+                    assert not emptied.terms and emptied.tau == r.tau + h.valuation()
+
+
+class TestOneTermConstructor:
+    """FieldInstance.term(gamma, c) is Series(K, {gamma: c}, INFINITY)."""
+
+    @pytest.mark.parametrize("make", ALL_FIELDS + [
+        rational_field, lambda: transseries_fragment(16), lambda: log_fragment(16)])
+    def test_matches_the_value_dict(self, make):
+        K = make()
+        pattern = [Fraction(1, 2), Fraction(-2, 3), 0, 3, -1]
+        values = [zero(K.rank),
+                  GroupElement([pattern[i % 5] for i in range(K.rank)]),
+                  GroupElement([pattern[(i + 2) % 5] for i in range(K.rank)])]
+        for gamma in values:
+            for c in (1, -3, Fraction(-7, 2), Fraction(5, 4), 0):
+                got, want = K.term(gamma, c), Series(K, {gamma: Fraction(c)}, INFINITY)
+                assert (got.terms, got.den, got.cden, got.tau) \
+                    == (want.terms, want.den, want.cden, want.tau), (gamma, c)
+                assert got == want and got.valuation() == want.valuation()
+
+    def test_rank_mismatch(self):
+        K = laurent_tddt_coarse()
+        for gamma in (zero(1), zero(3)):
+            with pytest.raises(RankMismatch):
+                Series(K, {gamma: Fraction(1)}, INFINITY)
+            with pytest.raises(RankMismatch):
+                K.term(gamma)
+
+
 # -- term dicts are shared, never mutated ---------------------------------------------
 
 

@@ -1,15 +1,15 @@
-"""One code path for lattice-key and index arithmetic, checked on the
-parse tree of src/, so nothing has to run: eval is called once, in
-gridseries._compiled, and gridseries and diffpoly compute no key or
-index by map(add, ...) or by a tuple comprehension of per-coordinate
-arithmetic.  (A key's conversion to its value, one Fraction or quotient
-per coordinate, is not key arithmetic.)"""
+"""One code path for lattice-key, index and group-element arithmetic,
+checked on the parse tree of src/, so nothing has to run: eval is called
+once, in valgroup._compiled, and valgroup, gridseries and diffpoly
+compute no value, key or index by map(add, ...) or by a tuple
+comprehension of per-coordinate arithmetic.  (A key's conversion to its
+value, one Fraction or quotient per coordinate, is not key arithmetic.)"""
 
 import ast
 from pathlib import Path
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
-_KEY_MODULES = ("vdfield/gridseries.py", "vdfield/diffpoly.py")
+_KEY_MODULES = ("vdfield/valgroup.py", "vdfield/gridseries.py", "vdfield/diffpoly.py")
 _OPERATORS = {"add", "sub", "mul", "floordiv", "truediv", "neg"}
 
 
@@ -68,7 +68,7 @@ def test_src_has_one_eval_in_the_kernel_builder():
     found = [(str(path.relative_to(_SRC)), function)
              for path in sorted(_SRC.rglob("*.py"))
              for function, _ in _eval_calls(ast.parse(path.read_text()))]
-    assert found == [("vdfield/gridseries.py", "_compiled")]
+    assert found == [("vdfield/valgroup.py", "_compiled")]
 
 
 def test_keys_and_indices_take_the_kernels():

@@ -1,11 +1,11 @@
-"""The compiled tuple kernels of gridseries against their generic forms,
+"""The compiled tuple kernels of valgroup and gridseries against their generic forms,
 at every length from 0 (the field Q) to 66 (transseries_fragment(64)),
 on negative ints and ints beyond 2^64."""
 
 import gc
 import random
 import weakref
-from operator import add, mul
+from operator import add, mul, neg, sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +24,7 @@ from vdfield.gridseries import (
     log_fragment,
     transseries_fragment,
 )
+from vdfield.valgroup import _NEG, _SUB
 
 LENGTHS = range(67)
 BIG = 2 ** 70
@@ -39,6 +40,10 @@ def _generic(term, a, b=None, row=None):
         return tuple(x * b for x in a)
     if term == _FLOOR:
         return tuple(x // b for x in a)
+    if term == _SUB:
+        return tuple(map(sub, a, b))
+    if term == _NEG:
+        return tuple(map(neg, a))
     return sum(map(mul, a, row))
 
 
@@ -56,6 +61,16 @@ def test_adder(pair):
     a, b = pair
     got = _tuple_kernel(len(a), _ADD)(a, b)
     assert type(got) is tuple and got == _generic(_ADD, a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(vectors(2))
+@example([(2 ** 64,), (-(2 ** 65),)])
+@example([(), ()])
+def test_subtracter_and_negator(pair):
+    a, b = pair
+    for term, got in ((_SUB, _tuple_kernel(len(a), _SUB)(a, b)), (_NEG, _tuple_kernel(len(a), _NEG)(a))):
+        assert type(got) is tuple and got == _generic(term, a, b)
 
 
 @settings(max_examples=100, deadline=None)
@@ -94,6 +109,8 @@ def test_every_length(n):
     assert _tuple_kernel(n, _ADD)(a, b) == _generic(_ADD, a, b)
     assert _tuple_kernel(n, _SCALE)(a, m) == _generic(_SCALE, a, m)
     assert _tuple_kernel(n, _FLOOR)(a, m) == _generic(_FLOOR, a, m)
+    assert _tuple_kernel(n, _SUB)(a, b) == _generic(_SUB, a, b)
+    assert _tuple_kernel(n, _NEG)(a) == _generic(_NEG, a)
     assert _dot_kernel(row)(a) == _generic(_DOT, a, row=row)
 
 

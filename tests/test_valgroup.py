@@ -25,6 +25,35 @@ def elements(rank):
     return st.lists(fracs, min_size=rank, max_size=rank).map(GroupElement)
 
 
+class TestArithmetic:
+    """+, -, unary - and scale, on the compiled per-length kernels, equal
+    coordinate-wise Fraction arithmetic; an integral coordinate is an int."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 20).flatmap(lambda n: st.tuples(elements(n), elements(n))), fracs)
+    def test_coordinatewise(self, pair, q):
+        a, b = pair
+        for got, want in ((a + b, [x + y for x, y in zip(a.coords, b.coords)]),
+                          (a - b, [x - y for x, y in zip(a.coords, b.coords)]),
+                          (-a, [-x for x in a.coords]),
+                          (a.scale(q), [x * q for x in a.coords])):
+            assert got.coords == tuple(want)
+            assert [type(x) for x in got.coords] \
+                == [int if Fraction(x).denominator == 1 else Fraction for x in want]
+
+    def test_rank_mismatch(self):
+        with pytest.raises(RankMismatch):
+            GroupElement([1]) + GroupElement([1, 2])
+        with pytest.raises(RankMismatch):
+            GroupElement([1, 2]) - GroupElement([1])
+
+    def test_immutable(self):
+        a = GroupElement([1, Fraction(1, 2)])
+        with pytest.raises(AttributeError):
+            a.coords = (0, 0)
+        assert (a + a).coords == (2, 1) and type((a + a).coords[1]) is int
+
+
 class TestLexOrder:
     def test_identity(self):
         assert lex_cmp(GroupElement([0, 0]), GroupElement([0, 0])) == 0
