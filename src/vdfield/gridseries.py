@@ -28,7 +28,7 @@ import functools
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import is_
+from operator import attrgetter, is_
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -217,7 +217,7 @@ class FieldInstance:
         data that follows from the logders."""
         store = (self if holder is None else holder).__dict__
         kept = store.get(name)
-        if kept is None or not all(map(is_, kept[0], (g.logder for g in self.generators))):
+        if kept is None or not all(map(is_, kept[0], map(attrgetter("logder"), self.generators))):
             kept = store[name] = ([g.logder for g in self.generators], build())
         return kept[1]
 

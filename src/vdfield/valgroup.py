@@ -97,7 +97,7 @@ class GroupElement:
         return len(self.coords)
 
     def _check_rank(self, other: "GroupElement") -> None:
-        if self.rank != other.rank:
+        if len(self.coords) != len(other.coords):
             raise RankMismatch(f"rank {self.rank} vs {other.rank}")
 
     def __add__(self, other):
