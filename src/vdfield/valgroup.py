@@ -167,7 +167,6 @@ class GroupElement:
         return [str(c) for c in self.coords]
 
 
-
 class _Infinity:
     """The +infinity sentinel: valuation of the true zero series.
 
