@@ -717,6 +717,9 @@ class TestOneTermConstructor:
                 assert (got.terms, got.den, got.cden, got.tau) \
                     == (want.terms, want.den, want.cden, want.tau), (gamma, c)
                 assert got == want and got.valuation() == want.valuation()
+        # the constant 0, built like any constant, is the true zero
+        z = K.constant(0)
+        assert (z.terms, z.den, z.cden, z.tau) == ({}, 1, 1, INFINITY) and z == K.zero_series()
 
     def test_rank_mismatch(self):
         K = laurent_tddt_coarse()
