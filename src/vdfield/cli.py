@@ -263,16 +263,10 @@ def _cmd_probe(args) -> dict:
     }
 
 
-def _solver_field(args):
-    if args.op == "B":
-        return log_fragment(args.depth)
-    return transseries_fragment(args.depth)
-
-
 def _cmd_solve(args) -> dict:
     from .hsolve import LinearOperator, op_A, op_B, solve_linear
     _require_solver_sizes(args)
-    field = _solver_field(args)
+    field = (log_fragment if args.op == "B" else transseries_fragment)(args.depth)
     if args.op == "A":
         op = op_A(field, args.depth)
     elif args.op == "B":

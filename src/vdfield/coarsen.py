@@ -21,7 +21,6 @@ from .valgroup import (
     Cut,
     GroupElement,
     quotient_map,
-    zero,
 )
 
 
@@ -66,12 +65,9 @@ class Coarsening(Record):
                 continue
             terms[key[k:]] = c
         tau = f.tau
-        if tau is INFINITY:
+        if tau is INFINITY or tau.coords[:k] > (0,) * k:
             return Series(R, terms, INFINITY, f.den, f.cden)
-        head = tau.coords[:k]
-        if GroupElement(head) > zero(k):
-            return Series(R, terms, INFINITY, f.den, f.cden)
-        if GroupElement(head) == zero(k):
+        if not any(tau.coords[:k]):
             return Series(R, terms, GroupElement(tau.coords[k:]), f.den, f.cden)
         raise VdfError("residue undefined: truncation has negative dotted part")
 

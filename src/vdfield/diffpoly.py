@@ -129,11 +129,6 @@ class DiffPoly:
             raise VdfError("the zero polynomial has no degree")
         return max(mi_degree(i) for i in self.terms)
 
-    def weight(self) -> int:
-        if not self.terms:
-            raise VdfError("the zero polynomial has no weight")
-        return max(mi_weight(i) for i in self.terms)
-
     def complexity(self) -> Tuple[int, int, int]:
         """(order, degree in the top derivative, total degree)."""
         r = self.true_order()
@@ -354,7 +349,7 @@ def fnk(n: int, k: int) -> DiffPoly:
 
 def _fnk(n: int, k: int) -> DiffPoly:
     Q = rational_field()
-    if k > n or k < 0:
+    if k > n:
         return DiffPoly(Q, {})
     key = (n, k)
     got = _fnk_memo.get(key)

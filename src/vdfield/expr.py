@@ -16,6 +16,7 @@ parenthesized number after ^ is only legal as a derivative order on Y.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from typing import List, Optional, Union
@@ -89,45 +90,21 @@ class Token(Record):
     _fields = __slots__ = ("kind", "text", "line", "col")
 
 
+# a number is decimal digits; a word is a name when it starts with a letter or _
+_TOKEN = re.compile(r"(\d+)|(\w+)|([-+*^()/'])|(\S)")
+_KINDS = (None, "num", "name", "op")
+
+
 def _tokenize(text: str) -> List[Token]:
     toks: List[Token] = []
-    line, col = 1, 0
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 0
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*^()/'":
-            toks.append(Token("op", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("end", "", line, col))
+    lines = text.split("\n")
+    for line, chars in enumerate(lines, 1):
+        for m in _TOKEN.finditer(chars):
+            ch = m[0][0]
+            if m.lastindex == 4 or m.lastindex == 2 and not (ch.isalpha() or ch == "_"):
+                raise ParseError(f"unexpected character {ch!r}", line, m.start())
+            toks.append(Token(_KINDS[m.lastindex], m[0], line, m.start()))
+    toks.append(Token("end", "", len(lines), len(lines[-1])))
     return toks
 
 
@@ -293,14 +270,6 @@ def parse_expr(text: str) -> Node:
 # -- printer ---------------------------------------------------------------------
 
 
-def _needs_parens_in_mul(node: Node) -> bool:
-    return isinstance(node, (Add, Neg))
-
-
-def _needs_parens_in_pow(node: Node) -> bool:
-    return isinstance(node, (Add, Neg, Mul, Pow))
-
-
 def print_expr(node: Node) -> str:
     if isinstance(node, Lit):
         return str(node.value)
@@ -312,7 +281,7 @@ def print_expr(node: Node) -> str:
         return f"Y^({node.order})"
     if isinstance(node, Pow):
         base = print_expr(node.base)
-        if _needs_parens_in_pow(node.base):
+        if isinstance(node.base, (Add, Neg, Mul, Pow)):
             base = f"({base})"
         e = node.exponent
         etext = str(e) if e >= 0 else f"-{-e}"
@@ -326,7 +295,7 @@ def print_expr(node: Node) -> str:
         parts = []
         for f in node.factors:
             s = print_expr(f)
-            if _needs_parens_in_mul(f):
+            if isinstance(f, (Add, Neg)):
                 s = f"({s})"
             parts.append(s)
         return "*".join(parts)
@@ -439,17 +408,13 @@ def _check_coeff_power(c: Fraction, n: int) -> None:
                              f"{MAX_COEFF_DIGITS} digits")
 
 
-def lower_series(node: Node, field: FieldInstance) -> Series:
-    P = lower_poly(node, field)
-    if not _is_constant_poly(P):
-        raise ParseError("expression contains the indeterminate Y")
-    # a constant polynomial has at most one index, the zero one
-    return next(iter(P.terms.values()), field.zero_series())
-
-
 def parse_poly(text: str, field: FieldInstance) -> DiffPoly:
     return lower_poly(parse_expr(text), field)
 
 
 def parse_series(text: str, field: FieldInstance) -> Series:
-    return lower_series(parse_expr(text), field)
+    P = lower_poly(parse_expr(text), field)
+    if not _is_constant_poly(P):
+        raise ParseError("expression contains the indeterminate Y")
+    # a constant polynomial has at most one index, the zero one
+    return next(iter(P.terms.values()), field.zero_series())

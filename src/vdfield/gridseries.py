@@ -580,8 +580,7 @@ class Series:
         parts = []
         for v, c in self.sorted_terms():
             factors = [str(c)] if c != 1 or v.is_zero() else []
-            factors += [g.name if q == 1 else f"{g.name}^{q}"
-                        for q, g in zip(K.exponents_of_value(v), K.generators) if q]
+            factors += [n if q == "1" else f"{n}^{q}" for n, q in monomial_strings(K, v)]
             parts.append("*".join(factors))
         body = " + ".join(parts) or "0"
         if self.tau is INFINITY:

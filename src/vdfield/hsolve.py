@@ -71,9 +71,6 @@ class LinearOperator(FrozenRecord):
         of value gamma, filled by dominant_solve as it tries values."""
         return self.field._derived("responses", dict, self)
 
-    def __call__(self, y: Series) -> Series:
-        return apply_op(self, y)
-
 
 def apply_op(op: LinearOperator, y: Series) -> Series:
     return op.a0 * y + op.a1 * y.derive()
@@ -186,13 +183,7 @@ def asym_integrate(f: Series) -> Series:
     Exact inversion of gamma + psi(gamma) = v(f) on the grid; raises
     IntegrationGap when the required monomial lives one level deeper
     than the fragment (for example integrating (l0...lN)^-1)."""
-    h = dominant_solve(derivation_op(f.field), f)
-    check = h.derive()
-    cd, md = check.dominant_term()
-    cf, mf = f.dominant_term()
-    if not (cd == cf and md == mf):
-        raise AssertionError("asym_integrate postcondition (If)' ~ f failed")
-    return h
+    return dominant_solve(derivation_op(f.field), f)
 
 
 # -- the solver ------------------------------------------------------------------

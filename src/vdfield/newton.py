@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import List, Optional, Sequence
 
 from .diffpoly import (
@@ -121,10 +121,8 @@ def _analytic_cut(field: FieldInstance, k: int) -> Cut:
     intersection of {gamma : proj_(p+1)(gamma) <= proj_(p+1)(psi_floor(p))}.
     At k = rank this is Gamma(der); at a smaller k, Gamma(der) of the
     field coarsened to its first k coordinates."""
-    levels = [field.psi_level(i) for i in range(field.rank)] if k else []
-    floors = list(accumulate(reversed(levels), min))[::-1]  # floors[p] = psi_floor(p)
     cut = Cut.all_of(k)
-    for p, level in enumerate(floors[:k]):
+    for p, level in enumerate(map(field.psi_floor, range(k))):
         if level is INFINITY:
             continue
         cut = _intersect_prefix(
@@ -318,11 +316,8 @@ def flex_probe(P: DiffPoly, beta: GroupElement, sample_count: int,
         coords[p] = beta.coords[p] * Fraction(rng.randint(-k + 1, k - 1), k)
         for j in range(p + 1, n):
             coords[j] = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-        gamma = GroupElement(coords)
-        if coords[p] == 0 and not (-beta < gamma < beta):
-            continue
         c = Fraction(rng.randint(1, 9), rng.randint(1, 4))
-        val = evaluate(P, K.term(gamma, c))
+        val = evaluate(P, K.term(GroupElement(coords), c))
         if val.terms:
             seen.add(val.valuation())
     return sorted(seen, key=lambda v: v.coords)

@@ -118,11 +118,6 @@ class GroupElement:
     def scale(self, q: Rat) -> "GroupElement":
         return GroupElement._raw(_tuple_kernel(len(self.coords), _SCALE)(self.coords, _coord(q)))
 
-    def __mul__(self, q: Rat):
-        return self.scale(q)
-
-    __rmul__ = __mul__
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 

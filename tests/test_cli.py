@@ -282,6 +282,36 @@ class TestCommands:
         doc = json.loads(proc.stdout)
         assert len(doc["runs"]) == 2
 
+    @pytest.mark.parametrize("args,tau,rank", [
+        (["check-bll", "--depth", "3"], "1,1,1,0", 4),
+        (["demo", "--depth", "3", "--c", "0,1"], "-1,1,1,1,0", 5),
+    ], ids=["check-bll", "demo"])
+    def test_tau_option_has_the_solver_rank(self, args, tau, rank):
+        # check-bll's tau lives in log_fragment(depth), of rank depth + 1, and
+        # demo's in transseries_fragment(depth), of rank depth + 2; passing
+        # the default tau prints the default report
+        default = run_cli(args)
+        assert default.returncode == 0, default.stderr
+        proc = run_cli(args + [f"--tau={tau}"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == default.stdout
+        proc = run_cli(args + ["--tau", ",".join(["0"] * (rank + 1))])
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert _json_error(proc) == {
+            "error": "contract", "message": f"expected {rank} coordinates, got {rank + 1}"}
+
+    @pytest.mark.parametrize("args,name", [
+        (["check-bll", "--depth", "2"], "check_bll"),
+        (["demo", "--depth", "2", "--c", "0,1"], "demo_nonuniqueness"),
+    ], ids=["check-bll", "demo"])
+    def test_depth_below_three_is_contract_error(self, args, name):
+        proc = run_cli(args)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert _json_error(proc) == {"error": "contract",
+                                     "message": f"{name} needs depth >= 3"}
+
     @pytest.mark.parametrize("c", ["0,0", "1,0,0/1", "1/2,2/4"])
     def test_demo_refuses_a_repeated_constant_by_name(self, c):
         # equal constants, compared as rationals, leave no difference to solve
@@ -431,6 +461,39 @@ class TestBadInput:
         proc = run_cli(args)
         assert proc.returncode == 3
         assert _json_error(proc)["error"] == "parse"
+
+    def test_rational_power_of_a_sum_is_parse_error(self):
+        proc = run_cli(["val", "--field", "configs/laurent.json", "(2*t)^1/2"])
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        assert _json_error(proc) == {
+            "error": "parse", "message": "exponent 1/2 is only legal on a single monomial"}
+
+    def test_error_position_counts_lines(self):
+        # the column restarts at 0 after each newline; a tab or \r is one column
+        proc = run_cli(["val", "--field", "configs/laurent.json", "t +\r\n\tt ^ ?"])
+        assert proc.returncode == 3
+        assert _json_error(proc)["message"] == "unexpected character '?' (line 2, column 5)"
+        with pytest.raises(ParseError) as ei:
+            parse_expr("t\n\n  + )")
+        assert (ei.value.line, ei.value.column) == (3, 4)
+
+    @pytest.mark.parametrize("text,col", [("t^\u00b2", 2), ("2\u00b2", 1), ("\u2460 + t", 0)],
+                             ids=["superscript", "after-digits", "circled"])
+    def test_non_decimal_digit_is_unexpected_character(self, text, col):
+        # a number is decimal digits only: a superscript or circled digit is
+        # not read as a number literal
+        proc = run_cli(["val", "--field", "configs/laurent.json", text])
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        ch = text[col]
+        assert _json_error(proc) == {
+            "error": "parse",
+            "message": f"unexpected character {ch!r} (line 1, column {col})"}
+
+    def test_decimal_digits_of_any_script_are_numbers(self):
+        K = laurent_ddt()
+        assert parse_series("\u0663*t^\u0662", K) == parse_series("3*t^2", K)
 
     def test_argument_parse_error_has_no_position(self):
         proc = run_cli(["demo", "--depth", "3", "--c", "abc"])

@@ -8,6 +8,7 @@ from vdfield.errors import VdfError
 from vdfield.gridseries import laurent_tddt_coarse, transseries_fragment
 from vdfield.newton import gamma_der, s_der
 from vdfield.valgroup import (
+    INFINITY,
     ConvexSubgroup,
     GroupElement,
     cut_stabilizer,
@@ -234,3 +235,47 @@ class TestDerivationLemmas:
         assert R.generators[0].name == "s"
         assert not R.generators[0].logder.terms
         assert R.gen("s").derive().is_true_zero()
+
+
+class TestTruncatedResidue:
+    """residue of a truncated series decides on the first k coordinates
+    of its tau: positive gives an exact residue, zero a residue truncated
+    at the tau's tail, negative an error."""
+
+    def setup_method(self):
+        self.M = transseries_fragment(2)
+        self.half = coarsen(self.M, 2)
+        M = self.M
+        self.f = M.gen("l1").scale(3) + M.gen("l2", -1) + M.gen("l0", -1)
+
+    def _residue(self, tau):
+        return self.half.residue(self.f.truncated(GroupElement(tau)))
+
+    def test_positive_prefix_gives_an_exact_residue(self):
+        R = self.half.residue_field
+        expect = R.gen("l1").scale(3) + R.gen("l2", -1)
+        # the prefix (0, 1) is positive although its first coordinate is 0
+        for tau in ([0, 1, -5, -5], [1, -9, -9, -9], [Fraction(1, 2), 0, 0, 0]):
+            got = self._residue(tau)
+            assert got == expect
+            assert got.tau == INFINITY
+
+    def test_zero_prefix_truncates_at_the_tail(self):
+        R = self.half.residue_field
+        got = self._residue([0, 0, 2, 1])
+        assert got.tau == GroupElement([2, 1])
+        assert got.same_terms(R.gen("l1").scale(3) + R.gen("l2", -1))
+        got = self._residue([0, 0, -1, 0])
+        assert got.tau == GroupElement([-1, 0])
+        assert not got.terms
+
+    def test_negative_prefix_is_refused(self):
+        for tau in ([0, -1, 9, 9], [-1, 5, 5, 5]):
+            with pytest.raises(VdfError, match="truncation has negative dotted part"):
+                self._residue(tau)
+
+    def test_prefix_zero_keeps_the_whole_tau(self):
+        K = laurent_tddt_coarse()
+        tau = GroupElement([2, 0])
+        got = coarsen(K, 0).residue(K.gen("s").truncated(tau))
+        assert got.tau == tau

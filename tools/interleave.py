@@ -24,11 +24,8 @@ import argparse
 import gc
 import importlib
 import importlib.util
-import io
 import statistics
-import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from itertools import islice
@@ -36,20 +33,12 @@ from pathlib import Path
 from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tools")]
 import workloads as W  # noqa: E402
+from bench_pairs import export  # noqa: E402
 
 CLOCK = time.perf_counter
 SEED = 11
-
-
-def export(ref: str, dest: Path) -> None:
-    """The files of ref, as `git archive` writes them, under dest."""
-    tar = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT,
-                         check=True, capture_output=True).stdout
-    dest.mkdir(parents=True)
-    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(dest, filter="data")
 
 
 def load(package: str, src: Path) -> SimpleNamespace:
@@ -104,7 +93,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="interleave-") as tmp:
         sides = []
         for name, ref in (("a", args.a), ("b", args.b)):
-            export(ref, Path(tmp) / name)
+            export(ROOT, ref, Path(tmp) / name)
             sides.append(load(f"vdfield_{name}", Path(tmp) / name / "src"))
         try:
             ratios = interleave(sides, args.workload, SEED, args.rounds, args.repeats)
