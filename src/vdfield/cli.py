@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -379,29 +380,30 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _fail(kind: str, message: str, status: int) -> int:
+    print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
+    return status
+
+
 def run(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        report = args.fn(args)
+        print(json.dumps(args.fn(args)), flush=True)
     except ParseError as exc:
-        print(json.dumps({"error": "parse", "message": str(exc)}),
-              file=sys.stderr)
-        return 3
+        return _fail("parse", str(exc), 3)
     except VdfError as exc:
-        print(json.dumps({"error": "contract", "message": str(exc)}),
-              file=sys.stderr)
-        return 2
+        return _fail("contract", str(exc), 2)
+    except BrokenPipeError:
+        # the reader left: stdout to devnull, as the signal docs do, for a silent exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail("contract", "stdout was closed before the report was written", 2)
     except ValueError as exc:
         # an int past the interpreter's int-to-str digit limit: the result
         # exists but cannot be rendered
         if "integer string conversion" not in str(exc):
             raise
-        limit = sys.get_int_max_str_digits()
-        print(json.dumps({"error": "contract", "message": "result too long to render: "
-                          f"it holds an integer of more than {limit} digits"}),
-              file=sys.stderr)
-        return 2
-    print(json.dumps(report))
+        return _fail("contract", "result too long to render: it holds an integer "
+                     f"of more than {sys.get_int_max_str_digits()} digits", 2)
     return 0
 
 

@@ -310,9 +310,9 @@ class Series:
 
     def _value(self, key: tuple) -> GroupElement:
         den = self.den
-        if den == 1:
-            return GroupElement._raw(key)
-        return GroupElement._raw(tuple([Fraction(x, den) if x % den else x // den for x in key]))
+        if den != 1:
+            key = tuple([Fraction(x, den) if x % den else x // den for x in key])
+        return GroupElement._raw(key, True)
 
     def _terms_at(self, den: int, cden: int) -> Dict[tuple, int]:
         """The terms keyed on the finer lattice of den, a multiple of

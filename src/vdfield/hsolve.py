@@ -8,7 +8,9 @@ the residual valuation strictly increases; the residual moves by op(h),
 h times the response memoised for v(h), added to it in one pass.  When the
 residual sits in a class the operator cannot reach (the depth-N shadow
 of the gap phenomenon) the step fails with IntegrationGap and the
-attempt trail records the resonance cascade.
+attempt trail records the resonance cascade.  Each operator memoises
+its responses by v(h) and its successful balances by v(residual), never a
+failure; check_bll and demo_nonuniqueness reuse the field's operators.
 
 Asymptotic integration I (pick If with (If)' ~ f) is the special case
 op = der.
@@ -38,10 +40,10 @@ from .valgroup import INFINITY, GroupElement, unit
 
 
 class LinearOperator(FrozenRecord):
-    """a0 + a1 * der, applied as y -> a0*y + a1*y'.  Its seed_offsets and
-    responses follow from the field's logders and are kept in the
-    instance __dict__ (hence no __slots__) by FieldInstance._derived, so
-    a replaced logder rebuilds them."""
+    """a0 + a1 * der, applied as y -> a0*y + a1*y'.  Its seed_offsets,
+    responses (keyed on v(h)) and balances (keyed on v(residual)) follow
+    from the field's logders and are kept in the instance __dict__ (hence no
+    __slots__) by FieldInstance._derived, so a replaced logder rebuilds them."""
 
     _fields = ("a0", "a1")
 
@@ -70,6 +72,12 @@ class LinearOperator(FrozenRecord):
         """gamma -> a0 + a1 * logder(m_gamma), the response to the monomial
         of value gamma, filled by dominant_solve as it tries values."""
         return self.field._derived("responses", dict, self)
+
+    @property
+    def balances(self) -> Dict[GroupElement, Tuple[GroupElement, Fraction]]:
+        """beta -> (gamma, d): gamma + v(response at gamma) = beta, d that
+        response's dominant coefficient; filled by dominant_solve."""
+        return self.field._derived("balances", dict, self)
 
 
 def apply_op(op: LinearOperator, y: Series) -> Series:
@@ -129,12 +137,17 @@ def dominant_solve(op: LinearOperator, z: Series) -> Series:
     solution at this depth.
 
     Responses are memoised in op.responses, so a later call on the same
-    operator builds none again for a value already tried.
+    operator builds none again for a value already tried.  The search
+    depends on beta = v(z) alone: a success is memoised in op.balances and
+    a later residual of value beta skips it; a failure is searched again.
     """
     K = op.field
     if not z.terms:
         raise VdfError("dominant_solve needs a residual with a known term")
     c_target, beta = z.dominant_term()
+    balance = op.balances.get(beta)
+    if balance:
+        return K.term(balance[0], c_target / balance[1])
 
     pure_derivation = not op.a0.terms
     responses = op.responses
@@ -166,6 +179,7 @@ def dominant_solve(op: LinearOperator, z: Series) -> Series:
         v_resp = response.valuation()
         if gamma + v_resp == beta:
             dom_c, _ = response.dominant_term()
+            op.balances[beta] = gamma, dom_c
             return K.term(gamma, c_target / dom_c)
         attempts.append((gamma, v_resp))
         retry = beta - v_resp
@@ -290,6 +304,11 @@ def op_B(field: FieldInstance, depth: int) -> LinearOperator:
     return LinearOperator(field.one() - lam, field.one())
 
 
+def _held(make, field: FieldInstance, depth: int) -> LinearOperator:
+    """make(field, depth), kept on the field by FieldInstance._derived."""
+    return field._derived(f"_{make.__name__}_{depth}", lambda: make(field, depth))
+
+
 def check_bll(depth: int, tau: Optional[GroupElement] = None,
               max_iter: int = 128) -> dict:
     """Solve B(y) = 1 in the flat fragment, lift along y -> y*e_x, and
@@ -299,12 +318,12 @@ def check_bll(depth: int, tau: Optional[GroupElement] = None,
     L = log_fragment(depth)
     if tau is None:
         tau = L._logder(L.index_of(f"l{depth - 1}")).valuation()
-    B = op_B(L, depth)
+    B = _held(op_B, L, depth)
     y, trace = solve_linear(B, L.one(), tau, max_iter=max_iter)
     solved = trace.termination == "reached_tau"
 
     M = transseries_fragment(depth)
-    A = op_A(M, depth)
+    A = _held(op_A, M, depth)
     y_M = y.embed_into(M)
     lifted = y_M * M.gen("e_x")
     residual = apply_op(A, lifted) - M.gen("e_x")
@@ -346,7 +365,7 @@ def demo_nonuniqueness(depth: int, c_list: List[Fraction],
         if c in c_list[:i]:  # two equal constants leave no difference to solve
             raise VdfError(f"demo_nonuniqueness needs distinct constants; c = {c} is repeated")
     M = transseries_fragment(depth)
-    A = op_A(M, depth)
+    A = _held(op_A, M, depth)
     if tau is None:
         tau = (M._logder(M.index_of(f"l{depth - 1}")).valuation()
                + M.generators[M.index_of("e_x")].value)

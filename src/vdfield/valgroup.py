@@ -84,9 +84,10 @@ class GroupElement:
         raise AttributeError("GroupElement is immutable")
 
     @staticmethod
-    def _raw(coords: tuple) -> "GroupElement":
-        """Trusted constructor from ints and Fractions (integral ones become ints)."""
-        if Fraction in map(type, coords):
+    def _raw(coords: tuple, normalized: bool = False) -> "GroupElement":
+        """Trusted constructor from ints and Fractions (integral ones become ints;
+        normalized=True vouches that none is)."""
+        if not normalized and Fraction in map(type, coords):
             coords = tuple(map(_coord, coords))
         out = object.__new__(GroupElement)
         _set_coords(out, coords)
@@ -113,7 +114,8 @@ class GroupElement:
         return GroupElement._raw(_tuple_kernel(len(self.coords), _SUB)(self.coords, other.coords))
 
     def __neg__(self):
-        return GroupElement._raw(_tuple_kernel(len(self.coords), _NEG)(self.coords))
+        # the negative of a non-integral coordinate is non-integral
+        return GroupElement._raw(_tuple_kernel(len(self.coords), _NEG)(self.coords), True)
 
     def scale(self, q: Rat) -> "GroupElement":
         return GroupElement._raw(_tuple_kernel(len(self.coords), _SCALE)(self.coords, _coord(q)))

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -564,6 +565,24 @@ class TestBadInput:
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert "too long to render" in _json_error(proc)["message"]
+
+    @pytest.mark.parametrize("args", [
+        ["val", "--field", "configs/laurent.json", "t + t^2"],
+        ["demo", "--depth", "3", "--c", "0,1"],
+    ], ids=["val", "demo"])
+    def test_closed_stdout_is_contract_error(self, args):
+        # stdout is a pipe whose reader closed before vdf writes its report
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "vdfield.cli"] + args,
+                                  stdout=write_end, stderr=subprocess.PIPE, cwd=REPO)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
+        assert _json_error(proc) == {
+            "error": "contract", "message": "stdout was closed before the report was written"}
 
     @pytest.mark.parametrize("text", [
         f"({'9' * (MAX_COEFF_DIGITS - 1)}*t + {'9' * (MAX_COEFF_DIGITS - 1)})^64",

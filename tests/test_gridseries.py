@@ -980,6 +980,19 @@ class TestIntCoordinates:
         assert type(from_fraction.coords[0]) is int
         assert hash(from_int) == hash(GroupElement._raw((Fraction(2),)))
 
+    def test_values_of_a_den_6_series_keep_int_and_fraction_coordinates(self):
+        K = laurent_tddt_coarse()
+        f = (K.term(GroupElement([Fraction(1, 2), Fraction(-2, 3)]), 1)
+             + K.term(GroupElement([1, 2]), 3) + K.term(GroupElement([Fraction(3, 2), -4]), 5))
+        assert f.den == 6
+        values = [v for v, _ in f.sorted_terms()]
+        assert values == [GroupElement([Fraction(1, 2), Fraction(-2, 3)]),
+                          GroupElement([1, 2]), GroupElement([Fraction(3, 2), -4])]
+        assert [[type(x) for x in v.coords] for v in values] \
+            == [[Fraction, Fraction], [int, int], [Fraction, int]]
+        v = f.valuation()
+        assert v == values[0] and [type(x) for x in v.coords] == [Fraction, Fraction]
+
 
 # -- the repr is the expression grammar ----------------------------------------------
 

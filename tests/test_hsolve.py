@@ -865,6 +865,118 @@ class TestOperatorCachesFollowLogders:
         assert op.responses.keys() == {GroupElement([2])}
 
 
+    def test_a_replaced_logder_rebuilds_balances_and_held_operators(self):
+        K = FieldInstance(1, [Generator("t", GroupElement([1]))])
+        K.generators[0].logder = K.gen("t", -1)
+        op = derivation_op(K)
+        t2 = K.gen("t", 2)
+        assert dominant_solve(op, t2) == K.gen("t", 3).scale(Fraction(1, 3))
+        assert op.balances == {GroupElement([2]): (GroupElement([3]), 3)}
+        K.generators[0].logder = K.one()
+        assert op.balances == {}
+        assert dominant_solve(op, t2) == t2.scale(Fraction(1, 2))
+        assert op.balances == {GroupElement([2]): (GroupElement([2]), 2)}
+        # the drivers' operator of a field is built again, with empty memos
+        M = transseries_fragment.__wrapped__(4)
+        A = hsolve._held(op_A, M, 4)
+        assert hsolve._held(op_A, M, 4) is A
+        g, tau = _op_a_problem(M, 4)
+        expect = solve_linear(A, g, tau)
+        assert A.balances
+        gen = M.generators[M.index_of("l2")]
+        gen.logder = gen.logder.truncated(gen.logder.tau)  # an equal copy
+        held = hsolve._held(op_A, M, 4)
+        assert held is not A and held.responses == {} and held.balances == {}
+        TestResponseMemo._same_solve(solve_linear(held, g, tau), expect)
+        assert hsolve._held(op_A, M, 4) is held
+
+
+class TestBalanceMemo:
+    """dominant_solve memoises each success by the residual valuation
+    beta: a later residual of value beta gets the term the search would
+    find, with no search; a failure is searched again every time."""
+
+    PROBLEMS = [(op_A, transseries_fragment, _op_a_problem),
+                (op_B, log_fragment, _op_b_problem)]
+
+    @pytest.mark.parametrize("depth", [4, 10, 16])
+    @pytest.mark.parametrize("build, field, problem", PROBLEMS)
+    def test_entries_are_what_a_fresh_search_returns(self, depth, build, field, problem):
+        K = field(depth)
+        g, tau = problem(K, depth)
+        op = build(K, depth)
+        assert op.balances == {}
+        _, trace = solve_linear(op, g, tau)
+        # one entry per step, as every step has a new residual valuation
+        assert len(op.balances) == len(trace.iterates) >= depth
+        c = Fraction(-5, 3)
+        for beta, (gamma, d) in op.balances.items():
+            z = K.term(beta, c)
+            expect = _eager_dominant_solve(build(K, depth), z)
+            assert expect == K.term(gamma, c / d)
+            assert dominant_solve(build(K, depth), z) == expect
+            assert dominant_solve(op, z) == expect
+
+    @pytest.mark.parametrize("depth", [4, 10, 16])
+    @pytest.mark.parametrize("build, field, problem", PROBLEMS)
+    def test_second_solve_adds_no_entry(self, depth, build, field, problem):
+        K = field(depth)
+        g, tau = problem(K, depth)
+        op = build(K, depth)
+        first = solve_linear(op, g, tau)
+        responses, balances = dict(op.responses), dict(op.balances)
+        # the same residual valuations, other coefficients
+        for rhs in (g, g.scale(Fraction(7, 3))):
+            got = solve_linear(op, rhs, tau)
+            assert op.balances == balances
+            assert op.responses.keys() == responses.keys()
+            assert all(op.responses[v] is r for v, r in responses.items())
+            expect = solve_linear(build(K, depth), rhs, tau)
+            TestResponseMemo._same_solve(got, expect)
+        TestResponseMemo._same_solve(first, solve_linear(build(K, depth), g, tau))
+
+    def test_a_gap_is_not_memoised(self):
+        M = transseries_fragment(5)
+        A = op_A(M, 5)
+        g, tau = _op_a_problem(M, 5)
+        solve_linear(A, g, tau)
+        filled = dict(A.balances)
+        trails = []
+        for op in (A, A, op_A(M, 5)):
+            with pytest.raises(IntegrationGap) as gap:
+                dominant_solve(op, M.constant(2))
+            trails.append((str(gap.value), gap.value.attempts))
+        assert trails[0] == trails[1] == trails[2]
+        assert A.balances == filled and zero(M.rank) not in A.balances
+
+
+class TestHeldOperators:
+    """check_bll and demo_nonuniqueness keep their operators on the
+    built-in fields: a repeat call reuses their memos and reports as the
+    first call did, and so does a call on fields built afresh."""
+
+    DEPTHS = [3, 6, 9]
+
+    @staticmethod
+    def _reports(depth):
+        return check_bll(depth), demo_nonuniqueness(depth, [Fraction(0), Fraction(-2, 5)])
+
+    @pytest.mark.parametrize("depth", DEPTHS)
+    def test_repeat_calls_report_alike(self, depth):
+        first = self._reports(depth)
+        B = hsolve._held(op_B, log_fragment(depth), depth)
+        A = hsolve._held(op_A, transseries_fragment(depth), depth)
+        assert B.balances and A.balances
+        balances = dict(B.balances), dict(A.balances)
+        assert self._reports(depth) == first
+        assert hsolve._held(op_B, log_fragment(depth), depth) is B
+        assert (dict(B.balances), dict(A.balances)) == balances
+        transseries_fragment.cache_clear()
+        log_fragment.cache_clear()
+        assert self._reports(depth) == first
+        assert hsolve._held(op_B, log_fragment(depth), depth) is not B
+
+
 class TestCheckBll:
     def test_depth6(self):
         rep = check_bll(6)

@@ -1,18 +1,25 @@
 """tools/interleave.py end to end: HEAD against HEAD on one round of the
 fragment workload, every item answering OK on both sides, in lines from
-which tools/bench_pairs.py reads each repeat's ratio."""
+which tools/bench_pairs.py reads each repeat's ratio; and the cold start
+of each repeat."""
 
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from vdfield import gridseries
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
+_spec = importlib.util.spec_from_file_location("interleave", ROOT / "tools" / "interleave.py")
+interleave = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(interleave)
 
 
 def test_head_against_head():
@@ -32,3 +39,14 @@ def test_head_against_head():
     # tools/bench_pairs.py reads the ratio of each repeat from these lines
     ratios = bench_pairs.repeat_ratios(proc.stdout)
     assert len(ratios) == 2 and all(r > 0 for r in ratios)
+
+
+def test_a_repeat_starts_from_cold_builtin_fields():
+    # every public lru-cached function of gridseries builds a field, and is emptied
+    cached = {name for name, f in vars(gridseries).items()
+              if hasattr(f, "cache_clear") and not name.startswith("_")}
+    assert cached == set(interleave.BUILTIN_FIELDS)
+    gridseries.laurent_ddt()
+    gridseries.log_fragment(3)
+    interleave.clear_builtin_fields(SimpleNamespace(gridseries=gridseries))
+    assert all(getattr(gridseries, name).cache_info().currsize == 0 for name in cached)

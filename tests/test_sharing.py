@@ -4,10 +4,11 @@ every thread the answers of a serial run on one of its own."""
 
 import sys
 import threading
+from fractions import Fraction
 
 from vdfield.expr import parse_poly
-from vdfield.gridseries import series_terms, transseries_fragment
-from vdfield.hsolve import op_A, solve_linear
+from vdfield.gridseries import log_fragment, series_terms, transseries_fragment
+from vdfield.hsolve import _held, check_bll, demo_nonuniqueness, op_A, op_B, solve_linear
 from vdfield.newton import gamma_der, ndeg
 
 THREADS = 4
@@ -89,3 +90,21 @@ def test_threads_deriving_on_a_fresh_field_agree_with_a_serial_run():
         shared = transseries_fragment.__wrapped__(DEPTH)
         assert shared._euler is None
         assert _in_threads(lambda: _derivatives(shared)) == [expected] * THREADS
+
+
+def _driver_reports():
+    """check_bll and demo_nonuniqueness at OP_DEPTH, on the cached fields."""
+    return check_bll(OP_DEPTH), demo_nonuniqueness(OP_DEPTH, [Fraction(0), Fraction(5, 2)])
+
+
+def test_threads_running_the_drivers_on_shared_cached_fields_agree_with_a_serial_run():
+    transseries_fragment.cache_clear()
+    log_fragment.cache_clear()
+    expected = _driver_reports()
+    transseries_fragment.cache_clear()
+    log_fragment.cache_clear()
+    # the fields every thread shares, with no operator held on them yet
+    L, M = log_fragment(OP_DEPTH), transseries_fragment(OP_DEPTH)
+    assert [name for name in (*vars(L), *vars(M)) if name.startswith("_op_")] == []
+    assert _in_threads(_driver_reports) == [expected] * THREADS
+    assert _held(op_B, L, OP_DEPTH).balances and _held(op_A, M, OP_DEPTH).balances

@@ -41,6 +41,21 @@ class TestArithmetic:
             assert [type(x) for x in got.coords] \
                 == [int if Fraction(x).denominator == 1 else Fraction for x in want]
 
+    def test_integral_results_are_ints(self):
+        a = GroupElement([Fraction(1, 2), 3, Fraction(-2, 3)])
+        b = GroupElement([Fraction(1, 2), 1, Fraction(1, 3)])
+        for got, want, types in (
+                (a + b, (1, 4, Fraction(-1, 3)), (int, int, Fraction)),
+                (a - b, (0, 2, -1), (int, int, int)),
+                (-a, (Fraction(-1, 2), -3, Fraction(2, 3)), (Fraction, int, Fraction)),
+                (-(a + b), (-1, -4, Fraction(1, 3)), (int, int, Fraction)),
+                (a.scale(2), (1, 6, Fraction(-4, 3)), (int, int, Fraction)),
+                (a.scale(Fraction(3, 2)), (Fraction(3, 4), Fraction(9, 2), -1),
+                 (Fraction, Fraction, int)),
+                (a.scale(Fraction(6)), (3, 18, -4), (int, int, int))):
+            assert got.coords == want
+            assert tuple(map(type, got.coords)) == types
+
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatch):
             GroupElement([1]) + GroupElement([1, 2])

@@ -10,6 +10,9 @@ process.  The items of the workload (this checkout's perfbench/workloads.py
 at seed 11, the same inputs for both sides) run alternately on the two
 sides, one item at a time, and the side that runs first flips from
 repeat to repeat: a machine whose speed drifts slows both sides alike.
+Before each repeat both sides empty the caches of their built-in fields,
+which also hold the solver drivers' operators and memos, so every
+repeat pays the cold start a benchmark run pays.
 
 Per repeat it prints time(a) / time(b) summed over the items (above 1:
 b is faster) and, last, the median over the repeats.  Every item must
@@ -39,6 +42,8 @@ from bench_pairs import export  # noqa: E402
 
 CLOCK = time.perf_counter
 SEED = 11
+# the lru-cached field constructors of gridseries
+BUILTIN_FIELDS = ("transseries_fragment", "log_fragment", "laurent_ddt", "laurent_tddt_coarse")
 
 
 def load(package: str, src: Path) -> SimpleNamespace:
@@ -53,6 +58,13 @@ def load(package: str, src: Path) -> SimpleNamespace:
                               for name in W.LAYERS})
 
 
+def clear_builtin_fields(vd) -> None:
+    """Empty the caches of the built-in fields, and with them the
+    operators and memos the solver drivers keep on those fields."""
+    for name in BUILTIN_FIELDS:
+        getattr(vd.gridseries, name).cache_clear()
+
+
 def items(vd, workload: str, ctx, seed: int, rounds: int) -> list:
     gen = (W.conjugate_rounds if workload == "conjugate" else W.fragment_rounds)(vd, ctx, seed)
     return [item for batch in islice(gen, rounds) for item in batch]
@@ -64,6 +76,8 @@ def interleave(sides, workload: str, seed: int, rounds: int, repeats: int) -> li
     ratios = []
     for r in range(repeats):
         # fresh fields, as a benchmark run builds: no memo of a repeat is reused
+        for vd in sides:
+            clear_builtin_fields(vd)
         runs = [items(vd, workload, setup(vd), seed, rounds) for vd in sides]
         spent = [0.0, 0.0]
         order = (0, 1) if r % 2 == 0 else (1, 0)
