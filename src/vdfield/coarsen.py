@@ -101,7 +101,7 @@ def coarsen(base: FieldInstance, prefix_len: int) -> Coarsening:
 def lift_val(gamma_dot: GroupElement, delta_part: GroupElement) -> GroupElement:
     """Assemble a full valuation from its quotient part and its
     Delta-part: plain concatenation in prefix coordinates."""
-    return gamma_dot.concat(delta_part)
+    return GroupElement(gamma_dot.coords + delta_part.coords)
 
 
 def coarsened_gamma_der(field: FieldInstance, delta: ConvexSubgroup) -> Cut:

@@ -111,15 +111,13 @@ class DiffPoly:
         self.terms = _collect(field, pairs)
 
     @staticmethod
-    def from_coeff(field: FieldInstance, coeff: Series,
-                   index: MultiIndex = ()) -> "DiffPoly":
-        return DiffPoly(field, {tuple(index): coeff})
+    def from_coeff(field: FieldInstance, coeff: Series) -> "DiffPoly":
+        return DiffPoly(field, {(): coeff})
 
     @staticmethod
     def variable(field: FieldInstance, j: int = 0) -> "DiffPoly":
         """The polynomial Y^(j)."""
-        idx = tuple(0 for _ in range(j)) + (1,)
-        return DiffPoly(field, {idx: field.one()}, order=j)
+        return DiffPoly(field, {_unit_index(j, j): field.one()}, order=j)
 
     def is_zero(self) -> bool:
         return not self.terms

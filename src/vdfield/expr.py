@@ -283,9 +283,7 @@ def print_expr(node: Node) -> str:
         base = print_expr(node.base)
         if isinstance(node.base, (Add, Neg, Mul, Pow)):
             base = f"({base})"
-        e = node.exponent
-        etext = str(e) if e >= 0 else f"-{-e}"
-        return f"{base}^{etext}"
+        return f"{base}^{node.exponent}"
     if isinstance(node, Neg):
         inner = print_expr(node.operand)
         if isinstance(node.operand, (Add, Mul)):

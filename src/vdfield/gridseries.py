@@ -15,7 +15,8 @@ means the series is known completely.  Every operation propagates the
 tightest truncation it can certify.  By the bijection a term is keyed
 by its value v, as the int tuple v * den (den: the least common
 denominator of the values); exponents are computed only where a
-generator matters: derivatives, embeddings and printing.  Likewise a
+generator matters: derivatives, embeddings, logders and printing, all
+from one exponent map, the field's int rows, built once.  Likewise a
 coefficient c is stored as the int c * cden (cden: the least common
 denominator of the coefficients), so products and sums of series do
 int arithmetic; Fractions appear only at the boundary, and there an
@@ -48,6 +49,7 @@ from .valgroup import (
     zero,
 )
 from .valgroup import _ADD, _DOT, _FLOOR, _SCALE, _compiled, _tuple_kernel
+_ZERO = Fraction(0)  # the one zero exponent
 
 
 def _dot_kernel(row: Tuple[int, ...]):
@@ -156,22 +158,13 @@ class FieldInstance:
         return GroupElement(coords)
 
     def exponents_of_value(self, gamma: GroupElement) -> Tuple[Fraction, ...]:
-        """Invert the triangular exponent-to-value map: exponent i is
-        the residual at coordinate i over v(g_i)'s, skipping zero
-        residuals and zero generator entries."""
+        """Invert the exponent-to-value map: exponent i is theta_i(gamma *
+        den) / (D * den), by the field's rows (see _euler_rows)."""
         if gamma.rank != self.rank:
             raise RankMismatch(f"value rank {gamma.rank} != field rank {self.rank}")
-        exps = [Fraction(0)] * self.rank
-        residual = list(gamma.coords)
-        for i, g in enumerate(self.generators):
-            if residual[i]:
-                # in Fraction: two int coordinates would divide to a float
-                q = exps[i] = Fraction(residual[i]) / g.value.coords[i]
-                for j in range(i + 1, self.rank):
-                    x = g.value.coords[j]
-                    if x:
-                        residual[j] -= q * x
-        return tuple(exps)
+        den = lcm(*[x.denominator for x in gamma.coords])
+        key, D = _lattice_key(gamma, den), self._euler_rows()[0] * den
+        return tuple([Fraction(t, D) if (t := dot(key)) else _ZERO for dot in self._thetas])
 
     def monomial_of_value(self, gamma: GroupElement) -> Monomial:
         return Monomial(self.exponents_of_value(gamma))
@@ -222,15 +215,27 @@ class FieldInstance:
         return kept[1]
 
     def _euler_rows(self) -> Tuple[int, List[Tuple[int, ...]]]:
-        """(D, rows): exponent i of the term of lattice key k over den is
-        k . rows[i] / (D * den).  rows[i] is column i of the inverse of
-        the triangular value matrix, as ints over their least common
-        denominator D; it depends only on generator values.  _thetas, the
-        dot product with each row, is set first: whoever finds _euler finds it."""
+        """(D, rows), the field's one exponent map, built once: exponent i
+        of the term of lattice key k over den is k . rows[i] / (D * den).
+        rows[i] is column i of the inverse of the triangular value matrix,
+        back-substituted from the unit values, as ints over their least
+        common denominator D; it depends only on generator values.  _thetas,
+        the dot product with each row, is set first: whoever finds _euler
+        finds it."""
         if self._euler is None:
-            inv = [self.exponents_of_value(unit(self.rank, j)) for j in range(self.rank)]
+            n, values = self.rank, [g.value.coords for g in self.generators]
+            inv = [[0] * n for _ in range(n)]  # inv[j]: the exponents of unit value j
+            for j, exps in enumerate(inv):
+                residual = list(unit(n, j).coords)
+                for i in range(j, n):
+                    if residual[i]:
+                        # in Fraction: two int coordinates would divide to a float
+                        q = exps[i] = Fraction(residual[i]) / values[i][i]
+                        for k in range(i + 1, n):
+                            if values[i][k]:
+                                residual[k] -= q * values[i][k]
             D = lcm(*(q.denominator for row in inv for q in row))
-            rows = [tuple(int(row[i] * D) for row in inv) for i in range(self.rank)]
+            rows = [tuple(int(row[i] * D) for row in inv) for i in range(n)]
             self._thetas, self._euler = [_dot_kernel(row) for row in rows], (D, rows)
         return self._euler
 
@@ -545,8 +550,6 @@ class Series:
     def embed_into(self, other: FieldInstance) -> "Series":
         """Map into a field that contains same-named generators."""
         K = self.field
-        if other is K:
-            return self
         terms = {embed_value(K, other, v): c for v, c in self.sorted_terms()}
         tau = self.tau
         if tau is not INFINITY:
@@ -591,15 +594,10 @@ class Series:
 def embed_value(src: FieldInstance, dst: FieldInstance, gamma: GroupElement) -> GroupElement:
     """Translate a value from src's group to dst's: the value in dst of
     src's exponents on the same-named generators."""
-    out = [0] * dst.rank
-    for q, g in zip(src.exponents_of_value(gamma), src.generators):
-        if q == 0:
-            continue
-        target = dst._index.get(g.name)
-        if target is None:
-            raise VdfError("embedding uses a generator missing from the target field")
-        out[target] = q
-    return dst.monomial_value(Monomial(out))
+    powers = {g.name: q for g, q in zip(src.generators, src.exponents_of_value(gamma)) if q}
+    if not powers.keys() <= dst._index.keys():
+        raise VdfError("embedding uses a generator missing from the target field")
+    return dst.monomial_value(dst.monomial_from_dict(powers))
 
 
 def _sum_series(field: FieldInstance, parts: Sequence["Series"]) -> "Series":

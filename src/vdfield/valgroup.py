@@ -133,9 +133,6 @@ class GroupElement:
     def prefix(self, k: int) -> "GroupElement":
         return GroupElement(self.coords[:k])
 
-    def concat(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.coords + other.coords)
-
     def pad(self, rank: int) -> "GroupElement":
         """Embed into Q^rank by appending zeros; identity if already there."""
         if rank < self.rank:
@@ -143,8 +140,6 @@ class GroupElement:
         return GroupElement(self.coords + (0,) * (rank - self.rank))
 
     def __eq__(self, other):
-        if other is INFINITY:
-            return False
         if not isinstance(other, GroupElement):
             return NotImplemented
         return self.coords == other.coords

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from vdfield.diffpoly import DiffPoly, gauss_val
+from vdfield.gridseries import FieldInstance, Generator, Monomial
 from vdfield.valgroup import GroupElement
 
 settings.register_profile("repeatable", derandomize=True, deadline=None)
@@ -106,6 +108,28 @@ def poly_sim(A, B):
     if diff.is_zero():
         return True
     return gauss_val(diff) > gauss_val(A)
+
+
+_entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_exponents = st.sampled_from([Fraction(q) for q in ("0", "0", "1", "-1", "1/2", "-3/2", "2")])
+
+
+@st.composite
+def triangular_fields(draw):
+    """A field of rank 1-4 with square triangular generator values and
+    exact logders of one or two terms, a fifth of them flat."""
+    rank = draw(st.integers(1, 4))
+    gens = [Generator(f"g{i}", GroupElement(
+        [0] * i + [draw(_entries.filter(bool))] + [draw(_entries) for _ in range(rank - i - 1)]))
+        for i in range(rank)]
+    K = FieldInstance(rank, gens, name="drawn")
+    for g in K.generators:
+        g.logder = K.zero_series()
+        if draw(st.integers(0, 4)):
+            for _ in range(draw(st.integers(1, 2))):
+                mono = Monomial([draw(_exponents) for _ in range(rank)])
+                g.logder = g.logder + K.monomial_series(mono, draw(_entries.filter(bool)))
+    return K
 
 
 @pytest.fixture

@@ -470,6 +470,36 @@ class TestBadInput:
         assert _json_error(proc) == {
             "error": "parse", "message": "exponent 1/2 is only legal on a single monomial"}
 
+    @pytest.mark.parametrize("args, code, message", [
+        (["solve", "--depth", "3", "--op", "custom", "--a0", "1"], 2,
+         "--op custom requires --a0 and --a1"),
+        (["probe", "--field", "configs/laurent.json", "Y", "--beta", "0"], 2,
+         "beta must be positive"),
+        (["probe", "--field", "configs/laurent.json", "Y", "--beta", "-1"], 2,
+         "beta must be positive"),
+        (["solve", "--depth", "-1"], 2, "depth must be >= 0"),
+        (["conj", "--field", "configs/laurent.json", "Y", "--kind", "comp", "--by", "0"], 2,
+         "compositional conjugation by zero"),
+        (["val", "--field", "configs/laurent.json", "(t+1"], 3,
+         "expected ')', found '' (line 1, column 4)"),
+        (["ndeg", "--field", "configs/laurent.json", "Y^(3"], 3,
+         "expected ')', found '' (line 1, column 4)"),
+        (["val", "--field", "configs/laurent.json", "t^x"], 3,
+         "expected a rational exponent, found 'x' (line 1, column 2)"),
+        (["val", "--field", "configs/laurent.json", "t^1/x"], 3,
+         "expected a denominator (line 1, column 4)"),
+        (["ndeg", "--field", "configs/laurent.json", "Y^(x)"], 3,
+         "expected a derivative order (line 1, column 3)"),
+    ], ids=["custom-op-without-a1", "zero-beta", "negative-beta", "negative-depth",
+            "comp-by-zero", "open-paren", "open-order", "exponent-symbol",
+            "denominator-symbol", "order-symbol"])
+    def test_refusal_exits_with_its_message(self, args, code, message):
+        proc = run_cli(args)
+        assert proc.returncode == code
+        assert proc.stdout == b""
+        assert _json_error(proc) == {"error": "contract" if code == 2 else "parse",
+                                     "message": message}
+
     def test_error_position_counts_lines(self):
         # the column restarts at 0 after each newline; a tab or \r is one column
         proc = run_cli(["val", "--field", "configs/laurent.json", "t +\r\n\tt ^ ?"])

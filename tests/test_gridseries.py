@@ -11,6 +11,7 @@ from conftest import (
     random_small_series,
     random_value,
     rat,
+    triangular_fields,
 )
 from test_truncation import (
     FIELDS,
@@ -33,6 +34,7 @@ from vdfield.gridseries import (
     laurent_ddt,
     laurent_tddt_coarse,
     _lattice_key,
+    embed_value,
     log_fragment,
     transseries_fragment,
     val_strings,
@@ -486,6 +488,27 @@ def _ref_derive(f: Series) -> Series:
     return out
 
 
+def _ref_exponents(K: FieldInstance, gamma: GroupElement) -> tuple:
+    """Invert the triangular exponent-to-value map: exponent i is
+    the residual at coordinate i over v(g_i)'s, skipping zero
+    residuals and zero generator entries.  The per-call solve that
+    exponents_of_value ran before the field's rows became its one
+    exponent map: the oracle of those rows."""
+    if gamma.rank != K.rank:
+        raise RankMismatch(f"value rank {gamma.rank} != field rank {K.rank}")
+    exps = [Fraction(0)] * K.rank
+    residual = list(gamma.coords)
+    for i, g in enumerate(K.generators):
+        if residual[i]:
+            # in Fraction: two int coordinates would divide to a float
+            q = exps[i] = Fraction(residual[i]) / g.value.coords[i]
+            for j in range(i + 1, K.rank):
+                x = g.value.coords[j]
+                if x:
+                    residual[j] -= q * x
+    return tuple(exps)
+
+
 def _off_diagonal_field(truncated: bool) -> FieldInstance:
     """Rank 3 with rational, off-diagonal generator values, so the
     inverse value matrix has a common denominator D != 1; the logders
@@ -546,7 +569,7 @@ class TestOnePassSums:
         for _ in range(30):
             f = random_series(K, rng, nterms=1)
             (key,) = f.terms
-            exps = K.exponents_of_value(f.valuation())
+            exps = _ref_exponents(K, f.valuation())
             assert exps == tuple(Fraction(sum(map(operator.mul, key, r)), D * f.den)
                                  for r in rows)
 
@@ -943,6 +966,67 @@ class TestLatticeKey:
         assert key == gamma.coords == _fraction_lattice_key(gamma, 1)
         assert [type(x) for x in key] == [type(x) for x in gamma.coords] \
             == [type(x) for x in _fraction_lattice_key(gamma, 1)]
+
+
+_mixed_coords = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=12))
+
+EXPONENT_FIELDS = [laurent_ddt, laurent_tddt_coarse,
+                   *[lambda n=n: transseries_fragment(n) for n in (0, 1, 2, 6, 16)],
+                   *[lambda n=n: log_fragment(n) for n in (0, 1, 2, 6, 16)],
+                   lambda: FieldInstance(0, [], name="rank_0"), *OFF_DIAGONAL_FIELDS]
+
+
+class TestExponentMap:
+    """exponents_of_value reads the field's rows; _ref_exponents solves
+    the value matrix again per call.  Both give Fractions throughout."""
+
+    @staticmethod
+    def _check(K, gamma):
+        exps = K.exponents_of_value(gamma)
+        assert exps == _ref_exponents(K, gamma)
+        assert all(type(q) is Fraction for q in exps)
+        assert K.monomial_value(K.monomial_of_value(gamma)) == gamma
+
+    @pytest.mark.parametrize("make", EXPONENT_FIELDS)
+    def test_rows_match_the_per_call_solve(self, make, rng):
+        K = make()
+        dens = [1, 2, 3, 4, 5, 6, 7, 12]
+        for _ in range(40):
+            self._check(K, GroupElement([Fraction(rng.randint(-9, 9), rng.choice(dens))
+                                         for _ in range(K.rank)]))
+        for i in range(K.rank):
+            self._check(K, K.generators[i].value)
+
+    @given(K=triangular_fields(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_the_per_call_solve_on_drawn_fields(self, K, data):
+        for _ in range(5):
+            self._check(K, GroupElement([data.draw(_mixed_coords) for _ in range(K.rank)]))
+
+    def test_a_value_of_the_wrong_rank_is_refused(self):
+        for K in (laurent_ddt(), transseries_fragment(2), FieldInstance(0, [])):
+            with pytest.raises(RankMismatch, match="value rank"):
+                K.exponents_of_value(zero(K.rank + 1))
+
+    def test_embedding_refuses_a_used_generator_the_target_lacks(self):
+        src = FieldInstance(2, [Generator("t", GroupElement([1, 0])),
+                                Generator("s", GroupElement([0, Fraction(1, 2)]))])
+        dst = FieldInstance(1, [Generator("t", GroupElement([3]))])
+        assert embed_value(src, dst, GroupElement([Fraction(2, 3), 0])) == GroupElement([2])
+        with pytest.raises(VdfError) as err:
+            embed_value(src, dst, GroupElement([1, 1]))
+        assert err.type is VdfError
+        assert str(err.value) == "embedding uses a generator missing from the target field"
+
+    @pytest.mark.parametrize("make", ALL_FIELDS + OFF_DIAGONAL_FIELDS)
+    def test_embedding_into_the_own_field_gives_an_equal_series(self, make, rng):
+        K = make()
+        for _ in range(20):
+            f = random_series(K, rng, nterms=rng.randint(1, 4))
+            for g in (f, f.truncated(f.valuation() + random_value(K, rng, 0, 3))):
+                e = g.embed_into(K)
+                assert e.field is K and e == g
+                assert (e.den, e.cden, e.terms, e.tau) == (g.den, g.cden, g.terms, g.tau)
 
 
 class TestIntCoordinates:

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from vdfield import gridseries
+from vdfield import diffpoly, gridseries
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
@@ -48,5 +48,10 @@ def test_a_repeat_starts_from_cold_builtin_fields():
     assert cached == set(interleave.BUILTIN_FIELDS)
     gridseries.laurent_ddt()
     gridseries.log_fragment(3)
-    interleave.clear_builtin_fields(SimpleNamespace(gridseries=gridseries))
+    diffpoly.fnk(3, 2)
+    Q = diffpoly.rational_field()
+    interleave.clear_builtin_fields(SimpleNamespace(gridseries=gridseries, diffpoly=diffpoly))
     assert all(getattr(gridseries, name).cache_info().currsize == 0 for name in cached)
+    # and no F(n, k) of a repeat is reused by the next; the rebuilt ones share Q
+    assert diffpoly._fnk_memo == {}
+    assert diffpoly.fnk(3, 2).field is Q

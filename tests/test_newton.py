@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import (
     random_bounded_series,
@@ -17,6 +16,7 @@ from conftest import (
     random_unit_series,
     random_value,
     rat,
+    triangular_fields,
 )
 from vdfield import newton
 from vdfield.cli import field_from_config
@@ -819,28 +819,6 @@ def _powers_near_one(field):
             for i, g in enumerate(field.generators) for k in range(12)]
 
 
-_entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-_exponents = st.sampled_from([Fraction(q) for q in ("0", "0", "1", "-1", "1/2", "-3/2", "2")])
-
-
-@st.composite
-def _triangular_fields(draw):
-    """A field of rank 1-4 with square triangular generator values and
-    exact logders of one or two terms, a fifth of them flat."""
-    rank = draw(st.integers(1, 4))
-    gens = [Generator(f"g{i}", GroupElement(
-        [0] * i + [draw(_entries.filter(bool))] + [draw(_entries) for _ in range(rank - i - 1)]))
-        for i in range(rank)]
-    K = FieldInstance(rank, gens, name="drawn")
-    for g in K.generators:
-        g.logder = K.zero_series()
-        if draw(st.integers(0, 4)):
-            for _ in range(draw(st.integers(1, 2))):
-                mono = Monomial([draw(_exponents) for _ in range(rank)])
-                g.logder = g.logder + K.monomial_series(mono, draw(_entries.filter(bool)))
-    return K
-
-
 # gamma_der and s_der of fresh copies, as printed before the oracle left
 # the library: (bound of the inclusive prefix cut, prefix_len of S(der)).
 GOLDEN_CUTS = {
@@ -873,7 +851,7 @@ class TestGammaDerIsAnalytic:
         K = family(depth)
         _validate_gamma_der(K, gamma_der(K))
 
-    @given(K=_triangular_fields())
+    @given(K=triangular_fields())
     @settings(max_examples=100, deadline=None)
     def test_the_cut_is_gamma_der_of_drawn_fields_and_coarsenings(self, K):
         # coarsening at prefix 0 gives K back, so it starts at 1

@@ -112,6 +112,13 @@ class TestLexOrder:
         assert INFINITY + g is INFINITY
         assert INFINITY == INFINITY
 
+    @pytest.mark.parametrize("rank", [0, 1, 3])
+    def test_an_element_is_not_infinity_in_either_order(self, rank):
+        # GroupElement.__eq__ leaves INFINITY to _Infinity.__eq__
+        g = zero(rank)
+        assert (g == INFINITY) is False and (INFINITY == g) is False
+        assert (g != INFINITY) is True and (INFINITY != g) is True
+
     @pytest.mark.parametrize("rank", [1, 2, 3])
     @given(data=st.data())
     def test_infinity_tops_and_absorbs_at_every_rank(self, rank, data):

@@ -11,8 +11,9 @@ at seed 11, the same inputs for both sides) run alternately on the two
 sides, one item at a time, and the side that runs first flips from
 repeat to repeat: a machine whose speed drifts slows both sides alike.
 Before each repeat both sides empty the caches of their built-in fields,
-which also hold the solver drivers' operators and memos, so every
-repeat pays the cold start a benchmark run pays.
+which also hold the solver drivers' operators and memos, and the memo of
+the kernels F(n, k), so every repeat pays the cold start a benchmark run
+pays.
 
 Per repeat it prints time(a) / time(b) summed over the items (above 1:
 b is faster) and, last, the median over the repeats.  Every item must
@@ -60,9 +61,12 @@ def load(package: str, src: Path) -> SimpleNamespace:
 
 def clear_builtin_fields(vd) -> None:
     """Empty the caches of the built-in fields, and with them the
-    operators and memos the solver drivers keep on those fields."""
+    operators and memos the solver drivers keep on those fields, and the
+    memo of F(n, k).  rational_field() stays cached: the kernels built
+    again share its Q."""
     for name in BUILTIN_FIELDS:
         getattr(vd.gridseries, name).cache_clear()
+    vd.diffpoly._fnk_memo.clear()
 
 
 def items(vd, workload: str, ctx, seed: int, rounds: int) -> list:
