@@ -491,9 +491,8 @@ def _ref_derive(f: Series) -> Series:
 def _ref_exponents(K: FieldInstance, gamma: GroupElement) -> tuple:
     """Invert the triangular exponent-to-value map: exponent i is
     the residual at coordinate i over v(g_i)'s, skipping zero
-    residuals and zero generator entries.  The per-call solve that
-    exponents_of_value ran before the field's rows became its one
-    exponent map: the oracle of those rows."""
+    residuals and zero generator entries.  The per-call Fraction solve,
+    kept here as the oracle of the field's rows."""
     if gamma.rank != K.rank:
         raise RankMismatch(f"value rank {gamma.rank} != field rank {K.rank}")
     exps = [Fraction(0)] * K.rank
