@@ -30,7 +30,7 @@ from .gridseries import (
     transseries_fragment,
     val_strings,
 )
-from .valgroup import INFINITY, PREFIX, GroupElement, unit
+from .valgroup import INFINITY, PREFIX, GroupElement, _frac, unit
 
 
 # -- field configs ----------------------------------------------------------------
@@ -159,9 +159,14 @@ def _parse_vector(text: str, rank: int) -> GroupElement:
 
 def _rational(text: str) -> Fraction:
     try:
-        return Fraction(text.strip())
+        return _frac(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"expected a rational, found {text.strip()!r}")
+
+
+def _tau(args, rank: int) -> Optional[GroupElement]:
+    """The optional --tau of solve, demo and check-bll."""
+    return _parse_vector(args.tau, rank) if args.tau else None
 
 
 def _require_count(n: int, flag: str, limit: int) -> None:
@@ -183,36 +188,31 @@ def _require_solver_sizes(args) -> None:
 
 
 def _cmd_val(args) -> dict:
-    field = load_field(args.field)
-    f = parse_series(args.expr, field)
+    f = parse_series(args.expr, args.field)
     return {"v": val_strings(f.valuation())}
 
 
 def _cmd_ddeg(args) -> dict:
-    field = load_field(args.field)
-    P = parse_poly(args.expr, field)
+    P = parse_poly(args.expr, args.field)
     data = dominant(P)
     return {"ddeg": data.ddeg, "dwt": data.dwt}
 
 
 def _cmd_ndeg(args) -> dict:
     from .newton import ndeg
-    field = load_field(args.field)
-    P = parse_poly(args.expr, field)
+    P = parse_poly(args.expr, args.field)
     return {"ndeg": ndeg(P)}
 
 
 def _cmd_breakpoints(args) -> dict:
     from .newton import breakpoints
-    field = load_field(args.field)
-    P = parse_poly(args.expr, field)
+    P = parse_poly(args.expr, args.field)
     return {"breakpoints": [val_strings(b) for b in breakpoints(P)]}
 
 
 def _cmd_conj(args) -> dict:
-    field = load_field(args.field)
-    P = parse_poly(args.expr, field)
-    by = parse_series(args.by, field)
+    P = parse_poly(args.expr, args.field)
+    by = parse_series(args.by, args.field)
     if args.kind == "add":
         Q = add_conj(P, by)
     elif args.kind == "mul":
@@ -223,41 +223,36 @@ def _cmd_conj(args) -> dict:
 
 
 def _cmd_eval(args) -> dict:
-    field = load_field(args.field)
-    P = parse_poly(args.expr, field)
-    at = parse_series(args.at, field)
+    P = parse_poly(args.expr, args.field)
+    at = parse_series(args.at, args.field)
     return {"value": series_report(evaluate(P, at))}
 
 
 def _cmd_gamma_der(args) -> dict:
     from .newton import gamma_der
-    field = load_field(args.field)
-    return cut_report(gamma_der(field))
+    return cut_report(gamma_der(args.field))
 
 
 def _cmd_s_der(args) -> dict:
     from .newton import s_der
-    field = load_field(args.field)
-    return {"prefix_len": s_der(field).prefix_len}
+    return {"prefix_len": s_der(args.field).prefix_len}
 
 
 def _cmd_coarsen(args) -> dict:
     from .coarsen import coarsen
-    field = load_field(args.field)
-    half = coarsen(field, args.prefix_len)
+    half = coarsen(args.field, args.prefix_len)
     return field_to_config(half.residue_field)
 
 
 def _cmd_probe(args) -> dict:
     from .newton import flex_probe
     _require_count(args.samples, "--samples", MAX_SAMPLES)
-    field = load_field(args.field)
-    P = parse_poly(args.expr, field)
-    beta = _parse_vector(args.beta, field.rank)
+    P = parse_poly(args.expr, args.field)
+    beta = _parse_vector(args.beta, args.field.rank)
     classes = flex_probe(P, beta, args.samples, seed=args.seed)
     return {
         "classes": [
-            {"v": val_strings(v), "monomial": monomial_strings(field, v)}
+            {"v": val_strings(v), "monomial": monomial_strings(args.field, v)}
             for v in classes
         ],
         "count": len(classes),
@@ -279,9 +274,8 @@ def _cmd_solve(args) -> dict:
             parse_series(args.a0, field), parse_series(args.a1, field)
         )
     rhs = parse_series(args.rhs, field)
-    if args.tau:
-        tau = _parse_vector(args.tau, field.rank)
-    else:
+    tau = _tau(args, field.rank)
+    if tau is None:
         tau = field.derivation_shift + rhs.valuation() + unit(field.rank, 0)
     y, trace = solve_linear(op, rhs, tau, max_iter=args.max_iter)
     report = trace.as_report()
@@ -294,19 +288,14 @@ def _cmd_demo(args) -> dict:
     from .hsolve import demo_nonuniqueness
     _require_solver_sizes(args)
     c_list = [_rational(c) for c in args.c.split(",") if c.strip()]
-    tau = None
-    if args.tau:
-        tau = _parse_vector(args.tau, args.depth + 2)
-    return demo_nonuniqueness(args.depth, c_list, tau, max_iter=args.max_iter)
+    return demo_nonuniqueness(args.depth, c_list, _tau(args, args.depth + 2),
+                              max_iter=args.max_iter)
 
 
 def _cmd_check_bll(args) -> dict:
     from .hsolve import check_bll
     _require_solver_sizes(args)
-    tau = None
-    if args.tau:
-        tau = _parse_vector(args.tau, args.depth + 1)
-    return check_bll(args.depth, tau, max_iter=args.max_iter)
+    return check_bll(args.depth, _tau(args, args.depth + 1), max_iter=args.max_iter)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -388,6 +377,8 @@ def _fail(kind: str, message: str, status: int) -> int:
 def run(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if "field" in args:  # every subcommand with --field reads it here
+            args.field = load_field(args.field)
         print(json.dumps(args.fn(args)), flush=True)
     except ParseError as exc:
         return _fail("parse", str(exc), 3)

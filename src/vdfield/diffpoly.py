@@ -208,8 +208,7 @@ class DiffPoly:
         r = self.true_order()
         return {tuple(i[: r + 1]): c for i, c in self.terms.items()}
 
-    def __hash__(self):
-        raise TypeError("DiffPoly is not hashable")
+    __hash__ = None
 
     def formal_derivative(self) -> "DiffPoly":
         """Total derivative: coefficients are derived and each variable

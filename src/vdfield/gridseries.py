@@ -663,11 +663,9 @@ def monomial_strings(K: FieldInstance, gamma: GroupElement) -> list:
 
 
 def _reachable(step: GroupElement, target: GroupElement) -> bool:
-    """Whether j*step >= target for some natural j (step > 0)."""
-    t = target.first_nonzero()
-    if t == target.rank or target.coords[t] < 0:
-        return True
-    return step.first_nonzero() <= t
+    """Whether j*step >= target for some natural j, for 0 < step < target
+    (invert's one call: a unit-part term, of value > 0, lies below it)."""
+    return step.first_nonzero() <= target.first_nonzero()
 
 
 # -- built-in field instances ------------------------------------------------

@@ -105,30 +105,20 @@ def breakpoints(P: DiffPoly) -> List[GroupElement]:
 # -- Gamma(der) and its stabilizer ----------------------------------------------
 
 
-def _intersect_prefix(a: Cut, b: Cut) -> Cut:
-    """Intersection of two inclusive prefix cuts (it is one of them);
-    the whole group is the one of depth 0."""
-    if a.depth > b.depth:
-        a, b = b, a
-    pb = b.bound[: a.depth]
-    if pb <= a.bound:
-        return b
-    return a
-
-
 def _analytic_cut(field: FieldInstance, k: int) -> Cut:
     """The cut in Q^k cut out by the generator classes p < k: the
     intersection of {gamma : proj_(p+1)(gamma) <= proj_(p+1)(psi_floor(p))}.
     At k = rank this is Gamma(der); at a smaller k, Gamma(der) of the
-    field coarsened to its first k coordinates."""
-    cut = Cut.all_of(k)
+    field coarsened to its first k coordinates.
+
+    Inclusive prefix cuts are nested and the classes come in order of
+    depth, so the fold keeps one bound, () for the whole group, which a
+    deeper bound replaces when its prefix does not exceed it."""
+    bound = ()
     for p, level in enumerate(map(field.psi_floor, range(k))):
-        if level is INFINITY:
-            continue
-        cut = _intersect_prefix(
-            cut, Cut.prefix(k, level.coords[: p + 1], inclusive=True)
-        )
-    return cut
+        if level is not INFINITY and level.coords[: len(bound)] <= bound:
+            bound = level.coords[: p + 1]
+    return Cut(k, bound)
 
 
 def gamma_der(field: FieldInstance) -> Cut:

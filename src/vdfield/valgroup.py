@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -45,6 +46,10 @@ def _tuple_kernel(n: int, term: str):
 
 
 def _frac(x: Rat) -> Fraction:
+    """x as a Fraction; the one reader of rational text: a sign, decimal digits
+    and a /denominator, no exponent that Fraction would expand (1e999999999)."""
+    if isinstance(x, str) and not re.fullmatch(r"\s*[+-]?\d+(/\d+)?\s*", x):
+        raise ValueError(f"expected a rational, found {x.strip()!r}")
     return x if isinstance(x, Fraction) else Fraction(x)
 
 

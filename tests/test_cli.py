@@ -14,7 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vdfield import cli
 from vdfield.cli import (
+    COMMANDS,
     MAX_DEPTH,
     MAX_ITER,
     MAX_SAMPLES,
@@ -23,6 +25,7 @@ from vdfield.cli import (
     field_to_config,
     load_field,
     run,
+    _rational,
 )
 from vdfield.errors import ConfigError, ParseError, UnboundSymbol, VdfError
 from vdfield.expr import (
@@ -49,7 +52,7 @@ from vdfield.expr import (
     lower_poly,
 )
 from vdfield.gridseries import FieldInstance, Generator, laurent_ddt, transseries_fragment
-from vdfield.valgroup import Cut, GroupElement
+from vdfield.valgroup import Cut, GroupElement, _frac
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = [json.loads(line) for line in
@@ -409,6 +412,8 @@ def _json_error(proc):
 
 
 _T_GEN = {"name": "t", "value": ["1"], "logder": "t^-1"}
+_T2 = {"name": "t", "value": ["1", "0"], "logder": "t^-1"}
+_S2 = {"name": "s", "value": ["0", "1"], "logder": "0"}
 
 
 def _config(tmp, logder):
@@ -462,6 +467,60 @@ class TestBadInput:
         proc = run_cli(args)
         assert proc.returncode == 3
         assert _json_error(proc)["error"] == "parse"
+
+    @pytest.mark.parametrize("text", ["1e999999999", "0.5", "1e3", "1_0"])
+    @pytest.mark.parametrize("entry", [
+        "solve-tau", "demo-tau", "check-bll-tau", "probe-beta", "demo-c",
+        "config-value", "config-shift"])
+    def test_rational_text_is_digits_and_a_denominator(self, tmp_path, entry, text):
+        # Fraction would expand the exponent of 1e999999999; every reader
+        # of rational text refuses it, and a point or underscore, at once
+        config = tmp_path / "field.json"
+        config.write_text(json.dumps({
+            "rank": 1,
+            "generators": [dict(_T_GEN, value=[text]) if entry == "config-value" else _T_GEN],
+            "shift": [text if entry == "config-shift" else "0"]}))
+        vector = ",".join([text] + ["0"] * 4)
+        argv = {
+            "solve-tau": ["solve", "--depth", "3", "--tau", vector],
+            "demo-tau": ["demo", "--depth", "3", "--tau", vector],
+            "check-bll-tau": ["check-bll", "--depth", "3", "--tau", vector[:-2]],
+            "probe-beta": ["probe", "--field", "laurent_ddt", "Y'", "--beta", text],
+            "demo-c": ["demo", "--depth", "3", "--c", f"0,{text}"],
+        }.get(entry, ["val", "--field", str(config), "t"])
+        start = time.perf_counter()
+        code, out, err = _run_in_process(argv)
+        assert time.perf_counter() - start < 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert f"expected a rational, found {text!r}" in error["message"]
+        if entry.startswith("config"):
+            assert (code, error["error"]) == (2, "contract")
+        else:
+            assert (code, error["error"]) == (3, "parse")
+
+    @pytest.mark.parametrize("text, value", [
+        ("-1/2", Fraction(-1, 2)), (" 3 ", Fraction(3)), ("5/2", Fraction(5, 2)),
+        ("+4/6", Fraction(2, 3)), ("\u0663", Fraction(3))])
+    def test_rational_text_reads_sign_digits_and_denominator(self, text, value):
+        assert _frac(text) == _rational(text) == value
+
+    @pytest.mark.parametrize("generators, message", [
+        ([_T2], "need exactly rank=2 generators, got 1"),
+        ([_T2, dict(_S2, name="t")], "generator names must be distinct"),
+        ([dict(_T2, value=["1"]), _S2], "generator t: value rank 1 != 2"),
+        ([dict(_T2, value=["0", "1"]), _S2],
+         "generator t: value vectors must be square triangular"),
+    ], ids=["count", "names", "value-rank", "triangular"])
+    def test_field_refusal_exits_with_its_message(self, tmp_path, generators, message):
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"rank": 2, "generators": generators}))
+        proc = run_cli(["val", "--field", str(path), "t"])
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert _json_error(proc) == {"error": "contract", "message": message}
 
     def test_rational_power_of_a_sum_is_parse_error(self):
         proc = run_cli(["val", "--field", "configs/laurent.json", "(2*t)^1/2"])
@@ -832,6 +891,28 @@ class TestGolden:
         code = run(case["argv"])
         assert code == case["exit"]
         assert capsys.readouterr().out == case["stdout"]
+
+
+    def test_each_field_subcommand_reads_its_field_once(self, capsys, monkeypatch):
+        # run reads --field through the module attribute, so a wrapper
+        # there (a tracer's, say) sees every read
+        monkeypatch.chdir(REPO)
+        calls = []
+        monkeypatch.setattr(cli, "load_field",
+                            lambda source: calls.append(source) or load_field(source))
+        first = {}
+        for case in GOLDEN:
+            if case["exit"] == 0:
+                first.setdefault(case["argv"][0], case["argv"])
+        assert set(first) == set(COMMANDS)
+        counted = {}
+        for name, argv in first.items():
+            calls.clear()
+            assert run(argv) == 0
+            counted[name] = len(calls)
+        expect = {name: int(cli._FIELD in options) for name, (_, _, options) in COMMANDS.items()}
+        assert sum(expect.values()) == 10
+        assert counted == expect
 
 
 # -- fuzzing the command line -------------------------------------------------------

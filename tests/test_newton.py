@@ -55,7 +55,7 @@ from vdfield.newton import (
     s_der,
     tropical_ddeg,
 )
-from vdfield.valgroup import ALL, INFINITY, PREFIX, ConvexSubgroup, Cut, GroupElement, zero
+from vdfield.valgroup import ALL, INFINITY, PREFIX, ConvexSubgroup, Cut, GroupElement, unit, zero
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SMALL_DER = [laurent_tddt_coarse, lambda: transseries_fragment(2)]
@@ -196,13 +196,16 @@ class TestGammaDer:
                     assert all(gamma < dv for dv in derivative_vals)
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
-    def test_intersect_with_the_whole_group(self, rank):
-        # the whole group is the depth-0 cut: the prefix formula returns
-        # the other cut in either argument order
-        whole = Cut.all_of(rank)
-        for cut in (whole, Cut.prefix(rank, [-1]), Cut.prefix(rank, [0] * rank)):
-            assert newton._intersect_prefix(whole, cut) == cut
-            assert newton._intersect_prefix(cut, whole) == cut
+    def test_a_flat_first_class_leaves_the_whole_group_to_the_next(self, rank):
+        # g0 is flat and every later generator has logder 1: the fold
+        # starts from the whole group, the depth-0 cut, and each class's
+        # floor (0, ..., 0) replaces it; with g0 alone the field is flat
+        K = _flat_first_field(rank)
+        assert K.psi_level(0) is INFINITY
+        for k in range(rank + 1):
+            assert newton._analytic_cut(K, k) == _reference_analytic_cut(K, k)
+        expect = Cut.all_of(1) if rank == 1 else Cut.prefix(rank, [0] * rank)
+        assert newton._analytic_cut(K, rank) == expect
 
     def test_zero_derivation_gives_the_whole_group(self):
         K = FieldInstance(2, [Generator("t", GroupElement([1, 0])),
@@ -681,6 +684,46 @@ FAMILIES = ["laurent_ddt", "laurent_tddt_coarse", "transseries_fragment(2)",
             "log_fragment(2)"]
 
 
+def _intersect_prefix(a: Cut, b: Cut) -> Cut:
+    """Intersection of two inclusive prefix cuts (it is one of them);
+    the whole group is the one of depth 0."""
+    if a.depth > b.depth:
+        a, b = b, a
+    pb = b.bound[: a.depth]
+    if pb <= a.bound:
+        return b
+    return a
+
+
+def _reference_analytic_cut(K, k):
+    """_analytic_cut as the intersection of one Cut per class p < k."""
+    cut = Cut.all_of(k)
+    for p in range(k):
+        level = K.psi_floor(p)
+        if level is not INFINITY:
+            cut = _intersect_prefix(cut, Cut.prefix(k, level.coords[: p + 1], inclusive=True))
+    return cut
+
+
+def _flat_first_field(rank):
+    """g0 flat, every later g_i with logder 1, values the unit vectors."""
+    K = FieldInstance(rank, [Generator(f"g{i}", unit(rank, i)) for i in range(rank)],
+                      name="flat_first")
+    for i, g in enumerate(K.generators):
+        g.logder = K.one() if i else K.zero_series()
+    return K
+
+
+def _shallower_field():
+    """t of logder t^-1 (level (-1, 0)) and s of logder 1 (level (0, 0)):
+    class 1's floor (0, 0) exceeds class 0's bound (-1)."""
+    K = FieldInstance(2, [Generator("t", GroupElement([1, 0])),
+                          Generator("s", GroupElement([0, 1]))], name="shallower")
+    K.generators[0].logder = K.gen("t", -1)
+    K.generators[1].logder = K.one()
+    return K
+
+
 def _moved_bound(cut, step):
     """The cut with the last coordinate of its bound moved by step."""
     bound = cut.bound[:-1] + (cut.bound[-1] + step,)
@@ -727,18 +770,22 @@ class TestGammaDerOracle:
         assert (_outcome(_validate_gamma_der, K, bad, samples, seed)
                 == _outcome(_reference_validate, K, bad, samples, seed))
 
-    @pytest.mark.parametrize("name", list(FRESH_FIELDS))
+    @pytest.mark.parametrize("name", [*FRESH_FIELDS, "shallower"])
     def test_analytic_cut_matches_psi_floor_at_every_prefix(self, name):
-        # the one-pass suffix minimum gives the cuts of psi_floor(p)
-        K = FRESH_FIELDS[name]()
+        # the fold on bound tuples gives the intersection of the cuts of
+        # psi_floor(p); in "shallower" class 1's floor exceeds class 0's
+        # bound, so the cut keeps depth 1
+        K = _shallower_field() if name == "shallower" else FRESH_FIELDS[name]()
         for k in range(K.rank + 1):
-            expect = Cut.all_of(k)
-            for p in range(k):
-                level = K.psi_floor(p)
-                if level is not INFINITY:
-                    expect = newton._intersect_prefix(
-                        expect, Cut.prefix(k, level.coords[: p + 1], inclusive=True))
-            assert newton._analytic_cut(K, k) == expect
+            assert newton._analytic_cut(K, k) == _reference_analytic_cut(K, k)
+        if name == "shallower":
+            assert newton._analytic_cut(K, 2) == Cut.prefix(2, [-1])
+
+    @given(K=triangular_fields())
+    @settings(max_examples=100, deadline=None)
+    def test_analytic_cut_matches_psi_floor_on_drawn_fields(self, K):
+        for k in range(K.rank + 1):
+            assert newton._analytic_cut(K, k) == _reference_analytic_cut(K, k)
 
     def test_a_coarse_cut_needs_the_floor_not_the_level(self):
         """Class p's constraint uses psi_floor(p), the least level at or
