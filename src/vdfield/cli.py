@@ -54,8 +54,10 @@ def field_from_config(doc: dict) -> FieldInstance:
         declared = (GroupElement([_config_entry("shift", x, int, str) for x in doc["shift"]])
                     if "shift" in doc else None)
         name = str(doc.get("name", "config"))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"malformed field config: {exc!r}")
+    except KeyError as exc:
+        raise ConfigError(f"malformed field config: missing entry {exc.args[0]!r}")
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"malformed field config: {exc}")
     field = FieldInstance(rank, gens, name=name)
     for text, gen in zip(logders, field.generators):
         gen.logder = parse_series(text, field)

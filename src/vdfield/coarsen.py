@@ -68,7 +68,7 @@ class Coarsening(Record):
         if tau is INFINITY or tau.coords[:k] > (0,) * k:
             return Series(R, terms, INFINITY, f.den, f.cden)
         if not any(tau.coords[:k]):
-            return Series(R, terms, GroupElement(tau.coords[k:]), f.den, f.cden)
+            return Series(R, terms, GroupElement._raw(tau.coords[k:], True), f.den, f.cden)
         raise VdfError("residue undefined: truncation has negative dotted part")
 
     def unit_part_residue_val(self, f: Series) -> GroupElement:
@@ -90,7 +90,7 @@ def coarsen(base: FieldInstance, prefix_len: int) -> Coarsening:
     delta = ConvexSubgroup(n, prefix_len)
     k = prefix_len
     kept = base.generators[k:]
-    gens = [Generator(g.name, GroupElement(g.value.coords[k:])) for g in kept]
+    gens = [Generator(g.name, GroupElement._raw(g.value.coords[k:], True), None) for g in kept]
     residue_field = FieldInstance(n - k, gens, name=f"{base.name}/delta{k}")
     half = Coarsening(base, delta, residue_field)
     for i, new_gen in enumerate(residue_field.generators, k):
@@ -101,7 +101,7 @@ def coarsen(base: FieldInstance, prefix_len: int) -> Coarsening:
 def lift_val(gamma_dot: GroupElement, delta_part: GroupElement) -> GroupElement:
     """Assemble a full valuation from its quotient part and its
     Delta-part: plain concatenation in prefix coordinates."""
-    return GroupElement(gamma_dot.coords + delta_part.coords)
+    return GroupElement._raw(gamma_dot.coords + delta_part.coords, True)
 
 
 def coarsened_gamma_der(field: FieldInstance, delta: ConvexSubgroup) -> Cut:

@@ -96,7 +96,7 @@ class FieldInstance:
                 raise RankMismatch(
                     f"generator {g.name}: value rank {g.value.rank} != {rank}"
                 )
-            if any(c != 0 for c in g.value.coords[:i]) or g.value.coords[i] == 0:
+            if g.value.coords[i] == 0 or any(g.value.coords[:i]):
                 raise ConfigError(
                     f"generator {g.name}: value vectors must be square triangular"
                 )
@@ -148,14 +148,17 @@ class FieldInstance:
     # -- values and exponents ------------------------------------------
 
     def monomial_value(self, mono: Monomial) -> GroupElement:
-        """sum q_i * v(g_i), over the nonzero exponents and entries."""
+        """sum q_i * v(g_i), over the nonzero exponents and entries: v(g_i)
+        is zero before position i, and an integral q_i is summed as an int."""
         coords = [0] * self.rank
-        for q, g in zip(mono.exponents, self.generators):
+        for i, (q, g) in enumerate(zip(mono.exponents, self.generators)):
             if q:
-                for j, x in enumerate(g.value.coords):
+                if q.denominator == 1:
+                    q = q.numerator
+                for j, x in enumerate(g.value.coords[i:], i):
                     if x:
                         coords[j] += q * x
-        return GroupElement(coords)
+        return GroupElement._raw(tuple(coords))
 
     def exponents_of_value(self, gamma: GroupElement) -> Tuple[Fraction, ...]:
         """Invert the exponent-to-value map: exponent i is theta_i(gamma *
@@ -520,8 +523,9 @@ class Series:
             )
         acc = self.field.one()
         term = self.field.one()
+        minus_u = -u
         while True:
-            term = (term * (-u)).truncated(tau)
+            term = (term * minus_u).truncated(tau)
             if not term.terms:
                 break
             acc = acc + term
@@ -675,7 +679,7 @@ def _reachable(step: GroupElement, target: GroupElement) -> bool:
 def laurent_ddt() -> FieldInstance:
     """Rational Laurent-series field with derivation d/dt: one generator
     t of value (1), logder t^-1."""
-    K = FieldInstance(1, [Generator("t", GroupElement([1]))], name="laurent_ddt")
+    K = FieldInstance(1, [Generator("t", unit(1, 0), None)], name="laurent_ddt")
     K.generators[0].logder = K.gen("t", -1)
     return K
 
@@ -691,8 +695,8 @@ def laurent_tddt_coarse() -> FieldInstance:
     K = FieldInstance(
         2,
         [
-            Generator("t", GroupElement([1, 0])),
-            Generator("s", GroupElement([0, 1])),
+            Generator("t", unit(2, 0), None),
+            Generator("s", unit(2, 1), None),
         ],
         name="laurent_tddt_coarse",
     )
@@ -726,7 +730,7 @@ def _fragment(name: str, n_depth: int, head: List[str]) -> FieldInstance:
         raise ConfigError("depth must be >= 0")
     names = head + [f"l{k}" for k in range(n_depth + 1)]
     rank, h = len(names), len(head)
-    gens = [Generator(g, unit(rank, i, -1)) for i, g in enumerate(names)]
+    gens = [Generator(g, unit(rank, i, -1), None) for i, g in enumerate(names)]
     K = FieldInstance(rank, gens, name=f"{name}({n_depth})")
     rung = [0] * rank
     for k in range(n_depth + 1):

@@ -36,7 +36,7 @@ from .gridseries import (
     val_strings,
 )
 from .records import FrozenRecord, Record
-from .valgroup import INFINITY, GroupElement, unit
+from .valgroup import INFINITY, GroupElement, _frac, unit
 
 
 class LinearOperator(FrozenRecord):
@@ -360,7 +360,7 @@ def demo_nonuniqueness(depth: int, c_list: List[Fraction],
         raise VdfError("demo_nonuniqueness needs depth >= 3")
     if not c_list:
         raise VdfError("demo_nonuniqueness needs at least one constant c")
-    c_list = [Fraction(c) for c in c_list]
+    c_list = [_frac(c) for c in c_list]
     for i, c in enumerate(c_list):
         if c in c_list[:i]:  # two equal constants leave no difference to solve
             raise VdfError(f"demo_nonuniqueness needs distinct constants; c = {c} is repeated")

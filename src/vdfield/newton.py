@@ -99,7 +99,7 @@ def breakpoints(P: DiffPoly) -> List[GroupElement]:
         g = (vb - va).scale(Fraction(1, wa - wb))
         if g < zero(P.field.rank):
             found.add(g.coords)
-    return [GroupElement(c) for c in sorted(found)]
+    return [GroupElement._raw(c, True) for c in sorted(found)]
 
 
 # -- Gamma(der) and its stabilizer ----------------------------------------------

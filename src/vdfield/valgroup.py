@@ -136,13 +136,13 @@ class GroupElement:
         return self.rank
 
     def prefix(self, k: int) -> "GroupElement":
-        return GroupElement(self.coords[:k])
+        return GroupElement._raw(self.coords[:k], True)
 
     def pad(self, rank: int) -> "GroupElement":
         """Embed into Q^rank by appending zeros; identity if already there."""
         if rank < self.rank:
             raise RankMismatch(f"cannot pad rank {self.rank} down to {rank}")
-        return GroupElement(self.coords + (0,) * (rank - self.rank))
+        return GroupElement._raw(self.coords + (0,) * (rank - self.rank), True)
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
@@ -216,13 +216,13 @@ _set_coords = GroupElement.coords.__set__  # the slot's setter, past __setattr__
 
 
 def zero(rank: int) -> GroupElement:
-    return GroupElement([0] * rank)
+    return GroupElement._raw((0,) * rank, True)
 
 
 def unit(rank: int, position: int, value: Rat = 1) -> GroupElement:
     coords = [0] * rank
-    coords[position] = value
-    return GroupElement(coords)
+    coords[position] = _coord(value)
+    return GroupElement._raw(tuple(coords), True)
 
 
 def lex_cmp(a: GroupElement, b: GroupElement) -> int:
@@ -373,4 +373,4 @@ def with_infinitesimal(gamma: GroupElement, sign: str) -> GroupElement:
     if sign not in ("below", "above"):
         raise VdfError(f"sign must be 'below' or 'above', got {sign!r}")
     step = -1 if sign == "below" else 1
-    return GroupElement(gamma.coords + (step,))
+    return GroupElement._raw(gamma.coords + (step,), True)

@@ -97,6 +97,13 @@ def random_poly(K, rng, order=2, max_degree=3, nterms=3, coeff_terms=2):
     return P
 
 
+def assert_normal(v):
+    """v has the coordinates of GroupElement(v.coords), of the same types:
+    an integral coordinate is an int, never a Fraction of denominator 1."""
+    want = GroupElement(v.coords).coords
+    assert v.coords == want and list(map(type, v.coords)) == list(map(type, want))
+
+
 def series_prec(f, g):
     """f strictly smaller than g: v(f) > v(g)."""
     return f.valuation() > g.valuation()

@@ -234,7 +234,8 @@ class TestTooFewPairs:
         def interleave_once(repo, commits, workload):
             assert commits == {"parent": "p" * 7, "change": "c" * 7}
             repeats = bench_pairs.INTERLEAVE[workload][1]
-            return {"exit": 0, "ratios": [1.25] * repeats, "stderr_tail": ""}
+            return {"exit": 0, "ratios": [1.25] * repeats, "setup_ratios": [1.5] * repeats,
+                    "stderr_tail": ""}
 
         monkeypatch.setattr(bench_pairs, "git", git)
         monkeypatch.setattr(bench_pairs, "export", export)
@@ -257,7 +258,8 @@ class TestTooFewPairs:
             {"parent": 30000, "change": 40000}
         assert [r["workload"] for r in doc["interleaved"]] == list(bench_pairs.INTERLEAVE)
         assert doc["summary"]["interleave"]["fragment"] == {
-            "rounds": 3, "repeats": 15, "median": 1.25, "low": 1.25, "high": 1.25}
+            "rounds": 3, "repeats": 15, "median": 1.25, "low": 1.25, "high": 1.25,
+            "setup": {"median": 1.5, "low": 1.5, "high": 1.5}}
 
 
 class TestTracedCounts:
@@ -281,14 +283,19 @@ class TestTracedCounts:
 
 
 # the lines tools/interleave.py prints for two repeats of one workload
-INTERLEAVE_STDOUT = """repeat 0: a 0.412 s, b 0.350 s, ratio 1.1771 (75 items, a first: True)
-repeat 1: a 0.398 s, b 0.341 s, ratio 1.1672 (75 items, a first: False)
-median ratio a/b over 2 repeats: 1.1722
+INTERLEAVE_STDOUT = """\
+repeat 0: a 0.412 s, b 0.350 s, ratio 1.1771 (75 items, a first: True), \
+set-up a 1.452 ms, b 0.871 ms, set-up ratio 1.6671
+repeat 1: a 0.398 s, b 0.341 s, ratio 1.1672 (75 items, a first: False), \
+set-up a 1.398 ms, b 0.902 ms, set-up ratio 1.5499
+median ratio a/b over 2 repeats: 1.1722, set-up 1.6085
 """
 
 
-def _interleaved(workload, ratios, exit_code=0):
-    return {"workload": workload, "exit": exit_code, "ratios": ratios, "stderr_tail": ""}
+def _interleaved(workload, ratios, exit_code=0, setup_ratios=None):
+    return {"workload": workload, "exit": exit_code, "ratios": ratios,
+            "setup_ratios": ratios if setup_ratios is None else setup_ratios,
+            "stderr_tail": ""}
 
 
 class TestInterleave:
@@ -296,15 +303,22 @@ class TestInterleave:
         assert bench_pairs.repeat_ratios(INTERLEAVE_STDOUT) == [1.1771, 1.1672]
         assert bench_pairs.repeat_ratios("FAILED: item 3 on side b answered wrong\n") == []
 
+    def test_reads_the_setup_ratio_of_each_repeat(self):
+        assert bench_pairs.repeat_ratios(INTERLEAVE_STDOUT, bench_pairs.SETUP_RATIO) \
+            == [1.6671, 1.5499]
+
     def test_median_and_range_per_workload(self):
         conj = [1.0 + k / 100 for k in range(9)]
         frag = [1.2, 0.9] + [1.1] * 13
         out = bench_pairs.interleave_summary(
-            [_interleaved("conjugate", conj), _interleaved("fragment", frag)])
+            [_interleaved("conjugate", conj),
+             _interleaved("fragment", frag, setup_ratios=[1.5] * 14 + [1.3])])
         assert out["conjugate"] == {"rounds": 2, "repeats": 9, "median": 1.04,
-                                    "low": 1.0, "high": 1.08}
+                                    "low": 1.0, "high": 1.08,
+                                    "setup": {"median": 1.04, "low": 1.0, "high": 1.08}}
         assert out["fragment"] == {"rounds": 3, "repeats": 15, "median": 1.1,
-                                   "low": 0.9, "high": 1.2}
+                                   "low": 0.9, "high": 1.2,
+                                   "setup": {"median": 1.5, "low": 1.3, "high": 1.5}}
 
     def test_a_failed_or_cut_run_is_unresolved(self):
         out = bench_pairs.interleave_summary(
@@ -312,6 +326,11 @@ class TestInterleave:
              _interleaved("fragment", [1.0] * 14)])
         assert out == {"conjugate": {"unresolved": True, "exit": 1},
                        "fragment": {"unresolved": True, "exit": 0}}
+
+    def test_a_run_without_every_setup_ratio_is_unresolved(self):
+        out = bench_pairs.interleave_summary(
+            [_interleaved("fragment", [1.0] * 15, setup_ratios=[1.0] * 14)])
+        assert out == {"fragment": {"unresolved": True, "exit": 0}}
 
 
 class TestMachine:

@@ -441,7 +441,17 @@ class TestBadInput:
         path.write_text(json.dumps(doc))
         proc = run_cli(["val", "--field", str(path), "t"])
         assert proc.returncode == 2
-        assert _json_error(proc)["error"] == "contract"
+        error = _json_error(proc)
+        assert error["error"] == "contract"
+        # the exception's message, not its repr
+        assert error["message"].startswith("malformed field config: ")
+        assert "Error(" not in error["message"]
+
+    def test_a_missing_config_entry_is_named(self, tmp_path):
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"rank": 1, "generators": [{"name": "t", "logder": "t^-1"}]}))
+        proc = run_cli(["val", "--field", str(path), "t"])
+        assert _json_error(proc)["message"] == "malformed field config: missing entry 'value'"
 
     @pytest.mark.parametrize("cmd", ["ddeg", "ndeg", "breakpoints"])
     @pytest.mark.parametrize("expr", ["0", "Y - Y"])
@@ -498,6 +508,7 @@ class TestBadInput:
         assert f"expected a rational, found {text!r}" in error["message"]
         if entry.startswith("config"):
             assert (code, error["error"]) == (2, "contract")
+            assert "Error(" not in error["message"]
         else:
             assert (code, error["error"]) == (3, "parse")
 

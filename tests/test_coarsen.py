@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import rat, random_series
+from conftest import assert_normal, rat, random_series, triangular_fields
 from vdfield.coarsen import coarsen, coarsened_gamma_der, lift_val
 from vdfield.errors import VdfError
 from vdfield.gridseries import laurent_tddt_coarse, transseries_fragment
@@ -119,6 +121,37 @@ class TestLiftVal:
             fg = f * g
             got = lift_val(half.coarse_val(fg), half.unit_part_residue_val(fg))
             assert got == f.valuation() + g.valuation()
+
+
+_coords = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=12))
+
+
+class TestNormalForm:
+    """lift_val, the residue generators' values and a residue's tau are
+    built from other elements' coordinates and not normalized again; each
+    has the coordinates of GroupElement(coords)."""
+
+    @given(data=st.data())
+    def test_lift_val(self, data):
+        a, b = (GroupElement(data.draw(st.lists(_coords, max_size=4))) for _ in range(2))
+        v = lift_val(a, b)
+        assert_normal(v)
+        assert v.coords == a.coords + b.coords
+
+    @given(K=triangular_fields(), data=st.data())
+    @settings(max_examples=60)
+    def test_residue_values_and_tau(self, K, data):
+        for g in K.generators:
+            g.logder = K.zero_series()  # so every kept logder has a residue
+        k = data.draw(st.integers(0, K.rank))
+        half = coarsen(K, k)
+        for g, h in zip(K.generators[k:], half.residue_field.generators):
+            assert_normal(h.value)
+            assert h.value.coords == g.value.coords[k:]
+        tau = GroupElement([0] * k + [data.draw(_coords) for _ in range(K.rank - k)])
+        r = half.residue(K.zero_series().truncated(tau))
+        assert_normal(r.tau)
+        assert r.tau.coords == tau.coords[k:]
 
 
 class TestDerivationLemmas:

@@ -508,6 +508,19 @@ def _ref_exponents(K: FieldInstance, gamma: GroupElement) -> tuple:
     return tuple(exps)
 
 
+def _ref_monomial_value(K: FieldInstance, mono: Monomial) -> GroupElement:
+    """sum q_i * v(g_i), over the nonzero exponents and entries.  The
+    Fraction sum over every coordinate of every generator, kept here as
+    the oracle of monomial_value."""
+    coords = [0] * K.rank
+    for q, g in zip(mono.exponents, K.generators):
+        if q:
+            for j, x in enumerate(g.value.coords):
+                if x:
+                    coords[j] += q * x
+    return GroupElement(coords)
+
+
 def _off_diagonal_field(truncated: bool) -> FieldInstance:
     """Rank 3 with rational, off-diagonal generator values, so the
     inverse value matrix has a common denominator D != 1; the logders
@@ -1026,6 +1039,40 @@ class TestExponentMap:
                 e = g.embed_into(K)
                 assert e.field is K and e == g
                 assert (e.den, e.cden, e.terms, e.tau) == (g.den, g.cden, g.terms, g.tau)
+
+
+class TestMonomialValue:
+    """monomial_value reads generator i's entries from position i on and
+    sums an integral exponent as an int; _ref_monomial_value sums every
+    entry in Fraction.  Both give the same coordinates, of the same types."""
+
+    @staticmethod
+    def _check(K, mono):
+        got, want = K.monomial_value(mono), _ref_monomial_value(K, mono)
+        assert got.coords == want.coords
+        assert list(map(type, got.coords)) == list(map(type, want.coords))
+
+    @pytest.mark.parametrize("make", EXPONENT_FIELDS)
+    def test_matches_the_fraction_sum(self, make, rng):
+        K = make()
+        exps = [0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2), Fraction(5, 3)]
+        for _ in range(40):
+            self._check(K, Monomial([rng.choice(exps) for _ in range(K.rank)]))
+        for i in range(K.rank):
+            self._check(K, Monomial([Fraction(int(j == i)) for j in range(K.rank)]))
+
+    @given(K=triangular_fields(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_fraction_sum_on_drawn_fields(self, K, data):
+        for _ in range(5):
+            self._check(K, Monomial([data.draw(_mixed_coords) for _ in range(K.rank)]))
+
+    def test_integral_sums_of_fractions_are_ints(self):
+        K = FieldInstance(2, [Generator("a", GroupElement([Fraction(1, 2), Fraction(1, 3)])),
+                              Generator("b", GroupElement([0, Fraction(2, 3)]))])
+        v = K.monomial_value(Monomial([2, Fraction(1, 2)]))
+        assert v.coords == (1, 1)
+        assert list(map(type, v.coords)) == [int, int]
 
 
 class TestIntCoordinates:

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -1025,6 +1026,17 @@ class TestDemo:
         assert diff["flat_discrepancy"][0]["monomial"] == []
         assert diff["correction_dominant"] == [["l0", "1"]]
         assert diff["correction_has_e_x_factor"] is False
+
+    def test_rational_text_is_read_with_the_bound(self):
+        # Fraction would expand the exponent before either solve ran
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="expected a rational, found '1e300000'"):
+            demo_nonuniqueness(3, ["0", "1e300000"])
+        assert time.perf_counter() - start < 1
+
+    def test_rational_text_gives_the_report_of_its_fraction(self):
+        assert demo_nonuniqueness(3, ["0", "5/2"]) \
+            == demo_nonuniqueness(3, [Fraction(0), Fraction(5, 2)])
 
     def test_single_c_degenerates(self):
         rep = demo_nonuniqueness(3, [Fraction(0)])

@@ -1,7 +1,7 @@
 """tools/interleave.py end to end: HEAD against HEAD on one round of the
 fragment workload, every item answering OK on both sides, in lines from
-which tools/bench_pairs.py reads each repeat's ratio; and the cold start
-of each repeat."""
+which tools/bench_pairs.py reads each repeat's item and set-up ratio; and
+the cold start of each repeat."""
 
 import importlib.util
 import subprocess
@@ -35,10 +35,12 @@ def test_head_against_head():
     assert [line.split(":")[0] for line in lines[:2]] == ["repeat 0", "repeat 1"]
     assert "a first: True" in lines[0] and "a first: False" in lines[1]
     assert lines[-1].startswith("median ratio a/b over 2 repeats: ")
-    assert float(lines[-1].rsplit(" ", 1)[1]) > 0
-    # tools/bench_pairs.py reads the ratio of each repeat from these lines
-    ratios = bench_pairs.repeat_ratios(proc.stdout)
-    assert len(ratios) == 2 and all(r > 0 for r in ratios)
+    items, setup = lines[-1].split(": ", 1)[1].split(", set-up ")
+    assert float(items) > 0 and float(setup) > 0
+    # tools/bench_pairs.py reads the ratios of each repeat from these lines
+    for pattern in (bench_pairs.ITEM_RATIO, bench_pairs.SETUP_RATIO):
+        ratios = bench_pairs.repeat_ratios(proc.stdout, pattern)
+        assert len(ratios) == 2 and all(r > 0 for r in ratios)
 
 
 def test_a_repeat_starts_from_cold_builtin_fields():

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    assert_normal,
     random_bounded_series,
     random_poly,
     random_positive_value,
@@ -128,6 +130,14 @@ class TestTropical:
             P = random_poly(K, rng, order=2, max_degree=3, nterms=4)
             n = len(P.terms)
             assert len(breakpoints(P)) <= n * (n - 1) // 2
+
+    @given(K=triangular_fields(), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_breakpoints_are_normal(self, K, seed):
+        # built from the coordinates of scaled differences, not normalized again
+        P = random_poly(K, random.Random(seed), order=2, max_degree=3, nterms=4)
+        for b in breakpoints(P):
+            assert_normal(b)
 
     def test_plateau_constant_between_breakpoints(self, rng):
         K = laurent_tddt_coarse()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_normal
 from vdfield.errors import RankMismatch, VdfError
 from vdfield.valgroup import (
     ConvexSubgroup,
@@ -14,6 +15,7 @@ from vdfield.valgroup import (
     cut_stabilizer,
     lex_cmp,
     quotient_map,
+    unit,
     with_infinitesimal,
     zero,
 )
@@ -296,3 +298,35 @@ class TestInfinitesimal:
         if a <= b:
             assert with_infinitesimal(a, "below") < eb or a == b
             assert with_infinitesimal(a, "below") < with_infinitesimal(b, "above")
+
+
+class TestNormalForm:
+    """The elements built from another element's coordinates or from ints
+    skip normalization; each still has the coordinates of GroupElement(coords)."""
+
+    @given(gamma=st.integers(0, 6).flatmap(elements), extra=st.integers(0, 3), data=st.data())
+    def test_derived_elements(self, gamma, extra, data):
+        n = gamma.rank
+        k = data.draw(st.integers(0, n))
+        for v, want in ((gamma.prefix(k), gamma.coords[:k]),
+                        (gamma.pad(n + extra), gamma.coords + (0,) * extra),
+                        (with_infinitesimal(gamma, "below"), gamma.coords + (-1,)),
+                        (with_infinitesimal(gamma, "above"), gamma.coords + (1,)),
+                        (zero(n + extra), (0,) * (n + extra))):
+            assert_normal(v)
+            assert v.coords == want
+
+    @pytest.mark.parametrize("value", [2, Fraction(2), "4/2"])
+    @pytest.mark.parametrize("rank, position", [(1, 0), (3, 0), (3, 2)])
+    def test_unit(self, rank, position, value):
+        v = unit(rank, position, value)
+        assert_normal(v)
+        assert v.coords == tuple(2 if j == position else 0 for j in range(rank))
+        assert type(v.coords[position]) is int
+        assert unit(rank, position, "-3/2").coords[position] == Fraction(-3, 2)
+
+    def test_a_cut_bound_of_integral_fractions(self):
+        cut = Cut(2, (Fraction(1), Fraction(0)))
+        for v in (cut.max_element(), cut.bound_element()):
+            assert v.coords == (1, 0)
+            assert list(map(type, v.coords)) == [int, int]

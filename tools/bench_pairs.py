@@ -35,7 +35,8 @@ Last, tools/interleave.py of this checkout times the two commits item by
 item in one process (the parent as its a side, the change as b) on each
 in-process workload.  The `interleave` block gives, per workload, the
 rounds and repeats, and the median, least and greatest of the per-repeat
-ratios time(parent) / time(change): above 1, the change is faster.  A
+ratios time(parent) / time(change) of the items, and under `setup` the
+same of the workload's set-up: above 1, the change is faster.  A
 machine whose speed drifts slows both sides of a repeat alike, so this
 ratio can resolve a change smaller than the spread of whole runs.  A
 workload whose interleaved run failed reads unresolved, with its exit
@@ -101,7 +102,7 @@ def run_once(copy: Path, workload: str, seed: int, seconds: float, trace: int) -
 
 def interleave_once(repo: Path, commits: dict, workload: str) -> dict:
     """One run of repo's tools/interleave.py, parent against change: its
-    exit status and the ratio of each repeat it printed."""
+    exit status and the item and set-up ratios of each repeat it printed."""
     rounds, repeats = INTERLEAVE[workload]
     argv = [sys.executable, str(repo / "tools" / "interleave.py"), "--a", commits["parent"],
             "--b", commits["change"], "--workload", workload, "--rounds", str(rounds),
@@ -109,29 +110,39 @@ def interleave_once(repo: Path, commits: dict, workload: str) -> dict:
     try:
         proc = subprocess.run(argv, cwd=repo, capture_output=True, text=True, timeout=3600)
     except subprocess.TimeoutExpired as exc:
-        return {"exit": None, "ratios": [], "stderr_tail": f"timed out after {exc.timeout} s"}
+        return {"exit": None, "ratios": [], "setup_ratios": [],
+                "stderr_tail": f"timed out after {exc.timeout} s"}
     return {"exit": proc.returncode, "ratios": repeat_ratios(proc.stdout),
+            "setup_ratios": repeat_ratios(proc.stdout, SETUP_RATIO),
             "stderr_tail": proc.stderr[-2000:]}
 
 
-def repeat_ratios(stdout: str) -> list:
-    """The ratio on each `repeat k: ...` line that tools/interleave.py prints."""
-    return [float(m.group(1)) for m in re.finditer(r"^repeat \d+: .* ratio ([0-9.]+) ",
-                                                   stdout, re.MULTILINE)]
+# the item and the set-up ratio of a `repeat k: ...` line of tools/interleave.py
+ITEM_RATIO = re.compile(r"^repeat \d+: .* s, ratio ([0-9.]+) \(", re.MULTILINE)
+SETUP_RATIO = re.compile(r"^repeat \d+: .*, set-up ratio ([0-9.]+)$", re.MULTILINE)
+
+
+def repeat_ratios(stdout: str, pattern=ITEM_RATIO) -> list:
+    """The ratio pattern finds on each `repeat k: ...` line that tools/interleave.py prints."""
+    return [float(m.group(1)) for m in pattern.finditer(stdout)]
+
+
+def ratio_range(ratios) -> dict:
+    return {"median": statistics.median(ratios), "low": min(ratios), "high": max(ratios)}
 
 
 def interleave_summary(interleaved) -> dict:
-    """{workload: median and range of time(parent) / time(change)}."""
+    """{workload: median and range of time(parent) / time(change), of the
+    items and of the set-up}."""
     out = {}
     for r in interleaved:
         rounds, repeats = INTERLEAVE[r["workload"]]
-        ratios = r["ratios"]
-        if r["exit"] != 0 or len(ratios) != repeats:
+        ratios, setup = r["ratios"], r["setup_ratios"]
+        if r["exit"] != 0 or len(ratios) != repeats or len(setup) != repeats:
             out[r["workload"]] = {"unresolved": True, "exit": r["exit"]}
             continue
-        out[r["workload"]] = {"rounds": rounds, "repeats": repeats,
-                              "median": statistics.median(ratios),
-                              "low": min(ratios), "high": max(ratios)}
+        out[r["workload"]] = {"rounds": rounds, "repeats": repeats, **ratio_range(ratios),
+                              "setup": ratio_range(setup)}
     return out
 
 

@@ -10,16 +10,19 @@ process.  The items of the workload (this checkout's perfbench/workloads.py
 at seed 11, the same inputs for both sides) run alternately on the two
 sides, one item at a time, and the side that runs first flips from
 repeat to repeat: a machine whose speed drifts slows both sides alike.
+Each side's set-up of the workload (its fields, operators and values)
+runs once per repeat, timed too, in the same order as the items.
 Before each repeat both sides empty the caches of their built-in fields,
 which also hold the solver drivers' operators and memos, and the memo of
 the kernels F(n, k), so every repeat pays the cold start a benchmark run
 pays.
 
 Per repeat it prints time(a) / time(b) summed over the items (above 1:
-b is faster) and, last, the median over the repeats.  Every item must
-answer OK on both sides; the exit status is 1 otherwise.  This
-supplements tools/bench_pairs.py, which times whole benchmark runs in
-fresh processes, and does not replace it.
+b is faster) and the same ratio of the set-ups and, last, the median of
+each over the repeats.  Every item must answer OK on both sides; the
+exit status is 1 otherwise.  This supplements tools/bench_pairs.py,
+which times whole benchmark runs in fresh processes, and does not
+replace it.
 """
 
 from __future__ import annotations
@@ -74,17 +77,24 @@ def items(vd, workload: str, ctx, seed: int, rounds: int) -> list:
     return [item for batch in islice(gen, rounds) for item in batch]
 
 
-def interleave(sides, workload: str, seed: int, rounds: int, repeats: int) -> list:
-    """time(a) / time(b) per repeat; raises if an item is not OK."""
+def interleave(sides, workload: str, seed: int, rounds: int, repeats: int) -> tuple:
+    """(item ratios, set-up ratios): time(a) / time(b) per repeat; raises
+    if an item is not OK."""
     setup = W.conjugate_setup if workload == "conjugate" else W.fragment_setup
-    ratios = []
+    ratios, setup_ratios = [], []
     for r in range(repeats):
         # fresh fields, as a benchmark run builds: no memo of a repeat is reused
         for vd in sides:
             clear_builtin_fields(vd)
-        runs = [items(vd, workload, setup(vd), seed, rounds) for vd in sides]
-        spent = [0.0, 0.0]
         order = (0, 1) if r % 2 == 0 else (1, 0)
+        ctxs, built = [None, None], [0.0, 0.0]
+        gc.collect()
+        for s in order:
+            t0 = CLOCK()
+            ctxs[s] = setup(sides[s])
+            built[s] = CLOCK() - t0
+        runs = [items(vd, workload, ctx, seed, rounds) for vd, ctx in zip(sides, ctxs)]
+        spent = [0.0, 0.0]
         gc.collect()
         for j in range(len(runs[0])):
             for s in order:
@@ -94,10 +104,12 @@ def interleave(sides, workload: str, seed: int, rounds: int, repeats: int) -> li
                 if outcome != W.OK:
                     raise RuntimeError(f"item {j} on side {'ab'[s]} answered {outcome}")
         ratios.append(spent[0] / spent[1])
+        setup_ratios.append(built[0] / built[1])
         print(f"repeat {r}: a {spent[0]:.3f} s, b {spent[1]:.3f} s, "
-              f"ratio {ratios[-1]:.4f} ({len(runs[0])} items, a first: {order[0] == 0})",
-              flush=True)
-    return ratios
+              f"ratio {ratios[-1]:.4f} ({len(runs[0])} items, a first: {order[0] == 0}), "
+              f"set-up a {built[0] * 1e3:.3f} ms, b {built[1] * 1e3:.3f} ms, "
+              f"set-up ratio {setup_ratios[-1]:.4f}", flush=True)
+    return ratios, setup_ratios
 
 
 def main(argv=None) -> int:
@@ -114,11 +126,13 @@ def main(argv=None) -> int:
             export(ROOT, ref, Path(tmp) / name)
             sides.append(load(f"vdfield_{name}", Path(tmp) / name / "src"))
         try:
-            ratios = interleave(sides, args.workload, SEED, args.rounds, args.repeats)
+            ratios, setup_ratios = interleave(sides, args.workload, SEED, args.rounds,
+                                              args.repeats)
         except RuntimeError as exc:
             print(f"FAILED: {exc}", file=sys.stderr)
             return 1
-    print(f"median ratio a/b over {len(ratios)} repeats: {statistics.median(ratios):.4f}")
+    print(f"median ratio a/b over {len(ratios)} repeats: {statistics.median(ratios):.4f}, "
+          f"set-up {statistics.median(setup_ratios):.4f}")
     return 0
 
 
