@@ -302,8 +302,6 @@ class TestInterleave:
     def test_reads_the_ratio_of_each_repeat(self):
         assert bench_pairs.repeat_ratios(INTERLEAVE_STDOUT) == [1.1771, 1.1672]
         assert bench_pairs.repeat_ratios("FAILED: item 3 on side b answered wrong\n") == []
-
-    def test_reads_the_setup_ratio_of_each_repeat(self):
         assert bench_pairs.repeat_ratios(INTERLEAVE_STDOUT, bench_pairs.SETUP_RATIO) \
             == [1.6671, 1.5499]
 
