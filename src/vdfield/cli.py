@@ -56,7 +56,7 @@ def field_from_config(doc: dict) -> FieldInstance:
         name = str(doc.get("name", "config"))
     except KeyError as exc:
         raise ConfigError(f"malformed field config: missing entry {exc.args[0]!r}")
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed field config: {exc}")
     field = FieldInstance(rank, gens, name=name)
     for text, gen in zip(logders, field.generators):
@@ -162,7 +162,7 @@ def _parse_vector(text: str, rank: int) -> GroupElement:
 def _rational(text: str) -> Fraction:
     try:
         return _frac(text)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise ParseError(f"expected a rational, found {text.strip()!r}")
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict
 
 from .errors import VdfError
-from .gridseries import FieldInstance, Generator, Series
+from .gridseries import FieldInstance, Generator, Series, _key_value
 from .newton import _analytic_cut
 from .records import Record
 from .valgroup import (
@@ -61,7 +61,7 @@ class Coarsening(Record):
             if any(head):
                 if head < (0,) * k:
                     raise VdfError("residue undefined: term of dotted valuation "
-                                   f"{f._value(key).prefix(k)} < 0")
+                                   f"{_key_value(key, f.den).prefix(k)} < 0")
                 continue
             terms[key[k:]] = c
         tau = f.tau

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import attrgetter, is_
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -44,12 +44,11 @@ from .valgroup import (
     INFINITY,
     GroupElement,
     Rat,
-    _frac,
+    _coord,
     unit,
     zero,
 )
 from .valgroup import _ADD, _DOT, _FLOOR, _SCALE, _compiled, _tuple_kernel
-_ZERO = Fraction(0)  # the one zero exponent
 
 
 def _dot_kernel(row: Tuple[int, ...]):
@@ -58,12 +57,14 @@ def _dot_kernel(row: Tuple[int, ...]):
 
 
 class Monomial(FrozenRecord):
-    """A product of rational powers of the field's generators."""
+    """A product of rational powers of the field's generators, exponents in
+    valgroup._coord's normal form (built only by monomial_from_dict and
+    monomial_of_value: the library reads exponents from lattice keys)."""
 
     _fields = __slots__ = ("exponents",)
 
     def __init__(self, exponents: Iterable[Rat]):
-        super().__init__(tuple(_frac(e) for e in exponents))
+        super().__init__(tuple(map(_coord, exponents)))
 
     def __repr__(self):
         return "Monomial" + str(tuple(str(e) for e in self.exponents))
@@ -113,7 +114,7 @@ class FieldInstance:
         return Series(self, {}, INFINITY, 1)
 
     def constant(self, c: Rat) -> "Series":
-        c = _frac(c)
+        c = _coord(c)
         return Series(self, {(0,) * self.rank: c.numerator}, INFINITY, 1, c.denominator)
 
     def one(self) -> "Series":
@@ -121,10 +122,8 @@ class FieldInstance:
 
     def term(self, gamma: GroupElement, c: Rat = 1) -> "Series":
         """Series(self, {gamma: c}, INFINITY), the term c * m_gamma, built on the lattice."""
-        if gamma.rank != self.rank:
-            raise RankMismatch(f"a term value's rank is not field rank {self.rank}")
-        c, den = _frac(c), lcm(*[x.denominator for x in gamma.coords])
-        return Series(self, {_lattice_key(gamma, den): c.numerator}, INFINITY, den, c.denominator)
+        (key, den), c = self._key(gamma), _coord(c)
+        return Series(self, {key: c.numerator}, INFINITY, den, c.denominator)
 
     def index_of(self, name: str) -> int:
         """The position of the generator called name."""
@@ -149,39 +148,43 @@ class FieldInstance:
 
     def monomial_value(self, mono: Monomial) -> GroupElement:
         """sum q_i * v(g_i), over the nonzero exponents and entries: v(g_i)
-        is zero before position i, and an integral q_i is summed as an int."""
+        is zero before position i, and an integral q_i is an int."""
         coords = [0] * self.rank
         for i, (q, g) in enumerate(zip(mono.exponents, self.generators)):
             if q:
-                if q.denominator == 1:
-                    q = q.numerator
                 for j, x in enumerate(g.value.coords[i:], i):
                     if x:
                         coords[j] += q * x
         return GroupElement._raw(tuple(coords))
 
-    def exponents_of_value(self, gamma: GroupElement) -> Tuple[Fraction, ...]:
-        """Invert the exponent-to-value map: exponent i is theta_i(gamma *
-        den) / (D * den), by the field's rows (see _euler_rows)."""
+    def _key(self, gamma: GroupElement) -> Tuple[tuple, int]:
+        """(gamma's lattice key over den, den), den the least that makes it one."""
         if gamma.rank != self.rank:
             raise RankMismatch(f"value rank {gamma.rank} != field rank {self.rank}")
         den = lcm(*[x.denominator for x in gamma.coords])
-        key, D = _lattice_key(gamma, den), self._euler_rows()[0] * den
-        return tuple([Fraction(t, D) if (t := dot(key)) else _ZERO for dot in self._thetas])
+        return _lattice_key(gamma, den), den
+
+    def _exponents(self, key: tuple, den: int) -> Tuple[List[Tuple[int, int]], int]:
+        """(nums, D): exponent i of the term of lattice key over den is t / D
+        for each (i, t) of nums, by the field's rows, and 0 for any other i."""
+        D = self._euler_rows()[0] * den
+        return [(i, t) for i, dot in enumerate(self._thetas) if (t := dot(key))], D
 
     def monomial_of_value(self, gamma: GroupElement) -> Monomial:
-        return Monomial(self.exponents_of_value(gamma))
+        nums, D = self._exponents(*self._key(gamma))
+        return self.monomial_from_dict({self.generators[i].name: Fraction(t, D) for i, t in nums})
 
     # -- derivation data -----------------------------------------------
 
     def monomial_logder(self, mono: Monomial) -> "Series":
         """Logarithmic derivative of a monomial: sum of q_i * g_i-logder."""
-        return _sum_series(self, [self._logder(i).scale(q)
-                                  for i, q in enumerate(mono.exponents) if q])
+        return self.logder_of_value(self.monomial_value(mono))
 
     def logder_of_value(self, gamma: GroupElement) -> "Series":
-        """The logarithmic derivative of the monomial of value gamma."""
-        return self.monomial_logder(self.monomial_of_value(gamma))
+        """The logarithmic derivative of the monomial of value gamma: the sum
+        of t / D * g_i-logder over its exponents, in one term dict."""
+        nums, D = self._exponents(*self._key(gamma))
+        return _sum_series(self, [self._logder(i) for i, _ in nums], [t for _, t in nums], D=D)
 
     @property
     def derivation_shift(self) -> GroupElement:
@@ -219,26 +222,32 @@ class FieldInstance:
 
     def _euler_rows(self) -> Tuple[int, List[Tuple[int, ...]]]:
         """(D, rows), the field's one exponent map, built once: exponent i
-        of the term of lattice key k over den is k . rows[i] / (D * den).
-        rows[i] is column i of the inverse of the triangular value matrix,
-        back-substituted from the unit values, as ints over their least
-        common denominator D; it depends only on generator values.  _thetas,
-        the dot product with each row, is set first: whoever finds _euler
-        finds it."""
+        of the term of lattice key k over den is k . rows[i] / (D * den),
+        rows[i] column i of the inverse of the triangular value matrix as
+        ints over their least common denominator D.  det times the inverse
+        of W = E * values (E: the entries' least common denominator; det:
+        the product of W's pivots, made positive) is integral, and each row
+        is back-substituted exactly in ints over the nonzero residuals and
+        entries of W.  _thetas, the dot product with each row, is set
+        first: whoever finds _euler finds it."""
         if self._euler is None:
             n, values = self.rank, [g.value.coords for g in self.generators]
-            inv = [[0] * n for _ in range(n)]  # inv[j]: the exponents of unit value j
-            for j, exps in enumerate(inv):
-                residual = list(unit(n, j).coords)
+            E = lcm(*[x.denominator for v in values for x in v])
+            rows = [[(k, x.numerator * E // x.denominator)  # the nonzero entries of W
+                     for k, x in enumerate(v[i:], i) if x] for i, v in enumerate(values)]
+            det = abs(prod([row[0][1] for row in rows]))
+            inv = [[0] * n for _ in range(n)]  # inv[i][j]: det / E * exponent i of unit value j
+            for j in range(n):
+                residual = [0] * j + [det] + [0] * (n - j - 1)
                 for i in range(j, n):
-                    if residual[i]:
-                        # in Fraction: two int coordinates would divide to a float
-                        q = exps[i] = Fraction(residual[i]) / values[i][i]
-                        for k in range(i + 1, n):
-                            if values[i][k]:
-                                residual[k] -= q * values[i][k]
-            D = lcm(*(q.denominator for row in inv for q in row))
-            rows = [tuple(int(row[i] * D) for row in inv) for i in range(n)]
+                    if r := residual[i]:
+                        q = inv[i][j] = r // rows[i][0][1]
+                        for k, w in rows[i][1:]:
+                            residual[k] -= q * w
+            D = det // gcd(det, E * gcd(*chain.from_iterable(inv)))
+            if E * D != det:
+                inv = [[E * q * D // det for q in row] for row in inv]
+            rows = [tuple(row) for row in inv]
             self._thetas, self._euler = [_dot_kernel(row) for row in rows], (D, rows)
         return self._euler
 
@@ -316,12 +325,6 @@ class Series:
         self.tau = tau
         self._val = None
 
-    def _value(self, key: tuple) -> GroupElement:
-        den = self.den
-        if den != 1:
-            key = tuple([Fraction(x, den) if x % den else x // den for x in key])
-        return GroupElement._raw(key, True)
-
     def _terms_at(self, den: int, cden: int) -> Dict[tuple, int]:
         """The terms keyed on the finer lattice of den, a multiple of
         self.den, with numerators over cden, a multiple of self.cden."""
@@ -339,7 +342,7 @@ class Series:
         """min value over the support; +infinity for the true zero."""
         if self.terms:
             if self._val is None:
-                self._val = self._value(min(self.terms))
+                self._val = _key_value(min(self.terms), self.den)
             return self._val
         if self.tau is INFINITY:
             return INFINITY
@@ -365,7 +368,7 @@ class Series:
 
     def sorted_terms(self) -> List[Tuple[GroupElement, Fraction]]:
         """(value, coefficient) pairs by increasing value."""
-        return [(self._value(k), Fraction(c, self.cden))
+        return [(_key_value(k, self.den), Fraction(c, self.cden))
                 for k, c in sorted(self.terms.items())]
 
     # -- ring operations ------------------------------------------------
@@ -386,7 +389,7 @@ class Series:
         return self + (-other)
 
     def scale(self, q: Rat) -> "Series":
-        q = _frac(q)
+        q = _coord(q)
         if q == 0:
             return self.field.zero_series()
         n = q.numerator
@@ -482,7 +485,7 @@ class Series:
         terms: Dict[tuple, int] = {}
         for theta, ld in used:
             if ld.tau is not INFINITY:
-                tau = min(tau, ld.tau + self._value(min(theta)[0]))
+                tau = min(tau, ld.tau + _key_value(min(theta)[0], self.den))
             right = ld._terms_at(den, cden).items()
             for k1, c1 in theta:
                 if m != 1:
@@ -552,13 +555,11 @@ class Series:
     # -- embeddings -------------------------------------------------------
 
     def embed_into(self, other: FieldInstance) -> "Series":
-        """Map into a field that contains same-named generators."""
-        K = self.field
-        terms = {embed_value(K, other, v): c for v, c in self.sorted_terms()}
-        tau = self.tau
-        if tau is not INFINITY:
-            tau = embed_value(K, other, tau)
-        return Series(other, terms, tau)
+        """Map into a field that contains same-named generators, each key
+        straight to its key in other (see _embed_keys)."""
+        keys, den = _embed_keys(self.field, other, list(self.terms), self.den)
+        tau = self.tau if self.tau is INFINITY else embed_value(self.field, other, self.tau)
+        return Series(other, dict(zip(keys, self.terms.values())), tau, den, self.cden)
 
     # -- comparisons and formatting ----------------------------------------
 
@@ -598,32 +599,59 @@ class Series:
 def embed_value(src: FieldInstance, dst: FieldInstance, gamma: GroupElement) -> GroupElement:
     """Translate a value from src's group to dst's: the value in dst of
     src's exponents on the same-named generators."""
-    powers = {g.name: q for g, q in zip(src.generators, src.exponents_of_value(gamma)) if q}
-    if not powers.keys() <= dst._index.keys():
+    key, den = src._key(gamma)
+    (key,), den = _embed_keys(src, dst, [key], den)
+    return _key_value(key, den)
+
+
+def _embed_keys(src: FieldInstance, dst: FieldInstance, keys: List[tuple], den: int):
+    """(keys in dst, their den D * E) of src's keys over den: the sum of
+    t * E * v(h) over each exponent t / D of the key (src's theta dots) and
+    its generator's namesake h in dst, on h's nonzero entries (E: their
+    least common denominator)."""
+    nums = [src._exponents(k, den)[0] for k in keys]
+    at = {i: dst._index.get(src.generators[i].name) for pairs in nums for i, _ in pairs}
+    if None in at.values():
         raise VdfError("embedding uses a generator missing from the target field")
-    return dst.monomial_value(dst.monomial_from_dict(powers))
+    E = lcm(*[x.denominator for j in at.values() for x in dst.generators[j].value.coords])
+    rows = {i: [(p, x.numerator * E // x.denominator)
+                for p, x in enumerate(dst.generators[j].value.coords[j:], j) if x]
+            for i, j in at.items()}
+    out = []
+    for pairs in nums:
+        key = [0] * dst.rank
+        for i, t in pairs:
+            for p, x in rows[i]:
+                key[p] += t * x
+        out.append(tuple(key))
+    return out, src._euler_rows()[0] * den * E
 
 
-def _sum_series(field: FieldInstance, parts: Sequence["Series"]) -> "Series":
-    """The sum of parts built in one term dict, with the least of their
-    taus: the terms and tau of folding them with +, without a copy of
-    the dict per part."""
-    if len(parts) == 1:
+def _sum_series(field: FieldInstance, parts: Sequence["Series"],
+                weights: Optional[List[int]] = None, tau=INFINITY, D: int = 1) -> "Series":
+    """The sum of w * f / D over the parts f and their int weights w (1
+    without weights) at the least of tau and their taus, built in one term
+    dict: the terms and tau of folding them with +, without a copy per part."""
+    if len(parts) == 1 and weights is None and tau is INFINITY:
         return parts[0]
-    den = lcm(*(f.den for f in parts))
-    cden = lcm(*(f.cden for f in parts))
+    den, cden = lcm(*[f.den for f in parts]), lcm(*[f.cden for f in parts])
     terms: Dict[tuple, int] = {}
-    for f in parts:
-        if not terms:
+    for f, w in zip(parts, weights or [1] * len(parts)):
+        if not terms and w == 1:
             terms.update(f._terms_at(den, cden))
             continue
         for k, c in f._terms_at(den, cden).items():
-            s = terms.get(k, 0) + c
-            if s == 0:
-                terms.pop(k, None)
-            else:
+            if s := terms.pop(k, 0) + w * c:  # a zero sum stays popped
                 terms[k] = s
-    return Series(field, terms, min([f.tau for f in parts], default=INFINITY), den, cden)
+    least = min([f.tau for f in parts if f.tau is not INFINITY], default=INFINITY)
+    return Series(field, terms, least if tau is INFINITY else min(tau, least), den, cden * D)
+
+
+def _key_value(key: tuple, den: int) -> GroupElement:
+    """The value of the lattice key over den: key / den, an int where integral."""
+    if den != 1:
+        key = tuple([Fraction(x, den) if x % den else x // den for x in key])
+    return GroupElement._raw(key, True)
 
 
 def _lattice_key(gamma: GroupElement, den: int) -> tuple:
@@ -661,9 +689,10 @@ def series_terms(f: Series) -> list:
 
 
 def monomial_strings(K: FieldInstance, gamma: GroupElement) -> list:
-    """[name, exponent] of the monomial of value gamma, exponent 0 omitted."""
-    return [[g.name, str(q)]
-            for g, q in zip(K.generators, K.exponents_of_value(gamma)) if q != 0]
+    """[name, exponent] of the monomial of value gamma, exponent 0 omitted,
+    each exponent read from gamma's key by the field's rows."""
+    nums, D = K._exponents(*K._key(gamma))
+    return [[K.generators[i].name, str(Fraction(t, D))] for i, t in nums]
 
 
 def _reachable(step: GroupElement, target: GroupElement) -> bool:

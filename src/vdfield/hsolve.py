@@ -104,11 +104,16 @@ def operator_poly(op: LinearOperator, g: Optional[Series] = None) -> DiffPoly:
 def lambda_series(depth: int, field: Optional[FieldInstance] = None) -> Series:
     """lambda = sum_{k<=depth} l_k-logder = sum_{k<=depth} (l0...lk)^-1,
     the field's own ladder, truncated one grid step past the last kept
-    term, so products with small factors stay certified."""
-    K = field if field is not None else log_fragment(depth)
+    term, so products with small factors stay certified; built in one term
+    dict by _ladder, which also builds op_A's -lambda and op_B's 1 - lambda."""
+    return _ladder(field if field is not None else log_fragment(depth), depth, 1)
+
+
+def _ladder(K: FieldInstance, depth: int, sign: int, *head: Series) -> Series:
+    """The sum of head and sign * lambda, in one term dict, at lambda's tau."""
     rungs = [K._logder(K.index_of(f"l{k}")) for k in range(depth + 1)]
     tau = rungs[-1].valuation() + unit(K.rank, K.rank - 1, 1)
-    return _sum_series(K, rungs).truncated(tau)
+    return _sum_series(K, [*head, *rungs], [1] * len(head) + [sign] * len(rungs), tau)
 
 
 def psi_map(field: FieldInstance, gamma: GroupElement) -> GroupElement:
@@ -293,15 +298,13 @@ def solve_linear(op: LinearOperator, g: Series, tau: GroupElement,
 
 
 def op_A(field: FieldInstance, depth: int) -> LinearOperator:
-    """der - lambda over a fragment containing e_x."""
-    lam = lambda_series(depth, field)
-    return LinearOperator(-lam, field.one())
+    """der - lambda over a fragment containing e_x; -lambda built in one term dict."""
+    return LinearOperator(_ladder(field, depth, -1), field.one())
 
 
 def op_B(field: FieldInstance, depth: int) -> LinearOperator:
-    """der + (1 - lambda) over the flat fragment."""
-    lam = lambda_series(depth, field)
-    return LinearOperator(field.one() - lam, field.one())
+    """der + (1 - lambda) over the flat fragment; 1 - lambda built in one term dict."""
+    return LinearOperator(_ladder(field, depth, -1, field.one()), field.one())
 
 
 def _held(make, field: FieldInstance, depth: int) -> LinearOperator:

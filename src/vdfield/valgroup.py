@@ -47,9 +47,11 @@ def _tuple_kernel(n: int, term: str):
 
 def _frac(x: Rat) -> Fraction:
     """x as a Fraction; the one reader of rational text: a sign, decimal digits
-    and a /denominator, no exponent that Fraction would expand (1e999999999)."""
+    and a nonzero /denominator, no exponent that Fraction would expand (1e999999999)."""
     if isinstance(x, str) and not re.fullmatch(r"\s*[+-]?\d+(/\d+)?\s*", x):
         raise ValueError(f"expected a rational, found {x.strip()!r}")
+    if isinstance(x, str) and not int(x.partition("/")[2] or 1):
+        raise ValueError(f"zero denominator in {x.strip()!r}")
     return x if isinstance(x, Fraction) else Fraction(x)
 
 

@@ -72,7 +72,7 @@ class TestGrammar:
         f = parse_series("e_x^1/2 * l0^-1", M)
         (v, c), = f.sorted_terms()
         assert c == 1
-        assert M.exponents_of_value(v) == (Fraction(1, 2), Fraction(-1), Fraction(0),
+        assert M.monomial_of_value(v).exponents == (Fraction(1, 2), Fraction(-1), Fraction(0),
                                            Fraction(0))
 
     def test_derivative_orders(self):
@@ -447,6 +447,22 @@ class TestBadInput:
         assert error["message"].startswith("malformed field config: ")
         assert "Error(" not in error["message"]
 
+    @pytest.mark.parametrize("entry", ["value", "shift"])
+    @pytest.mark.parametrize("text", ["1/0", "-3/00"])
+    def test_a_zero_denominator_is_named(self, tmp_path, entry, text):
+        doc = {"rank": 1, "generators": [_T_GEN], "shift": ["-1"]}
+        if entry == "value":
+            doc["generators"] = [dict(_T_GEN, value=[text])]
+        else:
+            doc["shift"] = [text]
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli(["val", "--field", str(path), "t"])
+        assert proc.returncode == 2 and proc.stdout == b""
+        message = _json_error(proc)["message"]
+        assert message == f"malformed field config: zero denominator in {text!r}"
+        assert "Fraction(" not in message
+
     def test_a_missing_config_entry_is_named(self, tmp_path):
         path = tmp_path / "field.json"
         path.write_text(json.dumps({"rank": 1, "generators": [{"name": "t", "logder": "t^-1"}]}))
@@ -517,6 +533,14 @@ class TestBadInput:
         ("+4/6", Fraction(2, 3)), ("\u0663", Fraction(3))])
     def test_rational_text_reads_sign_digits_and_denominator(self, text, value):
         assert _frac(text) == _rational(text) == value
+
+    @pytest.mark.parametrize("text", ["1/0", " -3/00 ", "+0/0", "5/\u0660"])
+    def test_rational_text_refuses_a_zero_denominator(self, text):
+        with pytest.raises(ValueError, match=r"^zero denominator in ") as err:
+            _frac(text)
+        assert err.type is ValueError and repr(text.strip()) in str(err.value)
+        with pytest.raises(ParseError, match=r"^expected a rational, found "):
+            _rational(text)
 
     @pytest.mark.parametrize("generators, message", [
         ([_T2], "need exactly rank=2 generators, got 1"),

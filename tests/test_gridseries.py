@@ -34,8 +34,11 @@ from vdfield.gridseries import (
     laurent_ddt,
     laurent_tddt_coarse,
     _lattice_key,
+    _sum_series,
     embed_value,
     log_fragment,
+    monomial_strings,
+    series_terms,
     transseries_fragment,
     val_strings,
 )
@@ -51,7 +54,7 @@ from vdfield.diffpoly import (
 from vdfield.expr import parse_series
 from vdfield.hsolve import lambda_series
 from vdfield.newton import gamma_der
-from vdfield.valgroup import GroupElement, INFINITY, zero
+from vdfield.valgroup import GroupElement, INFINITY, _coord, unit, zero
 
 SMALL_DER_FIELDS = [laurent_tddt_coarse, lambda: transseries_fragment(2)]
 ALL_FIELDS = [laurent_ddt, laurent_tddt_coarse,
@@ -989,14 +992,16 @@ EXPONENT_FIELDS = [laurent_ddt, laurent_tddt_coarse,
 
 
 class TestExponentMap:
-    """exponents_of_value reads the field's rows; _ref_exponents solves
-    the value matrix again per call.  Both give Fractions throughout."""
+    """monomial_of_value reads the field's rows; _ref_exponents solves
+    the value matrix again per call, in Fraction.  They agree, and the
+    Monomial holds each exponent in valgroup._coord's normal form: an int
+    where integral, else a Fraction."""
 
     @staticmethod
     def _check(K, gamma):
-        exps = K.exponents_of_value(gamma)
+        exps = K.monomial_of_value(gamma).exponents
         assert exps == _ref_exponents(K, gamma)
-        assert all(type(q) is Fraction for q in exps)
+        assert [type(q) for q in exps] == [type(_coord(q)) for q in exps]
         assert K.monomial_value(K.monomial_of_value(gamma)) == gamma
 
     @pytest.mark.parametrize("make", EXPONENT_FIELDS)
@@ -1018,7 +1023,7 @@ class TestExponentMap:
     def test_a_value_of_the_wrong_rank_is_refused(self):
         for K in (laurent_ddt(), transseries_fragment(2), FieldInstance(0, [])):
             with pytest.raises(RankMismatch, match="value rank"):
-                K.exponents_of_value(zero(K.rank + 1))
+                K.monomial_of_value(zero(K.rank + 1))
 
     def test_embedding_refuses_a_used_generator_the_target_lacks(self):
         src = FieldInstance(2, [Generator("t", GroupElement([1, 0])),
@@ -1075,6 +1080,185 @@ class TestMonomialValue:
         assert list(map(type, v.coords)) == [int, int]
 
 
+# -- the int value map against the Fraction code it replaced ---------------------------
+
+
+def _ref_euler_rows(K: FieldInstance) -> tuple:
+    """(D, rows) by back-substituting each unit value in Fraction, over
+    every coordinate: the code the int back-substitution replaced, kept
+    here as its oracle."""
+    n, values = K.rank, [g.value.coords for g in K.generators]
+    inv = [[0] * n for _ in range(n)]  # inv[j]: the exponents of unit value j
+    for j, exps in enumerate(inv):
+        residual = list(unit(n, j).coords)
+        for i in range(j, n):
+            if residual[i]:
+                # in Fraction: two int coordinates would divide to a float
+                q = exps[i] = Fraction(residual[i]) / values[i][i]
+                for k in range(i + 1, n):
+                    if values[i][k]:
+                        residual[k] -= q * values[i][k]
+    D = math.lcm(*(q.denominator for row in inv for q in row))
+    rows = [tuple(int(row[i] * D) for row in inv) for i in range(n)]
+    return D, rows
+
+
+def _ref_embed_value(src: FieldInstance, dst: FieldInstance, gamma: GroupElement):
+    """The value in dst of src's exponents on the same-named generators,
+    through a Monomial; exponents and values from the Fraction oracles."""
+    powers = {g.name: q for g, q in zip(src.generators, _ref_exponents(src, gamma)) if q}
+    if not powers.keys() <= dst._index.keys():
+        raise VdfError("embedding uses a generator missing from the target field")
+    return _ref_monomial_value(dst, dst.monomial_from_dict(powers))
+
+
+def _ref_embed_into(f: Series, other: FieldInstance) -> Series:
+    """Series.embed_into as a value and a Fraction coefficient per term."""
+    K = f.field
+    terms = {_ref_embed_value(K, other, v): c for v, c in f.sorted_terms()}
+    tau = f.tau
+    if tau is not INFINITY:
+        tau = _ref_embed_value(K, other, tau)
+    return Series(other, terms, tau)
+
+
+def _ref_logder_of_value(K: FieldInstance, gamma: GroupElement) -> Series:
+    """The logder of the monomial of value gamma: a Monomial of Fraction
+    exponents, one scaled series per exponent, and their sum."""
+    mono = Monomial(_ref_exponents(K, gamma))
+    return _sum_series(K, [K._logder(i).scale(q) for i, q in enumerate(mono.exponents) if q])
+
+
+def _ref_monomial_strings(K: FieldInstance, gamma: GroupElement) -> list:
+    """[name, exponent] of the monomial of value gamma, from Fraction exponents."""
+    return [[g.name, str(q)]
+            for g, q in zip(K.generators, _ref_exponents(K, gamma)) if q != 0]
+
+
+def _outcome(call, *args):
+    """call(*args), or the type and message of the VdfError it raises."""
+    try:
+        out = call(*args)
+    except VdfError as exc:
+        return type(exc), str(exc)
+    return (out.terms, out.den, out.cden, out.tau) if isinstance(out, Series) else out
+
+
+def _embedding_pairs():
+    """(source, target) field makers: each field of EXPONENT_FIELDS into
+    itself with a flat generator adjoined, and log_fragment(n) into
+    transseries_fragment(n)."""
+    pairs = [(make, lambda make=make: make().with_flat_generator()) for make in EXPONENT_FIELDS]
+    return pairs + [(lambda n=n: log_fragment(n), lambda n=n: transseries_fragment(n))
+                    for n in (0, 1, 2, 6, 16)]
+
+
+def _drawn_series(K, data, truncate: bool) -> Series:
+    """1-4 terms of drawn values and coefficients, maybe truncated."""
+    terms = {GroupElement([data.draw(_mixed_coords) for _ in range(K.rank)]):
+             data.draw(st.fractions(-5, 5, max_denominator=4).filter(bool))
+             for _ in range(data.draw(st.integers(1, 4)))}
+    f = Series(K, terms, INFINITY)
+    if truncate and f.terms:
+        f = f.truncated(f.valuation() + GroupElement(
+            [data.draw(st.fractions(0, 3, max_denominator=3)) for _ in range(K.rank)]))
+    return f
+
+
+class TestValueMapOracles:
+    """The int value map (the field's rows, its theta dots and its values'
+    nonzero entries) against the Fraction code it replaced: _euler_rows,
+    embed_into and embed_value, logder_of_value and monomial_logder, and
+    the monomial names give the same results, of the same types."""
+
+    @staticmethod
+    def _check_values(K, values):
+        D, rows = K._euler_rows()
+        assert (D, rows) == _ref_euler_rows(K)
+        assert all(type(x) is int for row in rows for x in row)
+        for gamma in values:
+            assert monomial_strings(K, gamma) == _ref_monomial_strings(K, gamma)
+            if all(g.logder is not None for g in K.generators):
+                assert _outcome(K.logder_of_value, gamma) \
+                    == _outcome(_ref_logder_of_value, K, gamma)
+                mono = K.monomial_of_value(gamma)
+                assert _outcome(K.monomial_logder, mono) \
+                    == _outcome(_ref_logder_of_value, K, gamma)
+
+    @staticmethod
+    def _check_embedding(f, dst):
+        assert _outcome(f.embed_into, dst) == _outcome(_ref_embed_into, f, dst)
+        for v, _ in f.sorted_terms():
+            assert _outcome(embed_value, f.field, dst, v) \
+                == _outcome(_ref_embed_value, f.field, dst, v)
+
+    @pytest.mark.parametrize("make", EXPONENT_FIELDS)
+    def test_rows_logders_and_names(self, make, rng):
+        K = make()
+        dens = [1, 2, 3, 4, 6]
+        values = [GroupElement([Fraction(rng.randint(-9, 9), rng.choice(dens))
+                                for _ in range(K.rank)]) for _ in range(30)]
+        self._check_values(K, values + [g.value for g in K.generators])
+        for _ in range(10):
+            f = random_series(K, rng, nterms=rng.randint(1, 4)) if K.rank else K.constant(3)
+            assert series_terms(f) == [{"coeff": str(c), "monomial": _ref_monomial_strings(K, v)}
+                                       for v, c in f.sorted_terms()]
+
+    @pytest.mark.parametrize("src, dst", _embedding_pairs())
+    def test_embeddings(self, src, dst, rng):
+        K, L = src(), dst()
+        for _ in range(20):
+            f = random_series(K, rng, nterms=rng.randint(1, 4)) if K.rank else K.constant(2)
+            for g in (f, f.truncated(f.valuation() + random_value(K, rng, 0, 3))):
+                self._check_embedding(g, L)
+        self._check_embedding(K.zero_series(), L)
+
+    @given(K=triangular_fields(), L=triangular_fields(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_on_drawn_fields(self, K, L, data):
+        # non-unit diagonals and off-diagonal entries on both sides; L has
+        # K's first min(rank) generator names, so an embedding that uses
+        # one of K's later generators is refused by both
+        values = [GroupElement([data.draw(_mixed_coords) for _ in range(K.rank)])
+                  for _ in range(3)]
+        self._check_values(K, values)
+        for truncate in (False, True):
+            f = _drawn_series(K, data, truncate)
+            for dst in (K, K.with_flat_generator(), L):
+                self._check_embedding(f, dst)
+
+    def test_a_wrong_rank_is_refused_as_before(self):
+        K, gamma = transseries_fragment(2), zero(5)
+        for call in (K.logder_of_value, K.monomial_of_value, K.term,
+                     lambda v: monomial_strings(K, v), lambda v: embed_value(K, K, v)):
+            with pytest.raises(RankMismatch, match=r"^value rank 5 != field rank 4$"):
+                call(gamma)
+
+
+class TestMonomialExponents:
+    """A Monomial keeps its exponents as valgroup._coord gives them, and
+    compares and hashes as the Monomial of Fraction exponents did."""
+
+    def test_types_equality_and_hash(self):
+        given_ = [2, Fraction(4, 2), "6/3", Fraction(1, 2), "-3/6", 0, Fraction(0), "0"]
+        mono = Monomial(given_)
+        assert [type(q) for q in mono.exponents] == [int] * 3 + [Fraction] * 2 + [int] * 3
+        fractions = tuple(Fraction(q) for q in given_)
+        assert mono.exponents == fractions
+        assert hash(mono) == hash((fractions,))
+        assert mono == Monomial(fractions) and {mono: 1}[Monomial(fractions)] == 1
+        assert repr(mono) == "Monomial('2', '2', '2', '1/2', '-1/2', '0', '0', '0')"
+
+    @given(K=triangular_fields(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_constructors_give_normal_exponents(self, K, data):
+        gamma = GroupElement([data.draw(_mixed_coords) for _ in range(K.rank)])
+        powers = {g.name: data.draw(_mixed_coords) for g in K.generators}
+        for mono in (K.monomial_of_value(gamma), K.monomial_from_dict(powers)):
+            assert [type(q) for q in mono.exponents] == [type(_coord(q)) for q in mono.exponents]
+        assert K.monomial_of_value(gamma).exponents == _ref_exponents(K, gamma)
+
+
 class TestIntCoordinates:
     """A value coordinate that is an integer is an int, so every true
     division of one must go through Fraction: with generator value 2
@@ -1089,7 +1273,7 @@ class TestIntCoordinates:
     def test_exponent_of_a_half_step_is_a_fraction(self):
         K = self._field()
         assert type(K.generators[0].value.coords[0]) is int
-        exps = K.exponents_of_value(GroupElement([1]))
+        exps = K.monomial_of_value(GroupElement([1])).exponents
         assert exps == (Fraction(1, 2),) and type(exps[0]) is Fraction
 
     def test_euler_rows_build(self):

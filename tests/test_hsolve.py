@@ -11,6 +11,7 @@ from vdfield.gridseries import (
     FieldInstance,
     Generator,
     Series,
+    _sum_series,
     embed_value,
     laurent_ddt,
     laurent_tddt_coarse,
@@ -114,6 +115,62 @@ class TestLadderReference:
         message = r"^unknown generator 'l4' in field 'log_fragment\(3\)'$"
         with pytest.raises(ConfigError, match=message):
             lambda_series(4, log_fragment(3))
+
+
+def _ref_lambda_series(depth, field=None):
+    """lambda_series as the sum of the rungs, then truncated: the code the
+    one-dict ladder replaced, kept here as its oracle."""
+    K = field if field is not None else log_fragment(depth)
+    rungs = [K._logder(K.index_of(f"l{k}")) for k in range(depth + 1)]
+    tau = rungs[-1].valuation() + unit(K.rank, K.rank - 1, 1)
+    return _sum_series(K, rungs).truncated(tau)
+
+
+def _ladders(K, depth):
+    """lambda_series, op_A's a0 and op_B's a0, each with its reference
+    (-lambda and one() - lambda), or the VdfError each raises."""
+    def outcome(build):
+        try:
+            return _exactly(build())
+        except VdfError as exc:
+            return type(exc), str(exc)
+    return [(outcome(got), outcome(want)) for got, want in [
+        (lambda: lambda_series(depth, K), lambda: _ref_lambda_series(depth, K)),
+        (lambda: op_A(K, depth).a0, lambda: -_ref_lambda_series(depth, K)),
+        (lambda: op_B(K, depth).a0, lambda: K.one() - _ref_lambda_series(depth, K))]]
+
+
+class TestOneDictLadder:
+    @pytest.mark.parametrize("depth", [*range(9), 16, 32, 64])
+    @pytest.mark.parametrize("family", [transseries_fragment, log_fragment])
+    def test_matches_sum_truncate_and_negate(self, family, depth):
+        for got, want in _ladders(family(depth), depth):
+            assert got == want
+
+    @pytest.mark.parametrize("family", [transseries_fragment, log_fragment])
+    def test_on_replaced_rungs(self, family, rng):
+        # rungs of rational coefficients on several lattices, sharing
+        # values so that sums cancel, with a constant term, truncated, or
+        # known only modulo a tau; a last rung of no term
+        for _ in range(40):
+            K = family.__wrapped__(3)
+            head = K.rank - 4
+            shared = random_series(K, rng, nterms=2)
+            for k in range(4):
+                ld = random_series(K, rng, nterms=rng.randint(1, 3))
+                choice = rng.randrange(6)
+                if choice == 0:
+                    ld = ld + shared
+                elif choice == 1:
+                    ld = ld - shared + K.constant(rat(rng))
+                elif choice == 2:
+                    ld = ld.truncated(ld.valuation() + random_value(K, rng, 0, 3))
+                elif choice == 3:
+                    ld = Series(K, {}, random_value(K, rng))
+                K.generators[head + k].logder = ld
+            for depth in range(4):
+                for got, want in _ladders(K, depth):
+                    assert got == want
 
 
 class TestPsi:
@@ -727,11 +784,12 @@ class TestDominantSolveReference:
         3 * rank + 6 candidates ends the search."""
         e = unit(M.rank, 0, 1)
 
-        def logder(mono):
-            gamma = M.monomial_value(mono)
+        def logder(gamma):
             return M.monomial_series(M.monomial_of_value(beta - gamma - e))
 
-        monkeypatch.setattr(M, "monomial_logder", logder)
+        # the library reads logder_of_value, the eager reference monomial_logder
+        monkeypatch.setattr(M, "logder_of_value", logder)
+        monkeypatch.setattr(M, "monomial_logder", lambda mono: logder(M.monomial_value(mono)))
 
     def test_budget_runs_out(self, monkeypatch):
         M = transseries_fragment.__wrapped__(4)   # a fresh field to patch

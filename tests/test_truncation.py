@@ -258,7 +258,7 @@ class TestCoordinateTypes:
             for v in values:
                 for x in v.coords:
                     _assert_value_coordinate(x)
-                for q in K.exponents_of_value(v):
+                for q in K.monomial_of_value(v).exponents:
                     _assert_rational(q)
             for cut in cuts:
                 for b in cut.bound:
