@@ -51,8 +51,10 @@ class Coarsening(Record):
         valuation means f is outside the ring: an error.  The generators
         are triangular, so a term of dotted valuation zero has exponent
         zero on the first k of them: its residue value is the rest of
-        its value.
+        its value.  f must be a series of the base field.
         """
+        if f.field is not self.base:
+            raise VdfError("series belong to different field instances")
         k = self.k
         R = self.residue_field
         terms: Dict[tuple, int] = {}

@@ -147,6 +147,8 @@ class DiffPoly:
         d = len(word)
         idx = [0] * (self.order + 1)
         for s in word:
+            if s < 0:
+                raise VdfError(f"word letter {s} < 0: a letter is a derivative order")
             if s > self.order:
                 return self.field.zero_series()
             idx[s] += 1

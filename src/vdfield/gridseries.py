@@ -16,10 +16,10 @@ tightest truncation it can certify.  By the bijection a term is keyed
 by its value v, as the int tuple v * den (den: the least common
 denominator of the values); exponents are computed only where a
 generator matters: derivatives, embeddings, logders and printing, all
-from one exponent map, the field's int rows, built once.  Likewise a
-coefficient c is stored as the int c * cden (cden: the least common
-denominator of the coefficients), so products and sums of series do
-int arithmetic; Fractions appear only at the boundary, and there an
+from one exponent map, the field's sparse int value matrix, built once.
+Likewise a coefficient c is stored as the int c * cden (cden: the least
+common denominator of the coefficients), so products and sums of series
+do int arithmetic; Fractions appear only at the boundary, and there an
 integral value coordinate is an int, equal and hash-equal to its Fraction.
 """
 
@@ -48,12 +48,15 @@ from .valgroup import (
     unit,
     zero,
 )
-from .valgroup import _ADD, _DOT, _FLOOR, _SCALE, _compiled, _tuple_kernel
+from .valgroup import _ADD, _FLOOR, _SCALE, _tuple_kernel
 
 
-def _dot_kernel(row: Tuple[int, ...]):
-    """lambda a: the dot product of a and row (0 if row is 0); a field keeps its own."""
-    return _compiled(" + ".join(_DOT.format(i, e) for i, e in enumerate(row) if e) or "0")
+def _dot(key: tuple, col: List[Tuple[int, int]]) -> int:
+    """key . the column whose nonzero (position, entry) pairs are col."""
+    t = 0
+    for j, e in col:
+        t += key[j] * e
+    return t
 
 
 class Monomial(FrozenRecord):
@@ -105,7 +108,7 @@ class FieldInstance:
         self.generators = list(generators)
         self.name = name
         self._index = {g.name: i for i, g in enumerate(generators)}
-        self._euler: Optional[Tuple[int, List[Tuple[int, ...]]]] = None
+        self._euler: Optional[Tuple[int, List[list], int, List[list]]] = None
         self._add, self._scale = _tuple_kernel(rank, _ADD), _tuple_kernel(rank, _SCALE)
 
     # -- construction of elements ------------------------------------
@@ -166,9 +169,9 @@ class FieldInstance:
 
     def _exponents(self, key: tuple, den: int) -> Tuple[List[Tuple[int, int]], int]:
         """(nums, D): exponent i of the term of lattice key over den is t / D
-        for each (i, t) of nums, by the field's rows, and 0 for any other i."""
-        D = self._euler_rows()[0] * den
-        return [(i, t) for i, dot in enumerate(self._thetas) if (t := dot(key))], D
+        for each (i, t) of nums, by the field's columns, and 0 for any other i."""
+        D, cols = self._euler_rows()[:2]
+        return [(i, t) for i, col in enumerate(cols) if (t := _dot(key, col))], D * den
 
     def monomial_of_value(self, gamma: GroupElement) -> Monomial:
         nums, D = self._exponents(*self._key(gamma))
@@ -220,35 +223,34 @@ class FieldInstance:
             kept = store[name] = ([g.logder for g in self.generators], build())
         return kept[1]
 
-    def _euler_rows(self) -> Tuple[int, List[Tuple[int, ...]]]:
-        """(D, rows), the field's one exponent map, built once: exponent i
-        of the term of lattice key k over den is k . rows[i] / (D * den),
-        rows[i] column i of the inverse of the triangular value matrix as
-        ints over their least common denominator D.  det times the inverse
-        of W = E * values (E: the entries' least common denominator; det:
-        the product of W's pivots, made positive) is integral, and each row
-        is back-substituted exactly in ints over the nonzero residuals and
-        entries of W.  _thetas, the dot product with each row, is set
-        first: whoever finds _euler finds it."""
+    def _euler_rows(self) -> Tuple[int, List[list], int, List[list]]:
+        """(D, cols, E, W), the field's one value matrix, built once from
+        the generator values, as sparse ints: W[i] the nonzero entries of
+        row i of W = E * values (E: the entries' least common denominator),
+        and cols[i] those of column i of det * W^-1 (det: the product of
+        W's pivots, made positive) as ints over their least common
+        denominator D, so that exponent i of the term of lattice key k over
+        den is _dot(k, cols[i]) / (D * den).  Each row of det * W^-1 is
+        back-substituted exactly in ints over the nonzero residuals."""
         if self._euler is None:
-            n, values = self.rank, [g.value.coords for g in self.generators]
+            values = [g.value.coords for g in self.generators]
             E = lcm(*[x.denominator for v in values for x in v])
-            rows = [[(k, x.numerator * E // x.denominator)  # the nonzero entries of W
-                     for k, x in enumerate(v[i:], i) if x] for i, v in enumerate(values)]
-            det = abs(prod([row[0][1] for row in rows]))
-            inv = [[0] * n for _ in range(n)]  # inv[i][j]: det / E * exponent i of unit value j
-            for j in range(n):
-                residual = [0] * j + [det] + [0] * (n - j - 1)
-                for i in range(j, n):
-                    if r := residual[i]:
-                        q = inv[i][j] = r // rows[i][0][1]
-                        for k, w in rows[i][1:]:
-                            residual[k] -= q * w
-            D = det // gcd(det, E * gcd(*chain.from_iterable(inv)))
+            W = [[(k, x.numerator * E // x.denominator) for k, x in enumerate(v[i:], i) if x]
+                 for i, v in enumerate(values)]
+            det = abs(prod([row[0][1] for row in W]))
+            cols: List[list] = [[] for _ in W]
+            for j in range(self.rank):
+                residual = {j: det}  # det * unit value j, less the rows taken so far
+                while residual:
+                    i = min(residual)
+                    if q := residual.pop(i) // W[i][0][1]:
+                        cols[i].append((j, q))
+                        for k, w in W[i][1:]:
+                            residual[k] = residual.get(k, 0) - q * w
+            D = det // gcd(det, E * gcd(*[q for col in cols for _, q in col]))
             if E * D != det:
-                inv = [[E * q * D // det for q in row] for row in inv]
-            rows = [tuple(row) for row in inv]
-            self._thetas, self._euler = [_dot_kernel(row) for row in rows], (D, rows)
+                cols = [[(j, E * q * D // det) for j, q in col] for col in cols]
+            self._euler = D, cols, E, W
         return self._euler
 
     def psi_level(self, i: int):
@@ -472,10 +474,10 @@ class Series:
         value of theta_i(f): the least of these is the tau, and a term a
         product alone would drop lies at or above it."""
         K = self.field
-        D = K._euler_rows()[0]
+        D, cols = K._euler_rows()[:2]
         used = []
-        for i, dot in enumerate(K._thetas):
-            theta = [(k, c * e) for k, c in self.terms.items() if (e := dot(k))]
+        for i, col in enumerate(cols):
+            theta = [(k, c * e) for k, c in self.terms.items() if (e := _dot(k, col))]
             if theta:
                 used.append((theta, K._logder(i)))
         den = lcm(self.den, *(ld.den for _, ld in used))
@@ -606,22 +608,18 @@ def embed_value(src: FieldInstance, dst: FieldInstance, gamma: GroupElement) -> 
 
 def _embed_keys(src: FieldInstance, dst: FieldInstance, keys: List[tuple], den: int):
     """(keys in dst, their den D * E) of src's keys over den: the sum of
-    t * E * v(h) over each exponent t / D of the key (src's theta dots) and
-    its generator's namesake h in dst, on h's nonzero entries (E: their
-    least common denominator)."""
+    t * E * v(h) over each exponent t / D of the key (src's columns) and
+    its generator's namesake h in dst, on h's row of dst's kept W = E * values."""
     nums = [src._exponents(k, den)[0] for k in keys]
     at = {i: dst._index.get(src.generators[i].name) for pairs in nums for i, _ in pairs}
     if None in at.values():
         raise VdfError("embedding uses a generator missing from the target field")
-    E = lcm(*[x.denominator for j in at.values() for x in dst.generators[j].value.coords])
-    rows = {i: [(p, x.numerator * E // x.denominator)
-                for p, x in enumerate(dst.generators[j].value.coords[j:], j) if x]
-            for i, j in at.items()}
+    E, W = dst._euler_rows()[2:]
     out = []
     for pairs in nums:
         key = [0] * dst.rank
         for i, t in pairs:
-            for p, x in rows[i]:
+            for p, x in W[at[i]]:
                 key[p] += t * x
         out.append(tuple(key))
     return out, src._euler_rows()[0] * den * E
@@ -690,7 +688,7 @@ def series_terms(f: Series) -> list:
 
 def monomial_strings(K: FieldInstance, gamma: GroupElement) -> list:
     """[name, exponent] of the monomial of value gamma, exponent 0 omitted,
-    each exponent read from gamma's key by the field's rows."""
+    each exponent read from gamma's key by the field's columns."""
     nums, D = K._exponents(*K._key(gamma))
     return [[K.generators[i].name, str(Fraction(t, D))] for i, t in nums]
 

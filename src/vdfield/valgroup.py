@@ -28,21 +28,18 @@ from .records import FrozenRecord
 Rat = Union[int, str, Fraction]
 
 
-# Per-coordinate templates of the kernels: {0} is a coordinate, {1} a row entry.
+# Per-coordinate templates of the kernels: {0} is a coordinate.
 _ADD, _SUB, _NEG = "a[{0}] + b[{0}]", "a[{0}] - b[{0}]", "-a[{0}]"
-_SCALE, _FLOOR, _DOT = "a[{0}] * b", "a[{0}] // b", "a[{0}] * {1:d}"
-
-
-def _compiled(body: str):
-    """lambda a, b=None: body, compiled by eval as namedtuple compiles its __new__,
-    from a template and ints alone: the one path of key, index and value arithmetic."""
-    return eval("lambda a, b=None: " + body)
+_SCALE, _FLOOR = "a[{0}] * b", "a[{0}] // b"
 
 
 @functools.lru_cache(maxsize=None)
 def _tuple_kernel(n: int, term: str):
-    """lambda a, b: the tuple display (term at 0, ..., term at n - 1)."""
-    return _compiled("(" + "".join(term.format(i) + ", " for i in range(n)) + ")")
+    """lambda a, b=None: the tuple display (term at 0, ..., term at n - 1),
+    compiled by eval as namedtuple compiles its __new__, from a length and
+    one of the templates above alone: the one path of key, index and value
+    arithmetic."""
+    return eval("lambda a, b=None: (" + "".join(term.format(i) + ", " for i in range(n)) + ")")
 
 
 def _frac(x: Rat) -> Fraction:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import assert_normal, rat, random_series, triangular_fields
 from vdfield.coarsen import coarsen, coarsened_gamma_der, lift_val
 from vdfield.errors import VdfError
-from vdfield.gridseries import laurent_tddt_coarse, transseries_fragment
+from vdfield.gridseries import laurent_tddt_coarse, log_fragment, transseries_fragment
 from vdfield.newton import gamma_der, s_der
 from vdfield.valgroup import (
     INFINITY,
@@ -74,6 +74,16 @@ class TestResidue:
         half = coarsen(K, 1)
         with pytest.raises(VdfError):
             half.residue(K.gen("t", -1))
+
+    def test_a_series_of_another_field_is_refused(self):
+        # log_fragment(3) has the rank of transseries_fragment(2): its keys
+        # must not be sliced as if they were the base's
+        half = coarsen(transseries_fragment(2), 1)
+        for f in (log_fragment(3).gen("l1"), laurent_tddt_coarse().one(),
+                  half.residue_field.one()):
+            with pytest.raises(VdfError, match="^series belong to different field instances$"):
+                half.residue(f)
+        assert half.residue(transseries_fragment(2).gen("l1")) == half.residue_field.gen("l1")
 
     def test_ring_homomorphism(self, rng):
         K = laurent_tddt_coarse()

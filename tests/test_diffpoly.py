@@ -41,7 +41,7 @@ from vdfield.gridseries import (
     log_fragment,
     transseries_fragment,
 )
-from vdfield.expr import parse_series
+from vdfield.expr import parse_poly, parse_series
 from vdfield.newton import breakpoints
 from vdfield.valgroup import GroupElement, zero
 
@@ -117,6 +117,16 @@ class TestMultiIndex:
         K = laurent_ddt()
         with pytest.raises(VdfError):
             DiffPoly(K, {(0, 1): K.one()}, order=0)
+
+    def test_a_word_letter_below_zero_is_refused(self):
+        # a letter is an order of derivation: -1 must not read as the last order
+        K = laurent_ddt()
+        P = parse_poly("Y'", K)
+        assert P.word_coefficient([1]) == K.one()
+        assert P.word_coefficient([0]).is_true_zero() and P.word_coefficient([2]).is_true_zero()
+        for word in ([-1], [1, -1], [-2]):
+            with pytest.raises(VdfError, match=r"^word letter -\d+ < 0"):
+                P.word_coefficient(word)
 
 
 class TestGaussVal:

@@ -578,7 +578,8 @@ class TestOnePassSums:
     def test_euler_rows_invert_the_value_matrix(self, make, rng):
         # exponent i of a term is its key dotted with row i, over D * den
         K = make()
-        D, rows = K._euler_rows()
+        D, rows = _densified(K)
+        assert (D, rows) == _ref_euler_rows(K)
         if make in OFF_DIAGONAL_FIELDS:
             assert D != 1 and any(r[j] for i, r in enumerate(rows) for j in range(i))
         for _ in range(30):
@@ -1103,6 +1104,29 @@ def _ref_euler_rows(K: FieldInstance) -> tuple:
     return D, rows
 
 
+def _densified(K: FieldInstance) -> tuple:
+    """(D, rows) of the field's sparse value matrix in _ref_euler_rows'
+    dense shape (rows[i]: column i of the inverse), after checking that
+    each column and each row of W holds its nonzero int entries in
+    increasing position, and that W is E times the values, E least."""
+    D, cols, E, W = K._euler_rows()
+    assert len(cols) == len(W) == K.rank
+    for pairs in cols + W:
+        assert all(type(e) is int and e for _, e in pairs)
+        assert [j for j, _ in pairs] == sorted({j for j, _ in pairs})
+
+    def dense(pairs):
+        row = [0] * K.rank
+        for j, e in pairs:
+            row[j] = e
+        return tuple(row)
+
+    values = [g.value.coords for g in K.generators]
+    assert E == math.lcm(*(x.denominator for v in values for x in v))
+    assert [dense(w) for w in W] == [tuple(E * x for x in v) for v in values]
+    return D, [dense(col) for col in cols]
+
+
 def _ref_embed_value(src: FieldInstance, dst: FieldInstance, gamma: GroupElement):
     """The value in dst of src's exponents on the same-named generators,
     through a Monomial; exponents and values from the Fraction oracles."""
@@ -1166,16 +1190,15 @@ def _drawn_series(K, data, truncate: bool) -> Series:
 
 
 class TestValueMapOracles:
-    """The int value map (the field's rows, its theta dots and its values'
-    nonzero entries) against the Fraction code it replaced: _euler_rows,
+    """The int value map (the field's value matrix as sparse ints: the
+    columns of its inverse and the nonzero entries of W) against the
+    Fraction code it replaced: _euler_rows,
     embed_into and embed_value, logder_of_value and monomial_logder, and
     the monomial names give the same results, of the same types."""
 
     @staticmethod
     def _check_values(K, values):
-        D, rows = K._euler_rows()
-        assert (D, rows) == _ref_euler_rows(K)
-        assert all(type(x) is int for row in rows for x in row)
+        assert _densified(K) == _ref_euler_rows(K)
         for gamma in values:
             assert monomial_strings(K, gamma) == _ref_monomial_strings(K, gamma)
             if all(g.logder is not None for g in K.generators):
@@ -1277,7 +1300,9 @@ class TestIntCoordinates:
         assert exps == (Fraction(1, 2),) and type(exps[0]) is Fraction
 
     def test_euler_rows_build(self):
-        assert self._field()._euler_rows() == (2, [(1,)])
+        K = self._field()
+        assert _densified(K) == _ref_euler_rows(K) == (2, [(1,)])
+        assert K._euler_rows() == (2, [[(0, 1)]], 1, [[(0, 2)]])
 
     def test_derive_is_the_term_by_term_product_rule(self):
         K = self._field()

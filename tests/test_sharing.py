@@ -83,7 +83,7 @@ def _derivatives(M):
 
 
 def test_threads_deriving_on_a_fresh_field_agree_with_a_serial_run():
-    # the first derive of a field builds its Euler rows and their dots: a
+    # the first derive of a field builds its sparse value matrix: a
     # short window, so the race is run on several fresh fields
     expected = _derivatives(transseries_fragment.__wrapped__(DEPTH))
     for _ in range(10):

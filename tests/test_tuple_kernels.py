@@ -1,6 +1,6 @@
-"""The compiled tuple kernels of valgroup and gridseries against their generic forms,
-at every length from 0 (the field Q) to 66 (transseries_fragment(64)),
-on negative ints and ints beyond 2^64."""
+"""The compiled tuple kernels of valgroup and the dot of gridseries against their
+generic forms, at every length from 0 (the field Q) to 66
+(transseries_fragment(64)), on negative ints and ints beyond 2^64."""
 
 import gc
 import random
@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 from vdfield.diffpoly import rational_field
 from vdfield.gridseries import (
     _ADD,
-    _DOT,
     _FLOOR,
     _SCALE,
-    _dot_kernel,
+    _dot,
     _tuple_kernel,
     laurent_ddt,
     laurent_tddt_coarse,
@@ -30,6 +29,12 @@ LENGTHS = range(67)
 BIG = 2 ** 70
 ints = st.integers(-BIG, BIG) | st.sampled_from([0, 1, -1, 2 ** 64, -(2 ** 64) - 1])
 nonzero = ints.filter(bool)
+_DOT = "a[{0}] * {1:d}"  # the dot's per-coordinate template: {1} is a column entry
+
+
+def _pairs(row):
+    """The nonzero (position, entry) pairs of a dense column."""
+    return [(j, e) for j, e in enumerate(row) if e]
 
 
 def _generic(term, a, b=None, row=None):
@@ -97,7 +102,7 @@ def test_divider(one, g):
 def test_dot(pair, kept):
     # rows of the value matrices are mostly zero
     k, row = pair[0], tuple(x if keep else 0 for x, keep in zip(pair[1], kept))
-    assert _dot_kernel(row)(k) == _generic(_DOT, k, row=row)
+    assert _dot(k, _pairs(row)) == _generic(_DOT, k, row=row)
 
 
 @pytest.mark.parametrize("n", LENGTHS)
@@ -111,14 +116,7 @@ def test_every_length(n):
     assert _tuple_kernel(n, _FLOOR)(a, m) == _generic(_FLOOR, a, m)
     assert _tuple_kernel(n, _SUB)(a, b) == _generic(_SUB, a, b)
     assert _tuple_kernel(n, _NEG)(a) == _generic(_NEG, a)
-    assert _dot_kernel(row)(a) == _generic(_DOT, a, row=row)
-
-
-def test_a_row_entry_must_be_an_int():
-    # the compiled source is made from ints only
-    for entry in ("0); import os; (0", 1.5):
-        with pytest.raises(ValueError):
-            _dot_kernel((entry,))
+    assert _dot(a, _pairs(row)) == _generic(_DOT, a, row=row)
 
 
 @pytest.mark.parametrize("make", [rational_field, laurent_ddt, laurent_tddt_coarse,
@@ -129,18 +127,27 @@ def test_a_field_keeps_the_kernels_of_its_rank(make):
     K = make()
     assert K._add is _tuple_kernel(K.rank, _ADD)
     assert K._scale is _tuple_kernel(K.rank, _SCALE)
-    D, rows = K._euler_rows()
+    D, cols = K._euler_rows()[:2]
+    assert len(cols) == K.rank
     rng = random.Random(K.rank)
-    for dot, row in zip(K._thetas, rows, strict=True):
+    for col in cols:
+        assert all(e for _, e in col) and sorted(col) == col
+        row = [0] * K.rank
+        for j, e in col:
+            row[j] = e
         k = tuple(rng.randrange(-BIG, BIG) for _ in range(K.rank))
-        assert dot(k) == _generic(_DOT, k, row=row)
+        assert _dot(k, col) == _generic(_DOT, k, row=row)
 
 
-def test_a_fields_dots_go_with_it():
-    # a field keeps its dots in _thetas, and no cache keeps them past it
-    K = transseries_fragment.__wrapped__(3)
+def test_a_field_goes_with_its_value_matrix():
+    # a field keeps its value matrix itself, and no cache keeps the field
+    # past its last reference once it has derived and been embedded into
+    K, L = transseries_fragment.__wrapped__(3), log_fragment.__wrapped__(3)
     K._euler_rows()
-    dots = [weakref.ref(dot) for dot in K._thetas]
-    del K
+    (K.gen("e_x") * K.gen("l1", 2)).derive()
+    L.gen("l2").embed_into(K)
+    assert K._euler is not None and L._euler is not None
+    fields = [weakref.ref(K), weakref.ref(L)]
+    del K, L
     gc.collect()
-    assert [ref() for ref in dots] == [None] * len(dots)
+    assert [ref() for ref in fields] == [None, None]
