@@ -24,6 +24,7 @@ _EXPORTS = {
     "expr": ("parse_expr", "parse_poly", "parse_series", "print_expr"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
 __version__ = "0.1.0"
 

@@ -23,9 +23,8 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from fractions import Fraction
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import IndeterminateValuation, VdfError
 from .gridseries import _ADD, FieldInstance, Series, _sum_series, _tuple_kernel
@@ -122,43 +121,11 @@ class DiffPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        if not self.terms:
-            raise VdfError("the zero polynomial has no degree")
-        return max(mi_degree(i) for i in self.terms)
-
-    def complexity(self) -> Tuple[int, int, int]:
-        """(order, degree in the top derivative, total degree)."""
-        r = self.true_order()
-        s = max((i[r] if r < len(i) else 0 for i in self.terms), default=0)
-        return (r, s, self.degree())
-
     def true_order(self) -> int:
         return _order_of(self.terms)
 
     def coefficient(self, i: MultiIndex) -> Series:
         return self.terms.get(_pad(i, self.order), self.field.zero_series())
-
-    def word_coefficient(self, word: Sequence[int]) -> Series:
-        """Coefficient in the word decomposition P = sum P_[sigma] Y^[sigma],
-        where P_[sigma] is permutation invariant: the multi-index
-        coefficient split evenly across the distinct orderings."""
-        word = tuple(word)
-        d = len(word)
-        idx = [0] * (self.order + 1)
-        for s in word:
-            if s < 0:
-                raise VdfError(f"word letter {s} < 0: a letter is a derivative order")
-            if s > self.order:
-                return self.field.zero_series()
-            idx[s] += 1
-        c = self.terms.get(tuple(idx))
-        if c is None:
-            return self.field.zero_series()
-        mult = math.factorial(d)
-        for m in idx:
-            mult //= math.factorial(m)
-        return c.scale(Fraction(1, mult))
 
     # -- ring structure ------------------------------------------------
 
@@ -182,13 +149,6 @@ class DiffPoly:
         order = self._align(other)
         return _sum_terms(self.field, _products(_padded(self.terms, order),
                                                 _padded(other.terms, order), order), order)
-
-    def scale_series(self, a: Series) -> "DiffPoly":
-        if a.is_true_zero():
-            return DiffPoly(self.field, {}, self.order)
-        return DiffPoly(
-            self.field, {i: c * a for i, c in self.terms.items()}, self.order
-        )
 
     def scale(self, q) -> "DiffPoly":
         return DiffPoly(

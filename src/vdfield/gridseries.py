@@ -179,10 +179,6 @@ class FieldInstance:
 
     # -- derivation data -----------------------------------------------
 
-    def monomial_logder(self, mono: Monomial) -> "Series":
-        """Logarithmic derivative of a monomial: sum of q_i * g_i-logder."""
-        return self.logder_of_value(self.monomial_value(mono))
-
     def logder_of_value(self, gamma: GroupElement) -> "Series":
         """The logarithmic derivative of the monomial of value gamma: the sum
         of t / D * g_i-logder over its exponents, in one term dict."""
@@ -577,11 +573,6 @@ class Series:
 
     def __hash__(self):
         return hash((id(self.field), frozenset(self.terms.items()), self.cden, self.tau))
-
-    def same_terms(self, other: "Series") -> bool:
-        """Term-by-term equality ignoring the truncation levels."""
-        self._check_field(other)
-        return (self.den, self.cden, self.terms) == (other.den, other.cden, other.terms)
 
     def __repr__(self):
         """The series in the expression grammar, which parse_series reads

@@ -264,6 +264,8 @@ def ndeg_in_cut(P: DiffPoly, seq: PcSequence) -> CutDegreeCertificate:
     certificate records where the window closed, and the call fails if
     the prefix ends before stabilization.
     """
+    if type(seq.window) is not int or seq.window < 1:
+        raise VdfError(f"window {seq.window!r} is not an int >= 1")
     gaps = seq.gaps()
     if len(gaps) < seq.window:
         raise VdfError("pc-sequence prefix shorter than the window")

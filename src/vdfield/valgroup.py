@@ -262,21 +262,14 @@ class Cut(FrozenRecord):
     = bound}, where depth = len(bound).
 
     The trivial cuts are the depth-0 cuts: the whole group is the
-    inclusive one and the empty set the exclusive one.  An inclusive cut
-    of full depth has a maximum element; an inclusive cut of smaller
-    depth has a realized top coset but no maximum.
+    inclusive one, Cut(rank), and the empty set the exclusive one,
+    Cut(rank, (), False).  An inclusive cut of full depth has a maximum
+    element; an inclusive cut of smaller depth has a realized top coset
+    but no maximum.
     """
 
     _fields = __slots__ = ("ambient_rank", "bound", "inclusive")
     _defaults = ((), True)
-
-    @staticmethod
-    def all_of(rank: int) -> "Cut":
-        return Cut(rank)
-
-    @staticmethod
-    def empty(rank: int) -> "Cut":
-        return Cut(rank, (), False)
 
     @staticmethod
     def prefix(rank: int, bound: Sequence[Rat], inclusive: bool = True) -> "Cut":
@@ -284,11 +277,6 @@ class Cut(FrozenRecord):
         if not 1 <= len(bound) <= rank:
             raise VdfError(f"cut depth {len(bound)} outside [1, {rank}]")
         return Cut(rank, bound, inclusive)
-
-    @staticmethod
-    def below(bound: GroupElement, inclusive: bool = True) -> "Cut":
-        """The full-depth cut {gamma <= bound} (or < for exclusive)."""
-        return Cut.prefix(bound.rank, bound.coords, inclusive)
 
     @property
     def depth(self) -> int:

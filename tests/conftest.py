@@ -1,5 +1,7 @@
-"""Shared random generators and comparison helpers."""
+"""Shared random generators and comparison helpers, and the test-only
+references moved out of src/: same_terms, word_coefficient and complexity."""
 
+import math
 import os
 import random
 from fractions import Fraction
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from vdfield.diffpoly import DiffPoly, gauss_val
+from vdfield.diffpoly import DiffPoly, gauss_val, mi_degree
+from vdfield.errors import VdfError
 from vdfield.gridseries import FieldInstance, Generator, Monomial
 from vdfield.valgroup import GroupElement
 
@@ -102,6 +105,41 @@ def assert_normal(v):
     an integral coordinate is an int, never a Fraction of denominator 1."""
     want = GroupElement(v.coords).coords
     assert v.coords == want and list(map(type, v.coords)) == list(map(type, want))
+
+
+def same_terms(f, g):
+    """Term-by-term equality of two series, ignoring the truncation levels."""
+    f._check_field(g)
+    return (f.den, f.cden, f.terms) == (g.den, g.cden, g.terms)
+
+
+def complexity(P):
+    """(order, degree in the top derivative, total degree) of P."""
+    r = P.true_order()
+    s = max((i[r] if r < len(i) else 0 for i in P.terms), default=0)
+    return (r, s, max(map(mi_degree, P.terms)))
+
+
+def word_coefficient(P, word):
+    """Coefficient of P in the word decomposition P = sum P_[sigma] Y^[sigma],
+    where P_[sigma] is permutation invariant: the multi-index
+    coefficient split evenly across the distinct orderings."""
+    word = tuple(word)
+    d = len(word)
+    idx = [0] * (P.order + 1)
+    for s in word:
+        if type(s) is not int or s < 0:
+            raise VdfError(f"word letter {s!r} < 0 or not an int: a letter is a derivative order")
+        if s > P.order:
+            return P.field.zero_series()
+        idx[s] += 1
+    c = P.terms.get(tuple(idx))
+    if c is None:
+        return P.field.zero_series()
+    mult = math.factorial(d)
+    for m in idx:
+        mult //= math.factorial(m)
+    return c.scale(Fraction(1, mult))
 
 
 def series_prec(f, g):

@@ -20,6 +20,7 @@ from conftest import (
     random_unit_series,
     random_value,
     rat,
+    same_terms,
 )
 from vdfield.coarsen import coarsen, lift_val
 from vdfield.diffpoly import (
@@ -221,7 +222,7 @@ def test_criterion_4_invariant_cuts():
                 coords[j] = rat(rng, -4, 4)
             delta = GroupElement(coords)
             mono = K.monomial_of_value(delta)
-            ld = K.monomial_logder(mono)
+            ld = K.logder_of_value(K.monomial_value(mono))
             if ld.terms:
                 derivative_vals.append(delta + ld.valuation())
         for _ in range(300):
@@ -242,7 +243,7 @@ def test_criterion_5_lambda_and_derivation_rules():
         tail = L.zero_series()
         for n in range(1, depth + 2):
             tail = tail + L.gen(f"l{n}")
-        if not tail.derive().same_terms(lambda_series(depth, L)):
+        if not same_terms(tail.derive(), lambda_series(depth, L)):
             failures.append(f"lambda identity fails at depth {depth}")
     M = transseries_fragment(4)
     for _ in range(200):

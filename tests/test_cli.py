@@ -27,6 +27,7 @@ from vdfield.cli import (
     run,
     _rational,
 )
+from vdfield.diffpoly import mi_degree
 from vdfield.errors import ConfigError, ParseError, UnboundSymbol, VdfError
 from vdfield.expr import (
     MAX_COEFF_DIGITS,
@@ -65,7 +66,7 @@ class TestGrammar:
         P = parse_poly("Y'^2 * Y - 3/2*t", K)
         assert P.order == 1
         assert len(P.terms) == 2
-        assert P.degree() == 3
+        assert max(map(mi_degree, P.terms)) == 3
 
     def test_monomial_exponents(self):
         M = transseries_fragment(2)
@@ -203,8 +204,8 @@ class TestFieldConfig:
         assert field_to_config(K)["generators"][1]["logder"] == "t"
 
     def test_trivial_cut_reports(self):
-        assert cut_report(Cut.all_of(2)) == {"kind": "all"}
-        assert cut_report(Cut.empty(2)) == {"kind": "empty"}
+        assert cut_report(Cut(2)) == {"kind": "all"}
+        assert cut_report(Cut(2, (), False)) == {"kind": "empty"}
 
     def test_builtin_names(self):
         assert load_field("laurent_ddt").name == "laurent_ddt"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_normal, rat, random_series, triangular_fields
+from conftest import assert_normal, rat, random_series, same_terms, triangular_fields
 from vdfield.coarsen import coarsen, coarsened_gamma_der, lift_val
 from vdfield.errors import VdfError
 from vdfield.gridseries import laurent_tddt_coarse, log_fragment, transseries_fragment
@@ -258,7 +258,7 @@ class TestDerivationLemmas:
                 for j in range(p + 1, K.rank):
                     coords[j] = rat(rng, -4, 4)
                 mono = K.monomial_of_value(GroupElement(coords))
-                ld = K.monomial_logder(mono)
+                ld = K.logder_of_value(K.monomial_value(mono))
                 if ld.terms:
                     bounds.append(
                         quotient_map(GroupElement(coords) + ld.valuation(), delta)
@@ -307,7 +307,7 @@ class TestTruncatedResidue:
         R = self.half.residue_field
         got = self._residue([0, 0, 2, 1])
         assert got.tau == GroupElement([2, 1])
-        assert got.same_terms(R.gen("l1").scale(3) + R.gen("l2", -1))
+        assert same_terms(got, R.gen("l1").scale(3) + R.gen("l2", -1))
         got = self._residue([0, 0, -1, 0])
         assert got.tau == GroupElement([-1, 0])
         assert not got.terms

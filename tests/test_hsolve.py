@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rat, random_series, random_value
+from conftest import rat, random_series, random_value, same_terms
 from vdfield import hsolve
 from vdfield.diffpoly import evaluate
 from vdfield.errors import ConfigError, IntegrationGap, NonDecreasingResidual, VdfError
@@ -34,7 +34,7 @@ from vdfield.hsolve import (
     psi_map,
     solve_linear,
 )
-from vdfield.newton import ndeg_geq
+from vdfield.newton import PcSequence, ndeg_geq, ndeg_in_cut
 from vdfield.valgroup import INFINITY, GroupElement, unit, zero
 
 
@@ -48,12 +48,12 @@ def u_mono(K, k, coeff=1):
 class TestLambda:
     def test_first_term(self):
         L = log_fragment(0)
-        assert lambda_series(0).same_terms(L.gen("l0", -1))
+        assert same_terms(lambda_series(0), L.gen("l0", -1))
 
     def test_displayed_sum(self):
         L = log_fragment(2)
         lam = lambda_series(2)
-        assert lam.same_terms(u_mono(L, 0) + u_mono(L, 1) + u_mono(L, 2))
+        assert same_terms(lam, u_mono(L, 0) + u_mono(L, 1) + u_mono(L, 2))
 
     def test_truncation_past_last_term(self):
         L = log_fragment(2)
@@ -63,7 +63,7 @@ class TestLambda:
     def test_derivative_of_log_tail(self):
         L = log_fragment(3)
         tail = L.gen("l1") + L.gen("l2") + L.gen("l3")
-        assert tail.derive().same_terms(lambda_series(2, L))
+        assert same_terms(tail.derive(), lambda_series(2, L))
 
 
 # -- the ladder against its Monomial-built reference ----------------------------
@@ -672,7 +672,7 @@ def _eager_dominant_solve(op, z):
         seen.add(gamma)
         if pure_derivation and gamma.is_zero():
             continue
-        response = op.a0 + op.a1 * K.monomial_logder(K.monomial_of_value(gamma))
+        response = op.a0 + op.a1 * K.logder_of_value(K.monomial_value(K.monomial_of_value(gamma)))
         if not response.terms:
             attempts.append((gamma, response.tau))
             continue
@@ -787,9 +787,7 @@ class TestDominantSolveReference:
         def logder(gamma):
             return M.monomial_series(M.monomial_of_value(beta - gamma - e))
 
-        # the library reads logder_of_value, the eager reference monomial_logder
         monkeypatch.setattr(M, "logder_of_value", logder)
-        monkeypatch.setattr(M, "monomial_logder", lambda mono: logder(M.monomial_value(mono)))
 
     def test_budget_runs_out(self, monkeypatch):
         M = transseries_fragment.__wrapped__(4)   # a fresh field to patch
@@ -822,7 +820,7 @@ class TestLinearOperator:
         A = op_A(M, 2)
         with pytest.raises(AttributeError):
             A.a0 = M.one()
-        assert A.a0.same_terms(-lambda_series(2, M))
+        assert same_terms(A.a0, -lambda_series(2, M))
 
     def test_seed_offsets_cached(self):
         M = transseries_fragment(2)
@@ -884,7 +882,8 @@ class TestResponseMemo:
             self._same_solve(got, expect)
         # each entry is the response the eager reference builds
         for gamma, response in filled.items():
-            assert response == op.a0 + op.a1 * K.monomial_logder(K.monomial_of_value(gamma))
+            mono = K.monomial_of_value(gamma)
+            assert response == op.a0 + op.a1 * K.logder_of_value(K.monomial_value(mono))
 
     def test_gap_trail_from_the_memo(self):
         # the demo's flat constant against op_A fails the same way twice
@@ -1067,7 +1066,45 @@ class TestCheckBll:
         assert not residual.valuation() >= target
 
 
+class TestSolverIteratesArePcSequences:
+    """The existence side of the paper on the solver: the iterates of a
+    solve are a pc-sequence (Kaplansky 1942), and the operator minus its
+    right-hand side, a linear P, has Newton degree 1 along it."""
+
+    @pytest.mark.parametrize("depth", [4, 6, 8])
+    @pytest.mark.parametrize("case", ["A, e_x", "A, e_x + 1", "B, 1"])
+    def test_gaps_rise_and_the_newton_degree_is_1(self, case, depth):
+        if case == "B, 1":
+            K = log_fragment(depth)
+            op, g = op_B(K, depth), K.one()
+        else:
+            K = transseries_fragment(depth)
+            op, g = op_A(K, depth), K.gen("e_x") + K.constant(int(case.endswith("1")))
+        # the default tau of vdf solve
+        tau = K.derivation_shift + g.valuation() + unit(K.rank, 0)
+        _, trace = solve_linear(op, g, tau)
+        assert (trace.termination, len(trace.iterates)) == ("truncation_exhausted", depth + 2)
+        seq = PcSequence(trace.iterates)
+        gaps = seq.gaps()
+        assert all(a < b for a, b in zip(gaps, gaps[1:]))
+        cert = ndeg_in_cut(operator_poly(op, g), seq)
+        assert (cert.value, cert.history) == (1, [1, 1, 1])
+
+
 class TestDemo:
+    @pytest.mark.parametrize("depth", [3, 4, 6, 8, 16])
+    def test_the_cascade_is_the_whole_ladder(self, depth):
+        # the uniqueness side: two constants give one residual trace and
+        # one iterate, and the correction between them climbs every rung
+        # l0, l0*l1, ..., l0*...*lN without closing at this depth
+        rep = demo_nonuniqueness(depth, [Fraction(0), Fraction(5, 2)])
+        first, second = rep["runs"]
+        assert first["residual_valuations"] == second["residual_valuations"]
+        diff = rep["differences"][0]
+        assert diff["iterate_difference_terms"] == []
+        assert diff["correction_monomials"] == [
+            [[f"l{j}", "1"] for j in range(k + 1)] for k in range(depth + 1)]
+
     def test_residual_ladder(self):
         rep = demo_nonuniqueness(4, [Fraction(0)])
         assert len(rep["runs"]) == 1

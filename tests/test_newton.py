@@ -71,10 +71,10 @@ class TestTropical:
     def test_examples(self):
         K = laurent_ddt()
         Y, Yp, _ = yvars(K)
-        P = Y * Y + Yp.scale_series(K.gen("t"))
+        P = Y * Y + Yp * DiffPoly.from_coeff(K, K.gen("t"))
         assert tropical_ddeg(P, GroupElement([Fraction(-1, 2)])) == 2
         assert tropical_ddeg(P, GroupElement([-2])) == 1
-        assert tropical_ddeg(Y.scale_series(K.constant(5)), GroupElement([-9])) == 1
+        assert tropical_ddeg(Y * DiffPoly.from_coeff(K, K.constant(5)), GroupElement([-9])) == 1
 
     def test_rejects_nonnegative(self):
         K = laurent_ddt()
@@ -91,7 +91,7 @@ class TestTropical:
         K = laurent_ddt()
         Y = DiffPoly.variable(K, 0)
         unknown = Series(K, {}, GroupElement([2]))
-        P = Y.scale_series(K.one()) + DiffPoly(K, {(2,): unknown})
+        P = Y * DiffPoly.from_coeff(K, K.one()) + DiffPoly(K, {(2,): unknown})
         # near zero the unknown tail at valuation >= 2 cannot win
         assert tropical_ddeg(P, GroupElement([Fraction(-1, 2)])) == 1
         # an unknown tail with higher weight can win at deep gamma
@@ -120,7 +120,7 @@ class TestTropical:
     def test_breakpoint_example(self):
         K = laurent_ddt()
         Y, Yp, _ = yvars(K)
-        P = Y * Y + Yp.scale_series(K.gen("t"))
+        P = Y * Y + Yp * DiffPoly.from_coeff(K, K.gen("t"))
         assert breakpoints(P) == [GroupElement([-1])]
         assert breakpoints(Y) == []
 
@@ -197,7 +197,7 @@ class TestGammaDer:
             derivative_vals = []
             for delta in smalls:
                 mono = K.monomial_of_value(delta)
-                ld = K.monomial_logder(mono)
+                ld = K.logder_of_value(K.monomial_value(mono))
                 if ld.terms:
                     derivative_vals.append(delta + ld.valuation())
             for _ in range(300):
@@ -214,7 +214,7 @@ class TestGammaDer:
         assert K.psi_level(0) is INFINITY
         for k in range(rank + 1):
             assert newton._analytic_cut(K, k) == _reference_analytic_cut(K, k)
-        expect = Cut.all_of(1) if rank == 1 else Cut.prefix(rank, [0] * rank)
+        expect = Cut(1) if rank == 1 else Cut.prefix(rank, [0] * rank)
         assert newton._analytic_cut(K, rank) == expect
 
     def test_zero_derivation_gives_the_whole_group(self):
@@ -223,7 +223,7 @@ class TestGammaDer:
         for g in K.generators:
             g.logder = K.zero_series()
         cut = gamma_der(K)
-        assert cut == Cut.all_of(2) and cut.kind == "all"
+        assert cut == Cut(2) and cut.kind == "all"
         assert s_der(K).prefix_len == 0
 
     def test_s_der(self):
@@ -264,7 +264,7 @@ class TestDerivedDataFollowsLogders:
 
     def test_a_replaced_logder_gives_a_fresh_fields_data(self):
         K = _t_field(lambda K: K.zero_series())
-        assert _derived_data(K) == (GroupElement([0]), GroupElement([5]), Cut.all_of(1), 1)
+        assert _derived_data(K) == (GroupElement([0]), GroupElement([5]), Cut(1), 1)
         K.generators[0].logder = K.gen("t", -1)
         fresh = _derived_data(_t_field(lambda K: K.gen("t", -1)))
         assert fresh == (GroupElement([-1]), GroupElement([4]),
@@ -286,7 +286,7 @@ class TestNdeg:
     def test_laurent_example(self):
         K = laurent_ddt()
         Y, Yp, _ = yvars(K)
-        P = Y * Y + Yp.scale_series(K.gen("t"))
+        P = Y * Y + Yp * DiffPoly.from_coeff(K, K.gen("t"))
         assert ndeg(P) == 2
 
     def test_linear_monic_with_bounded_root(self):
@@ -469,6 +469,17 @@ class TestNdegInCut:
         cert = ndeg_in_cut(P, seq)
         assert cert.value == 1
         assert all(d == 1 for d in cert.history)
+
+    @pytest.mark.parametrize("window", [0, -1, 1.5, True, "3", None])
+    def test_a_window_that_is_no_int_from_1_is_refused(self, window):
+        # the window is a count of degrees, so a bool is no window either
+        L = log_fragment(8)
+        P = DiffPoly.variable(L, 0) - DiffPoly.from_coeff(L, lambda_series(8, L))
+        prefix = self.lambda_prefix(L, 8, 7)
+        cert = ndeg_in_cut(P, PcSequence(prefix, window=1))
+        assert (cert.value, cert.stabilized_at, cert.history) == (1, 0, [1])
+        with pytest.raises(VdfError, match=r"^window .* is not an int >= 1$"):
+            ndeg_in_cut(P, PcSequence(prefix, window=window))
 
     def test_constant_sequence_rejected(self):
         L = log_fragment(3)
@@ -707,7 +718,7 @@ def _intersect_prefix(a: Cut, b: Cut) -> Cut:
 
 def _reference_analytic_cut(K, k):
     """_analytic_cut as the intersection of one Cut per class p < k."""
-    cut = Cut.all_of(k)
+    cut = Cut(k)
     for p in range(k):
         level = K.psi_floor(p)
         if level is not INFINITY:
@@ -755,7 +766,7 @@ class TestGammaDerOracle:
     def test_rejects_a_cut_that_is_too_large(self, name, mutant):
         K = FRESH_FIELDS[name]()
         cut = newton._analytic_cut(K, K.rank)
-        bad = _moved_bound(cut, 1) if mutant == "raised" else Cut.all_of(K.rank)
+        bad = _moved_bound(cut, 1) if mutant == "raised" else Cut(K.rank)
         expected = _outcome(_reference_validate, K, bad, 200, 7)
         assert expected is not None and " in cut but v(m')=" in expected
         assert _outcome(_validate_gamma_der, K, bad, 200, 7) == expected
@@ -897,7 +908,6 @@ class TestGammaDerIsAnalytic:
             raise AssertionError("gamma_der computed a logarithmic derivative")
 
         monkeypatch.setattr(FieldInstance, "logder_of_value", refuse)
-        monkeypatch.setattr(FieldInstance, "monomial_logder", refuse)
         bound, prefix_len = GOLDEN_CUTS[name]
         assert gamma_der(K) == Cut.prefix(K.rank, bound, inclusive=True)
         assert s_der(K).prefix_len == prefix_len

@@ -81,6 +81,19 @@ def test_the_coarsen_export_is_the_function():
     assert out == ["True", "function"]
 
 
+def test_a_star_import_binds_every_export_and_nothing_else():
+    # __all__ names the lazy exports, which import * cannot see otherwise
+    bound, kind = json.loads(_python("-c", textwrap.dedent("""
+        from vdfield import *
+        bound = dir()
+        import json
+        print(json.dumps([bound, type(coarsen).__name__]))
+    """)).stdout)
+    names = sorted(n for n in bound if not n.startswith("__"))
+    assert names == sorted(n for ns in EXPORTS.values() for n in ns) and len(names) == 58
+    assert kind == "function"
+
+
 def test_dir_lists_every_export():
     names = json.loads(_python("-c", "import json, vdfield; print(json.dumps(dir(vdfield)))")
                        .stdout)

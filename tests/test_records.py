@@ -217,8 +217,8 @@ def test_ast_nodes_of_equal_fields_and_different_classes_differ():
 
 
 def test_keyword_construction_and_defaults():
-    assert Cut(ambient_rank=2) == Cut.all_of(2)
-    assert Cut(2, inclusive=False) == Cut.empty(2)
+    assert Cut(ambient_rank=2) == Cut(2)
+    assert Cut(2, inclusive=False) == Cut(2, (), False)
     g = Generator(name="t", value=GroupElement([1]))
     assert g.logder is None
     g.logder = laurent_ddt().one()

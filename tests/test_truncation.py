@@ -249,7 +249,7 @@ class TestCoordinateTypes:
         for f in (f for result in ran for f in _series_of(result)):
             K = f.field
             values = _reported_values(f) + [K.derivation_shift]
-            cuts = [Cut.below(v) for v in values]
+            cuts = [Cut.prefix(v.rank, v.coords) for v in values]
             try:
                 cuts.append(gamma_der(K))
             except VdfError:

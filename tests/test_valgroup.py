@@ -149,14 +149,14 @@ class TestCuts:
         assert not cut_contains(c, GroupElement([1, -99]))
 
     def test_all_contains_everything(self):
-        c = Cut.all_of(2)
+        c = Cut(2)
         assert cut_contains(c, GroupElement([999, -999]))
 
     def test_bound_membership_below(self):
         # below(bound) belongs to the exclusive cut at the bound, seen in
         # the extended group
         b = GroupElement([0])
-        excl = Cut.below(b.pad(2), inclusive=False)
+        excl = Cut.prefix(2, b.pad(2).coords, inclusive=False)
         assert cut_contains(excl, with_infinitesimal(b, "below"))
         assert not cut_contains(excl, b.pad(2))
 
@@ -169,7 +169,7 @@ class TestCuts:
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_trivial_cuts_are_the_depth_0_cuts(self, rank, rng):
-        whole, empty = Cut.all_of(rank), Cut.empty(rank)
+        whole, empty = Cut(rank), Cut(rank, (), False)
         assert (whole.kind, empty.kind) == ("all", "empty")
         assert whole.depth == empty.depth == 0
         assert Cut.prefix(rank, [0]).kind == "prefix"
@@ -237,8 +237,8 @@ class TestStabilizer:
         assert brute_force_stabilizer(cut, 2, rng) == 2
 
     def test_trivial_cuts_fixed_by_everything(self):
-        assert cut_stabilizer(Cut.all_of(3)).prefix_len == 0
-        assert cut_stabilizer(Cut.empty(3)).prefix_len == 0
+        assert cut_stabilizer(Cut(3)).prefix_len == 0
+        assert cut_stabilizer(Cut(3, (), False)).prefix_len == 0
 
     def test_sampled_invariance_and_counterexample(self, rng):
         cut = Cut.prefix(3, [1, Fraction(1, 2)], inclusive=True)
