@@ -121,9 +121,6 @@ class DiffPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def true_order(self) -> int:
-        return _order_of(self.terms)
-
     def coefficient(self, i: MultiIndex) -> Series:
         return self.terms.get(_pad(i, self.order), self.field.zero_series())
 
@@ -150,11 +147,6 @@ class DiffPoly:
         return _sum_terms(self.field, _products(_padded(self.terms, order),
                                                 _padded(other.terms, order), order), order)
 
-    def scale(self, q) -> "DiffPoly":
-        return DiffPoly(
-            self.field, {i: c.scale(q) for i, c in self.terms.items()}, self.order
-        )
-
     def embed_into(self, other: FieldInstance) -> "DiffPoly":
         return DiffPoly(other, {i: c.embed_into(other) for i, c in self.terms.items()},
                         self.order)
@@ -167,7 +159,7 @@ class DiffPoly:
         )
 
     def _normal_terms(self):
-        r = self.true_order()
+        r = _order_of(self.terms)
         return {tuple(i[: r + 1]): c for i, c in self.terms.items()}
 
     __hash__ = None

@@ -293,8 +293,8 @@ class Series:
                  terms: Dict[Union[GroupElement, Monomial, tuple], Rat], tau,
                  den: Optional[int] = None, cden: int = 1):
         if den is None:
-            if terms and isinstance(next(iter(terms)), Monomial):
-                terms = {field.monomial_value(m): c for m, c in terms.items()}
+            terms = {field.monomial_value(v) if isinstance(v, Monomial) else v: _coord(c)
+                     for v, c in terms.items()}
             if any(v.rank != field.rank for v in terms):
                 raise RankMismatch(f"a term value's rank is not field rank {field.rank}")
             den = lcm(*(x.denominator for v in terms for x in v.coords))
@@ -380,8 +380,7 @@ class Series:
         return _sum_series(self.field, (self, other))
 
     def __neg__(self) -> "Series":
-        terms = {k: -c for k, c in self.terms.items()}
-        return Series(self.field, terms, self.tau, self.den, self.cden)
+        return self.scale(-1)
 
     def __sub__(self, other: "Series") -> "Series":
         return self + (-other)
@@ -449,8 +448,8 @@ class Series:
     def power(self, n: int) -> "Series":
         """self^n by square-and-multiply, with no product by one():
         power(0) is one() and power(1) is self itself."""
-        if n < 0:
-            raise VdfError("negative powers go through invert()")
+        if type(n) is not int or n < 0:
+            raise VdfError(f"power {n!r} is no int >= 0: negative powers go through invert()")
         if n < 2:
             return self if n else self.field.one()
         half = self.power(n // 2)
@@ -518,7 +517,9 @@ class Series:
         # the unit part self * lead_inv is inverted to tau itself:
         # self * g - 1 = self * lead_inv * acc - 1
         u = (self * lead_inv - self.field.one()).truncated(tau)
-        if u.terms and not _reachable(u.valuation(), tau):
+        # some j * v(u) reaches tau iff v(u)'s first nonzero coordinate is not
+        # after tau's, as 0 < v(u) < tau (a unit-part term, kept below tau)
+        if u.terms and u.valuation().first_nonzero() > tau.first_nonzero():
             raise TruncationUnreachable(
                 f"geometric expansion with step {u.valuation()} cannot reach {tau}"
             )
@@ -682,12 +683,6 @@ def monomial_strings(K: FieldInstance, gamma: GroupElement) -> list:
     each exponent read from gamma's key by the field's columns."""
     nums, D = K._exponents(*K._key(gamma))
     return [[K.generators[i].name, str(Fraction(t, D))] for i, t in nums]
-
-
-def _reachable(step: GroupElement, target: GroupElement) -> bool:
-    """Whether j*step >= target for some natural j, for 0 < step < target
-    (invert's one call: a unit-part term, of value > 0, lies below it)."""
-    return step.first_nonzero() <= target.first_nonzero()
 
 
 # -- built-in field instances ------------------------------------------------

@@ -20,7 +20,7 @@ import functools
 import operator
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import RankMismatch, VdfError
 from .records import FrozenRecord
@@ -43,8 +43,11 @@ def _tuple_kernel(n: int, term: str):
 
 
 def _frac(x: Rat) -> Fraction:
-    """x as a Fraction; the one reader of rational text: a sign, decimal digits
-    and a nonzero /denominator, no exponent that Fraction would expand (1e999999999)."""
+    """x as a Fraction; the one reader of rationals: an int, a Fraction, or text
+    of a sign, decimal digits and a nonzero /denominator, no exponent that
+    Fraction would expand (1e999999999).  A float or a bool is refused."""
+    if type(x) is not int and not isinstance(x, (Fraction, str)):
+        raise TypeError(f"expected an int, Fraction or text, found {type(x).__name__} {x!r}")
     if isinstance(x, str) and not re.fullmatch(r"\s*[+-]?\d+(/\d+)?\s*", x):
         raise ValueError(f"expected a rational, found {x.strip()!r}")
     if isinstance(x, str) and not int(x.partition("/")[2] or 1):
@@ -245,11 +248,6 @@ class ConvexSubgroup(FrozenRecord):
         if not 0 <= self.prefix_len <= self.ambient_rank:
             raise VdfError(f"prefix_len {self.prefix_len} outside [0, {self.ambient_rank}]")
 
-    def contains(self, gamma: GroupElement) -> bool:
-        if gamma.rank != self.ambient_rank:
-            raise RankMismatch(f"rank {gamma.rank} vs {self.ambient_rank}")
-        return all(c == 0 for c in gamma.coords[: self.prefix_len])
-
 
 EMPTY = "empty"
 ALL = "all"
@@ -259,7 +257,8 @@ PREFIX = "prefix"
 class Cut(FrozenRecord):
     """A downward-closed subset of Q^rank: {gamma : proj_depth(gamma) <
     bound} plus, when inclusive, the whole coset {gamma : proj_depth(gamma)
-    = bound}, where depth = len(bound).
+    = bound}, where depth = len(bound).  The bound is read from any iterable
+    of rationals into _coord's normal form, and a depth above the rank is refused.
 
     The trivial cuts are the depth-0 cuts: the whole group is the
     inclusive one, Cut(rank), and the empty set the exclusive one,
@@ -271,12 +270,11 @@ class Cut(FrozenRecord):
     _fields = __slots__ = ("ambient_rank", "bound", "inclusive")
     _defaults = ((), True)
 
-    @staticmethod
-    def prefix(rank: int, bound: Sequence[Rat], inclusive: bool = True) -> "Cut":
-        bound = tuple(map(_coord, bound))
-        if not 1 <= len(bound) <= rank:
-            raise VdfError(f"cut depth {len(bound)} outside [1, {rank}]")
-        return Cut(rank, bound, inclusive)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        object.__setattr__(self, "bound", tuple(map(_coord, self.bound)))
+        if self.depth > self.ambient_rank:
+            raise VdfError(f"cut depth {self.depth} outside [0, {self.ambient_rank}]")
 
     @property
     def depth(self) -> int:
@@ -303,18 +301,18 @@ class Cut(FrozenRecord):
     def max_element(self) -> GroupElement:
         if not self.has_max():
             raise VdfError("cut has no maximum element")
-        return GroupElement(self.bound)
+        return GroupElement._raw(self.bound, True)
 
     def bound_element(self) -> GroupElement:
         """The bound padded with zeros to full rank (a member iff inclusive)."""
         if not self.bound:
             raise VdfError("trivial cuts carry no bound")
-        return GroupElement(self.bound).pad(self.ambient_rank)
+        return GroupElement._raw(self.bound, True).pad(self.ambient_rank)
 
     def shift_by_prefix(self, delta: GroupElement) -> "Cut":
         """The cut translated by -delta (the cut of the conjugated field),
         using only the first `depth` coordinates of delta."""
-        bound = tuple(_coord(b - d) for b, d in zip(self.bound, delta.coords))
+        bound = _tuple_kernel(self.depth, _SUB)(self.bound, delta.coords)
         return Cut(self.ambient_rank, bound, self.inclusive)
 
     def __repr__(self):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from vdfield.diffpoly import DiffPoly, gauss_val, mi_degree
+from vdfield.diffpoly import DiffPoly, _order_of, gauss_val, mi_degree
 from vdfield.errors import VdfError
 from vdfield.gridseries import FieldInstance, Generator, Monomial
 from vdfield.valgroup import GroupElement
@@ -115,7 +115,7 @@ def same_terms(f, g):
 
 def complexity(P):
     """(order, degree in the top derivative, total degree) of P."""
-    r = P.true_order()
+    r = _order_of(P.terms)
     s = max((i[r] if r < len(i) else 0 for i in P.terms), default=0)
     return (r, s, max(map(mi_degree, P.terms)))
 

@@ -189,13 +189,13 @@ def test_criterion_4_invariant_cuts():
     rng = random.Random(404)
 
     K1 = laurent_ddt()
-    if gamma_der(K1) != Cut.prefix(1, [-1], inclusive=True):
+    if gamma_der(K1) != Cut(1, (-1,), inclusive=True):
         failures.append("laurent cut wrong")
     if s_der(K1).prefix_len != 1:
         failures.append("laurent stabilizer wrong")
 
     K2 = laurent_tddt_coarse()
-    if gamma_der(K2) != Cut.prefix(2, [0], inclusive=True):
+    if gamma_der(K2) != Cut(2, (0,), inclusive=True):
         failures.append("coarse cut wrong")
     if s_der(K2).prefix_len != 1:
         failures.append("coarse stabilizer wrong")

@@ -107,7 +107,7 @@ class TestMultiIndex:
         Q = DiffPoly(K, {(1,): t})
         assert P.terms == {(1,): t.scale(2)}
         assert repr(P) == "(2*t)*Y"
-        assert P == Q.scale(2) and P != Q
+        assert P == Q * DiffPoly.from_coeff(K, K.constant(2)) and P != Q
         assert repr(P + Q) == "(3*t)*Y"
         assert (P + Q).terms == {(1,): t.scale(3)}
         # with a declared order, indices are padded or trimmed to it
@@ -235,7 +235,7 @@ class TestFKernel:
         Q = rational_field()
         X = DiffPoly.variable(Q, 0)
         Xp = DiffPoly.variable(Q, 1)
-        assert fnk(3, 2) == (X * Xp).scale(3)
+        assert fnk(3, 2) == X * Xp * DiffPoly.from_coeff(Q, Q.constant(3))
 
     def test_out_of_range(self):
         with pytest.raises(VdfError):

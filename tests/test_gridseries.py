@@ -187,6 +187,14 @@ class TestPowerAndOne:
             assert _exactly(right) == _exactly(f * near_one)
             assert _exactly(left) == _exactly(near_one * f)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, False, "2", -1])
+    def test_a_power_that_is_no_int_from_0_is_refused(self, n):
+        # power(2.5) once gave f^3 and power(True) gave f
+        K = laurent_ddt()
+        with pytest.raises(VdfError, match=r"^power .* is no int >= 0: "
+                                           r"negative powers go through invert\(\)$"):
+            (K.one() + K.gen("t")).power(n)
+
     def test_one_of_another_field_is_refused(self):
         K, L = laurent_ddt(), laurent_tddt_coarse()
         for f in (K.gen("t"), K.one()):
@@ -768,6 +776,29 @@ class TestOneTermConstructor:
                 Series(K, {gamma: Fraction(1)}, INFINITY)
             with pytest.raises(RankMismatch):
                 K.term(gamma)
+
+    def test_each_key_and_coefficient_is_read_on_its_own(self):
+        # each key a Monomial or a GroupElement, in either order, and each
+        # coefficient any rational _coord reads, text included
+        K = laurent_tddt_coarse()
+        v, w = GroupElement([1, Fraction(1, 2)]), GroupElement([-1, 2])
+        want = K.term(v, Fraction(1, 2)) + K.term(w, 3)
+        for terms in ({v: "1/2", w: 3}, {K.monomial_of_value(v): Fraction(1, 2), w: "3"},
+                      {w: Fraction(3), K.monomial_of_value(v): " 2/4 "}):
+            got = Series(K, terms, INFINITY)
+            assert (got.terms, got.den, got.cden) == (want.terms, want.den, want.cden), terms
+        L = laurent_ddt()
+        assert Series(L, {GroupElement([1]): "1/2"}, INFINITY) == L.term(unit(1, 0), Fraction(1, 2))
+
+    @pytest.mark.parametrize("x, name", [(0.25, "float"), (1.0, "float"), (True, "bool")])
+    def test_floats_and_bools_are_refused(self, x, name):
+        K = laurent_ddt()
+        v, f = unit(1, 0), K.one() + K.gen("t")
+        for build in (lambda: K.term(v, x), lambda: K.constant(x), lambda: f.scale(x),
+                      lambda: K.gen("t", x), lambda: Series(K, {v: x}, INFINITY),
+                      lambda: Monomial([x])):
+            with pytest.raises(TypeError, match=rf"^expected an int, Fraction or text, found {name} "):
+                build()
 
 
 # -- term dicts are shared, never mutated ---------------------------------------------

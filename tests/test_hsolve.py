@@ -1105,6 +1105,18 @@ class TestDemo:
         assert diff["correction_monomials"] == [
             [[f"l{j}", "1"] for j in range(k + 1)] for k in range(depth + 1)]
 
+    @pytest.mark.parametrize("depth", [3, 4, 5, 8])
+    def test_one_level_deeper_the_cascade_gains_one_rung(self, depth):
+        # the obstruction moves to depth N + 1 and never closes: the
+        # cascade there is depth N's with the one rung l0*...*l(N+1) added
+        def cascade(n):
+            rep = demo_nonuniqueness(n, [Fraction(0), Fraction(5, 2)])
+            return rep["differences"][0]["correction_monomials"]
+
+        shallow, deep = cascade(depth), cascade(depth + 1)
+        assert deep[:-1] == shallow
+        assert deep[-1] == [[f"l{j}", "1"] for j in range(depth + 2)]
+
     def test_residual_ladder(self):
         rep = demo_nonuniqueness(4, [Fraction(0)])
         assert len(rep["runs"]) == 1

@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -165,11 +165,11 @@ class TestTropical:
 class TestGammaDer:
     def test_laurent(self):
         cut = gamma_der(laurent_ddt())
-        assert cut == Cut.prefix(1, [-1], inclusive=True)
+        assert cut == Cut(1, (-1,), inclusive=True)
 
     def test_tddt(self):
         cut = gamma_der(laurent_tddt_coarse())
-        assert cut == Cut.prefix(2, [0], inclusive=True)
+        assert cut == Cut(2, (0,), inclusive=True)
 
     def test_transseries(self):
         for depth in (0, 2, 4):
@@ -214,7 +214,7 @@ class TestGammaDer:
         assert K.psi_level(0) is INFINITY
         for k in range(rank + 1):
             assert newton._analytic_cut(K, k) == _reference_analytic_cut(K, k)
-        expect = Cut(1) if rank == 1 else Cut.prefix(rank, [0] * rank)
+        expect = Cut(1) if rank == 1 else Cut(rank, (0,) * rank)
         assert newton._analytic_cut(K, rank) == expect
 
     def test_zero_derivation_gives_the_whole_group(self):
@@ -268,7 +268,7 @@ class TestDerivedDataFollowsLogders:
         K.generators[0].logder = K.gen("t", -1)
         fresh = _derived_data(_t_field(lambda K: K.gen("t", -1)))
         assert fresh == (GroupElement([-1]), GroupElement([4]),
-                         Cut.prefix(1, [-1], inclusive=True), 2)
+                         Cut(1, (-1,), inclusive=True), 2)
         assert _derived_data(K) == fresh
 
     def test_without_a_replacement_the_data_is_kept(self):
@@ -440,6 +440,10 @@ class TestNdegGeqPrec:
             assert lhs <= rhs
 
 
+# exponents of a monomial of log_fragment(5), over l0..l5
+_LOG5_MONOMIALS = st.tuples(*[st.integers(-2, 2)] * 6)
+
+
 class TestNdegInCut:
     def lambda_prefix(self, K, depth, count):
         out = []
@@ -529,6 +533,45 @@ class TestNdegInCut:
                 # admissible: a - lambda strictly below v
                 assert (a - lam).valuation() > v.valuation()
                 assert cert.value <= ndeg_prec(add_conj(P, a), v)
+
+    @settings(max_examples=150)
+    @given(steps=st.lists(_LOG5_MONOMIALS, min_size=5, max_size=5, unique=True),
+           coeffs=st.lists(st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]),
+                           min_size=6, max_size=6),
+           j=st.integers(0, 5), deep=_LOG5_MONOMIALS, c=st.sampled_from([0, 1, Fraction(-1, 2)]),
+           kind=st.sampled_from(["Y - a", "Y^2 - a", "Y' + Y - a", "Y'Y - a", "(Y - s)^2"]))
+    def test_the_law_of_nested_balls(self, steps, coeffs, j, deep, c, kind):
+        # along a pc-sequence the balls B(a_rho, gamma_rho) shrink, and the
+        # Newton degree over a ball is at most that over any ball holding
+        # it: ndeg_geq(P_{+a_rho}, gamma_rho) never rises with rho
+        L = log_fragment(5)
+
+        def term(exps, q):
+            return L.monomial_series(L.monomial_from_dict(
+                {f"l{i}": e for i, e in enumerate(exps) if e}), q)
+
+        # a constant plus five terms by rising value: the gaps rise
+        seq = [L.constant(coeffs[0])]
+        for h in sorted(map(term, steps, coeffs[1:]), key=Series.valuation):
+            seq.append(seq[-1] + h)
+        Y, Y1 = DiffPoly.variable(L, 0), DiffPoly.variable(L, 1)
+        a = DiffPoly.from_coeff(L, seq[j] + term(deep, c))
+        s = DiffPoly.from_coeff(L, seq[-1])
+        P = {"Y - a": Y - a, "Y^2 - a": Y * Y - a, "Y' + Y - a": Y1 + Y - a,
+             "Y'Y - a": Y1 * Y - a, "(Y - s)^2": (Y - s) * (Y - s)}[kind]
+        seq = PcSequence(seq, window=3)
+        history = [ndeg_geq(add_conj(P, x), gamma) for x, gamma in zip(seq.elements, seq.gaps())]
+        try:
+            cert = ndeg_in_cut(P, seq)
+        except VdfError as err:  # no window of 3 equal degrees: a legal answer
+            assert f"(history {history})" in str(err)
+        else:
+            assert cert.history == history[:len(cert.history)]
+        assert all(d >= e for d, e in zip(history, history[1:])), (kind, history)
+        event("history " + ("constant" if len(set(history)) == 1 else "not constant"))
+        event(f"degree {max(history)}")
+        if kind == "(Y - s)^2":
+            assert history == [2] * 5
 
 
 class TestFlexProbe:
@@ -722,7 +765,7 @@ def _reference_analytic_cut(K, k):
     for p in range(k):
         level = K.psi_floor(p)
         if level is not INFINITY:
-            cut = _intersect_prefix(cut, Cut.prefix(k, level.coords[: p + 1], inclusive=True))
+            cut = _intersect_prefix(cut, Cut(k, level.coords[: p + 1], inclusive=True))
     return cut
 
 
@@ -748,7 +791,7 @@ def _shallower_field():
 def _moved_bound(cut, step):
     """The cut with the last coordinate of its bound moved by step."""
     bound = cut.bound[:-1] + (cut.bound[-1] + step,)
-    return Cut.prefix(cut.ambient_rank, bound, cut.inclusive)
+    return Cut(cut.ambient_rank, bound, cut.inclusive)
 
 
 class TestGammaDerOracle:
@@ -787,7 +830,7 @@ class TestGammaDerOracle:
         K = FRESH_FIELDS[name]()
         cut = newton._analytic_cut(K, K.rank)
         bad = (_moved_bound(cut, -1) if mutant == "lowered"
-               else Cut.prefix(K.rank, cut.bound[:-1], cut.inclusive))
+               else Cut(K.rank, cut.bound[:-1], cut.inclusive))
         assert (_outcome(_validate_gamma_der, K, bad, samples, seed)
                 == _outcome(_reference_validate, K, bad, samples, seed))
 
@@ -800,7 +843,7 @@ class TestGammaDerOracle:
         for k in range(K.rank + 1):
             assert newton._analytic_cut(K, k) == _reference_analytic_cut(K, k)
         if name == "shallower":
-            assert newton._analytic_cut(K, 2) == Cut.prefix(2, [-1])
+            assert newton._analytic_cut(K, 2) == Cut(2, (-1,))
 
     @given(K=triangular_fields())
     @settings(max_examples=100, deadline=None)
@@ -821,9 +864,9 @@ class TestGammaDerOracle:
         K.generators[1].logder = K.one()
         delta = ConvexSubgroup(2, 1)
         assert K.psi_level(0) is INFINITY
-        assert newton._analytic_cut(K, 1) == Cut.prefix(1, [0])
-        assert coarsened_gamma_der(K, delta) == Cut.prefix(1, [0])
-        assert newton._analytic_cut(K, 2) == Cut.prefix(2, [0, 0])
+        assert newton._analytic_cut(K, 1) == Cut(1, (0,))
+        assert coarsened_gamma_der(K, delta) == Cut(1, (0,))
+        assert newton._analytic_cut(K, 2) == Cut(2, (0, 0))
         for eps in (Fraction(1), Fraction(1, 1000)):
             m = K.monomial_series(Monomial([eps, 1]))
             assert m.derive() == m
@@ -909,7 +952,7 @@ class TestGammaDerIsAnalytic:
 
         monkeypatch.setattr(FieldInstance, "logder_of_value", refuse)
         bound, prefix_len = GOLDEN_CUTS[name]
-        assert gamma_der(K) == Cut.prefix(K.rank, bound, inclusive=True)
+        assert gamma_der(K) == Cut(K.rank, bound, inclusive=True)
         assert s_der(K).prefix_len == prefix_len
 
     @pytest.mark.parametrize("depth", [*range(9), 16, 32, 64])

@@ -55,9 +55,9 @@ FROZEN = {
     "ConvexSubgroup": (lambda: ConvexSubgroup(3, 1),
                        "ConvexSubgroup(ambient_rank=3, prefix_len=1)",
                        ConvexSubgroup(3, 2)),
-    "Cut": (lambda: Cut.prefix(2, [1, F(-1, 2)], False),
+    "Cut": (lambda: Cut(2, (1, F(-1, 2)), False),
             "Cut(proj_2 < (1, -1/2), rank 2)",
-            Cut.prefix(2, [1, F(-1, 2)], True)),
+            Cut(2, (1, F(-1, 2)), True)),
     "Lit": (lambda: Lit(F(3, 2)), "Lit(value=Fraction(3, 2))", Lit(F(3))),
     "Sym": (lambda: Sym("t"), "Sym(name='t')", Sym("s")),
     "DY": (lambda: DY(2), "DY(order=2)", DY(1)),

@@ -35,7 +35,9 @@ def _definitions(tree: ast.AST) -> list:
 
 def _references(tree: ast.AST) -> list:
     """(name, enclosing definition nodes) of each Name and each attribute
-    in the tree; an import binds a name but does not use it."""
+    in the tree, an attribute also as Owner.attr when its owner ends in a
+    name (vd.diffpoly.DiffPoly.from_coeff as DiffPoly.from_coeff); an
+    import binds a name but does not use it."""
     found = []
 
     def visit(node, owners):
@@ -47,22 +49,33 @@ def _references(tree: ast.AST) -> list:
                 found.append((child.id, owners))
             elif isinstance(child, ast.Attribute):
                 found.append((child.attr, owners))
+                owner = getattr(child.value, "id", getattr(child.value, "attr", None))
+                if owner is not None:
+                    found.append((f"{owner}.{child.attr}", owners))
             visit(child, inner)
 
     visit(tree, frozenset())
     return found
 
 
+def _static(qualname: str, node: ast.AST) -> bool:
+    """Whether the definition is a static or class method."""
+    return "." in qualname and any(getattr(d, "id", None) in ("staticmethod", "classmethod")
+                                   for d in node.decorator_list)
+
+
 def _unreferenced(src: dict, outside: list, exported: set) -> list:
     """The qualified names of the public definitions in the src trees
-    (by file name) that no reference reaches, beyond their own bodies."""
+    (by file name) that no reference reaches, beyond their own bodies.  A
+    static or class method is reached only as ClassName.name: a method of
+    another class with its name, called on an instance, does not reach it."""
     outside_names = exported | {name for tree in outside for name, _ in _references(tree)}
     src_refs = [ref for tree in src.values() for ref in _references(tree)]
     missing = []
     for path, tree in src.items():
         for qualname, node in _definitions(tree):
-            name = node.name
-            if name.startswith("_") or name in outside_names:
+            name = qualname if _static(qualname, node) else node.name
+            if node.name.startswith("_") or name in outside_names:
                 continue
             if not any(ref == name and id(node) not in owners for ref, owners in src_refs):
                 missing.append(f"{path}:{qualname}")
@@ -102,6 +115,31 @@ def test_the_check_flags_a_planted_unreferenced_definition():
     imports_only = ast.parse("from lib import used, Box\n")
     assert _unreferenced({"lib.py": lib}, [imports_only], {"exported"}) == [
         "lib.py:used", "lib.py:planted", "lib.py:Box", "lib.py:Box.unread"]
+
+
+def test_a_static_method_counts_only_through_its_class():
+    lib = ast.parse(
+        "class Cut:\n"
+        "    @staticmethod\n"
+        "    def prefix(rank):\n"
+        "        return Cut()\n"
+        "    @classmethod\n"
+        "    def whole(cls):\n"
+        "        return cls()\n"
+        "    @staticmethod\n"
+        "    def empty():\n"
+        "        return Cut()\n"
+        "class Element:\n"
+        "    def prefix(self, k):\n"
+        "        return self\n"
+        "def shift(gamma, cut):\n"
+        "    return gamma.prefix(1), cut.whole()\n")
+    # gamma.prefix is Element.prefix's name, and cut.whole an instance's call
+    bench = ast.parse("import lib\nlib.shift(lib.Element(), None)\nlib.Cut.empty()\n")
+    assert _unreferenced({"lib.py": lib}, [bench], set()) == ["lib.py:Cut.prefix", "lib.py:Cut.whole"]
+    # through its class, from src or from outside, each is reached
+    reached = ast.parse("from lib import Cut\nCut.prefix(2)\nCut.whole()\n")
+    assert _unreferenced({"lib.py": lib}, [bench, reached], set()) == []
 
 
 def test_every_public_src_definition_is_reached():

@@ -11,6 +11,7 @@ from vdfield.valgroup import (
     Cut,
     GroupElement,
     INFINITY,
+    _frac,
     cut_contains,
     cut_stabilizer,
     lex_cmp,
@@ -144,7 +145,7 @@ class TestLexOrder:
 
 class TestCuts:
     def test_prefix_membership(self):
-        c = Cut.prefix(2, [0], inclusive=True)
+        c = Cut(2, (0,), inclusive=True)
         assert cut_contains(c, GroupElement([0, 7]))
         assert not cut_contains(c, GroupElement([1, -99]))
 
@@ -156,14 +157,14 @@ class TestCuts:
         # below(bound) belongs to the exclusive cut at the bound, seen in
         # the extended group
         b = GroupElement([0])
-        excl = Cut.prefix(2, b.pad(2).coords, inclusive=False)
+        excl = Cut(2, b.pad(2).coords, inclusive=False)
         assert cut_contains(excl, with_infinitesimal(b, "below"))
         assert not cut_contains(excl, b.pad(2))
 
     @given(elements(3), elements(3))
     @settings(max_examples=200)
     def test_downward_closed(self, gamma, delta):
-        cut = Cut.prefix(3, [1, Fraction(-1, 2)], inclusive=True)
+        cut = Cut(3, (1, Fraction(-1, 2)), inclusive=True)
         if delta <= gamma and cut.contains(gamma):
             assert cut.contains(delta)
 
@@ -172,7 +173,7 @@ class TestCuts:
         whole, empty = Cut(rank), Cut(rank, (), False)
         assert (whole.kind, empty.kind) == ("all", "empty")
         assert whole.depth == empty.depth == 0
-        assert Cut.prefix(rank, [0]).kind == "prefix"
+        assert Cut(rank, (0,)).kind == "prefix"
         for _ in range(50):
             g = GroupElement([Fraction(rng.randint(-9, 9), rng.randint(1, 3))
                               for _ in range(rank)])
@@ -184,11 +185,29 @@ class TestCuts:
             with pytest.raises(VdfError):
                 cut.bound_element()
 
+    def test_the_constructor_normalizes_the_bound(self):
+        # any iterable of rationals, by position or keyword, in _coord's normal form
+        want = Cut(2, (1, Fraction(-1, 2)))
+        for cut in (Cut(2, [Fraction(1), "-1/2"]),
+                    Cut(ambient_rank=2, bound=iter([1, Fraction(-1, 2)]), inclusive=True)):
+            assert cut == want and hash(cut) == hash(want)
+            assert type(cut.bound) is tuple and list(map(type, cut.bound)) == [int, Fraction]
+        shifted = Cut(2, (Fraction(1, 2),), False).shift_by_prefix(GroupElement([Fraction(-1, 2), 5]))
+        assert shifted == Cut(2, (1,), False) and type(shifted.bound[0]) is int
+
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    def test_a_depth_above_the_rank_is_refused(self, rank):
+        # the trivial depth-0 cuts stay legal, at rank 0 too
+        assert Cut(rank).depth == Cut(rank, (), False).depth == 0
+        assert Cut(rank, (0,) * rank).depth == rank
+        with pytest.raises(VdfError, match=rf"^cut depth {rank + 1} outside \[0, {rank}\]$"):
+            Cut(rank, (0,) * (rank + 1))
+
     def test_max_element(self):
-        full = Cut.prefix(2, [0, 0], inclusive=True)
+        full = Cut(2, (0, 0), inclusive=True)
         assert full.has_max() and full.max_element() == zero(2)
-        assert not Cut.prefix(2, [0], inclusive=True).has_max()
-        assert not Cut.prefix(2, [0, 0], inclusive=False).has_max()
+        assert not Cut(2, (0,), inclusive=True).has_max()
+        assert not Cut(2, (0, 0), inclusive=False).has_max()
 
 
 def brute_force_stabilizer(cut, rank, rng, samples=200):
@@ -222,17 +241,17 @@ def brute_force_stabilizer(cut, rank, rng, samples=200):
 
 class TestStabilizer:
     def test_full_rank_inclusive(self, rng):
-        cut = Cut.prefix(2, [0, 0], inclusive=True)
+        cut = Cut(2, (0, 0), inclusive=True)
         assert cut_stabilizer(cut).prefix_len == 2
         assert brute_force_stabilizer(cut, 2, rng) == 2
 
     def test_shallow_inclusive(self, rng):
-        cut = Cut.prefix(2, [0], inclusive=True)
+        cut = Cut(2, (0,), inclusive=True)
         assert cut_stabilizer(cut).prefix_len == 1
         assert brute_force_stabilizer(cut, 2, rng) == 1
 
     def test_full_rank_exclusive(self, rng):
-        cut = Cut.prefix(2, [0, 0], inclusive=False)
+        cut = Cut(2, (0, 0), inclusive=False)
         assert cut_stabilizer(cut).prefix_len == 2
         assert brute_force_stabilizer(cut, 2, rng) == 2
 
@@ -241,14 +260,14 @@ class TestStabilizer:
         assert cut_stabilizer(Cut(3, (), False)).prefix_len == 0
 
     def test_sampled_invariance_and_counterexample(self, rng):
-        cut = Cut.prefix(3, [1, Fraction(1, 2)], inclusive=True)
+        cut = Cut(3, (1, Fraction(1, 2)), inclusive=True)
         delta_grp = cut_stabilizer(cut)
         assert delta_grp.prefix_len == 2
         for _ in range(200):
             d = GroupElement(
                 [0, 0, Fraction(rng.randint(-9, 9), rng.randint(1, 4))]
             )
-            assert delta_grp.contains(d)
+            assert quotient_map(d, delta_grp).is_zero()
             g = GroupElement(
                 [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
             )
@@ -257,7 +276,7 @@ class TestStabilizer:
         bigger = ConvexSubgroup(3, 1)
         b = cut.bound_element()
         moved = GroupElement([0, Fraction(1, 7), 0])
-        assert bigger.contains(moved)
+        assert quotient_map(moved, bigger).is_zero()
         assert cut.contains(b) != cut.contains(b + moved)
 
 
@@ -330,3 +349,23 @@ class TestNormalForm:
         for v in (cut.max_element(), cut.bound_element()):
             assert v.coords == (1, 0)
             assert list(map(type, v.coords)) == [int, int]
+
+
+class TestExactInput:
+    """valgroup._frac, the one reader of rationals, takes an int, a Fraction
+    or rational text.  A float would enter as its binary fraction (0.1 as
+    3602879701896397/36028797018963968) and a bool as 0 or 1: both are
+    refused, with the type named, at every path into a coordinate."""
+
+    @pytest.mark.parametrize("x, name", [(0.1, "float"), (0.5, "float"), (2.0, "float"),
+                                         (True, "bool"), (False, "bool"), (None, "NoneType")])
+    def test_floats_and_bools_are_refused(self, x, name):
+        for build in (lambda: _frac(x), lambda: GroupElement([0, x]), lambda: unit(2, 1, x),
+                      lambda: zero(2).scale(x), lambda: Cut(2, (x,))):
+            with pytest.raises(TypeError, match=rf"^expected an int, Fraction or text, found {name} "):
+                build()
+
+    def test_exact_input_is_read(self):
+        assert GroupElement([1, Fraction(1, 2), "-3/4", " 6/3 "]).coords == (
+            1, Fraction(1, 2), Fraction(-3, 4), 2)
+        assert [type(_frac(x)) for x in (3, Fraction(1, 3), "5")] == [Fraction] * 3
