@@ -162,8 +162,6 @@ class DiffPoly:
         r = _order_of(self.terms)
         return {tuple(i[: r + 1]): c for i, c in self.terms.items()}
 
-    __hash__ = None
-
     def formal_derivative(self) -> "DiffPoly":
         """Total derivative: coefficients are derived and each variable
         Y^(j) steps to Y^(j+1) by the product rule."""

@@ -5,15 +5,18 @@ Importing dataclasses pulls in inspect, and every decorated class execs
 generated code; a short `vdf` command paid more for that than for its
 arithmetic.  A record class names its fields in _fields (and, unless it
 needs a __dict__, in __slots__), and the values of its last fields'
-defaults in _defaults.  Record's one constructor binds positional
-arguments, then keywords, then those defaults to the fields, and
-refuses a call that does not fit with TypeError, as a Python call does;
-a class that checks or converts a field calls it through super().
-Record compares two instances of the same class field by field, prints
-Name(field=value, ...) and leaves instances unhashable, as a mutable
-dataclass does.  FrozenRecord hashes the fields and refuses assignment,
+defaults in _defaults.  A call that passes every field by position, or
+leaves only trailing fields to their defaults, is assigned as it
+stands; any other binds through a namedtuple of the fields, made on the
+class's first such call, so Python binds it or refuses it with its own
+TypeError.  A class that checks or converts a field calls it through
+super().  Record compares instances of one class field by field, prints
+Name(field=value, ...) and leaves them unhashable, as a mutable
+dataclass does; FrozenRecord hashes the fields and refuses assignment,
 as a frozen one does.
 """
+
+from collections import namedtuple
 
 _set = object.__setattr__
 
@@ -33,28 +36,14 @@ class Record:
     def _bind(cls, args: tuple, kwargs: dict) -> tuple:
         """The field values of a call that does not pass every field by
         position."""
-        fields, defaults, name = cls._fields, cls._defaults, cls.__qualname__
-        skipped = len(fields) - len(args)
-        if not kwargs and 0 < skipped <= len(defaults):
-            # trailing fields left to their defaults bind without a dict
-            # too: a dict costs more than the fields' assignment
-            return args + defaults[len(defaults) - skipped:]
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments "
-                            f"but {len(args)} were given")
-        bound = dict(zip(fields, args))
-        for key, value in kwargs.items():
-            if key not in fields:
-                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
-            if key in bound:
-                raise TypeError(f"{name}() got multiple values for argument {key!r}")
-            bound[key] = value
-        bound = {**dict(zip(fields[len(fields) - len(defaults):], defaults)), **bound}
-        missing = [f for f in fields if f not in bound]
-        if missing:
-            raise TypeError(f"{name}() missing required arguments: "
-                            + ", ".join(map(repr, missing)))
-        return tuple([bound[f] for f in fields])
+        skipped = len(cls._fields) - len(args)
+        if not kwargs and 0 < skipped <= len(cls._defaults):
+            # trailing fields left to their defaults bind without a binder
+            return args + cls._defaults[len(cls._defaults) - skipped:]
+        if "_binder" not in cls.__dict__:
+            cls._binder = namedtuple(cls.__name__, cls._fields, defaults=cls._defaults)
+            cls._binder.__new__.__qualname__ = cls.__qualname__  # errors read Name()
+        return cls._binder(*args, **kwargs)
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
@@ -63,8 +52,6 @@ class Record:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._astuple() == other._astuple()
-
-    __hash__ = None
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)

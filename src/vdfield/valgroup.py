@@ -166,6 +166,7 @@ class GroupElement:
         return [str(c) for c in self.coords]
 
 
+@functools.total_ordering
 class _Infinity:
     """The +infinity sentinel: valuation of the true zero series.
 
@@ -175,30 +176,16 @@ class _Infinity:
     ``INFINITY``.
     """
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __lt__(self, other):
         return False
-
-    def __le__(self, other):
-        return other is INFINITY
-
-    def __gt__(self, other):
-        return other is not INFINITY
-
-    def __ge__(self, other):
-        return True
 
     def __eq__(self, other):
         return other is INFINITY
 
-    def __hash__(self):
-        return hash("vdfield-infinity")
+    __hash__ = object.__hash__
+
+    def __reduce__(self):
+        return "INFINITY"  # copy and pickle give back the one instance
 
     def __add__(self, other):
         return INFINITY
@@ -245,6 +232,9 @@ class ConvexSubgroup(FrozenRecord):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        for field in self._fields:
+            if type(getattr(self, field)) is not int:
+                raise VdfError(f"{field} {getattr(self, field)!r} is no int")
         if not 0 <= self.prefix_len <= self.ambient_rank:
             raise VdfError(f"prefix_len {self.prefix_len} outside [0, {self.ambient_rank}]")
 
@@ -273,6 +263,9 @@ class Cut(FrozenRecord):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         object.__setattr__(self, "bound", tuple(map(_coord, self.bound)))
+        for field, kind in ("ambient_rank", int), ("inclusive", bool):
+            if type(getattr(self, field)) is not kind:
+                raise VdfError(f"{field} {getattr(self, field)!r} is no {kind.__name__}")
         if self.depth > self.ambient_rank:
             raise VdfError(f"cut depth {self.depth} outside [0, {self.ambient_rank}]")
 
@@ -312,6 +305,8 @@ class Cut(FrozenRecord):
     def shift_by_prefix(self, delta: GroupElement) -> "Cut":
         """The cut translated by -delta (the cut of the conjugated field),
         using only the first `depth` coordinates of delta."""
+        if delta.rank != self.ambient_rank:
+            raise RankMismatch(f"rank {delta.rank} vs cut rank {self.ambient_rank}")
         bound = _tuple_kernel(self.depth, _SUB)(self.bound, delta.coords)
         return Cut(self.ambient_rank, bound, self.inclusive)
 

@@ -262,6 +262,38 @@ class TestTooFewPairs:
             "setup": {"median": 1.5, "low": 1.5, "high": 1.5}}
 
 
+class TestClaim:
+    def test_a_claim_is_a_workload_and_an_end_to_end_metric(self):
+        assert bench_pairs.claims(METRICS) == [
+            f"{w} {m}" for w in bench_pairs.WORKLOADS for m in ("items_per_s", "item_ms_p50")]
+
+    @pytest.mark.parametrize("claim", ["fragment item_per_s", "fragment", "solver items_per_s",
+                                       "fragment items_per_s extra", "fragment  items_per_s"])
+    def test_main_refuses_an_unknown_claim_before_any_run(self, claim, monkeypatch, tmp_path,
+                                                          capsys):
+        def git(*args, cwd):
+            if "--show-toplevel" in args:
+                return str(tmp_path).encode()
+            return b"same tree\n" if ":" in args[-1] else args[-1].encode() * 7 + b"\n"
+
+        def export(repo, commit, dest):
+            dest.mkdir(parents=True)
+            (dest / "BENCHMARK.json").write_text(
+                json.dumps({"end_to_end": METRICS, "run_seconds": 1}))
+
+        def no_run(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(bench_pairs, "git", git)
+        monkeypatch.setattr(bench_pairs, "export", export)
+        monkeypatch.setattr(bench_pairs, "run_once", no_run)
+        monkeypatch.setattr(bench_pairs, "interleave_once", no_run)
+        assert bench_pairs.main(["--parent", "p", "--change", "c", "--label", "t",
+                                 "--what", "synthetic", "--claim", claim]) == 2
+        assert f"--claim {claim!r} is none of" in capsys.readouterr().err
+        assert not (tmp_path / "BENCH_t.json").exists()
+
+
 class TestTracedCounts:
     def test_each_count_metric_on_both_sides(self):
         traced = [_traced("conjugate", "parent", 61802, 23623),

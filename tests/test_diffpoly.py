@@ -1,6 +1,8 @@
 import gc
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from conftest import (
     rat,
     word_coefficient,
 )
+from vdfield.cli import field_from_config
 import vdfield.diffpoly as diffpoly_module
 from vdfield.diffpoly import (
     DiffPoly,
@@ -26,6 +29,7 @@ from vdfield.diffpoly import (
     comp_conj,
     derivatives,
     dominant,
+    dwt,
     evaluate,
     fnk,
     gauss_val,
@@ -578,11 +582,20 @@ class TestDominant:
         assert data.ddeg == 2
         assert data.dominant_part == {(2,): Fraction(3), (1,): Fraction(1)}
 
+    # the two polynomials of the golden ddeg invocations, whose reports read "dwt": 0
+    @pytest.mark.parametrize("config, text", [("laurent.json", "Y^2 + t*Y'"),
+                                              ("tddt.json", "s*Y'^2 + t*Y*Y' - 2*Y^3")])
+    def test_dwt_of_the_golden_ddeg_polynomials(self, config, text):
+        with open(Path(__file__).resolve().parents[1] / "configs" / config) as fh:
+            P = parse_poly(text, field_from_config(json.load(fh)))
+        assert dwt(P) == dominant(P).dwt == 0
+
     def test_invariants(self, rng):
         K = laurent_tddt_coarse()
         for _ in range(40):
             P = random_poly(K, rng, order=2, max_degree=3)
             data = dominant(P)
+            assert dwt(P) == data.dwt
             assert max(map(mi_degree, data.D.terms)) == data.ddeg
             assert all(mi_weight(i) == data.dwt for i in data.W.terms)
             assert gauss_val(data.D) == gauss_val(data.W) == gauss_val(P)

@@ -4,10 +4,13 @@ plain classes that replaced the decorator change nothing a caller sees.
 The classes are found by walking Record's subclasses, so a new record
 class must be pinned here."""
 
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from vdfield.cli import field_from_config
 from vdfield.coarsen import Coarsening, coarsen
 from vdfield.diffpoly import dominant
 from vdfield.errors import VdfError
@@ -32,7 +35,7 @@ from vdfield.gridseries import (
     transseries_fragment,
 )
 from vdfield.hsolve import LinearOperator, SolveTrace, op_A
-from vdfield.newton import CutDegreeCertificate, PcSequence
+from vdfield.newton import CutDegreeCertificate, PcSequence, gamma_der
 from vdfield.records import FrozenRecord, Record
 from vdfield.valgroup import ConvexSubgroup, Cut, GroupElement
 
@@ -230,6 +233,44 @@ def test_keyword_construction_and_defaults():
     half = coarsen(laurent_tddt_coarse(), 1)
     again = Coarsening(base=half.base, delta=half.delta, residue_field=half.residue_field)
     assert again == half and again.k == 1
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_every_field_by_keyword_builds_the_record_built_by_position(name):
+    cls = RECORDS[name]
+    values = _astuple(name, {**FROZEN, **MUTABLE}[name][0]())
+    by_position = cls(*values)
+    by_keyword = cls(**dict(zip(FIELDS[name], values)))
+    assert by_keyword == by_position
+    assert repr(by_keyword) == repr(by_position)
+    assert _astuple(name, by_keyword) == _astuple(name, by_position)
+
+
+def test_the_binder_is_made_once_per_class_and_speaks_for_it():
+    Cut(ambient_rank=2)
+    binder = vars(Cut)["_binder"]
+    assert Cut(ambient_rank=3, inclusive=False) == Cut(3, (), False)
+    assert vars(Cut)["_binder"] is binder
+    with pytest.raises(TypeError) as missing:
+        Cut()
+    assert str(missing.value) == "Cut() missing 1 required positional argument: 'ambient_rank'"
+    with pytest.raises(TypeError) as extra:
+        Cut(1, (), True, None)
+    # Python counts the binder's cls among the positional arguments
+    assert str(extra.value) == "Cut() takes from 2 to 4 positional arguments but 5 were given"
+
+
+def test_the_workload_paths_build_no_binder(monkeypatch):
+    # all-positional calls and trailing defaults (Cut(k, bound),
+    # Generator(name, value)) are assigned without one
+    for cls in (Cut, Generator):
+        monkeypatch.delattr(cls, "_binder", raising=False)
+    fresh = transseries_fragment.__wrapped__(3)
+    assert isinstance(gamma_der(fresh), Cut)
+    with open(Path(__file__).resolve().parents[1] / "configs" / "tddt.json") as fh:
+        config = field_from_config(json.load(fh))
+    assert config.generators and all(isinstance(g, Generator) for g in config.generators)
+    assert "_binder" not in vars(Cut) and "_binder" not in vars(Generator)
 
 
 def test_convex_subgroup_checks_its_prefix():

@@ -1,3 +1,6 @@
+import copy
+import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -115,6 +118,23 @@ class TestLexOrder:
         assert INFINITY + g is INFINITY
         assert INFINITY == INFINITY
 
+    # [INFINITY < other, <=, >, >=]: +infinity lies above every element and
+    # every int, and equals only itself
+    @pytest.mark.parametrize("other, want", [(GroupElement([100, -3]), [False, False, True, True]),
+                                             (INFINITY, [False, True, False, True]),
+                                             (5, [False, False, True, True])])
+    def test_infinity_orders_against_an_element_itself_and_an_int(self, other, want):
+        ops = (operator.lt, operator.le, operator.gt, operator.ge)
+        assert [op(INFINITY, other) for op in ops] == want
+        # the reflected order: other < INFINITY is INFINITY > other, and so on
+        assert [op(other, INFINITY) for op in ops] == want[2:] + want[:2]
+
+    def test_infinity_is_one_instance_through_copy_and_pickle(self):
+        assert copy.copy(INFINITY) is INFINITY
+        assert copy.deepcopy([INFINITY])[0] is INFINITY
+        assert pickle.loads(pickle.dumps(INFINITY)) is INFINITY
+        assert hash(INFINITY) == hash(copy.copy(INFINITY))
+
     @pytest.mark.parametrize("rank", [0, 1, 3])
     def test_an_element_is_not_infinity_in_either_order(self, rank):
         # GroupElement.__eq__ leaves INFINITY to _Infinity.__eq__
@@ -202,6 +222,33 @@ class TestCuts:
         assert Cut(rank, (0,) * rank).depth == rank
         with pytest.raises(VdfError, match=rf"^cut depth {rank + 1} outside \[0, {rank}\]$"):
             Cut(rank, (0,) * (rank + 1))
+
+    @pytest.mark.parametrize("rank", [0, 2, 4])
+    def test_shift_by_prefix_refuses_a_delta_of_another_rank(self, rank):
+        # shorter or longer, as contains refuses one
+        cut = Cut(3, (1, 2))
+        with pytest.raises(RankMismatch, match=rf"^rank {rank} vs cut rank 3$"):
+            cut.shift_by_prefix(GroupElement([1] * rank))
+        assert cut.shift_by_prefix(GroupElement([1, 2, 3])) == Cut(3, (0, 0))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Cut(2.5), "ambient_rank 2.5 is no int"),
+        (lambda: Cut(True, (1,)), "ambient_rank True is no int"),
+        (lambda: Cut("2"), "ambient_rank '2' is no int"),
+        (lambda: Cut(2, (1,), 0), "inclusive 0 is no bool"),
+        (lambda: Cut(1, (1,), "no"), "inclusive 'no' is no bool"),
+        (lambda: Cut(ambient_rank=2, inclusive=None), "inclusive None is no bool"),
+        (lambda: ConvexSubgroup(2.5, 1), "ambient_rank 2.5 is no int"),
+        (lambda: ConvexSubgroup(2, True), "prefix_len True is no int"),
+        (lambda: ConvexSubgroup(prefix_len=Fraction(1), ambient_rank=2),
+         r"prefix_len Fraction\(1, 1\) is no int"),
+    ], ids=["cut-float-rank", "cut-bool-rank", "cut-str-rank", "cut-int-inclusive",
+            "cut-str-inclusive", "cut-none-inclusive", "convex-float-rank", "convex-bool-prefix",
+            "convex-fraction-prefix"])
+    def test_a_field_of_the_wrong_type_is_refused_by_name(self, build, message):
+        # a bool is no int here, and an int no bool
+        with pytest.raises(VdfError, match=rf"^{message}$"):
+            build()
 
     def test_max_element(self):
         full = Cut(2, (0, 0), inclusive=True)

@@ -11,7 +11,9 @@ benchmark.  Seeds 11-20 make ten pairs per workload, and the side that
 runs first alternates from seed to seed; seed 4242, which the benchmark
 holds back for checking claims, makes one more pair.  A traced run
 (--trace 1) of each side at seed 11 gives the per-layer counts of the
-in-process workloads.
+in-process workloads.  A --claim that is not a workload and an
+end-to-end metric of BENCHMARK.json is refused, with exit status 2,
+before any run.
 
 The summary gives, per workload and end-to-end metric, each side's
 median and quartiles over the pairs (a workload with fewer than two
@@ -155,6 +157,12 @@ def metric_of(run, name):
     return run["result"]["metrics"][name]["value"]
 
 
+def claims(metrics) -> list:
+    """The claims --claim accepts: a workload, a space and the name of an
+    end-to-end metric."""
+    return [f"{workload} {m['name']}" for workload in WORKLOADS for m in metrics]
+
+
 def summarize(runs, metrics, claim):
     """{workload: {metric: {...}}} over the paired seeds; see the module doc."""
     by_key = {(r["workload"], r["seed"], r["side"]): r for r in runs if ok(r)}
@@ -249,7 +257,8 @@ def main(argv=None) -> int:
     ap.add_argument("--change", default="HEAD", help="the commit measured as the change")
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     ap.add_argument("--what", required=True, help="one line on what the change does")
-    ap.add_argument("--claim", default=None, help='the claimed "<workload> <metric>", if any')
+    ap.add_argument("--claim", default=None, help='the claimed "<workload> <metric>", if any; '
+                    'the metric is an end-to-end one of BENCHMARK.json')
     args = ap.parse_args(argv)
 
     repo = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()).decode().strip())
@@ -267,6 +276,9 @@ def main(argv=None) -> int:
         with open(copies["parent"] / "BENCHMARK.json") as fh:
             bench = json.load(fh)
         metrics, seconds = bench["end_to_end"], bench["run_seconds"]
+        if args.claim is not None and args.claim not in claims(metrics):
+            print(f"--claim {args.claim!r} is none of {claims(metrics)}", file=sys.stderr)
+            return 2
         for workload in WORKLOADS:
             for k, seed in enumerate(PAIR_SEEDS + [CHECK_SEED]):
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
