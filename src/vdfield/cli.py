@@ -36,23 +36,15 @@ from .valgroup import INFINITY, PREFIX, GroupElement, _frac, unit
 # -- field configs ----------------------------------------------------------------
 
 
-def _config_entry(what: str, x, *types):
-    """x if its type is one of types (a bool is no int, a float no rational)."""
-    if type(x) not in types:
-        raise ConfigError(f"malformed field config: {what} is a {type(x).__name__}: {x!r}")
-    return x
-
-
 def field_from_config(doc: dict) -> FieldInstance:
     try:
-        rank = _config_entry("rank", doc["rank"], int)
+        rank = doc["rank"]
+        if type(rank) is not int:  # a bool is no int
+            raise TypeError(f"rank is a {type(rank).__name__}: {rank!r}")
         gen_docs = list(doc["generators"])
-        gens = [Generator(str(gd["name"]), GroupElement(
-                    [_config_entry("value", x, int, str) for x in gd["value"]]))
-                for gd in gen_docs]
+        gens = [Generator(str(gd["name"]), GroupElement(gd["value"])) for gd in gen_docs]
         logders = [str(gd["logder"]) for gd in gen_docs]
-        declared = (GroupElement([_config_entry("shift", x, int, str) for x in doc["shift"]])
-                    if "shift" in doc else None)
+        declared = GroupElement(doc["shift"]) if "shift" in doc else None
         name = str(doc.get("name", "config"))
     except KeyError as exc:
         raise ConfigError(f"malformed field config: missing entry {exc.args[0]!r}")
@@ -101,6 +93,20 @@ MAX_SAMPLES = 10_000
 MAX_ITER = 4_096
 
 
+def _bounded_int(least: Optional[int], most: int):
+    """The argparse type of an int option in [least, most] (no lower bound for None);
+    named int, so text that is no int keeps argparse's "invalid int value" message."""
+    def read(text: str) -> int:
+        n = int(text)
+        if least is not None and n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        if n > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {n}")
+        return n
+    read.__name__ = "int"
+    return read
+
+
 def load_field(source: str) -> FieldInstance:
     """A field argument is a config path or a built-in name."""
     if source == "laurent_ddt":
@@ -145,7 +151,7 @@ def cut_report(cut) -> dict:
     if cut.kind != PREFIX:
         return {"kind": cut.kind}
     return {
-        "kind": "prefix",
+        "kind": PREFIX,
         "depth": cut.depth,
         "bound": [str(b) for b in cut.bound],
         "inclusive": cut.inclusive,
@@ -169,19 +175,6 @@ def _rational(text: str) -> Fraction:
 def _tau(args, rank: int) -> Optional[GroupElement]:
     """The optional --tau of solve, demo and check-bll."""
     return _parse_vector(args.tau, rank) if args.tau else None
-
-
-def _require_count(n: int, flag: str, limit: int) -> None:
-    if n < 1:
-        raise VdfError(f"{flag} must be at least 1, got {n}")
-    if n > limit:
-        raise VdfError(f"{flag} must be at most {limit}, got {n}")
-
-
-def _require_solver_sizes(args) -> None:
-    if args.depth > MAX_DEPTH:
-        raise VdfError(f"--depth must be at most {MAX_DEPTH}, got {args.depth}")
-    _require_count(args.max_iter, "--max-iter", MAX_ITER)
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -212,16 +205,14 @@ def _cmd_breakpoints(args) -> dict:
     return {"breakpoints": [val_strings(b) for b in breakpoints(P)]}
 
 
+# --kind of conj -> the conjugation it applies
+_CONJUGATIONS = {"add": add_conj, "mul": mul_conj, "comp": comp_conj}
+
+
 def _cmd_conj(args) -> dict:
     P = parse_poly(args.expr, args.field)
     by = parse_series(args.by, args.field)
-    if args.kind == "add":
-        Q = add_conj(P, by)
-    elif args.kind == "mul":
-        Q = mul_conj(P, by)
-    else:
-        Q = comp_conj(P, by)
-    return {"kind": args.kind, "result": poly_report(Q)}
+    return {"kind": args.kind, "result": poly_report(_CONJUGATIONS[args.kind](P, by))}
 
 
 def _cmd_eval(args) -> dict:
@@ -248,7 +239,6 @@ def _cmd_coarsen(args) -> dict:
 
 def _cmd_probe(args) -> dict:
     from .newton import flex_probe
-    _require_count(args.samples, "--samples", MAX_SAMPLES)
     P = parse_poly(args.expr, args.field)
     beta = _parse_vector(args.beta, args.field.rank)
     classes = flex_probe(P, beta, args.samples, seed=args.seed)
@@ -263,18 +253,13 @@ def _cmd_probe(args) -> dict:
 
 def _cmd_solve(args) -> dict:
     from .hsolve import LinearOperator, op_A, op_B, solve_linear
-    _require_solver_sizes(args)
     field = (log_fragment if args.op == "B" else transseries_fragment)(args.depth)
-    if args.op == "A":
-        op = op_A(field, args.depth)
-    elif args.op == "B":
-        op = op_B(field, args.depth)
-    else:
+    if args.op == "custom":
         if not args.a0 or not args.a1:
             raise VdfError("--op custom requires --a0 and --a1")
-        op = LinearOperator(
-            parse_series(args.a0, field), parse_series(args.a1, field)
-        )
+        op = LinearOperator(parse_series(args.a0, field), parse_series(args.a1, field))
+    else:
+        op = (op_B if args.op == "B" else op_A)(field, args.depth)
     rhs = parse_series(args.rhs, field)
     tau = _tau(args, field.rank)
     if tau is None:
@@ -288,7 +273,6 @@ def _cmd_solve(args) -> dict:
 
 def _cmd_demo(args) -> dict:
     from .hsolve import demo_nonuniqueness
-    _require_solver_sizes(args)
     c_list = [_rational(c) for c in args.c.split(",") if c.strip()]
     return demo_nonuniqueness(args.depth, c_list, _tau(args, args.depth + 2),
                               max_iter=args.max_iter)
@@ -296,7 +280,6 @@ def _cmd_demo(args) -> dict:
 
 def _cmd_check_bll(args) -> dict:
     from .hsolve import check_bll
-    _require_solver_sizes(args)
     return check_bll(args.depth, _tau(args, args.depth + 1), max_iter=args.max_iter)
 
 
@@ -311,7 +294,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 _FIELD = ("--field", dict(required=True, help="config path or built-in name"))
 _EXPR = ("expr", {})
-_DEPTH = ("--depth", dict(type=int, required=True))
+_DEPTH = ("--depth", dict(type=_bounded_int(None, MAX_DEPTH), required=True))
+_ITERATIONS = _bounded_int(1, MAX_ITER)
 
 # subcommand -> (help, handler, options), each option as (name, the
 # keywords of add_argument), in the order --help lists them
@@ -322,7 +306,7 @@ COMMANDS = {
     "breakpoints": ("tropical breakpoints", _cmd_breakpoints, [_FIELD, _EXPR]),
     "conj": ("conjugate a polynomial", _cmd_conj, [
         _FIELD, _EXPR,
-        ("--kind", dict(choices=["add", "mul", "comp"], required=True)),
+        ("--kind", dict(choices=_CONJUGATIONS, required=True)),
         ("--by", dict(required=True))]),
     "eval": ("evaluate a polynomial", _cmd_eval, [
         _FIELD, _EXPR,
@@ -335,7 +319,7 @@ COMMANDS = {
     "probe": ("flexibility sampling probe", _cmd_probe, [
         _FIELD, _EXPR,
         ("--beta", dict(required=True, help="comma-separated rationals")),
-        ("--samples", dict(type=int, default=100)),
+        ("--samples", dict(type=_bounded_int(1, MAX_SAMPLES), default=100)),
         ("--seed", dict(type=int, default=11))]),
     "solve": ("first-order linear solve in a fragment", _cmd_solve, [
         _DEPTH,
@@ -344,16 +328,16 @@ COMMANDS = {
         ("--a1", dict(help="custom operator: derivative part")),
         ("--rhs", dict(default="e_x")),
         ("--tau", dict(help="comma-separated rationals")),
-        ("--max-iter", dict(type=int, default=64))]),
+        ("--max-iter", dict(type=_ITERATIONS, default=64))]),
     "demo": ("non-uniqueness report", _cmd_demo, [
         _DEPTH,
         ("--c", dict(default="0,1", help="comma-separated constants")),
         ("--tau", {}),
-        ("--max-iter", dict(type=int, default=128))]),
+        ("--max-iter", dict(type=_ITERATIONS, default=128))]),
     "check-bll": ("solve B(y)=1 and lift along e_x", _cmd_check_bll, [
         _DEPTH,
         ("--tau", {}),
-        ("--max-iter", dict(type=int, default=128))]),
+        ("--max-iter", dict(type=_ITERATIONS, default=128))]),
 }
 
 

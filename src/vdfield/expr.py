@@ -23,7 +23,7 @@ from typing import List, Optional, Union
 
 from .diffpoly import DiffPoly, _padded, _sum_terms
 from .errors import ParseError, UnboundSymbol, VdfError
-from .gridseries import FieldInstance, Series
+from .gridseries import FieldInstance, Series, _is_name
 from .records import FrozenRecord, Record
 
 
@@ -90,7 +90,7 @@ class Token(Record):
     _fields = __slots__ = ("kind", "text", "line", "col")
 
 
-# a number is decimal digits; a word is a name when it starts with a letter or _
+# a number is decimal digits; a word must be a name (gridseries._is_name)
 _TOKEN = re.compile(r"(\d+)|(\w+)|([-+*^()/'])|(\S)")
 _KINDS = (None, "num", "name", "op")
 
@@ -100,9 +100,8 @@ def _tokenize(text: str) -> List[Token]:
     lines = text.split("\n")
     for line, chars in enumerate(lines, 1):
         for m in _TOKEN.finditer(chars):
-            ch = m[0][0]
-            if m.lastindex == 4 or m.lastindex == 2 and not (ch.isalpha() or ch == "_"):
-                raise ParseError(f"unexpected character {ch!r}", line, m.start())
+            if m.lastindex == 4 or m.lastindex == 2 and not _is_name(m[0]):
+                raise ParseError(f"unexpected character {m[0][0]!r}", line, m.start())
             toks.append(Token(_KINDS[m.lastindex], m[0], line, m.start()))
     toks.append(Token("end", "", len(lines), len(lines[-1])))
     return toks
@@ -280,23 +279,11 @@ def print_expr(node: Node) -> str:
             return "Y" + "'" * node.order
         return f"Y^({node.order})"
     if isinstance(node, Pow):
-        base = print_expr(node.base)
-        if isinstance(node.base, (Add, Neg, Mul, Pow)):
-            base = f"({base})"
-        return f"{base}^{node.exponent}"
+        return f"{_wrapped(node.base, (Add, Neg, Mul, Pow))}^{node.exponent}"
     if isinstance(node, Neg):
-        inner = print_expr(node.operand)
-        if isinstance(node.operand, (Add, Mul)):
-            inner = f"({inner})"
-        return f"-{inner}"
+        return "-" + _wrapped(node.operand, (Add, Mul))
     if isinstance(node, Mul):
-        parts = []
-        for f in node.factors:
-            s = print_expr(f)
-            if isinstance(f, (Add, Neg)):
-                s = f"({s})"
-            parts.append(s)
-        return "*".join(parts)
+        return "*".join(_wrapped(f, (Add, Neg)) for f in node.factors)
     if isinstance(node, Add):
         out = print_expr(node.terms[0])
         for t in node.terms[1:]:
@@ -306,6 +293,13 @@ def print_expr(node: Node) -> str:
                 out += f" + {print_expr(t)}"
         return out
     raise VdfError(f"unknown AST node {node!r}")
+
+
+def _wrapped(node: Node, kinds: tuple) -> str:
+    """print_expr's one parenthesis rule: node printed, in parentheses
+    when it is one of kinds."""
+    text = print_expr(node)
+    return f"({text})" if isinstance(node, kinds) else text
 
 
 # -- lowering ---------------------------------------------------------------------

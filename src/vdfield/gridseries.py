@@ -59,6 +59,13 @@ def _dot(key: tuple, col: List[Tuple[int, int]]) -> int:
     return t
 
 
+def _is_name(text: str) -> bool:
+    """Whether text is a NAME of the grammar: word characters (alphanumeric
+    or _, as regex \\w), the first a letter or _."""
+    word = text.replace("_", "a")
+    return word[:1].isalpha() and word.isalnum()
+
+
 class Monomial(FrozenRecord):
     """A product of rational powers of the field's generators, exponents in
     valgroup._coord's normal form (built only by monomial_from_dict and
@@ -67,7 +74,7 @@ class Monomial(FrozenRecord):
     _fields = __slots__ = ("exponents",)
 
     def __init__(self, exponents: Iterable[Rat]):
-        super().__init__(tuple(map(_coord, exponents)))
+        super().__init__(GroupElement(exponents).coords)
 
     def __repr__(self):
         return "Monomial" + str(tuple(str(e) for e in self.exponents))
@@ -96,6 +103,9 @@ class FieldInstance:
         if len(set(names)) != len(names):
             raise ConfigError("generator names must be distinct")
         for i, g in enumerate(generators):
+            if g.name == "Y" or not _is_name(g.name):  # the grammar could not name it
+                raise ConfigError(f"generator name {g.name!r}: a name is word characters, "
+                                  "the first a letter or _, and not Y")
             if g.value.rank != rank:
                 raise RankMismatch(
                     f"generator {g.name}: value rank {g.value.rank} != {rank}"

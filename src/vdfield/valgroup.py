@@ -79,12 +79,16 @@ class GroupElement:
     """An element of Q^n with the lexicographic order.
 
     Immutable; supports +, -, unary -, rational scaling, and total
-    comparison.  Comparison and arithmetic require equal ranks.
+    comparison.  Comparison and arithmetic require equal ranks.  Read
+    from an iterable of rationals; text or a dict is refused, not split.
     """
 
     __slots__ = ("coords",)
 
     def __init__(self, coords: Iterable[Rat]):
+        if isinstance(coords, (str, bytes, dict)) or not isinstance(coords, Iterable):
+            raise TypeError(f"expected a sequence of rationals, found "
+                            f"{type(coords).__name__} {coords!r}")
         _set_coords(self, tuple(map(_coord, coords)))
 
     def __setattr__(self, name, value):
@@ -247,8 +251,8 @@ PREFIX = "prefix"
 class Cut(FrozenRecord):
     """A downward-closed subset of Q^rank: {gamma : proj_depth(gamma) <
     bound} plus, when inclusive, the whole coset {gamma : proj_depth(gamma)
-    = bound}, where depth = len(bound).  The bound is read from any iterable
-    of rationals into _coord's normal form, and a depth above the rank is refused.
+    = bound}, where depth = len(bound).  The bound is read as a GroupElement
+    is, into _coord's normal form, and a depth above the rank is refused.
 
     The trivial cuts are the depth-0 cuts: the whole group is the
     inclusive one, Cut(rank), and the empty set the exclusive one,
@@ -262,7 +266,7 @@ class Cut(FrozenRecord):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        object.__setattr__(self, "bound", tuple(map(_coord, self.bound)))
+        object.__setattr__(self, "bound", GroupElement(self.bound).coords)
         for field, kind in ("ambient_rank", int), ("inclusive", bool):
             if type(getattr(self, field)) is not kind:
                 raise VdfError(f"{field} {getattr(self, field)!r} is no {kind.__name__}")

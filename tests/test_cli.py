@@ -58,6 +58,8 @@ from vdfield.valgroup import Cut, GroupElement, _frac
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = [json.loads(line) for line in
           (REPO / "tests" / "data" / "cli_golden.jsonl").read_text().splitlines()]
+HELP = [json.loads(line) for line in
+        (REPO / "tests" / "data" / "cli_help.jsonl").read_text().splitlines()]
 
 
 class TestGrammar:
@@ -150,11 +152,57 @@ def _composite(children):
 _asts = st.recursive(_leaves(), _composite, max_leaves=12)
 
 
+def _ref_print_expr(node) -> str:
+    """print_expr as it was written with one parenthesis test per branch,
+    the oracle of its strings."""
+    if isinstance(node, Lit):
+        return str(node.value)
+    if isinstance(node, Sym):
+        return node.name
+    if isinstance(node, DY):
+        if node.order <= 3:
+            return "Y" + "'" * node.order
+        return f"Y^({node.order})"
+    if isinstance(node, Pow):
+        base = _ref_print_expr(node.base)
+        if isinstance(node.base, (Add, Neg, Mul, Pow)):
+            base = f"({base})"
+        return f"{base}^{node.exponent}"
+    if isinstance(node, Neg):
+        inner = _ref_print_expr(node.operand)
+        if isinstance(node.operand, (Add, Mul)):
+            inner = f"({inner})"
+        return f"-{inner}"
+    if isinstance(node, Mul):
+        parts = []
+        for f in node.factors:
+            s = _ref_print_expr(f)
+            if isinstance(f, (Add, Neg)):
+                s = f"({s})"
+            parts.append(s)
+        return "*".join(parts)
+    if isinstance(node, Add):
+        out = _ref_print_expr(node.terms[0])
+        for t in node.terms[1:]:
+            if isinstance(t, Neg) and not isinstance(t.operand, (Add, Mul)):
+                out += f" - {_ref_print_expr(t.operand)}"
+            else:
+                out += f" + {_ref_print_expr(t)}"
+        return out
+    raise VdfError(f"unknown AST node {node!r}")
+
+
 class TestRoundTrip:
     @given(_asts)
     @settings(max_examples=500, deadline=None)
     def test_parse_print_round_trip(self, ast):
         assert parse_expr(print_expr(ast)) == ast
+
+    @given(_asts)
+    @settings(max_examples=500, deadline=None)
+    def test_printed_string_is_the_reference_one(self, ast):
+        # the round trip alone would pass a changed but readable string
+        assert print_expr(ast) == _ref_print_expr(ast)
 
     def test_spot_checks(self):
         for text in ["Y'^2*Y - 3/2*t", "-(t + 1)", "t^-1/2", "(Y')^3",
@@ -464,6 +512,35 @@ class TestBadInput:
         assert message == f"malformed field config: zero denominator in {text!r}"
         assert "Fraction(" not in message
 
+    @pytest.mark.parametrize("doc, shown", [
+        ({"rank": 2, "generators": [dict(_T2, value="10"), dict(_S2, value="01")]}, "str '10'"),
+        ({"rank": 2, "generators": [_T2, _S2], "shift": "00"}, "str '00'"),
+        ({"rank": 1, "generators": [dict(_T_GEN, value=1)]}, "int 1"),
+        ({"rank": 1, "generators": [dict(_T_GEN, value={"1": 0})]}, "dict {'1': 0}"),
+    ], ids=["value-text", "shift-text", "value-number", "value-object"])
+    def test_a_vector_entry_must_be_an_array(self, tmp_path, doc, shown):
+        # text was split into its characters: "10" and "01" were read as
+        # the vectors (1, 0) and (0, 1), and t^2*s had the value (2, 1)
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run_in_process(["val", "--field", str(path), "t"])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "contract",
+            "message": f"malformed field config: expected a sequence of rationals, found {shown}"}
+
+    @pytest.mark.parametrize("name", ["2", "Y", "a b", "", 7])
+    def test_a_generator_name_must_be_a_grammar_name(self, tmp_path, name):
+        # no expression could name such a generator, or its repr read back
+        # as another series (3*2 as 6 over a generator called 2)
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"rank": 1, "generators": [dict(_T_GEN, name=name)]}))
+        code, out, err = _run_in_process(["val", "--field", str(path), "1"])
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "contract"
+        assert error["message"].startswith(f"generator name {str(name)!r}: a name is ")
+
     def test_a_missing_config_entry_is_named(self, tmp_path):
         path = tmp_path / "field.json"
         path.write_text(json.dumps({"rank": 1, "generators": [{"name": "t", "logder": "t^-1"}]}))
@@ -656,6 +733,42 @@ class TestBadInput:
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert "must be at most" in _json_error(proc)["message"]
+
+    @pytest.mark.parametrize("args, option, message", [
+        (["solve", "--depth", str(MAX_DEPTH + 1)], "--depth",
+         f"must be at most {MAX_DEPTH}, got {MAX_DEPTH + 1}"),
+        (["demo", "--depth", "99"], "--depth", f"must be at most {MAX_DEPTH}, got 99"),
+        (["check-bll", "--depth", "65"], "--depth", f"must be at most {MAX_DEPTH}, got 65"),
+        (["solve", "--depth", "3", "--max-iter", "0"], "--max-iter", "must be at least 1, got 0"),
+        (["demo", "--depth", "3", "--max-iter", str(MAX_ITER + 1)], "--max-iter",
+         f"must be at most {MAX_ITER}, got {MAX_ITER + 1}"),
+        (["check-bll", "--depth", "3", "--max-iter", "-2"], "--max-iter",
+         "must be at least 1, got -2"),
+        (["probe", "--field", "no-such-config.json", "Y'", "--beta", "5", "--samples", "0"],
+         "--samples", "must be at least 1, got 0"),
+        (["probe", "--field", "no-such-config.json", "Y'", "--beta", "5",
+          "--samples", str(MAX_SAMPLES + 1)],
+         "--samples", f"must be at most {MAX_SAMPLES}, got {MAX_SAMPLES + 1}"),
+    ], ids=["solve-depth", "demo-depth", "check-bll-depth", "solve-max-iter",
+            "demo-max-iter", "check-bll-max-iter", "probe-samples-0", "probe-samples-above"])
+    def test_a_bound_is_refused_as_the_command_line_is_parsed(self, args, option, message):
+        # by the option's own type: before the field is read (the probe's
+        # config does not exist) and before any sample or iteration runs
+        code, out, err = _run_in_process(args)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "contract", "message": f"vdf {args[0]}: argument {option}: {message}"}
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--depth", "x"],
+        ["demo", "--depth", "3", "--max-iter", "x"],
+        ["probe", "--field", "laurent_ddt", "Y'", "--beta", "5", "--samples", "x"],
+    ], ids=["depth", "max-iter", "samples"])
+    def test_text_that_is_no_int_keeps_argparse_message(self, args):
+        code, out, err = _run_in_process(args)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["message"] == (
+            f"vdf {args[0]}: argument {args[-2]}: invalid int value: 'x'")
 
     @pytest.mark.parametrize("text", [
         "3^10000",
@@ -913,6 +1026,24 @@ class TestBadInput:
         assert proc.returncode == 0
         assert proc.stdout.startswith(b"usage: vdf")
         assert proc.stderr == b""
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="recorded with Python 3.11, whose argparse lays out help as recorded")
+class TestHelp:
+    """The command surface, byte for byte: the --help text of vdf and of
+    each subcommand at COLUMNS=80, as recorded in tests/data/cli_help.jsonl."""
+
+    def test_every_command_is_recorded(self):
+        assert [case["argv"] for case in HELP] == [["--help"]] + [[n, "--help"] for n in COMMANDS]
+
+    @pytest.mark.parametrize("case", HELP, ids=[" ".join(c["argv"]) for c in HELP])
+    def test_help_unchanged(self, case, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_:
+            run(case["argv"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out == case["stdout"]
 
 
 class TestGolden:

@@ -1,5 +1,6 @@
 import math
 import operator
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from test_truncation import (
     tau_only_logder,
 )
 from vdfield.errors import (
+    ConfigError,
     IndeterminateValuation,
     RankMismatch,
     TruncationUnreachable,
@@ -800,6 +802,12 @@ class TestOneTermConstructor:
             with pytest.raises(TypeError, match=rf"^expected an int, Fraction or text, found {name} "):
                 build()
 
+    @pytest.mark.parametrize("x, shown", [("12", "str '12'"), (12, "int 12")])
+    def test_exponents_are_no_text_and_no_number(self, x, shown):
+        # read as GroupElement reads a vector: "12" was the exponents (1, 2)
+        with pytest.raises(TypeError, match=f"^expected a sequence of rationals, found {shown}$"):
+            Monomial(x)
+
 
 # -- term dicts are shared, never mutated ---------------------------------------------
 
@@ -1384,6 +1392,21 @@ class TestRepr:
     @settings(max_examples=200, deadline=None)
     def test_parse_series_reads_the_repr_back(self, f):
         assert parse_series(repr(f), f.field) == f
+
+    @pytest.mark.parametrize("name", ["t", "_", "e_x", "x2", "\u00e9", "x\u00b2"])
+    def test_any_grammar_name_reads_back(self, name):
+        K = FieldInstance(2, [Generator("s", GroupElement([1, 0])),
+                              Generator(name, GroupElement([0, 1]))])
+        f = K.term(GroupElement([0, 1]), 3) + K.term(GroupElement([1, -2]), "1/2") + K.one()
+        assert parse_series(repr(f), K) == f
+
+    @pytest.mark.parametrize("name", ["2", "Y", "a b", "", "t'", "\u00b2x", "x-1"])
+    def test_a_name_the_grammar_cannot_read_is_refused(self, name):
+        # over a generator called 2, 3*m was printed 3*2 and read back as 6
+        message = f"^generator name {re.escape(repr(name))}: a name is word characters, "
+        with pytest.raises(ConfigError, match=message):
+            FieldInstance(2, [Generator("s", GroupElement([1, 0])),
+                              Generator(name, GroupElement([0, 1]))])
 
     def test_coefficients_and_truncation(self):
         K = laurent_ddt()

@@ -16,6 +16,7 @@ import pytest
 
 from vdfield.errors import ParseError
 from vdfield.expr import Token, _tokenize
+from vdfield.gridseries import _is_name
 
 
 def _reference_tokenize(text: str) -> List[Token]:
@@ -123,6 +124,18 @@ def test_every_character_alone_and_inside_a_name(start, stop, step):
         ch = chr(cp)
         for text in (ch, f"t{ch}1 {ch}", f"2{ch}\n{ch}t"):
             _check(text)
+
+
+@pytest.mark.parametrize("start,stop,step", [(0, 0x10000, 1), (0x10000, sys.maxunicode + 1, 97)],
+                         ids=["bmp", "astral"])
+def test_a_generator_name_is_text_that_reads_as_one_name(start, stop, step):
+    # FieldInstance refuses a generator name that fails _is_name; it holds
+    # exactly for the text the tokenizer reads as one name token
+    for cp in range(start, stop, step):
+        ch = chr(cp)
+        for text in (ch, f"t{ch}", f"{ch}t", f"_{ch}1"):
+            one_name = _outcome(_tokenize, text)[:1] == [("name", text, 1, 0)]
+            assert _is_name(text) == one_name, text
 
 
 def test_end_token_sits_after_the_last_character():

@@ -1,6 +1,7 @@
 import copy
 import operator
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -410,6 +411,17 @@ class TestExactInput:
         for build in (lambda: _frac(x), lambda: GroupElement([0, x]), lambda: unit(2, 1, x),
                       lambda: zero(2).scale(x), lambda: Cut(2, (x,))):
             with pytest.raises(TypeError, match=rf"^expected an int, Fraction or text, found {name} "):
+                build()
+
+    @pytest.mark.parametrize("x, shown", [
+        ("10", "str '10'"), (b"10", "bytes b'10'"), ({"1": 0}, "dict {'1': 0}"), (5, "int 5"),
+        (Fraction(1, 2), "Fraction Fraction(1, 2)"), (None, "NoneType None")])
+    def test_a_vector_is_no_text_and_no_number(self, x, shown):
+        # GroupElement is the one reader of vectors: text was split into its
+        # characters ("10" as (1, 0)) and a number raised a bare TypeError
+        for build in (lambda: GroupElement(x), lambda: Cut(2, x)):
+            with pytest.raises(TypeError,
+                               match=f"^expected a sequence of rationals, found {re.escape(shown)}$"):
                 build()
 
     def test_exact_input_is_read(self):
