@@ -9,12 +9,12 @@ import sys
 from importlib import import_module
 
 _EXPORTS = {
-    "valgroup": ("INFINITY", "ConvexSubgroup", "Cut", "GroupElement", "cut_contains",
-                 "cut_stabilizer", "lex_cmp", "quotient_map", "with_infinitesimal"),
+    "valgroup": ("INFINITY", "ConvexSubgroup", "Cut", "GroupElement", "cut_stabilizer",
+                 "quotient_map", "with_infinitesimal"),
     "gridseries": ("FieldInstance", "Generator", "Monomial", "Series", "laurent_ddt",
                    "laurent_tddt_coarse", "log_fragment", "transseries_fragment"),
     "diffpoly": ("DiffPoly", "DominantData", "add_conj", "comp_conj", "ddeg", "dominant",
-                 "dwt", "evaluate", "fnk", "gauss_val", "mul_conj"),
+                 "evaluate", "fnk", "gauss_val", "mul_conj"),
     "newton": ("PcSequence", "breakpoints", "flex_probe", "gamma_der", "ndeg", "ndeg_geq",
                "ndeg_in_cut", "ndeg_prec", "s_der", "tropical_ddeg"),
     "coarsen": ("Coarsening", "coarse_val", "coarsen", "coarsened_gamma_der", "lift_val"),

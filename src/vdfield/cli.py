@@ -172,9 +172,10 @@ def _rational(text: str) -> Fraction:
         raise ParseError(f"expected a rational, found {text.strip()!r}")
 
 
-def _tau(args, rank: int) -> Optional[GroupElement]:
-    """The optional --tau of solve, demo and check-bll."""
-    return _parse_vector(args.tau, rank) if args.tau else None
+def _tau(args, family: str) -> Optional[GroupElement]:
+    """The optional --tau of solve, demo and check-bll, in their family's rank."""
+    from .hsolve import solver_family
+    return _parse_vector(args.tau, solver_family(family, args.depth)[0].rank) if args.tau else None
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -252,16 +253,17 @@ def _cmd_probe(args) -> dict:
 
 
 def _cmd_solve(args) -> dict:
-    from .hsolve import LinearOperator, op_A, op_B, solve_linear
-    field = (log_fragment if args.op == "B" else transseries_fragment)(args.depth)
+    from .hsolve import LinearOperator, solve_linear, solver_family
+    family = "A" if args.op == "custom" else args.op  # custom solves in A's field
+    field, op, rhs = solver_family(family, args.depth)
     if args.op == "custom":
         if not args.a0 or not args.a1:
             raise VdfError("--op custom requires --a0 and --a1")
         op = LinearOperator(parse_series(args.a0, field), parse_series(args.a1, field))
-    else:
-        op = (op_B if args.op == "B" else op_A)(field, args.depth)
-    rhs = parse_series(args.rhs, field)
-    tau = _tau(args, field.rank)
+    elif (args.a0, args.a1) != (None, None):
+        raise VdfError(f"--a0 and --a1 apply only to --op custom, not to --op {args.op}")
+    rhs = rhs if args.rhs is None else parse_series(args.rhs, field)
+    tau = _tau(args, family)
     if tau is None:
         tau = field.derivation_shift + rhs.valuation() + unit(field.rank, 0)
     y, trace = solve_linear(op, rhs, tau, max_iter=args.max_iter)
@@ -274,13 +276,13 @@ def _cmd_solve(args) -> dict:
 def _cmd_demo(args) -> dict:
     from .hsolve import demo_nonuniqueness
     c_list = [_rational(c) for c in args.c.split(",") if c.strip()]
-    return demo_nonuniqueness(args.depth, c_list, _tau(args, args.depth + 2),
+    return demo_nonuniqueness(args.depth, c_list, _tau(args, "A"),
                               max_iter=args.max_iter)
 
 
 def _cmd_check_bll(args) -> dict:
     from .hsolve import check_bll
-    return check_bll(args.depth, _tau(args, args.depth + 1), max_iter=args.max_iter)
+    return check_bll(args.depth, _tau(args, "B"), max_iter=args.max_iter)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -326,7 +328,7 @@ COMMANDS = {
         ("--op", dict(choices=["A", "B", "custom"], default="A")),
         ("--a0", dict(help="custom operator: constant part")),
         ("--a1", dict(help="custom operator: derivative part")),
-        ("--rhs", dict(default="e_x")),
+        ("--rhs", {}),
         ("--tau", dict(help="comma-separated rationals")),
         ("--max-iter", dict(type=_ITERATIONS, default=64))]),
     "demo": ("non-uniqueness report", _cmd_demo, [

@@ -267,10 +267,6 @@ def ddeg(P: DiffPoly) -> int:
     return max(map(mi_degree, tropical_argmin(P, lambda v, w: v)[1]))
 
 
-def dwt(P: DiffPoly) -> int:
-    return dominant(P).dwt
-
-
 # -- the compositional kernel -------------------------------------------------
 
 @functools.lru_cache(maxsize=None)

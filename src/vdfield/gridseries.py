@@ -749,6 +749,8 @@ def _fragment(name: str, n_depth: int, head: List[str]) -> FieldInstance:
     i has value -e_i, and l_k has logder (l0*...*l_k)^-1, the monomial of
     value e_h + ... + e_(h+k) for h = len(head): the one place the exp-log
     ladder is spelled.  The logders of head are left to the caller."""
+    if type(n_depth) is not int:  # a bool is no int
+        raise ConfigError(f"depth must be an int, got {n_depth!r}")
     if n_depth < 0:
         raise ConfigError("depth must be >= 0")
     names = head + [f"l{k}" for k in range(n_depth + 1)]

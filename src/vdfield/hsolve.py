@@ -10,7 +10,7 @@ residual sits in a class the operator cannot reach (the depth-N shadow
 of the gap phenomenon) the step fails with IntegrationGap and the
 attempt trail records the resonance cascade.  Each operator memoises
 its responses by v(h) and its successful balances by v(residual), never a
-failure; check_bll and demo_nonuniqueness reuse the field's operators.
+failure; solver_family holds A and B on their fields for every driver.
 
 Asymptotic integration I (pick If with (If)' ~ f) is the special case
 op = der.
@@ -23,7 +23,7 @@ from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from .diffpoly import DiffPoly
-from .errors import IntegrationGap, NonDecreasingResidual, VdfError
+from .errors import ConfigError, IntegrationGap, NonDecreasingResidual, VdfError
 from .gridseries import (
     FieldInstance,
     Series,
@@ -111,6 +111,8 @@ def lambda_series(depth: int, field: Optional[FieldInstance] = None) -> Series:
 
 def _ladder(K: FieldInstance, depth: int, sign: int, *head: Series) -> Series:
     """The sum of head and sign * lambda, in one term dict, at lambda's tau."""
+    if type(depth) is not int or depth < 0 or f"l{depth}" not in K._index:  # a bool is no int
+        raise ConfigError(f"field {K.name!r} has no ladder of depth {depth!r}")
     rungs = [K._logder(K.index_of(f"l{k}")) for k in range(depth + 1)]
     tau = rungs[-1].valuation() + unit(K.rank, K.rank - 1, 1)
     return _sum_series(K, [*head, *rungs], [1] * len(head) + [sign] * len(rungs), tau)
@@ -312,26 +314,34 @@ def _held(make, field: FieldInstance, depth: int) -> LinearOperator:
     return field._derived(f"_{make.__name__}_{depth}", lambda: make(field, depth))
 
 
+# solver family -> its field, its operator and its default right-hand side
+_FAMILIES = {"A": (transseries_fragment, op_A, lambda K: K.gen("e_x")),
+             "B": (log_fragment, op_B, FieldInstance.one)}
+
+
+def solver_family(name: str, depth: int) -> Tuple[FieldInstance, LinearOperator, Series]:
+    """The field of the family name ("A" or "B") at depth, its operator,
+    held on the field, and its default right-hand side."""
+    field_of, op_of, rhs_of = _FAMILIES[name]
+    K = field_of(depth)
+    return K, _held(op_of, K, depth), rhs_of(K)
+
+
 def check_bll(depth: int, tau: Optional[GroupElement] = None,
               max_iter: int = 128) -> dict:
     """Solve B(y) = 1 in the flat fragment, lift along y -> y*e_x, and
     certify that (der - lambda)(y*e_x) - e_x sits above tau + v(e_x)."""
     if depth < 3:
         raise VdfError("check_bll needs depth >= 3")
-    L = log_fragment(depth)
+    L, B, one = solver_family("B", depth)
     if tau is None:
         tau = L._logder(L.index_of(f"l{depth - 1}")).valuation()
-    B = _held(op_B, L, depth)
-    y, trace = solve_linear(B, L.one(), tau, max_iter=max_iter)
+    y, trace = solve_linear(B, one, tau, max_iter=max_iter)
     solved = trace.termination == "reached_tau"
 
-    M = transseries_fragment(depth)
-    A = _held(op_A, M, depth)
-    y_M = y.embed_into(M)
-    lifted = y_M * M.gen("e_x")
-    residual = apply_op(A, lifted) - M.gen("e_x")
-    tau_M = embed_value(L, M, tau)
-    target = tau_M + M.generators[M.index_of("e_x")].value
+    M, A, e_x = solver_family("A", depth)
+    residual = apply_op(A, y.embed_into(M) * e_x) - e_x
+    target = embed_value(L, M, tau) + e_x.valuation()
     bound = residual.val_or_tau()
     passed = solved and bound >= target
     return {
@@ -367,16 +377,13 @@ def demo_nonuniqueness(depth: int, c_list: List[Fraction],
     for i, c in enumerate(c_list):
         if c in c_list[:i]:  # two equal constants leave no difference to solve
             raise VdfError(f"demo_nonuniqueness needs distinct constants; c = {c} is repeated")
-    M = transseries_fragment(depth)
-    A = _held(op_A, M, depth)
+    M, A, e_x = solver_family("A", depth)
     if tau is None:
-        tau = (M._logder(M.index_of(f"l{depth - 1}")).valuation()
-               + M.generators[M.index_of("e_x")].value)
+        tau = M._logder(M.index_of(f"l{depth - 1}")).valuation() + e_x.valuation()
     runs = []
     solutions: Dict[Fraction, Series] = {}
     for c in c_list:
-        g = M.gen("e_x") + M.constant(c)
-        y, trace = solve_linear(A, g, tau, max_iter=max_iter)
+        y, trace = solve_linear(A, e_x + M.constant(c), tau, max_iter=max_iter)
         solutions[c] = y
         entry = {"c": str(c)}
         entry.update(trace.as_report())

@@ -218,14 +218,6 @@ def unit(rank: int, position: int, value: Rat = 1) -> GroupElement:
     return GroupElement._raw(tuple(coords), True)
 
 
-def lex_cmp(a: GroupElement, b: GroupElement) -> int:
-    """Three-way lexicographic comparison: -1, 0, or +1."""
-    a._check_rank(b)
-    if a.coords == b.coords:
-        return 0
-    return -1 if a.coords < b.coords else 1
-
-
 class ConvexSubgroup(FrozenRecord):
     """The convex subgroup {gamma : coords 0..prefix_len-1 all zero} of Q^rank.
 
@@ -320,10 +312,6 @@ class Cut(FrozenRecord):
         op = "<=" if self.inclusive else "<"
         b = "(" + ", ".join(str(c) for c in self.bound) + ")"
         return f"Cut(proj_{self.depth} {op} {b}, rank {self.ambient_rank})"
-
-
-def cut_contains(cut: Cut, gamma: GroupElement) -> bool:
-    return cut.contains(gamma)
 
 
 def cut_stabilizer(cut: Cut) -> ConvexSubgroup:

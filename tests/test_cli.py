@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -60,6 +61,8 @@ GOLDEN = [json.loads(line) for line in
           (REPO / "tests" / "data" / "cli_golden.jsonl").read_text().splitlines()]
 HELP = [json.loads(line) for line in
         (REPO / "tests" / "data" / "cli_help.jsonl").read_text().splitlines()]
+DEEP = [json.loads(line) for line in
+        (REPO / "tests" / "data" / "cli_golden_deep.jsonl").read_text().splitlines()]
 
 
 class TestGrammar:
@@ -377,13 +380,41 @@ class TestCommands:
             "message": f"demo_nonuniqueness needs distinct constants; c = {repeated} is repeated"}
 
     def test_unknown_generator_names_the_field(self):
-        # op B solves in the flat fragment, which has no e_x, the default --rhs
-        proc = run_cli(["solve", "--depth", "3", "--op", "B"])
+        # op B solves in the flat fragment, which has no e_x
+        proc = run_cli(["solve", "--depth", "3", "--op", "B", "--rhs", "e_x"])
         assert proc.returncode == 3
         assert proc.stdout == b""
         assert _json_error(proc) == {
             "error": "parse",
             "message": "unknown generator 'e_x' in field 'log_fragment(3)'"}
+
+    @pytest.mark.parametrize("depth", range(7))
+    def test_each_family_has_its_default_rhs(self, depth):
+        # without --rhs, A (and custom) solve for e_x and B for 1, as B's
+        # flat fragment has no e_x
+        def solve(*extra):
+            return _run_in_process(["solve", "--depth", str(depth), *extra])
+        b = solve("--op", "B")
+        assert b[0] == 0 and b == solve("--op", "B", "--rhs", "1")
+        a = solve()
+        assert a[0] == 0 and a == solve("--rhs", "e_x")
+        custom = solve("--op", "custom", "--a0=-l0^-1", "--a1", "1")
+        assert custom[0] == 0 and custom == solve("--op", "custom", "--a0=-l0^-1", "--a1", "1",
+                                                  "--rhs", "e_x")
+        if depth == 4:
+            golden, = [case for case in GOLDEN if case["argv"] == [
+                "solve", "--depth", "4", "--op", "B", "--rhs", "1"]]
+            assert b == (golden["exit"], golden["stdout"], "")
+
+    @pytest.mark.parametrize("extra", [["--a0", "1"], ["--a1", "5"], ["--a0", "1", "--a1", "5"]],
+                             ids=["a0", "a1", "both"])
+    @pytest.mark.parametrize("op", ["A", "B"])
+    def test_a0_and_a1_are_refused_outside_custom(self, op, extra):
+        code, out, err = _run_in_process(["solve", "--depth", "3", "--op", op, *extra])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "contract",
+            "message": f"--a0 and --a1 apply only to --op custom, not to --op {op}"}
 
     def test_coarsen_command(self):
         proc = run_cli(
@@ -1059,6 +1090,16 @@ class TestGolden:
         assert code == case["exit"]
         assert capsys.readouterr().out == case["stdout"]
 
+
+    @pytest.mark.parametrize("case", DEEP, ids=[" ".join(c["argv"]) for c in DEEP])
+    def test_deep_solver_output_unchanged(self, case, capsys):
+        # the solver drivers at depths 16 to 64, where a line's stdout runs
+        # to 74 KB: tests/data/cli_golden_deep.jsonl keeps its exit code,
+        # byte length and SHA-256
+        code = run(case["argv"])
+        out = capsys.readouterr().out.encode()
+        assert (code, len(out), hashlib.sha256(out).hexdigest()) == (
+            case["exit"], case["bytes"], case["sha256"])
 
     def test_each_field_subcommand_reads_its_field_once(self, capsys, monkeypatch):
         # run reads --field through the module attribute, so a wrapper

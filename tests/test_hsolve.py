@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from vdfield.hsolve import (
     operator_poly,
     psi_map,
     solve_linear,
+    solver_family,
 )
 from vdfield.newton import PcSequence, ndeg_geq, ndeg_in_cut
 from vdfield.valgroup import INFINITY, GroupElement, unit, zero
@@ -112,9 +114,26 @@ class TestLadderReference:
         assert demo["tau"] == val_strings(_ref_rung_value(M, depth - 1) + v_ex)
 
     def test_a_depth_beyond_the_ladder_is_a_config_error(self):
-        message = r"^unknown generator 'l4' in field 'log_fragment\(3\)'$"
+        message = r"^field 'log_fragment\(3\)' has no ladder of depth 4$"
         with pytest.raises(ConfigError, match=message):
             lambda_series(4, log_fragment(3))
+
+    @pytest.mark.parametrize("build", [lambda K, depth: lambda_series(depth, K), op_A, op_B],
+                             ids=["lambda_series", "op_A", "op_B"])
+    @pytest.mark.parametrize("depth", [-1, 3, True, False, 1.0, "1"])
+    def test_a_depth_the_ladder_lacks_is_refused_by_name(self, build, depth):
+        # a depth that is no int >= 0, a bool included, or that has no
+        # rung l<depth> in the field
+        for K in (transseries_fragment(2), log_fragment(2)):
+            message = f"^field '{re.escape(K.name)}' has no ladder of depth {re.escape(repr(depth))}$"
+            with pytest.raises(ConfigError, match=message):
+                build(K, depth)
+
+    @pytest.mark.parametrize("depth", [True, 1.0, "1", None])
+    @pytest.mark.parametrize("family", [transseries_fragment, log_fragment])
+    def test_a_fragment_depth_that_is_no_int_is_refused(self, family, depth):
+        with pytest.raises(ConfigError, match=f"^depth must be an int, got {re.escape(repr(depth))}$"):
+            family.__wrapped__(depth)
 
 
 def _ref_lambda_series(depth, field=None):
@@ -1033,6 +1052,20 @@ class TestHeldOperators:
         log_fragment.cache_clear()
         assert self._reports(depth) == first
         assert hsolve._held(op_B, log_fragment(depth), depth) is not B
+
+
+    @pytest.mark.parametrize("depth", DEPTHS)
+    def test_solver_family_pairs_each_field_with_its_operator(self, depth):
+        # A = der - lambda over transseries_fragment with rhs e_x, and
+        # B = der + (1 - lambda) over log_fragment with rhs 1; the operator
+        # is the one held on the field
+        for name, field, build, rhs in [("A", transseries_fragment, op_A, lambda K: K.gen("e_x")),
+                                        ("B", log_fragment, op_B, lambda K: K.one())]:
+            K, op, g = solver_family(name, depth)
+            assert K is field(depth) and op is hsolve._held(build, K, depth)
+            fresh = build(K, depth)
+            assert (_exactly(op.a0), _exactly(op.a1)) == (_exactly(fresh.a0), _exactly(fresh.a1))
+            assert _exactly(g) == _exactly(rhs(K))
 
 
 class TestCheckBll:
