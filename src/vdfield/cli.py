@@ -12,31 +12,18 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from typing import List, Optional
 
-from .diffpoly import DiffPoly, add_conj, comp_conj, dominant, evaluate, mul_conj
 from .errors import ConfigError, ParseError, VdfError
-from .expr import bounded_decimal, parse_poly, parse_series
-from .gridseries import (
-    FieldInstance,
-    Generator,
-    Series,
-    laurent_ddt,
-    laurent_tddt_coarse,
-    log_fragment,
-    monomial_strings,
-    series_terms,
-    transseries_fragment,
-    val_strings,
-)
-from .valgroup import INFINITY, PREFIX, GroupElement, _frac, unit
 
 
 # -- field configs ----------------------------------------------------------------
 
 
 def field_from_config(doc: dict) -> FieldInstance:
+    from .expr import parse_series
+    from .gridseries import FieldInstance, Generator
+    from .valgroup import GroupElement
     try:
         rank = doc["rank"]
         if type(rank) is not int:  # a bool is no int
@@ -63,6 +50,7 @@ def field_from_config(doc: dict) -> FieldInstance:
 
 
 def field_to_config(field: FieldInstance) -> dict:
+    from .valgroup import INFINITY
     for g in field.generators:
         if g.logder.tau is not INFINITY:  # its repr would end in + O(tau)
             raise VdfError(f"generator {g.name}: a truncated logder has no config form")
@@ -109,6 +97,8 @@ def _bounded_int(least: Optional[int], most: int):
 
 def load_field(source: str) -> FieldInstance:
     """A field argument is a config path or a built-in name."""
+    from .gridseries import laurent_ddt, laurent_tddt_coarse, log_fragment, transseries_fragment
+    from .valgroup import bounded_decimal
     if source == "laurent_ddt":
         return laurent_ddt()
     if source == "laurent_tddt_coarse":
@@ -134,6 +124,8 @@ def load_field(source: str) -> FieldInstance:
 
 
 def series_report(f: Series) -> dict:
+    from .gridseries import series_terms, val_strings
+    from .valgroup import INFINITY
     out = {"terms": series_terms(f)}
     if f.tau is not INFINITY:
         out["tau"] = val_strings(f.tau)
@@ -148,6 +140,7 @@ def poly_report(P: DiffPoly) -> dict:
 
 
 def cut_report(cut) -> dict:
+    from .valgroup import PREFIX
     if cut.kind != PREFIX:
         return {"kind": cut.kind}
     return {
@@ -159,6 +152,7 @@ def cut_report(cut) -> dict:
 
 
 def _parse_vector(text: str, rank: int) -> GroupElement:
+    from .valgroup import GroupElement
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != rank:
         raise VdfError(f"expected {rank} coordinates, got {len(parts)}")
@@ -166,6 +160,7 @@ def _parse_vector(text: str, rank: int) -> GroupElement:
 
 
 def _rational(text: str) -> Fraction:
+    from .valgroup import _frac
     try:
         return _frac(text)
     except ValueError:
@@ -179,44 +174,55 @@ def _tau(args, family: str) -> Optional[GroupElement]:
 
 
 # -- subcommands -------------------------------------------------------------------
-# Each handler imports what it uses of the newton, coarsen or hsolve
-# layer, so a command that needs none of them does not load them.
+# At load this module imports only the standard library and errors; each function
+# imports what it uses from its layer when it runs, so a command loads only those.
 
 
 def _cmd_val(args) -> dict:
+    from .expr import parse_series
+    from .gridseries import val_strings
     f = parse_series(args.expr, args.field)
     return {"v": val_strings(f.valuation())}
 
 
 def _cmd_ddeg(args) -> dict:
+    from .diffpoly import dominant
+    from .expr import parse_poly
     P = parse_poly(args.expr, args.field)
     data = dominant(P)
     return {"ddeg": data.ddeg, "dwt": data.dwt}
 
 
 def _cmd_ndeg(args) -> dict:
+    from .expr import parse_poly
     from .newton import ndeg
     P = parse_poly(args.expr, args.field)
     return {"ndeg": ndeg(P)}
 
 
 def _cmd_breakpoints(args) -> dict:
+    from .expr import parse_poly
+    from .gridseries import val_strings
     from .newton import breakpoints
     P = parse_poly(args.expr, args.field)
     return {"breakpoints": [val_strings(b) for b in breakpoints(P)]}
 
 
-# --kind of conj -> the conjugation it applies
-_CONJUGATIONS = {"add": add_conj, "mul": mul_conj, "comp": comp_conj}
+# --kind of conj -> the diffpoly conjugation it applies
+_CONJUGATIONS = {"add": "add_conj", "mul": "mul_conj", "comp": "comp_conj"}
 
 
 def _cmd_conj(args) -> dict:
-    P = parse_poly(args.expr, args.field)
-    by = parse_series(args.by, args.field)
-    return {"kind": args.kind, "result": poly_report(_CONJUGATIONS[args.kind](P, by))}
+    from . import diffpoly
+    from .expr import parse_poly, parse_series
+    P, by = parse_poly(args.expr, args.field), parse_series(args.by, args.field)
+    conjugate = getattr(diffpoly, _CONJUGATIONS[args.kind])
+    return {"kind": args.kind, "result": poly_report(conjugate(P, by))}
 
 
 def _cmd_eval(args) -> dict:
+    from .diffpoly import evaluate
+    from .expr import parse_poly, parse_series
     P = parse_poly(args.expr, args.field)
     at = parse_series(args.at, args.field)
     return {"value": series_report(evaluate(P, at))}
@@ -239,6 +245,8 @@ def _cmd_coarsen(args) -> dict:
 
 
 def _cmd_probe(args) -> dict:
+    from .expr import parse_poly
+    from .gridseries import monomial_strings, val_strings
     from .newton import flex_probe
     P = parse_poly(args.expr, args.field)
     beta = _parse_vector(args.beta, args.field.rank)
@@ -253,7 +261,10 @@ def _cmd_probe(args) -> dict:
 
 
 def _cmd_solve(args) -> dict:
+    from .expr import parse_series
+    from .gridseries import val_strings
     from .hsolve import LinearOperator, solve_linear, solver_family
+    from .valgroup import unit
     family = "A" if args.op == "custom" else args.op  # custom solves in A's field
     field, op, rhs = solver_family(family, args.depth)
     if args.op == "custom":
@@ -299,8 +310,8 @@ _EXPR = ("expr", {})
 _DEPTH = ("--depth", dict(type=_bounded_int(None, MAX_DEPTH), required=True))
 _ITERATIONS = _bounded_int(1, MAX_ITER)
 
-# subcommand -> (help, handler, options), each option as (name, the
-# keywords of add_argument), in the order --help lists them
+# subcommand -> (help, handler, options), each option as (name, the keywords of
+# add_argument), in --help's order; build_parser adds the one argv[0] names, or all
 COMMANDS = {
     "val": ("valuation of a series", _cmd_val, [_FIELD, _EXPR]),
     "ddeg": ("dominant degree and weight", _cmd_ddeg, [_FIELD, _EXPR]),
@@ -343,13 +354,14 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: List[str]) -> argparse.ArgumentParser:
     ap = _ArgumentParser(
         prog="vdf",
         description="exact computations in grid-presented valued differential fields",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (text, fn, options) in COMMANDS.items():
+    for name in [argv[0]] if argv and argv[0] in COMMANDS else COMMANDS:
+        text, fn, options = COMMANDS[name]
         p = sub.add_parser(name, help=text)
         for option, keywords in options:
             p.add_argument(option, **keywords)
@@ -362,9 +374,9 @@ def _fail(kind: str, message: str, status: int) -> int:
     return status
 
 
-def run(argv: Optional[List[str]] = None) -> int:
+def run(argv: List[str]) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         if "field" in args:  # every subcommand with --field reads it here
             args.field = load_field(args.field)
         print(json.dumps(args.fn(args)), flush=True)
@@ -387,7 +399,7 @@ def run(argv: Optional[List[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    sys.exit(run(sys.argv[1:]))
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from .diffpoly import DiffPoly, _padded, _sum_terms
 from .errors import ParseError, UnboundSymbol, VdfError
 from .gridseries import FieldInstance, Series, _is_name
 from .records import FrozenRecord, Record
+from .valgroup import bounded_decimal
 
 
 # The largest integer exponent lower_poly expands by repeated
@@ -105,15 +106,6 @@ def _tokenize(text: str) -> List[Token]:
             toks.append(Token(_KINDS[m.lastindex], m[0], line, m.start()))
     toks.append(Token("end", "", len(lines), len(lines[-1])))
     return toks
-
-
-def bounded_decimal(digits: str, limit: int) -> Optional[int]:
-    """The value of a string of decimal digits, or None above limit; the
-    length check refuses a huge one before int() converts it."""
-    digits = digits.lstrip("0") or "0"
-    if len(digits) > len(str(limit)) or int(digits) > limit:
-        return None
-    return int(digits)
 
 
 class _Parser:

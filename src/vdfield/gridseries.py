@@ -118,7 +118,7 @@ class FieldInstance:
         self.generators = list(generators)
         self.name = name
         self._index = {g.name: i for i, g in enumerate(generators)}
-        self._euler: Optional[Tuple[int, List[list], int, List[list]]] = None
+        self._euler: Optional[Tuple[int, List[list], List[int], List[list]]] = None
         self._add, self._scale = _tuple_kernel(rank, _ADD), _tuple_kernel(rank, _SCALE)
 
     # -- construction of elements ------------------------------------
@@ -229,20 +229,20 @@ class FieldInstance:
             kept = store[name] = ([g.logder for g in self.generators], build())
         return kept[1]
 
-    def _euler_rows(self) -> Tuple[int, List[list], int, List[list]]:
+    def _euler_rows(self) -> Tuple[int, List[list], List[int], List[list]]:
         """(D, cols, E, W), the field's one value matrix, built once from
         the generator values, as sparse ints: W[i] the nonzero entries of
-        row i of W = E * values (E: the entries' least common denominator),
-        and cols[i] those of column i of det * W^-1 (det: the product of
-        W's pivots, made positive) as ints over their least common
-        denominator D, so that exponent i of the term of lattice key k over
-        den is _dot(k, cols[i]) / (D * den).  Each row of det * W^-1 is
+        row i of W = E * values, E[i] row i's least common denominator, and
+        cols[i] those of column i of det * values^-1 = det * W^-1 * E (det:
+        the product of W's pivots, made positive) as ints over their least
+        common denominator D, so that exponent i of the term of lattice key k
+        over den is _dot(k, cols[i]) / (D * den).  Each row of det * W^-1 is
         back-substituted exactly in ints over the nonzero residuals."""
         if self._euler is None:
             values = [g.value.coords for g in self.generators]
-            E = lcm(*[x.denominator for v in values for x in v])
-            W = [[(k, x.numerator * E // x.denominator) for k, x in enumerate(v[i:], i) if x]
-                 for i, v in enumerate(values)]
+            E = [lcm(*[x.denominator for x in v]) for v in values]
+            W = [[(k, x.numerator * e // x.denominator) for k, x in enumerate(v[i:], i) if x]
+                 for i, (v, e) in enumerate(zip(values, E))]
             det = abs(prod([row[0][1] for row in W]))
             cols: List[list] = [[] for _ in W]
             for j in range(self.rank):
@@ -253,10 +253,9 @@ class FieldInstance:
                         cols[i].append((j, q))
                         for k, w in W[i][1:]:
                             residual[k] = residual.get(k, 0) - q * w
-            D = det // gcd(det, E * gcd(*[q for col in cols for _, q in col]))
-            if E * D != det:
-                cols = [[(j, E * q * D // det) for j, q in col] for col in cols]
-            self._euler = D, cols, E, W
+            g = gcd(det, *[e * q for col, e in zip(cols, E) for _, q in col])
+            cols = [[(j, e * q // g) for j, q in col] for col, e in zip(cols, E)]
+            self._euler = det // g, cols, E, W
         return self._euler
 
     def psi_level(self, i: int):
@@ -609,22 +608,23 @@ def embed_value(src: FieldInstance, dst: FieldInstance, gamma: GroupElement) -> 
 
 
 def _embed_keys(src: FieldInstance, dst: FieldInstance, keys: List[tuple], den: int):
-    """(keys in dst, their den D * E) of src's keys over den: the sum of
-    t * E * v(h) over each exponent t / D of the key (src's columns) and
-    its generator's namesake h in dst, on h's row of dst's kept W = E * values."""
+    """(keys in dst, their den D * den * m) of src's keys over den: the sum of t * m * v(h)
+    over each exponent t / D of the key (src's columns) and its generator's namesake h in
+    dst, on h's row of dst's W = E * values brought to m, the lcm of E over the rows used."""
     nums = [src._exponents(k, den)[0] for k in keys]
     at = {i: dst._index.get(src.generators[i].name) for pairs in nums for i, _ in pairs}
     if None in at.values():
         raise VdfError("embedding uses a generator missing from the target field")
     E, W = dst._euler_rows()[2:]
+    m = lcm(*[E[h] for h in at.values()])
     out = []
     for pairs in nums:
         key = [0] * dst.rank
         for i, t in pairs:
             for p, x in W[at[i]]:
-                key[p] += t * x
+                key[p] += t * m // E[at[i]] * x
         out.append(tuple(key))
-    return out, src._euler_rows()[0] * den * E
+    return out, src._euler_rows()[0] * den * m
 
 
 def _sum_series(field: FieldInstance, parts: Sequence["Series"],

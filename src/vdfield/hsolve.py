@@ -22,7 +22,6 @@ from fractions import Fraction
 from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
-from .diffpoly import DiffPoly
 from .errors import ConfigError, IntegrationGap, NonDecreasingResidual, VdfError
 from .gridseries import (
     FieldInstance,
@@ -91,6 +90,7 @@ def derivation_op(field: FieldInstance) -> LinearOperator:
 def operator_poly(op: LinearOperator, g: Optional[Series] = None) -> DiffPoly:
     """The operator (minus a right-hand side) as a differential
     polynomial a1*Y' + a0*Y - g, the bridge to the Newton-degree laws."""
+    from .diffpoly import DiffPoly
     K = op.field
     P = DiffPoly(K, {(0, 1): op.a1, (1, 0): op.a0}, order=1)
     if g is not None and not g.is_true_zero():

@@ -20,7 +20,7 @@ import functools
 import operator
 import re
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from .errors import RankMismatch, VdfError
 from .records import FrozenRecord
@@ -60,6 +60,15 @@ def _coord(x: Rat) -> Union[int, Fraction]:
     if type(x) is not int and (x := _frac(x)).denominator == 1:
         return x.numerator
     return x
+
+
+def bounded_decimal(digits: str, limit: int) -> Optional[int]:
+    """The value of a string of decimal digits, or None above limit; the
+    length check refuses a huge one before int() converts it."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(limit)) or int(digits) > limit:
+        return None
+    return int(digits)
 
 
 def _order(op):

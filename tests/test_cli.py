@@ -50,11 +50,10 @@ from vdfield.expr import (
     print_expr,
     _check_coeff_power,
     _times,
-    bounded_decimal,
     lower_poly,
 )
 from vdfield.gridseries import FieldInstance, Generator, laurent_ddt, transseries_fragment
-from vdfield.valgroup import Cut, GroupElement, _frac
+from vdfield.valgroup import Cut, GroupElement, _frac, bounded_decimal
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = [json.loads(line) for line in
@@ -1050,6 +1049,28 @@ class TestBadInput:
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert _json_error(proc)["error"] == "contract"
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="recorded with Python 3.11, whose argparse words errors so")
+    @pytest.mark.parametrize("args, message", [
+        ([], "vdf: the following arguments are required: command"),
+        (["nosuch"], "vdf: argument command: invalid choice: 'nosuch' (choose from 'val', "
+         "'ddeg', 'ndeg', 'breakpoints', 'conj', 'eval', 'gamma-der', 's-der', 'coarsen', "
+         "'probe', 'solve', 'demo', 'check-bll')"),
+        (["--bogus", "val"], "vdf val: the following arguments are required: --field, expr"),
+        (["val"], "vdf val: the following arguments are required: --field, expr"),
+        (["val", "--field", "laurent_ddt"], "vdf val: the following arguments are required: expr"),
+        (["solve", "--depth", "x"], "vdf solve: argument --depth: invalid int value: 'x'"),
+        (["conj", "--field", "laurent_ddt", "Y", "--kind", "bad", "--by", "1"],
+         "vdf conj: argument --kind: invalid choice: 'bad' (choose from 'add', 'mul', 'comp')"),
+    ], ids=["no-command", "unknown-command", "option-first", "missing-field", "missing-expr",
+            "non-integer-depth", "unknown-kind"])
+    def test_command_line_error_lines_are_pinned(self, args, message):
+        # each line as the parser with every subcommand built wrote it: a
+        # parser built with only the named subcommand must write the same
+        proc = run_cli(args)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.decode() == json.dumps({"error": "contract", "message": message}) + "\n"
 
     @pytest.mark.parametrize("args", [["--help"], ["solve", "--help"]])
     def test_help_still_exits_0(self, args):

@@ -1148,7 +1148,8 @@ def _densified(K: FieldInstance) -> tuple:
     """(D, rows) of the field's sparse value matrix in _ref_euler_rows'
     dense shape (rows[i]: column i of the inverse), after checking that
     each column and each row of W holds its nonzero int entries in
-    increasing position, and that W is E times the values, E least."""
+    increasing position, and that row i of W is E[i] times row i of the
+    values, E[i] least."""
     D, cols, E, W = K._euler_rows()
     assert len(cols) == len(W) == K.rank
     for pairs in cols + W:
@@ -1162,8 +1163,8 @@ def _densified(K: FieldInstance) -> tuple:
         return tuple(row)
 
     values = [g.value.coords for g in K.generators]
-    assert E == math.lcm(*(x.denominator for v in values for x in v))
-    assert [dense(w) for w in W] == [tuple(E * x for x in v) for v in values]
+    assert E == [math.lcm(*(x.denominator for x in v)) for v in values]
+    assert [dense(w) for w in W] == [tuple(e * x for x in v) for v, e in zip(values, E)]
     return D, [dense(col) for col in cols]
 
 
@@ -1215,6 +1216,19 @@ def _embedding_pairs():
     pairs = [(make, lambda make=make: make().with_flat_generator()) for make in EXPONENT_FIELDS]
     return pairs + [(lambda n=n: log_fragment(n), lambda n=n: transseries_fragment(n))
                     for n in (0, 1, 2, 6, 16)]
+
+
+_wide_entries = st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 6)
+
+
+@st.composite
+def _wide_triangular_fields(draw):
+    """A field of rank 1-8, generators g0, g1, ..., with square triangular
+    values whose entries have denominators of up to six digits, and no logders."""
+    rank = draw(st.integers(1, 8))
+    return FieldInstance(rank, [Generator(f"g{i}", GroupElement(
+        [0] * i + [draw(_wide_entries.filter(bool))]
+        + [draw(_wide_entries) for _ in range(rank - i - 1)])) for i in range(rank)], name="wide")
 
 
 def _drawn_series(K, data, truncate: bool) -> Series:
@@ -1290,6 +1304,19 @@ class TestValueMapOracles:
             for dst in (K, K.with_flat_generator(), L):
                 self._check_embedding(f, dst)
 
+    @given(K=_wide_triangular_fields(), L=_wide_triangular_fields(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_on_drawn_fields_with_multi_digit_denominators(self, K, L, data):
+        # each row of the value matrix has its own least common denominator,
+        # up to six digits: the scales of the rows differ, and an embedding
+        # brings the rows it uses to one
+        values = [GroupElement([data.draw(_mixed_coords) for _ in range(K.rank)])
+                  for _ in range(3)]
+        self._check_values(K, values)
+        f = _drawn_series(K, data, data.draw(st.booleans()))
+        for dst in (K, L):
+            self._check_embedding(f, dst)
+
     def test_a_wrong_rank_is_refused_as_before(self):
         K, gamma = transseries_fragment(2), zero(5)
         for call in (K.logder_of_value, K.monomial_of_value, K.term,
@@ -1342,7 +1369,7 @@ class TestIntCoordinates:
     def test_euler_rows_build(self):
         K = self._field()
         assert _densified(K) == _ref_euler_rows(K) == (2, [(1,)])
-        assert K._euler_rows() == (2, [[(0, 1)]], 1, [[(0, 2)]])
+        assert K._euler_rows() == (2, [[(0, 1)]], [1], [[(0, 2)]])
 
     def test_derive_is_the_term_by_term_product_rule(self):
         K = self._field()

@@ -1,7 +1,8 @@
 """tools/interleave.py end to end: HEAD against HEAD on one round of the
-fragment workload, every item answering OK on both sides, in lines from
-which tools/bench_pairs.py reads each repeat's item and set-up ratio; and
-the cold start of each repeat."""
+fragment workload, every item answering OK on both sides, and on one
+cold pass of the cli workload, in lines from which tools/bench_pairs.py
+reads each repeat's item and set-up ratio and the cli label ratios; the
+cold start of each repeat; and a cli process whose sides differ."""
 
 import importlib.util
 import subprocess
@@ -57,3 +58,39 @@ def test_a_repeat_starts_from_cold_builtin_fields():
     # and no F(n, k) of a repeat is reused by the next; the rebuilt ones share Q
     assert diffpoly._fnk_memo == {}
     assert diffpoly.fnk(3, 2).field is Q
+
+
+def test_cli_head_against_head():
+    if subprocess.run(["git", "rev-parse", "--verify", "HEAD"], cwd=ROOT,
+                      capture_output=True).returncode:
+        pytest.skip("not a git checkout with a commit")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "interleave.py"), "--a", "HEAD", "--b", "HEAD",
+         "--workload", "cli", "--repeats", "1"],
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("repeat 0: ") and "a first: True" in lines[0]
+    assert len(bench_pairs.repeat_ratios(proc.stdout)) == 1
+    assert len(bench_pairs.repeat_ratios(proc.stdout, bench_pairs.SETUP_RATIO)) == 1
+    labels = bench_pairs.label_ratios(proc.stdout)
+    subcommands = {label for label, _ in interleave.cli_processes(interleave.SEED, 1)}
+    assert set(labels) == subcommands | {"all"}
+    assert {"pass", "import", "val", "check-bll"} <= set(labels)
+    assert all(r["least"] > 0 and r["total"] > 0 for r in labels.values())
+    assert lines[-1].startswith("median ratio a/b over 1 repeats: ")
+
+
+def test_cli_sides_that_differ_are_refused(tmp_path, monkeypatch):
+    copies = []
+    for name, text in (("a", "1"), ("b", "2")):
+        package = tmp_path / name / "src" / "vdfield"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "cli.py").write_text(f"print({text})\n")
+        copies.append(tmp_path / name)
+    monkeypatch.setattr(interleave, "cli_processes", lambda seed, rounds: [
+        ("pass", ["-c", "pass"]), ("import", ["-c", "import vdfield"]),
+        ("val", ["-m", "vdfield.cli"])])
+    with pytest.raises(RuntimeError, match="exit code or stdout differs"):
+        interleave.interleave_cli(copies, interleave.SEED, 1, 1)

@@ -156,3 +156,30 @@ def test_a_command_loads_the_layer_it_uses(args, layer):
     # and the interpreter's import-time log, a profile of the cold start, shows it
     log = _python("-X", "importtime", "-m", "vdfield.cli", *args).stderr
     assert any(line.split("|")[-1].strip() == layer for line in log.splitlines())
+
+
+# The library layers: every vdfield module but the package, cli and errors.
+LAYERS = {"vdfield.valgroup", "vdfield.gridseries", "vdfield.diffpoly", "vdfield.newton",
+          "vdfield.coarsen", "vdfield.hsolve", "vdfield.expr", "vdfield.records"}
+
+
+def test_the_cli_import_loads_only_errors_and_no_fractions():
+    loaded = _loaded("import vdfield.cli")
+    assert {m for m in loaded if m.startswith("vdfield.")} == {"vdfield.cli", "vdfield.errors"}
+    assert "fractions" not in loaded
+
+
+def test_help_loads_no_layer():
+    loaded = _vdf_loaded("--help")
+    assert "vdfield.errors" in loaded and loaded.isdisjoint(LAYERS), sorted(loaded & LAYERS)
+
+
+@pytest.mark.parametrize("args, absent", [
+    (["check-bll", "--depth", "4"], {"vdfield.expr", "vdfield.diffpoly"}),
+    (["demo", "--depth", "4"], {"vdfield.expr", "vdfield.diffpoly"}),
+    (["gamma-der", "--field", "transseries_fragment(2)"], {"vdfield.expr"}),
+], ids=["check-bll", "demo", "gamma-der"])
+def test_a_command_loads_no_layer_it_does_not_call(args, absent):
+    loaded = _vdf_loaded(*args)
+    assert "vdfield.hsolve" in loaded or "vdfield.newton" in loaded
+    assert loaded.isdisjoint(absent), sorted(loaded & absent)

@@ -34,11 +34,14 @@ sides (term pairs multiplied, series built, ...), which move with the
 work done but not with the machine.
 
 Last, tools/interleave.py of this checkout times the two commits item by
-item in one process (the parent as its a side, the change as b) on each
-in-process workload.  The `interleave` block gives, per workload, the
-rounds and repeats, and the median, least and greatest of the per-repeat
-ratios time(parent) / time(change) of the items, and under `setup` the
-same of the workload's set-up: above 1, the change is faster.  A
+item (the parent as its a side, the change as b): in one process on each
+in-process workload, and process by process, cold, on the cli workload.
+The `interleave` block gives, per workload, the rounds and repeats, and
+the median, least and greatest of the per-repeat ratios time(parent) /
+time(change) of the items, and under `setup` the same of the workload's
+set-up: above 1, the change is faster.  For cli, `labels` gives per
+subcommand, and for `import`, `pass` and `all`, the ratio of the least
+times over the repeats and of the total times.  A
 machine whose speed drifts slows both sides of a repeat alike, so this
 ratio can resolve a change smaller than the spread of whole runs.  A
 workload whose interleaved run failed reads unresolved, with its exit
@@ -66,7 +69,7 @@ SIDES = ("parent", "change")
 PAIR_SEEDS = list(range(11, 21))
 CHECK_SEED = 4242
 # workload: (rounds, repeats) of its interleaved run
-INTERLEAVE = {"conjugate": (2, 9), "fragment": (3, 15)}
+INTERLEAVE = {"cli": (1, 9), "conjugate": (2, 9), "fragment": (3, 15)}
 
 
 def git(*args, cwd) -> bytes:
@@ -116,12 +119,21 @@ def interleave_once(repo: Path, commits: dict, workload: str) -> dict:
                 "stderr_tail": f"timed out after {exc.timeout} s"}
     return {"exit": proc.returncode, "ratios": repeat_ratios(proc.stdout),
             "setup_ratios": repeat_ratios(proc.stdout, SETUP_RATIO),
-            "stderr_tail": proc.stderr[-2000:]}
+            "labels": label_ratios(proc.stdout), "stderr_tail": proc.stderr[-2000:]}
 
 
 # the item and the set-up ratio of a `repeat k: ...` line of tools/interleave.py
 ITEM_RATIO = re.compile(r"^repeat \d+: .* s, ratio ([0-9.]+) \(", re.MULTILINE)
 SETUP_RATIO = re.compile(r"^repeat \d+: .*, set-up ratio ([0-9.]+)$", re.MULTILINE)
+# the two ratios of a `<label>: least a ...` line of its cli workload
+LABEL_RATIOS = re.compile(r"^(\S+): least a .* ratio ([0-9.]+); total a .* ratio ([0-9.]+)$",
+                          re.MULTILINE)
+
+
+def label_ratios(stdout: str) -> dict:
+    """{label: {"least": ratio, "total": ratio}} of the cli workload's label lines."""
+    return {m.group(1): {"least": float(m.group(2)), "total": float(m.group(3))}
+            for m in LABEL_RATIOS.finditer(stdout)}
 
 
 def repeat_ratios(stdout: str, pattern=ITEM_RATIO) -> list:
@@ -145,6 +157,8 @@ def interleave_summary(interleaved) -> dict:
             continue
         out[r["workload"]] = {"rounds": rounds, "repeats": repeats, **ratio_range(ratios),
                               "setup": ratio_range(setup)}
+        if r.get("labels"):
+            out[r["workload"]]["labels"] = r["labels"]
     return out
 
 

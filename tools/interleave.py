@@ -1,7 +1,7 @@
-"""Interleaved in-process timing of two commits on one benchmark workload.
+"""Interleaved timing of two commits on one benchmark workload.
 
     python3 tools/interleave.py --a <ref> --b <ref> \\
-        --workload {conjugate,fragment} [--rounds N] [--repeats R]
+        --workload {cli,conjugate,fragment} [--rounds N] [--repeats R]
 
 Refs are read in the git checkout that holds this file.  Each ref's files
 are exported with `git archive`, and its src/vdfield is imported under
@@ -23,6 +23,19 @@ each over the repeats.  Every item must answer OK on both sides; the
 exit status is 1 otherwise.  This supplements tools/bench_pairs.py,
 which times whole benchmark runs in fresh processes, and does not
 replace it.
+
+The cli workload runs every process cold instead, from each side's copy
+with that copy's src/ on PYTHONPATH: the `vdf` invocations of N passes
+of this checkout's perfbench/cliload.py at seed 11, `python -c "import
+vdfield.cli"` (its set-up, as perfbench/run.py times it) and `python -c
+pass` (the interpreter's floor), one process of each side in turn, the
+side that runs first flipping from repeat to repeat.  Per repeat it
+prints the same line as above, the items being the `vdf` invocations;
+then, per subcommand and for `import`, `pass` and `all` (every
+invocation), the ratio of each side's least time over the repeats (each
+invocation's least, summed) and the ratio of each side's total time.  A
+process whose exit code or stdout differs between the sides makes the
+exit status 1.
 """
 
 from __future__ import annotations
@@ -31,7 +44,9 @@ import argparse
 import gc
 import importlib
 import importlib.util
+import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -41,6 +56,7 @@ from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tools")]
+import cliload  # noqa: E402
 import workloads as W  # noqa: E402
 from bench_pairs import export  # noqa: E402
 
@@ -112,25 +128,90 @@ def interleave(sides, workload: str, seed: int, rounds: int, repeats: int) -> tu
     return ratios, setup_ratios
 
 
+# the first two cold processes of the cli workload: the floor and the set-up
+CLI_FLOOR = [("pass", ["-c", "pass"]), ("import", ["-c", "import vdfield.cli"])]
+
+
+def cli_processes(seed: int, rounds: int) -> list:
+    """(label, interpreter arguments) of each cold process of the cli
+    workload: CLI_FLOOR, then the vdf invocations of the passes."""
+    # the checks of cliload are not run: the two sides' outputs are compared
+    return CLI_FLOOR + [(cmd.subcommand, ["-m", "vdfield.cli", *cmd.argv])
+                        for p in range(rounds) for cmd in cliload.commands(seed, p, None)]
+
+
+def run_cold(copy: Path, args: list) -> tuple:
+    """(seconds, exit code, stdout) of one fresh interpreter in copy, on copy's src/."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    t0 = CLOCK()
+    proc = subprocess.run([sys.executable, *args], cwd=copy, env=env, capture_output=True,
+                          timeout=600)
+    return CLOCK() - t0, proc.returncode, proc.stdout
+
+
+def interleave_cli(copies, seed: int, rounds: int, repeats: int) -> tuple:
+    """(item ratios, set-up ratios) per repeat, as interleave() returns them,
+    and {label: (least a, least b, total a, total b)} in seconds; raises if
+    a process's exit code or stdout differs between the sides."""
+    runs = cli_processes(seed, rounds)
+    spent = [[[] for _ in runs] for _ in copies]  # spent[s][j]: process j's times
+    ratios, setup_ratios = [], []
+    for r in range(repeats):
+        order = (0, 1) if r % 2 == 0 else (1, 0)
+        for j, (label, args) in enumerate(runs):
+            outcome = [None, None]
+            for s in order:
+                dt, *outcome[s] = run_cold(copies[s], args)
+                spent[s][j].append(dt)
+            if outcome[0] != outcome[1]:
+                raise RuntimeError(f"{label} {args[1:]}: exit code or stdout differs, "
+                                   f"a exit {outcome[0][0]}, b exit {outcome[1][0]}")
+        items = [sum(t[-1] for t in side[len(CLI_FLOOR):]) for side in spent]
+        built = [side[1][-1] for side in spent]
+        ratios.append(items[0] / items[1])
+        setup_ratios.append(built[0] / built[1])
+        print(f"repeat {r}: a {items[0]:.3f} s, b {items[1]:.3f} s, ratio {ratios[-1]:.4f} "
+              f"({len(runs) - len(CLI_FLOOR)} items, a first: {order[0] == 0}), "
+              f"set-up a {built[0] * 1e3:.3f} ms, b {built[1] * 1e3:.3f} ms, "
+              f"set-up ratio {setup_ratios[-1]:.4f}", flush=True)
+    labels = {}
+    for j, (label, _) in enumerate(runs):
+        for name in (label,) if j < len(CLI_FLOOR) else (label, "all"):
+            row = labels.setdefault(name, [0.0] * 4)
+            for s, side in enumerate(spent):
+                row[s] += min(side[j])
+                row[2 + s] += sum(side[j])
+    return ratios, setup_ratios, labels
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--a", required=True, help="the reference commit")
     ap.add_argument("--b", required=True, help="the commit compared with it")
-    ap.add_argument("--workload", choices=("conjugate", "fragment"), required=True)
-    ap.add_argument("--rounds", type=int, default=1, help="workload rounds per repeat")
+    ap.add_argument("--workload", choices=("cli", "conjugate", "fragment"), required=True)
+    ap.add_argument("--rounds", type=int, default=1,
+                    help="workload rounds (cli: passes) per repeat")
     ap.add_argument("--repeats", type=int, default=15)
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="interleave-") as tmp:
-        sides = []
-        for name, ref in (("a", args.a), ("b", args.b)):
-            export(ROOT, ref, Path(tmp) / name)
-            sides.append(load(f"vdfield_{name}", Path(tmp) / name / "src"))
+        copies, labels = [Path(tmp) / "a", Path(tmp) / "b"], {}
+        for copy, ref in zip(copies, (args.a, args.b)):
+            export(ROOT, ref, copy)
         try:
-            ratios, setup_ratios = interleave(sides, args.workload, SEED, args.rounds,
-                                              args.repeats)
+            if args.workload == "cli":
+                ratios, setup_ratios, labels = interleave_cli(copies, SEED, args.rounds,
+                                                              args.repeats)
+            else:
+                sides = [load(f"vdfield_{c.name}", c / "src") for c in copies]
+                ratios, setup_ratios = interleave(sides, args.workload, SEED, args.rounds,
+                                                  args.repeats)
         except RuntimeError as exc:
             print(f"FAILED: {exc}", file=sys.stderr)
             return 1
+    for label, (least_a, least_b, total_a, total_b) in labels.items():
+        print(f"{label}: least a {least_a * 1e3:.1f} ms, b {least_b * 1e3:.1f} ms, "
+              f"ratio {least_a / least_b:.4f}; total a {total_a * 1e3:.1f} ms, "
+              f"b {total_b * 1e3:.1f} ms, ratio {total_a / total_b:.4f}")
     print(f"median ratio a/b over {len(ratios)} repeats: {statistics.median(ratios):.4f}, "
           f"set-up {statistics.median(setup_ratios):.4f}")
     return 0
