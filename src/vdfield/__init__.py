@@ -6,7 +6,6 @@ defines it, so a ``vdf`` command loads only the layers it uses.
 """
 
 import sys
-from importlib import import_module
 
 _EXPORTS = {
     "valgroup": ("INFINITY", "ConvexSubgroup", "Cut", "GroupElement", "cut_stabilizer",
@@ -30,11 +29,12 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
+    # __import__, unlike importlib.import_module, runs under -X importtime's log
     if name in _MODULE_OF:
-        value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+        value = getattr(__import__(f"{__name__}.{_MODULE_OF[name]}", fromlist=[name]), name)
     elif name in _EXPORTS or name == "errors":
         # the submodules the package used to import eagerly
-        value = import_module(f".{name}", __name__)
+        value = __import__(f"{__name__}.{name}", fromlist=[name])
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value

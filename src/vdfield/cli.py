@@ -16,30 +16,38 @@ from typing import List, Optional
 
 from .errors import ConfigError, ParseError, VdfError
 
+# The library's one way in: the package, as vd, whose lazy names reach each layer
+# where a name is used (vd.parse_poly; an unexported helper through its module, as
+# vd.gridseries.val_strings), so a command loads only the layers it calls.  It is
+# read from sys.modules, where it was loaded before this module, so a copy loaded
+# under another name (tools/interleave.py) reaches its own layers.
+vd = sys.modules[__package__]
+
 
 # -- field configs ----------------------------------------------------------------
 
 
 def field_from_config(doc: dict) -> FieldInstance:
-    from .expr import parse_series
-    from .gridseries import FieldInstance, Generator
-    from .valgroup import GroupElement
     try:
         rank = doc["rank"]
         if type(rank) is not int:  # a bool is no int
             raise TypeError(f"rank is a {type(rank).__name__}: {rank!r}")
+        if rank > MAX_RANK:
+            raise ConfigError(f"a field config has rank at most {MAX_RANK}, got {rank}")
         gen_docs = list(doc["generators"])
-        gens = [Generator(str(gd["name"]), GroupElement(gd["value"])) for gd in gen_docs]
+        gens = [vd.Generator(str(gd["name"]), vd.GroupElement(gd["value"])) for gd in gen_docs]
         logders = [str(gd["logder"]) for gd in gen_docs]
-        declared = GroupElement(doc["shift"]) if "shift" in doc else None
+        declared = vd.GroupElement(doc["shift"]) if "shift" in doc else None
         name = str(doc.get("name", "config"))
     except KeyError as exc:
         raise ConfigError(f"malformed field config: missing entry {exc.args[0]!r}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed field config: {exc}")
-    field = FieldInstance(rank, gens, name=name)
+    field = vd.FieldInstance(rank, gens, name=name)
+    if field._value_rows()[2] >= 10 ** vd.expr.MAX_COEFF_DIGITS:  # before any back-substitution
+        raise ConfigError(f"the config's pivot product has over {vd.expr.MAX_COEFF_DIGITS} digits")
     for text, gen in zip(logders, field.generators):
-        gen.logder = parse_series(text, field)
+        gen.logder = vd.parse_series(text, field)
     if declared is not None:
         if not declared <= field.derivation_shift:
             raise ConfigError(
@@ -50,9 +58,8 @@ def field_from_config(doc: dict) -> FieldInstance:
 
 
 def field_to_config(field: FieldInstance) -> dict:
-    from .valgroup import INFINITY
     for g in field.generators:
-        if g.logder.tau is not INFINITY:  # its repr would end in + O(tau)
+        if g.logder.tau is not vd.INFINITY:  # its repr would end in + O(tau)
             raise VdfError(f"generator {g.name}: a truncated logder has no config form")
     return {
         "name": field.name,
@@ -79,6 +86,8 @@ MAX_DEPTH = 64
 # check-bll: each sample or iteration is a full evaluation or residual.
 MAX_SAMPLES = 10_000
 MAX_ITER = 4_096
+# The largest rank of a field config: its value matrix costs about rank^3.
+MAX_RANK = 128
 
 
 def _bounded_int(least: Optional[int], most: int):
@@ -97,19 +106,14 @@ def _bounded_int(least: Optional[int], most: int):
 
 def load_field(source: str) -> FieldInstance:
     """A field argument is a config path or a built-in name."""
-    from .gridseries import laurent_ddt, laurent_tddt_coarse, log_fragment, transseries_fragment
-    from .valgroup import bounded_decimal
-    if source == "laurent_ddt":
-        return laurent_ddt()
-    if source == "laurent_tddt_coarse":
-        return laurent_tddt_coarse()
+    if source in ("laurent_ddt", "laurent_tddt_coarse"):
+        return getattr(vd, source)()
     m = _BUILTIN_PATTERN.match(source)
     if m:
-        depth = bounded_decimal(m.group(2), MAX_DEPTH)
+        depth = vd.valgroup.bounded_decimal(m.group(2), MAX_DEPTH)
         if depth is None:
             raise VdfError(f"{m.group(1)}(N) needs N <= {MAX_DEPTH}")
-        return (transseries_fragment if m.group(1) == "transseries_fragment"
-                else log_fragment)(depth)
+        return getattr(vd, m.group(1))(depth)
     try:
         with open(source) as fh:
             doc = json.load(fh)
@@ -124,11 +128,9 @@ def load_field(source: str) -> FieldInstance:
 
 
 def series_report(f: Series) -> dict:
-    from .gridseries import series_terms, val_strings
-    from .valgroup import INFINITY
-    out = {"terms": series_terms(f)}
-    if f.tau is not INFINITY:
-        out["tau"] = val_strings(f.tau)
+    out = {"terms": vd.gridseries.series_terms(f)}
+    if f.tau is not vd.INFINITY:
+        out["tau"] = vd.gridseries.val_strings(f.tau)
     return out
 
 
@@ -140,11 +142,10 @@ def poly_report(P: DiffPoly) -> dict:
 
 
 def cut_report(cut) -> dict:
-    from .valgroup import PREFIX
-    if cut.kind != PREFIX:
+    if cut.kind != vd.valgroup.PREFIX:
         return {"kind": cut.kind}
     return {
-        "kind": PREFIX,
+        "kind": cut.kind,
         "depth": cut.depth,
         "bound": [str(b) for b in cut.bound],
         "inclusive": cut.inclusive,
@@ -152,148 +153,112 @@ def cut_report(cut) -> dict:
 
 
 def _parse_vector(text: str, rank: int) -> GroupElement:
-    from .valgroup import GroupElement
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != rank:
         raise VdfError(f"expected {rank} coordinates, got {len(parts)}")
-    return GroupElement([_rational(p) for p in parts])
+    return vd.GroupElement([_rational(p) for p in parts])
 
 
 def _rational(text: str) -> Fraction:
-    from .valgroup import _frac
     try:
-        return _frac(text)
+        return vd.valgroup._frac(text)
     except ValueError:
         raise ParseError(f"expected a rational, found {text.strip()!r}")
 
 
 def _tau(args, family: str) -> Optional[GroupElement]:
     """The optional --tau of solve, demo and check-bll, in their family's rank."""
-    from .hsolve import solver_family
-    return _parse_vector(args.tau, solver_family(family, args.depth)[0].rank) if args.tau else None
+    if args.tau:
+        return _parse_vector(args.tau, vd.hsolve.solver_family(family, args.depth)[0].rank)
 
 
 # -- subcommands -------------------------------------------------------------------
-# At load this module imports only the standard library and errors; each function
-# imports what it uses from its layer when it runs, so a command loads only those.
 
 
 def _cmd_val(args) -> dict:
-    from .expr import parse_series
-    from .gridseries import val_strings
-    f = parse_series(args.expr, args.field)
-    return {"v": val_strings(f.valuation())}
+    return {"v": vd.gridseries.val_strings(vd.parse_series(args.expr, args.field).valuation())}
 
 
 def _cmd_ddeg(args) -> dict:
-    from .diffpoly import dominant
-    from .expr import parse_poly
-    P = parse_poly(args.expr, args.field)
-    data = dominant(P)
+    data = vd.dominant(vd.parse_poly(args.expr, args.field))
     return {"ddeg": data.ddeg, "dwt": data.dwt}
 
 
 def _cmd_ndeg(args) -> dict:
-    from .expr import parse_poly
-    from .newton import ndeg
-    P = parse_poly(args.expr, args.field)
-    return {"ndeg": ndeg(P)}
+    return {"ndeg": vd.ndeg(vd.parse_poly(args.expr, args.field))}
 
 
 def _cmd_breakpoints(args) -> dict:
-    from .expr import parse_poly
-    from .gridseries import val_strings
-    from .newton import breakpoints
-    P = parse_poly(args.expr, args.field)
-    return {"breakpoints": [val_strings(b) for b in breakpoints(P)]}
+    P = vd.parse_poly(args.expr, args.field)
+    return {"breakpoints": [vd.gridseries.val_strings(b) for b in vd.breakpoints(P)]}
 
 
-# --kind of conj -> the diffpoly conjugation it applies
+# --kind of conj -> the conjugation it applies
 _CONJUGATIONS = {"add": "add_conj", "mul": "mul_conj", "comp": "comp_conj"}
 
 
 def _cmd_conj(args) -> dict:
-    from . import diffpoly
-    from .expr import parse_poly, parse_series
-    P, by = parse_poly(args.expr, args.field), parse_series(args.by, args.field)
-    conjugate = getattr(diffpoly, _CONJUGATIONS[args.kind])
+    P, by = vd.parse_poly(args.expr, args.field), vd.parse_series(args.by, args.field)
+    conjugate = getattr(vd, _CONJUGATIONS[args.kind])
     return {"kind": args.kind, "result": poly_report(conjugate(P, by))}
 
 
 def _cmd_eval(args) -> dict:
-    from .diffpoly import evaluate
-    from .expr import parse_poly, parse_series
-    P = parse_poly(args.expr, args.field)
-    at = parse_series(args.at, args.field)
-    return {"value": series_report(evaluate(P, at))}
+    P, at = vd.parse_poly(args.expr, args.field), vd.parse_series(args.at, args.field)
+    return {"value": series_report(vd.evaluate(P, at))}
 
 
 def _cmd_gamma_der(args) -> dict:
-    from .newton import gamma_der
-    return cut_report(gamma_der(args.field))
+    return cut_report(vd.gamma_der(args.field))
 
 
 def _cmd_s_der(args) -> dict:
-    from .newton import s_der
-    return {"prefix_len": s_der(args.field).prefix_len}
+    return {"prefix_len": vd.s_der(args.field).prefix_len}
 
 
 def _cmd_coarsen(args) -> dict:
-    from .coarsen import coarsen
-    half = coarsen(args.field, args.prefix_len)
-    return field_to_config(half.residue_field)
+    return field_to_config(vd.coarsen(args.field, args.prefix_len).residue_field)
 
 
 def _cmd_probe(args) -> dict:
-    from .expr import parse_poly
-    from .gridseries import monomial_strings, val_strings
-    from .newton import flex_probe
-    P = parse_poly(args.expr, args.field)
+    P = vd.parse_poly(args.expr, args.field)
     beta = _parse_vector(args.beta, args.field.rank)
-    classes = flex_probe(P, beta, args.samples, seed=args.seed)
+    classes = vd.flex_probe(P, beta, args.samples, seed=args.seed)
     return {
-        "classes": [
-            {"v": val_strings(v), "monomial": monomial_strings(args.field, v)}
-            for v in classes
-        ],
+        "classes": [{"v": vd.gridseries.val_strings(v),
+                     "monomial": vd.gridseries.monomial_strings(args.field, v)}
+                    for v in classes],
         "count": len(classes),
     }
 
 
 def _cmd_solve(args) -> dict:
-    from .expr import parse_series
-    from .gridseries import val_strings
-    from .hsolve import LinearOperator, solve_linear, solver_family
-    from .valgroup import unit
     family = "A" if args.op == "custom" else args.op  # custom solves in A's field
-    field, op, rhs = solver_family(family, args.depth)
+    field, op, rhs = vd.hsolve.solver_family(family, args.depth)
     if args.op == "custom":
         if not args.a0 or not args.a1:
             raise VdfError("--op custom requires --a0 and --a1")
-        op = LinearOperator(parse_series(args.a0, field), parse_series(args.a1, field))
+        op = vd.LinearOperator(vd.parse_series(args.a0, field), vd.parse_series(args.a1, field))
     elif (args.a0, args.a1) != (None, None):
         raise VdfError(f"--a0 and --a1 apply only to --op custom, not to --op {args.op}")
-    rhs = rhs if args.rhs is None else parse_series(args.rhs, field)
+    rhs = rhs if args.rhs is None else vd.parse_series(args.rhs, field)
     tau = _tau(args, family)
     if tau is None:
-        tau = field.derivation_shift + rhs.valuation() + unit(field.rank, 0)
-    y, trace = solve_linear(op, rhs, tau, max_iter=args.max_iter)
+        tau = field.derivation_shift + rhs.valuation() + vd.valgroup.unit(field.rank, 0)
+    y, trace = vd.solve_linear(op, rhs, tau, max_iter=args.max_iter)
     report = trace.as_report()
     report["solution"] = series_report(y)
-    report["tau"] = val_strings(tau)
+    report["tau"] = vd.gridseries.val_strings(tau)
     return report
 
 
 def _cmd_demo(args) -> dict:
-    from .hsolve import demo_nonuniqueness
     c_list = [_rational(c) for c in args.c.split(",") if c.strip()]
-    return demo_nonuniqueness(args.depth, c_list, _tau(args, "A"),
-                              max_iter=args.max_iter)
+    return vd.demo_nonuniqueness(args.depth, c_list, _tau(args, "A"), max_iter=args.max_iter)
 
 
 def _cmd_check_bll(args) -> dict:
-    from .hsolve import check_bll
-    return check_bll(args.depth, _tau(args, "B"), max_iter=args.max_iter)
+    return vd.check_bll(args.depth, _tau(args, "B"), max_iter=args.max_iter)
 
 
 class _ArgumentParser(argparse.ArgumentParser):

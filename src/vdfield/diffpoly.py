@@ -42,6 +42,11 @@ def mi_weight(i: MultiIndex) -> int:
     return sum(j * ij for j, ij in enumerate(i))
 
 
+def y_mark(j: int) -> str:
+    """The text of Y^(j): Y, Y', Y'', Y''', then Y^(4), Y^(5), ..."""
+    return "Y" + "'" * j if j <= 3 else f"Y^({j})"
+
+
 def _pad(i: MultiIndex, order: int) -> MultiIndex:
     """i with order + 1 entries: zeros appended, or zero entries trimmed
     from the end.  An index with a nonzero entry beyond order keeps its
@@ -188,8 +193,7 @@ class DiffPoly:
             for j, ij in enumerate(i):
                 if ij == 0:
                     continue
-                sym = "Y" + "'" * j if j <= 3 else f"Y^({j})"
-                factors.append(sym if ij == 1 else f"{sym}^{ij}")
+                factors.append(y_mark(j) if ij == 1 else f"{y_mark(j)}^{ij}")
             mono = "*".join(factors) if factors else "1"
             parts.append(f"({self.terms[i]})*{mono}")
         return " + ".join(parts)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import List, Optional, Union
 
-from .diffpoly import DiffPoly, _padded, _sum_terms
+from .diffpoly import DiffPoly, _padded, _sum_terms, y_mark
 from .errors import ParseError, UnboundSymbol, VdfError
 from .gridseries import FieldInstance, Series, _is_name
 from .records import FrozenRecord, Record
@@ -267,9 +267,7 @@ def print_expr(node: Node) -> str:
     if isinstance(node, Sym):
         return node.name
     if isinstance(node, DY):
-        if node.order <= 3:
-            return "Y" + "'" * node.order
-        return f"Y^({node.order})"
+        return y_mark(node.order)
     if isinstance(node, Pow):
         return f"{_wrapped(node.base, (Add, Neg, Mul, Pow))}^{node.exponent}"
     if isinstance(node, Neg):

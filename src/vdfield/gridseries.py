@@ -229,6 +229,14 @@ class FieldInstance:
             kept = store[name] = ([g.logder for g in self.generators], build())
         return kept[1]
 
+    def _value_rows(self) -> Tuple[List[int], List[list], int]:
+        """(E, W, det) of _euler_rows, without its back-substitution."""
+        values = [g.value.coords for g in self.generators]
+        E = [lcm(*[x.denominator for x in v]) for v in values]
+        W = [[(k, x.numerator * e // x.denominator) for k, x in enumerate(v[i:], i) if x]
+             for i, (v, e) in enumerate(zip(values, E))]
+        return E, W, abs(prod([row[0][1] for row in W]))
+
     def _euler_rows(self) -> Tuple[int, List[list], List[int], List[list]]:
         """(D, cols, E, W), the field's one value matrix, built once from
         the generator values, as sparse ints: W[i] the nonzero entries of
@@ -239,11 +247,7 @@ class FieldInstance:
         over den is _dot(k, cols[i]) / (D * den).  Each row of det * W^-1 is
         back-substituted exactly in ints over the nonzero residuals."""
         if self._euler is None:
-            values = [g.value.coords for g in self.generators]
-            E = [lcm(*[x.denominator for x in v]) for v in values]
-            W = [[(k, x.numerator * e // x.denominator) for k, x in enumerate(v[i:], i) if x]
-                 for i, (v, e) in enumerate(zip(values, E))]
-            det = abs(prod([row[0][1] for row in W]))
+            E, W, det = self._value_rows()
             cols: List[list] = [[] for _ in W]
             for j in range(self.rank):
                 residual = {j: det}  # det * unit value j, less the rows taken so far

@@ -7,6 +7,7 @@ bytecode-cache state on the machine line."""
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -314,13 +315,15 @@ class TestTracedCounts:
         assert out["fragment"] == {}
 
 
-# the lines tools/interleave.py prints for two repeats of one workload
+# the lines tools/interleave.py prints for two repeats of one workload, the
+# JSON line last
 INTERLEAVE_STDOUT = """\
 repeat 0: a 0.412 s, b 0.350 s, ratio 1.1771 (75 items, a first: True), \
 set-up a 1.452 ms, b 0.871 ms, set-up ratio 1.6671
 repeat 1: a 0.398 s, b 0.341 s, ratio 1.1672 (75 items, a first: False), \
 set-up a 1.398 ms, b 0.902 ms, set-up ratio 1.5499
 median ratio a/b over 2 repeats: 1.1722, set-up 1.6085
+{"ratios": [1.1771, 1.1672], "setup_ratios": [1.6671, 1.5499]}
 """
 
 
@@ -330,12 +333,31 @@ def _interleaved(workload, ratios, exit_code=0, setup_ratios=None):
             "stderr_tail": ""}
 
 
+def _interleave_once(monkeypatch, stdout, exit_code=0):
+    """interleave_once on the fragment workload, with the run of
+    tools/interleave.py replaced by one that prints stdout."""
+    def run(argv, **kwargs):
+        assert argv[1].endswith("interleave.py") and "fragment" in argv
+        return SimpleNamespace(returncode=exit_code, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    return bench_pairs.interleave_once(Path("."), {"parent": "p", "change": "c"}, "fragment")
+
+
 class TestInterleave:
-    def test_reads_the_ratio_of_each_repeat(self):
-        assert bench_pairs.repeat_ratios(INTERLEAVE_STDOUT) == [1.1771, 1.1672]
-        assert bench_pairs.repeat_ratios("FAILED: item 3 on side b answered wrong\n") == []
-        assert bench_pairs.repeat_ratios(INTERLEAVE_STDOUT, bench_pairs.SETUP_RATIO) \
-            == [1.6671, 1.5499]
+    def test_reads_the_ratio_of_each_repeat(self, monkeypatch):
+        # from the JSON line, not from the repeat lines above it
+        out = _interleave_once(monkeypatch, INTERLEAVE_STDOUT)
+        assert out["exit"] == 0 and out["labels"] == {}
+        assert out["ratios"] == [1.1771, 1.1672] and out["setup_ratios"] == [1.6671, 1.5499]
+        cli = INTERLEAVE_STDOUT.replace("}\n", ', "labels": {"val": {"least": 1.02, '
+                                                '"total": 0.98}}}\n')
+        assert _interleave_once(monkeypatch, cli)["labels"] == {
+            "val": {"least": 1.02, "total": 0.98}}
+        for stdout in ("FAILED: item 3 on side b answered wrong\n",
+                       INTERLEAVE_STDOUT.rsplit("{", 1)[0], ""):
+            out = _interleave_once(monkeypatch, stdout, exit_code=1)
+            assert (out["exit"], out["ratios"], out["setup_ratios"]) == (1, [], [])
 
     def test_median_and_range_per_workload(self):
         conj = [1.0 + k / 100 for k in range(9)]

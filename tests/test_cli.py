@@ -20,6 +20,7 @@ from vdfield.cli import (
     COMMANDS,
     MAX_DEPTH,
     MAX_ITER,
+    MAX_RANK,
     MAX_SAMPLES,
     cut_report,
     field_from_config,
@@ -525,6 +526,46 @@ class TestBadInput:
         # the exception's message, not its repr
         assert error["message"].startswith("malformed field config: ")
         assert "Error(" not in error["message"]
+
+    @pytest.mark.parametrize("extra, message", [
+        (0, None), (1, f"a field config has rank at most {MAX_RANK}, got {MAX_RANK + 1}")],
+        ids=["at", "over"])
+    def test_the_rank_is_bounded(self, tmp_path, monkeypatch, extra, message):
+        rank = MAX_RANK + extra
+        gens = [{"name": f"g{i}", "value": ["0"] * i + ["1"] + ["0"] * (rank - i - 1),
+                 "logder": "0"} for i in range(rank)]
+        self._check_bound(tmp_path, monkeypatch, {"rank": rank, "generators": gens}, message)
+
+    @pytest.mark.parametrize("extra, message", [
+        (0, None), (1, f"the config's pivot product has over {MAX_COEFF_DIGITS} digits")],
+        ids=["at", "over"])
+    @pytest.mark.parametrize("scaled", [False, True], ids=["diagonal", "scaled-row"])
+    def test_the_pivot_product_is_bounded(self, tmp_path, monkeypatch, extra, message, scaled):
+        # det = 10^(MAX_COEFF_DIGITS - 1 + extra): the product of the diagonal,
+        # or of the scale a row's denominator puts on its diagonal 1
+        half = MAX_COEFF_DIGITS // 2
+        first = ["1", f"1/1{'0' * half}"] if scaled else [f"1{'0' * half}", "0"]
+        second = ["0", f"1{'0' * (MAX_COEFF_DIGITS - 1 + extra - half)}"]
+        doc = {"rank": 2, "generators": [{"name": "t", "value": first, "logder": "0"},
+                                         {"name": "s", "value": second, "logder": "0"}]}
+        self._check_bound(tmp_path, monkeypatch, doc, message)
+
+    @staticmethod
+    def _check_bound(tmp_path, monkeypatch, doc, message):
+        """vdf val on the config answers, or exits 2 with message, and never
+        builds the value matrix."""
+        def no_matrix(self):
+            raise AssertionError("the value matrix was built")
+
+        monkeypatch.setattr(FieldInstance, "_euler_rows", no_matrix)
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run_in_process(["val", "--field", str(path), "0"])
+        if message is None:
+            assert (code, out, err) == (0, '{"v": "inf"}\n', "")
+        else:
+            assert (code, out) == (2, "")
+            assert json.loads(err) == {"error": "contract", "message": message}
 
     @pytest.mark.parametrize("entry", ["value", "shift"])
     @pytest.mark.parametrize("text", ["1/0", "-3/00"])

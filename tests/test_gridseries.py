@@ -1441,3 +1441,22 @@ class TestRepr:
         f = K.one() - K.gen("t") + K.gen("t", 2).scale(Fraction(3, 2))
         assert repr(f) == "1 + -1*t + 3/2*t^2"
         assert repr(f.truncated(GroupElement([2]))) == "1 + -1*t + O((2))"
+
+
+class TestPublicRefusals:
+    """The refusals of Series that no other test reaches, with their messages."""
+
+    def test_the_zero_series_has_no_dominant_term(self):
+        with pytest.raises(VdfError, match="^the zero series has no dominant term$"):
+            laurent_ddt().zero_series().dominant_term()
+
+    @pytest.mark.parametrize("op, message", [
+        ("invert", "inverting an exact multi-term series requires a target tau"),
+        ("logder", "logder of an exact multi-term series requires a target tau"),
+    ])
+    def test_an_exact_multi_term_series_needs_a_tau(self, op, message):
+        K = laurent_ddt()
+        f = K.gen("t") + K.one()
+        with pytest.raises(VdfError, match=f"^{message}$"):
+            getattr(f, op)()
+        assert getattr(f, op)(GroupElement([3])).tau == GroupElement([3])

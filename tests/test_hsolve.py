@@ -1182,3 +1182,19 @@ class TestDemo:
         rep = demo_nonuniqueness(3, [Fraction(0)])
         assert rep["differences"] == []
         assert rep["runs"][0]["termination"] == "reached_tau"
+
+
+class TestPublicRefusals:
+    """The refusals of psi_map and dominant_solve that no other test
+    reaches, with their messages."""
+
+    def test_psi_of_a_flat_monomial_is_refused(self):
+        E = laurent_ddt().with_flat_generator()
+        with pytest.raises(VdfError, match=r"^monomial of value \(0, 1\) has zero "
+                                           "logarithmic derivative$"):
+            psi_map(E, unit(2, 1))
+
+    def test_dominant_solve_needs_a_known_term(self):
+        L = log_fragment(2)
+        with pytest.raises(VdfError, match="^dominant_solve needs a residual with a known term$"):
+            dominant_solve(op_A(L, 2), Series(L, {}, zero(L.rank)))

@@ -1,8 +1,10 @@
 """tools/interleave.py end to end: HEAD against HEAD on one round of the
 fragment workload, every item answering OK on both sides, and on one
-cold pass of the cli workload, in lines from which tools/bench_pairs.py
-reads each repeat's item and set-up ratio and the cli label ratios; the
-cold start of each repeat; and a cli process whose sides differ."""
+cold pass of the cli workload, with a last JSON line from which
+tools/bench_pairs.py reads each repeat's item and set-up ratio and the
+cli label ratios; a side's layers, loaded under the side's own package
+name; the cold start of each repeat; and a cli process whose sides
+differ."""
 
 import importlib.util
 import subprocess
@@ -35,13 +37,28 @@ def test_head_against_head():
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines[:2]] == ["repeat 0", "repeat 1"]
     assert "a first: True" in lines[0] and "a first: False" in lines[1]
-    assert lines[-1].startswith("median ratio a/b over 2 repeats: ")
-    items, setup = lines[-1].split(": ", 1)[1].split(", set-up ")
+    assert lines[-2].startswith("median ratio a/b over 2 repeats: ")
+    items, setup = lines[-2].split(": ", 1)[1].split(", set-up ")
     assert float(items) > 0 and float(setup) > 0
-    # tools/bench_pairs.py reads the ratios of each repeat from these lines
-    for pattern in (bench_pairs.ITEM_RATIO, bench_pairs.SETUP_RATIO):
-        ratios = bench_pairs.repeat_ratios(proc.stdout, pattern)
+    # tools/bench_pairs.py reads the ratios of each repeat from the JSON line
+    result = bench_pairs.last_json(proc.stdout)
+    assert set(result) == {"ratios", "setup_ratios"}
+    for ratios in result.values():
         assert len(ratios) == 2 and all(r > 0 for r in ratios)
+
+
+def test_a_side_reaches_only_its_own_layers():
+    # a side is a second copy of the package under its own name; its cli
+    # must reach that copy's layers, not those of the package named vdfield
+    try:
+        side = interleave.load("vdfield_side", ROOT / "src")
+        assert side.cli.vd is sys.modules["vdfield_side"]
+        field = side.cli.load_field("laurent_ddt")
+        assert type(field) is side.gridseries.FieldInstance
+        assert type(field) is not gridseries.FieldInstance
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] == "vdfield_side"]:
+            del sys.modules[name]
 
 
 def test_a_repeat_starts_from_cold_builtin_fields():
@@ -71,14 +88,14 @@ def test_cli_head_against_head():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("repeat 0: ") and "a first: True" in lines[0]
-    assert len(bench_pairs.repeat_ratios(proc.stdout)) == 1
-    assert len(bench_pairs.repeat_ratios(proc.stdout, bench_pairs.SETUP_RATIO)) == 1
-    labels = bench_pairs.label_ratios(proc.stdout)
+    result = bench_pairs.last_json(proc.stdout)
+    assert len(result["ratios"]) == len(result["setup_ratios"]) == 1
+    labels = result["labels"]
     subcommands = {label for label, _ in interleave.cli_processes(interleave.SEED, 1)}
     assert set(labels) == subcommands | {"all"}
     assert {"pass", "import", "val", "check-bll"} <= set(labels)
     assert all(r["least"] > 0 and r["total"] > 0 for r in labels.values())
-    assert lines[-1].startswith("median ratio a/b over 1 repeats: ")
+    assert lines[-2].startswith("median ratio a/b over 1 repeats: ")
 
 
 def test_cli_sides_that_differ_are_refused(tmp_path, monkeypatch):

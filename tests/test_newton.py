@@ -1196,3 +1196,28 @@ class TestBreakpointCertification:
                                  P.order)
                 assert breakpoints(exact) == bps
         assert answered > 0
+
+
+class TestPublicRefusals:
+    """The refusals of ndeg, ndeg_geq, ndeg_prec and ndeg_in_cut that no
+    other test reaches, with their messages."""
+
+    def test_a_base_outside_the_cut_is_refused(self):
+        K = laurent_ddt()  # Gamma(der) is v <= -1
+        with pytest.raises(VdfError, match="^base point must lie in gamma_der$"):
+            ndeg(DiffPoly.variable(K, 1), base=GroupElement([5]))
+
+    def test_ndeg_geq_refuses_a_rank_that_is_neither_the_fields_nor_one_more(self):
+        with pytest.raises(VdfError, match="^gamma rank 3 does not match field rank 1$"):
+            ndeg_geq(DiffPoly.variable(laurent_ddt(), 1), zero(3))
+
+    def test_ndeg_prec_of_zero_is_refused(self):
+        K = laurent_ddt()
+        with pytest.raises(VdfError, match="^ndeg_prec needs a nonzero comparison element$"):
+            ndeg_prec(DiffPoly.variable(K, 1), K.zero_series())
+
+    def test_a_window_longer_than_the_prefix_is_refused(self):
+        K = laurent_ddt()
+        t = K.gen("t")
+        with pytest.raises(VdfError, match="^pc-sequence prefix shorter than the window$"):
+            ndeg_in_cut(DiffPoly.variable(K, 1), PcSequence([t, t + t * t], window=3))

@@ -183,3 +183,16 @@ def test_a_command_loads_no_layer_it_does_not_call(args, absent):
     loaded = _vdf_loaded(*args)
     assert "vdfield.hsolve" in loaded or "vdfield.newton" in loaded
     assert loaded.isdisjoint(absent), sorted(loaded & absent)
+
+
+def test_a_lazy_export_is_logged_by_the_import_timer():
+    # the package's __getattr__ imports under the interpreter's -X importtime log
+    log = _python("-X", "importtime", "-c", "import vdfield; vdfield.ndeg").stderr
+    assert any(line.split("|")[-1].strip() == "vdfield.newton" for line in log.splitlines())
+
+
+def test_solve_without_rhs_loads_no_parser():
+    loaded = _vdf_loaded("solve", "--depth", "8")
+    assert "vdfield.hsolve" in loaded
+    assert loaded.isdisjoint({"vdfield.expr", "vdfield.diffpoly"}), \
+        sorted(loaded & {"vdfield.expr", "vdfield.diffpoly"})

@@ -428,3 +428,30 @@ class TestExactInput:
         assert GroupElement([1, Fraction(1, 2), "-3/4", " 6/3 "]).coords == (
             1, Fraction(1, 2), Fraction(-3, 4), 2)
         assert [type(_frac(x)) for x in (3, Fraction(1, 3), "5")] == [Fraction] * 3
+
+
+class TestPublicRefusals:
+    """The refusals of GroupElement.pad, Cut, quotient_map and
+    with_infinitesimal that no other test reaches, with their messages."""
+
+    def test_pad_refuses_a_smaller_rank(self):
+        with pytest.raises(RankMismatch, match="^cannot pad rank 2 down to 1$"):
+            GroupElement([1, 2]).pad(1)
+
+    def test_a_cut_refuses_an_element_of_another_rank(self):
+        with pytest.raises(RankMismatch, match="^rank 1 vs cut rank 2$"):
+            Cut(2, (1,)).contains(GroupElement([1]))
+
+    def test_quotient_map_refuses_another_rank(self):
+        with pytest.raises(RankMismatch, match="^rank 1 vs 2$"):
+            quotient_map(GroupElement([1]), ConvexSubgroup(2, 1))
+
+    def test_a_cut_without_a_maximum_has_no_max_element(self):
+        cut = Cut(2, (1,))  # inclusive, of depth below the rank
+        assert not cut.has_max()
+        with pytest.raises(VdfError, match="^cut has no maximum element$"):
+            cut.max_element()
+
+    def test_with_infinitesimal_refuses_another_sign(self):
+        with pytest.raises(VdfError, match="^sign must be 'below' or 'above', got 'left'$"):
+            with_infinitesimal(GroupElement([1]), "left")

@@ -55,7 +55,6 @@ import io
 import json
 import os
 import platform
-import re
 import statistics
 import subprocess
 import sys
@@ -97,17 +96,24 @@ def run_once(copy: Path, workload: str, seed: int, seconds: float, trace: int) -
                               timeout=40 * seconds + 600)
     except subprocess.TimeoutExpired as exc:
         return {"exit": None, "result": None, "stderr_tail": f"timed out after {exc.timeout} s"}
-    lines = proc.stdout.strip().splitlines()
+    return {"exit": proc.returncode, "result": last_json(proc.stdout),
+            "stderr_tail": proc.stderr[-2000:]}
+
+
+def last_json(stdout: str):
+    """The JSON document on the last line of stdout, as perfbench/run.py and
+    tools/interleave.py print their result; None if there is none."""
+    lines = stdout.strip().splitlines()
     try:
-        result = json.loads(lines[-1]) if lines else None
+        return json.loads(lines[-1]) if lines else None
     except json.JSONDecodeError:
-        result = None
-    return {"exit": proc.returncode, "result": result, "stderr_tail": proc.stderr[-2000:]}
+        return None
 
 
 def interleave_once(repo: Path, commits: dict, workload: str) -> dict:
     """One run of repo's tools/interleave.py, parent against change: its
-    exit status and the item and set-up ratios of each repeat it printed."""
+    exit status, and the item and set-up ratios of each repeat and the cli
+    label ratios of the JSON line it printed last."""
     rounds, repeats = INTERLEAVE[workload]
     argv = [sys.executable, str(repo / "tools" / "interleave.py"), "--a", commits["parent"],
             "--b", commits["change"], "--workload", workload, "--rounds", str(rounds),
@@ -117,28 +123,10 @@ def interleave_once(repo: Path, commits: dict, workload: str) -> dict:
     except subprocess.TimeoutExpired as exc:
         return {"exit": None, "ratios": [], "setup_ratios": [],
                 "stderr_tail": f"timed out after {exc.timeout} s"}
-    return {"exit": proc.returncode, "ratios": repeat_ratios(proc.stdout),
-            "setup_ratios": repeat_ratios(proc.stdout, SETUP_RATIO),
-            "labels": label_ratios(proc.stdout), "stderr_tail": proc.stderr[-2000:]}
-
-
-# the item and the set-up ratio of a `repeat k: ...` line of tools/interleave.py
-ITEM_RATIO = re.compile(r"^repeat \d+: .* s, ratio ([0-9.]+) \(", re.MULTILINE)
-SETUP_RATIO = re.compile(r"^repeat \d+: .*, set-up ratio ([0-9.]+)$", re.MULTILINE)
-# the two ratios of a `<label>: least a ...` line of its cli workload
-LABEL_RATIOS = re.compile(r"^(\S+): least a .* ratio ([0-9.]+); total a .* ratio ([0-9.]+)$",
-                          re.MULTILINE)
-
-
-def label_ratios(stdout: str) -> dict:
-    """{label: {"least": ratio, "total": ratio}} of the cli workload's label lines."""
-    return {m.group(1): {"least": float(m.group(2)), "total": float(m.group(3))}
-            for m in LABEL_RATIOS.finditer(stdout)}
-
-
-def repeat_ratios(stdout: str, pattern=ITEM_RATIO) -> list:
-    """The ratio pattern finds on each `repeat k: ...` line that tools/interleave.py prints."""
-    return [float(m.group(1)) for m in pattern.finditer(stdout)]
+    result = last_json(proc.stdout) or {}
+    return {"exit": proc.returncode, "ratios": result.get("ratios", []),
+            "setup_ratios": result.get("setup_ratios", []), "labels": result.get("labels", {}),
+            "stderr_tail": proc.stderr[-2000:]}
 
 
 def ratio_range(ratios) -> dict:

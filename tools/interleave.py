@@ -18,9 +18,11 @@ the kernels F(n, k), so every repeat pays the cold start a benchmark run
 pays.
 
 Per repeat it prints time(a) / time(b) summed over the items (above 1:
-b is faster) and the same ratio of the set-ups and, last, the median of
-each over the repeats.  Every item must answer OK on both sides; the
-exit status is 1 otherwise.  This supplements tools/bench_pairs.py,
+b is faster) and the same ratio of the set-ups, then the median of each
+over the repeats and, last, one JSON line: {"ratios": [...],
+"setup_ratios": [...]}, the two ratios of each repeat, which
+tools/bench_pairs.py reads.  Every item must answer OK on both sides;
+the exit status is 1 otherwise.  This supplements tools/bench_pairs.py,
 which times whole benchmark runs in fresh processes, and does not
 replace it.
 
@@ -33,9 +35,10 @@ side that runs first flipping from repeat to repeat.  Per repeat it
 prints the same line as above, the items being the `vdf` invocations;
 then, per subcommand and for `import`, `pass` and `all` (every
 invocation), the ratio of each side's least time over the repeats (each
-invocation's least, summed) and the ratio of each side's total time.  A
-process whose exit code or stdout differs between the sides makes the
-exit status 1.
+invocation's least, summed) and the ratio of each side's total time;
+the JSON line holds these too, as "labels": {label: {"least": ratio,
+"total": ratio}}.  A process whose exit code or stdout differs between
+the sides makes the exit status 1.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import argparse
 import gc
 import importlib
 import importlib.util
+import json
 import os
 import statistics
 import subprocess
@@ -208,12 +212,16 @@ def main(argv=None) -> int:
         except RuntimeError as exc:
             print(f"FAILED: {exc}", file=sys.stderr)
             return 1
+    result = {"ratios": ratios, "setup_ratios": setup_ratios}
     for label, (least_a, least_b, total_a, total_b) in labels.items():
         print(f"{label}: least a {least_a * 1e3:.1f} ms, b {least_b * 1e3:.1f} ms, "
               f"ratio {least_a / least_b:.4f}; total a {total_a * 1e3:.1f} ms, "
               f"b {total_b * 1e3:.1f} ms, ratio {total_a / total_b:.4f}")
+        result.setdefault("labels", {})[label] = {"least": least_a / least_b,
+                                                  "total": total_a / total_b}
     print(f"median ratio a/b over {len(ratios)} repeats: {statistics.median(ratios):.4f}, "
           f"set-up {statistics.median(setup_ratios):.4f}")
+    print(json.dumps(result))
     return 0
 
 
