@@ -27,7 +27,7 @@ from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import IndeterminateValuation, VdfError
-from .gridseries import _ADD, FieldInstance, Series, _sum_series, _tuple_kernel
+from .gridseries import _ADD, FieldInstance, Series, _lattice_key, _sum_series, _tuple_kernel
 from .records import Record
 from .valgroup import GroupElement
 
@@ -203,46 +203,52 @@ class DiffPoly:
 
 
 def known_split(P: DiffPoly) -> Tuple[list, list]:
-    """The coefficients of P as pairs (i, v(P_i)) where a term is known
-    and pairs (i, tau_i) where none is.  Raises on the zero polynomial,
-    and IndeterminateValuation when no term is known."""
+    """The terms (i, P_i) of P where a term of P_i is known, and pairs
+    (i, tau_i) where none is.  Raises on the zero polynomial, and
+    IndeterminateValuation when no term is known."""
     if P.is_zero():
         raise VdfError("the zero polynomial has no dominant or tropical data")
-    known = [(i, c.valuation()) for i, c in P.terms.items() if c.terms]
+    known = [(i, c) for i, c in P.terms.items() if c.terms]
     if not known:
         raise IndeterminateValuation("no coefficient has a known term")
     return known, [(i, c.tau) for i, c in P.terms.items() if not c.terms]
 
 
-def tropical_argmin(P: DiffPoly, key_of) -> Tuple[object, List[MultiIndex]]:
-    """The least key_of(v(P_i), ||i||) over the coefficients with a
-    known term, and the indices i that reach it.
+def tropical_argmin(P: DiffPoly, key_of=lambda k, w, d: k,
+                    data: GroupElement = GroupElement(())) -> List[MultiIndex]:
+    """The indices i of the coefficients P_i with a known term that reach
+    the least key_of(k, ||i||, d): k is v(P_i) and d is data, each as a
+    lattice key of ints over L, the lcm of all their dens, so a key_of that
+    scales each block of a lexicographic value key by L keeps its order.
 
     Certified against truncation: raises IndeterminateValuation unless
-    the least key lies strictly below key_of(tau, ||i||) for every
-    coefficient known only modulo its tau.  At the key v this is the
-    gaussian valuation; newton evaluates it at tropical keys.
+    the least key lies strictly below key_of(_lattice_key(tau, L), ||i||, d)
+    for every coefficient known only modulo its tau.  At the key v this is
+    the gaussian valuation; newton evaluates it at tropical keys.
     """
     known, unknown = known_split(P)
+    L = math.lcm(*[x.denominator for x in data.coords], *[c.den for _, c in known])
+    d, scale = _lattice_key(data, L), P.field._scale
     best, argmin = None, []
-    for i, v in known:
-        key = key_of(v, mi_weight(i))
+    for i, c in known:
+        k = min(c.terms)
+        key = key_of(k if c.den == L else scale(k, L // c.den), mi_weight(i), d)
         if best is None or key < best:
             best, argmin = key, [i]
         elif key == best:
             argmin.append(i)
     for i, tau in unknown:
-        if not best < key_of(tau, mi_weight(i)):
+        if not best < key_of(_lattice_key(tau, L), mi_weight(i), d):
             raise IndeterminateValuation(
                 f"a coefficient known only modulo {tau} could reach the minimum"
             )
-    return best, argmin
+    return argmin
 
 
 def gauss_val(P: DiffPoly) -> GroupElement:
     """min over the support of the coefficient valuations, certified
     against truncation by tropical_argmin."""
-    return tropical_argmin(P, lambda v, w: v)[0]
+    return P.terms[tropical_argmin(P)[0]].valuation()
 
 
 class DominantData(Record):
@@ -254,21 +260,17 @@ class DominantData(Record):
 def dominant(P: DiffPoly) -> DominantData:
     """Dominant degree/weight, the parts D(P) and W(P), and the residue
     coefficients of the dominant part."""
-    argmin = tropical_argmin(P, lambda v, w: v)[1]
-    dd = max(map(mi_degree, argmin))
-    dw = max(map(mi_weight, argmin))
-    D = DiffPoly(P.field, {i: P.terms[i] for i in argmin}, P.order)
-    W = DiffPoly(
-        P.field,
-        {i: P.terms[i] for i in argmin if mi_weight(i) == dw},
-        P.order,
-    )
+    argmin = tropical_argmin(P)
+    dd, dw = max(map(mi_degree, argmin)), max(map(mi_weight, argmin))
+    D, W = DiffPoly(P.field, {}, P.order), DiffPoly(P.field, {}, P.order)
+    D.terms = {i: P.terms[i] for i in argmin}  # P's own indices: no pad, no check
+    W.terms = {i: c for i, c in D.terms.items() if mi_weight(i) == dw}
     part = {i: P.terms[i].dominant_term()[0] for i in argmin}
     return DominantData(dd, dw, D, W, part)
 
 
 def ddeg(P: DiffPoly) -> int:
-    return max(map(mi_degree, tropical_argmin(P, lambda v, w: v)[1]))
+    return max(map(mi_degree, tropical_argmin(P)))
 
 
 # -- the compositional kernel -------------------------------------------------
@@ -320,24 +322,27 @@ def _fnk(n: int, k: int) -> DiffPoly:
 # -- substitution and the three conjugations ----------------------------------
 
 
-def substitute(P: DiffPoly, images: List[DiffPoly]) -> DiffPoly:
+def substitute(P: DiffPoly, images: List[DiffPoly], powers: Optional[dict] = None) -> DiffPoly:
     """The ring morphism sending Y^(j) to images[j], on term lists with one
     _collect per product: each term (i, c) of P, from [(zero index, c)],
-    times each images[j]^(i_j), listed once per call; one _sum_terms sums all."""
+    times each images[j]^(i_j), read from the table powers[j, e], which a
+    caller may hold across calls and threads; one _sum_terms sums all."""
     if len(images) < P.order + 1:
         raise VdfError("substitution needs an image for every variable")
     K = P.field
     if any(img.field is not K for img in images):
         raise VdfError("polynomials over different field instances")
     order = max([img.order for img in images] + [0])
+    powers = {} if powers is None else powers
 
     def times(left, right):
         return _collect(K, _products(left, right, order)).items()
 
-    powers = [[None, _padded(img.terms, order)] for img in images]  # [j][e]: images[j]^e
-    for power, top in zip(powers, map(max, zip(*P.terms))):
-        while len(power) <= top:
-            power.append(times(power[-1], power[1]))
+    for j, top in enumerate(map(max, zip(*P.terms))):
+        for e in range(1, top + 1):
+            if (j, e) not in powers:
+                powers.setdefault((j, e), times(powers[j, e - 1], powers[j, 1]) if e > 1
+                                  else _padded(images[j].terms, order))
 
     # the term times the power, not times images[j] e times: that order
     # certifies a lower tau when an image's own terms cancel in the power
@@ -346,7 +351,7 @@ def substitute(P: DiffPoly, images: List[DiffPoly]) -> DiffPoly:
         term = [((0,) * (order + 1), c)]
         for j, e in enumerate(i):
             if e:
-                term = times(term, powers[j][e])
+                term = times(term, powers[j, e])
         pairs.extend(term)
     return _sum_terms(K, pairs, order)
 
@@ -400,16 +405,22 @@ def comp_conj(P: DiffPoly, phi: Series, twist: Optional[Series] = None) -> DiffP
     with that derivation: pass the original conjugator as `twist`.  The
     composition law (P^a)^b = P^(ab) holds in that reading.
     """
+    return substitute(P, comp_images(P.field, phi, P.order, twist))
+
+
+def comp_images(K: FieldInstance, phi: Series, order: int,
+                twist: Optional[Series] = None) -> List[DiffPoly]:
+    """The images sum_k F(n,k)(phi) Y^<k> over K of Y^(n), n <= order, that
+    comp_conj substitutes; one table of the der[j]^e serves all F(n, k)."""
     if phi.is_true_zero():
         raise VdfError("compositional conjugation by zero")
-    K = P.field
-    der = derivatives(phi, max(P.order - 1, 0), twist)
+    der, powers = derivatives(phi, max(order - 1, 0), twist), {}
     images = [DiffPoly.variable(K, 0)]
-    for n in range(1, P.order + 1):
-        terms = {_unit_index(k, P.order): _evaluate_at(fnk(n, k), der)
+    for n in range(1, order + 1):
+        terms = {_unit_index(k, order): _evaluate_at(fnk(n, k), der, powers)
                  for k in range(1, n + 1)}
-        images.append(DiffPoly(K, terms, P.order))
-    return substitute(P, images)
+        images.append(DiffPoly(K, terms, order))
+    return images
 
 
 def _unit_index(j: int, order: int) -> MultiIndex:
@@ -428,20 +439,23 @@ def evaluate(P: DiffPoly, f: Series, twist: Optional[Series] = None) -> Series:
     return _evaluate_at(P, derivatives(f, P.order, twist))
 
 
-def _evaluate_at(P: DiffPoly, der: List[Series]) -> Series:
+def _evaluate_at(P: DiffPoly, der: List[Series], powers: Optional[dict] = None) -> Series:
     """P at the point whose derivatives are der, in der's field: the sum
-    over the support of coefficient times product of derivative powers.
-    A polynomial over Q (a kernel F(n, k)) scales each product by its
-    rational coefficient, which gives the terms and tau of multiplying
-    by the embedded constant: that is exact, of valuation 0."""
+    over the support of coefficient times product of derivative powers,
+    each der[j]^e built once, in the table powers[j, e].  A polynomial
+    over Q (a kernel F(n, k)) scales each product by its rational
+    coefficient, which gives the terms and tau of multiplying by the
+    embedded constant: that is exact, of valuation 0."""
     K = der[0].field
     over_q = P.field is not K and P.field is rational_field()
+    powers = {} if powers is None else powers
     parts = []
     for i, c in P.terms.items():
         term = None if over_q else c
         for j, ij in enumerate(i):
             if ij:
-                p = der[j].power(ij)
+                if (p := powers.get((j, ij))) is None:
+                    p = powers[j, ij] = der[j].power(ij)
                 term = p if term is None else term * p
         parts.append((term or K.one()).scale(c.dominant_term()[0]) if over_q else term)
     return _sum_series(K, parts)

@@ -27,12 +27,14 @@ from .diffpoly import (
     DiffPoly,
     add_conj,
     comp_conj,
+    comp_images,
     ddeg,
     evaluate,
     known_split,
     mi_degree,
     mi_weight,
     mul_conj,
+    substitute,
     tropical_argmin,
 )
 from .errors import IndeterminateValuation, VdfError
@@ -49,6 +51,7 @@ from .valgroup import (
     with_infinitesimal,
     zero,
 )
+from .valgroup import _ADD, _SCALE, _tuple_kernel
 
 
 # -- tropical degree and breakpoints --------------------------------------------
@@ -66,12 +69,10 @@ def tropical_ddeg(P: DiffPoly, gamma: GroupElement) -> int:
     if gamma.rank < P.field.rank:
         raise VdfError("gamma has lower rank than the field's value group")
     if not gamma < zero(gamma.rank):
-        raise VdfError(
-            "tropical formula needs gamma < 0; renormalize via comp_conj first"
-        )
-    _, argmin = tropical_argmin(
-        P, lambda v, w: (v.pad(gamma.rank) + gamma.scale(w)).coords
-    )
+        raise VdfError("tropical formula needs gamma < 0; renormalize via comp_conj first")
+    pad = (0,) * (gamma.rank - P.field.rank)
+    add, scale = _tuple_kernel(gamma.rank, _ADD), _tuple_kernel(gamma.rank, _SCALE)
+    argmin = tropical_argmin(P, lambda k, w, g: add(k + pad, scale(g, w)), gamma)
     return max(map(mi_degree, argmin))
 
 
@@ -85,7 +86,7 @@ def breakpoints(P: DiffPoly) -> List[GroupElement]:
     a known one of larger weight and valuation above tau, or an unknown
     one of another weight."""
     known, unknown = known_split(P)
-    profile = [(v, mi_weight(i)) for i, v in known]
+    profile = [(c.valuation(), mi_weight(i)) for i, c in known]
     tails = [(tau, mi_weight(j)) for j, tau in unknown]
     if len({wu for _, wu in tails}) > 1 or any(
             wu > w or (wu < w and tau < v) for tau, wu in tails for v, w in profile):
@@ -170,9 +171,10 @@ def ndeg(P: DiffPoly, base: Optional[GroupElement] = None,
 
     A compositional conjugate P^f is measured relative to the conjugated
     field: pass cut = Gamma(der) shifted by v(f) and twist = f, so the
-    normalization composes as (P^f)^phi0 = P^(f*phi0).
+    normalization composes as (P^f)^phi0 = P^(f*phi0).  With no base, cut
+    or twist, the images under phi0 and their powers are held on the field.
     """
-    K = P.field
+    K, held = P.field, base is None and cut is None and twist is None
     if cut is None:
         cut = gamma_der(K)
     if cut.kind == ALL:
@@ -184,8 +186,11 @@ def ndeg(P: DiffPoly, base: Optional[GroupElement] = None,
         base = cut.bound_element()
     if not cut.contains(base):
         raise VdfError("base point must lie in gamma_der")
-    phi0 = K.term(base)
-    Q = comp_conj(P, phi0, twist)
+    if held:  # the images of phi0 and the table of their powers, kept per order
+        Q = substitute(P, *K._derived(f"_ndeg_images_{P.order}", lambda: (
+            comp_images(K, K.term(base), P.order), {})))
+    else:
+        Q = comp_conj(P, K.term(base), twist)
     if cut.has_max() and base == cut.max_element():
         return ddeg(Q)
     shifted = cut.shift_by_prefix(base)
@@ -198,13 +203,10 @@ def _top_tropical(Q: DiffPoly, depth: int, bound: Sequence[Fraction]) -> int:
     (bound, +infinity, 0, ...).  Comparison keys order by the bound
     block, then by the weight (the +infinity coefficient), then by the
     remaining coordinates."""
-    bound = tuple(bound)
-
-    def key_of(v, w):
-        prefix = tuple(c + w * b for c, b in zip(v.coords[:depth], bound))
-        return (prefix, w, v.coords[depth:])
-
-    return max(map(mi_degree, tropical_argmin(Q, key_of)[1]))
+    add, scale = _tuple_kernel(depth, _ADD), _tuple_kernel(depth, _SCALE)
+    argmin = tropical_argmin(
+        Q, lambda k, w, b: (add(k, scale(b, w)), w, k[depth:]), GroupElement(bound))
+    return max(map(mi_degree, argmin))
 
 
 def ndeg_geq(P: DiffPoly, gamma: GroupElement) -> int:
@@ -291,6 +293,10 @@ def flex_probe(P: DiffPoly, beta: GroupElement, sample_count: int,
     valuations, in increasing order: the classes (valuation, dominant
     monomial), as the valuation determines the dominant monomial.  A
     probe of the infinite image, not a proof."""
+    if type(sample_count) is not int or sample_count < 1:
+        raise VdfError(f"sample_count {sample_count!r} is not an int >= 1")
+    if type(seed) is not int:
+        raise VdfError(f"seed {seed!r} is not an int")
     if not zero(beta.rank) < beta:
         raise VdfError("beta must be positive")
     if ndeg(P) < 1:

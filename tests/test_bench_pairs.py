@@ -236,7 +236,7 @@ class TestTooFewPairs:
             assert commits == {"parent": "p" * 7, "change": "c" * 7}
             repeats = bench_pairs.INTERLEAVE[workload][1]
             return {"exit": 0, "ratios": [1.25] * repeats, "setup_ratios": [1.5] * repeats,
-                    "stderr_tail": ""}
+                    "ratio": 1.25, "setup_ratio": 1.5, "stderr_tail": ""}
 
         monkeypatch.setattr(bench_pairs, "git", git)
         monkeypatch.setattr(bench_pairs, "export", export)
@@ -259,8 +259,8 @@ class TestTooFewPairs:
             {"parent": 30000, "change": 40000}
         assert [r["workload"] for r in doc["interleaved"]] == list(bench_pairs.INTERLEAVE)
         assert doc["summary"]["interleave"]["fragment"] == {
-            "rounds": 3, "repeats": 15, "median": 1.25, "low": 1.25, "high": 1.25,
-            "setup": {"median": 1.5, "low": 1.5, "high": 1.5}}
+            "rounds": 3, "repeats": 16, "ratio": 1.25, "median": 1.25, "low": 1.25,
+            "high": 1.25, "setup": {"ratio": 1.5, "median": 1.5, "low": 1.5, "high": 1.5}}
 
 
 class TestClaim:
@@ -322,15 +322,17 @@ repeat 0: a 0.412 s, b 0.350 s, ratio 1.1771 (75 items, a first: True), \
 set-up a 1.452 ms, b 0.871 ms, set-up ratio 1.6671
 repeat 1: a 0.398 s, b 0.341 s, ratio 1.1672 (75 items, a first: False), \
 set-up a 1.398 ms, b 0.902 ms, set-up ratio 1.5499
-median ratio a/b over 2 repeats: 1.1722, set-up 1.6085
-{"ratios": [1.1771, 1.1672], "setup_ratios": [1.6671, 1.5499]}
+items ratio a/b over 2 repeats: median a first 1.1771, b first 1.1672; geometric mean 1.1721
+set-up ratio a/b over 2 repeats: median a first 1.6671, b first 1.5499; geometric mean 1.6074
+{"ratios": [1.1771, 1.1672], "setup_ratios": [1.6671, 1.5499], "ratio": 1.1721, \
+"setup_ratio": 1.6074, "order_medians": {"items": [1.1771, 1.1672], "setup": [1.6671, 1.5499]}}
 """
 
 
-def _interleaved(workload, ratios, exit_code=0, setup_ratios=None):
+def _interleaved(workload, ratios, exit_code=0, setup_ratios=None, ratio=1.0, setup_ratio=1.0):
     return {"workload": workload, "exit": exit_code, "ratios": ratios,
             "setup_ratios": ratios if setup_ratios is None else setup_ratios,
-            "stderr_tail": ""}
+            "ratio": ratio, "setup_ratio": setup_ratio, "stderr_tail": ""}
 
 
 def _interleave_once(monkeypatch, stdout, exit_code=0):
@@ -350,6 +352,7 @@ class TestInterleave:
         out = _interleave_once(monkeypatch, INTERLEAVE_STDOUT)
         assert out["exit"] == 0 and out["labels"] == {}
         assert out["ratios"] == [1.1771, 1.1672] and out["setup_ratios"] == [1.6671, 1.5499]
+        assert (out["ratio"], out["setup_ratio"]) == (1.1721, 1.6074)
         cli = INTERLEAVE_STDOUT.replace("}\n", ', "labels": {"val": {"least": 1.02, '
                                                 '"total": 0.98}}}\n')
         assert _interleave_once(monkeypatch, cli)["labels"] == {
@@ -360,17 +363,20 @@ class TestInterleave:
             assert (out["exit"], out["ratios"], out["setup_ratios"]) == (1, [], [])
 
     def test_median_and_range_per_workload(self):
-        conj = [1.0 + k / 100 for k in range(9)]
-        frag = [1.2, 0.9] + [1.1] * 13
+        conj = [1.0 + k / 100 for k in range(10)]
+        frag = [1.2, 0.9] + [1.1] * 14
         out = bench_pairs.interleave_summary(
-            [_interleaved("conjugate", conj),
-             _interleaved("fragment", frag, setup_ratios=[1.5] * 14 + [1.3])])
-        assert out["conjugate"] == {"rounds": 2, "repeats": 9, "median": 1.04,
-                                    "low": 1.0, "high": 1.08,
-                                    "setup": {"median": 1.04, "low": 1.0, "high": 1.08}}
-        assert out["fragment"] == {"rounds": 3, "repeats": 15, "median": 1.1,
+            [_interleaved("conjugate", conj, ratio=1.0449, setup_ratio=1.0448),
+             _interleaved("fragment", frag, setup_ratios=[1.5] * 15 + [1.3], ratio=1.1,
+                          setup_ratio=1.5)])
+        assert out["conjugate"] == {"rounds": 2, "repeats": 10, "ratio": 1.0449,
+                                    "median": 1.045, "low": 1.0, "high": 1.09,
+                                    "setup": {"ratio": 1.0448, "median": 1.045, "low": 1.0,
+                                              "high": 1.09}}
+        assert out["fragment"] == {"rounds": 3, "repeats": 16, "ratio": 1.1, "median": 1.1,
                                    "low": 0.9, "high": 1.2,
-                                   "setup": {"median": 1.5, "low": 1.3, "high": 1.5}}
+                                   "setup": {"ratio": 1.5, "median": 1.5, "low": 1.3,
+                                             "high": 1.5}}
 
     def test_a_failed_or_cut_run_is_unresolved(self):
         out = bench_pairs.interleave_summary(
@@ -381,8 +387,19 @@ class TestInterleave:
 
     def test_a_run_without_every_setup_ratio_is_unresolved(self):
         out = bench_pairs.interleave_summary(
-            [_interleaved("fragment", [1.0] * 15, setup_ratios=[1.0] * 14)])
+            [_interleaved("fragment", [1.0] * 16, setup_ratios=[1.0] * 15)])
         assert out == {"fragment": {"unresolved": True, "exit": 0}}
+
+    @pytest.mark.parametrize("missing", ["ratio", "setup_ratio"])
+    def test_a_run_without_its_order_balanced_ratio_is_unresolved(self, missing):
+        run = _interleaved("fragment", [1.0] * 16)
+        run[missing] = None
+        assert bench_pairs.interleave_summary([run]) == {
+            "fragment": {"unresolved": True, "exit": 0}}
+
+    def test_every_repeat_count_is_even(self):
+        # tools/interleave.py refuses an odd one
+        assert all(repeats % 2 == 0 for _, repeats in bench_pairs.INTERLEAVE.values())
 
 
 class TestMachine:

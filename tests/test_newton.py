@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     assert_normal,
     random_bounded_series,
+    random_multi_index,
     random_poly,
     random_positive_value,
     random_series,
@@ -32,6 +33,7 @@ from vdfield.diffpoly import (
     gauss_val,
     mi_degree,
     mi_weight,
+    tropical_argmin,
 )
 from vdfield.errors import IndeterminateValuation, VdfError
 from vdfield.gridseries import (
@@ -57,7 +59,17 @@ from vdfield.newton import (
     s_der,
     tropical_ddeg,
 )
-from vdfield.valgroup import ALL, INFINITY, PREFIX, ConvexSubgroup, Cut, GroupElement, unit, zero
+from vdfield.valgroup import (
+    ALL,
+    INFINITY,
+    PREFIX,
+    ConvexSubgroup,
+    Cut,
+    GroupElement,
+    unit,
+    with_infinitesimal,
+    zero,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SMALL_DER = [laurent_tddt_coarse, lambda: transseries_fragment(2)]
@@ -593,6 +605,28 @@ class TestFlexProbe:
         b = len(flex_probe(P, GroupElement([5]), 90))
         assert a <= b
 
+    @pytest.mark.parametrize("count", [0, -3, True, 2.5, "5", None])
+    def test_a_sample_count_that_is_no_int_of_at_least_one_is_refused(self, count):
+        # 0 and -3 gave [], which reads as "no classes", and True counted as 1
+        K = laurent_ddt()
+        with pytest.raises(VdfError) as info:
+            flex_probe(DiffPoly.variable(K, 1), GroupElement([5]), count)
+        assert str(info.value) == f"sample_count {count!r} is not an int >= 1"
+
+    @pytest.mark.parametrize("seed", [None, True, 2.5, "11"])
+    def test_a_seed_that_is_no_int_is_refused(self, seed):
+        # None seeded from the OS, so the probe no longer repeated
+        K = laurent_ddt()
+        with pytest.raises(VdfError) as info:
+            flex_probe(DiffPoly.variable(K, 1), GroupElement([5]), 10, seed=seed)
+        assert str(info.value) == f"seed {seed!r} is not an int"
+
+    def test_the_same_seed_repeats_the_probe(self):
+        K = laurent_ddt()
+        P = DiffPoly.variable(K, 1)
+        assert flex_probe(P, GroupElement([5]), 20, seed=-4) == flex_probe(
+            P, GroupElement([5]), 20, seed=-4)
+
 
 # -- the Gamma(der) sampling oracle: a test-side check of the analytic cut ------
 #
@@ -987,13 +1021,13 @@ class TestGammaDerIsAnalytic:
 
 
 def _reference_profile(P):
-    """(v(P_i), ||i||, |i|) over the coefficients with a known term."""
+    """(i, v(P_i), ||i||) over the coefficients with a known term, with
+    the library's refusals of a zero polynomial and of one with no known term."""
     if P.is_zero():
-        raise VdfError("tropical profile of the zero polynomial")
-    out = [(c.valuation(), mi_weight(i), mi_degree(i))
-           for i, c in P.terms.items() if c.terms]
+        raise VdfError("the zero polynomial has no dominant or tropical data")
+    out = [(i, c.valuation(), mi_weight(i)) for i, c in P.terms.items() if c.terms]
     if not out:
-        raise VdfError("no coefficient of P has a known term")
+        raise IndeterminateValuation("no coefficient has a known term")
     return out
 
 
@@ -1002,32 +1036,34 @@ def _reference_unknown_tails(P):
             if not c.terms and c.tau is not INFINITY]
 
 
+def _refuse_tail(tau):
+    raise IndeterminateValuation(
+        f"a coefficient known only modulo {tau} could reach the minimum")
+
+
 def _reference_tropical_argmin(P, key_of):
-    """max |i| over the indices minimizing key_of(v(P_i), ||i||), with
-    its own certification against unknown tails.  Kept here only as a
-    reference for diffpoly.tropical_argmin."""
-    best_key, best_deg = None, -1
-    for v, w, d in _reference_profile(P):
+    """The indices minimizing key_of(v(P_i), ||i||), the keys built from
+    GroupElement values, with its own certification against unknown
+    tails.  Kept here only as a reference for diffpoly.tropical_argmin,
+    which decides on int lattice keys."""
+    best_key, argmin = None, []
+    for i, v, w in _reference_profile(P):
         key = key_of(v, w)
         if best_key is None or key < best_key:
-            best_key, best_deg = key, d
-        elif key == best_key and d > best_deg:
-            best_deg = d
+            best_key, argmin = key, [i]
+        elif key == best_key:
+            argmin.append(i)
     for tau, w in _reference_unknown_tails(P):
         if not best_key < key_of(tau, w):
-            raise IndeterminateValuation("an unknown tail could win")
-    return best_deg
+            _refuse_tail(tau)
+    return argmin
 
 
 def _reference_gauss_val(P):
-    if P.is_zero():
-        raise VdfError("gaussian valuation of the zero polynomial")
-    best = min((c.valuation() for c in P.terms.values() if c.terms), default=INFINITY)
-    if best is INFINITY:
-        raise IndeterminateValuation("no coefficient has a known term")
-    for c in P.terms.values():
-        if not c.terms and not best < c.tau:
-            raise IndeterminateValuation("an unknown tail could undercut")
+    best = min(v for _, v, _ in _reference_profile(P))
+    for tau, _ in _reference_unknown_tails(P):
+        if not best < tau:
+            _refuse_tail(tau)
     return best
 
 
@@ -1039,8 +1075,8 @@ def _reference_dominant(P):
 
 
 def _reference_tropical_ddeg(P, gamma):
-    return _reference_tropical_argmin(
-        P, lambda v, w: (v.pad(gamma.rank) + gamma.scale(w)).coords)
+    return max(map(mi_degree, _reference_tropical_argmin(
+        P, lambda v, w: (v.pad(gamma.rank) + gamma.scale(w)).coords)))
 
 
 def _reference_top_tropical(Q, depth, bound):
@@ -1050,7 +1086,7 @@ def _reference_top_tropical(Q, depth, bound):
         prefix = tuple(c + w * b for c, b in zip(v.coords[:depth], bound))
         return (prefix, w, v.coords[depth:])
 
-    return _reference_tropical_argmin(Q, key_of)
+    return max(map(mi_degree, _reference_tropical_argmin(Q, key_of)))
 
 
 def _reference_ndeg(P):
@@ -1089,6 +1125,52 @@ def _partly_unknown(P, rng, truncate=True):
     return DiffPoly(K, terms, P.order)
 
 
+def _refusal(fn, *args):
+    """fn(*args), or the type and message of the VdfError it raises."""
+    try:
+        return fn(*args)
+    except VdfError as exc:
+        return type(exc), str(exc)
+
+
+# The dens of drawn coefficient values, and those of gamma and of the cut
+# bounds: 13 and 17 put them off every coefficient's lattice.
+COEFF_DENS = (1, 2, 3, 5, 12)
+KEY_DENS = (1, 4, 13, 17)
+
+
+def _on_lattice(K, rng, den, lo=-4, hi=4):
+    return GroupElement([Fraction(rng.randint(lo * den, hi * den), den) for _ in range(K.rank)])
+
+
+def _near(K, rng, v):
+    """v, or v moved by a step off every drawn lattice, in its first
+    coordinate or its last."""
+    step = Fraction(rng.choice([-1, 1]), 11 * rng.choice(COEFF_DENS))
+    return rng.choice([v, v, v + unit(K.rank, 0, step), v + unit(K.rank, K.rank - 1, step)])
+
+
+def _mixed_lattice_poly(K, rng, shift):
+    """An order-2 polynomial whose coefficients' values lie on lattices of
+    different dens, with one or two more coefficients known only modulo a
+    tau drawn near the least v(P_j) + ||j|| shift: tau + ||i|| shift is
+    that least value, or a step off it."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        i = random_multi_index(rng, 2, 3)
+        c = Series(K, {_on_lattice(K, rng, rng.choice(COEFF_DENS)): rat(rng, 1, 5)
+                       for _ in range(rng.randint(1, 2))}, INFINITY)
+        terms[i] = terms[i] + c if i in terms else c
+    low, wj = min(((c.valuation() + shift.scale(mi_weight(j)), mi_weight(j))
+                   for j, c in terms.items() if c.terms), default=(zero(K.rank), 0),
+                  key=lambda pair: pair[0].coords)
+    for _ in range(rng.randint(1, 2)):
+        i = random_multi_index(rng, 2, 3)
+        if i not in terms:
+            terms[i] = Series(K, {}, _near(K, rng, low - shift.scale(mi_weight(i))))
+    return DiffPoly(K, terms, 2)
+
+
 class TestMinPlusArgmin:
     @pytest.mark.parametrize("name", FAMILIES)
     def test_agrees_with_the_reference_loops(self, name):
@@ -1112,6 +1194,38 @@ class TestMinPlusArgmin:
         # both the answering and the refusing path were exercised
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_int_keys_agree_with_value_keys_across_lattices(self, name):
+        """The int lattice keys give the argmin, the gaussian valuation,
+        the tropical degree at gamma and at the top of a cut, and each
+        refusal with its message, of the GroupElement keys, when the
+        coefficients' dens differ, gamma and the cut bound lie off their
+        lattices, and coefficients known only modulo tau sit at or next to
+        the minimum."""
+        K = FRESH_FIELDS[name]()
+        rng = random.Random(f"lattice-{name}")
+        refusals = answers = 0
+        for _ in range(40):
+            gamma = -random_positive_value(K, rng).scale(Fraction(1, rng.choice(KEY_DENS)))
+            bound = _on_lattice(K, rng, rng.choice(KEY_DENS))
+            shift = rng.choice([zero(K.rank), gamma, bound])
+            P = _mixed_lattice_poly(K, rng, shift)
+            got = _refusal(tropical_argmin, P)
+            assert got == _refusal(_reference_tropical_argmin, P, lambda v, w: v)
+            assert _refusal(gauss_val, P) == _refusal(_reference_gauss_val, P)
+            for g in (gamma, with_infinitesimal(gamma, rng.choice(["below", "above"]))):
+                assert (_refusal(tropical_ddeg, P, g)
+                        == _refusal(_reference_tropical_ddeg, P, g))
+            for depth in range(K.rank + 1):
+                b = bound.coords[:depth]
+                assert (_refusal(newton._top_tropical, P, depth, b)
+                        == _refusal(_reference_top_tropical, P, depth, b))
+            refused = isinstance(got, tuple)
+            refusals += refused and got[1].startswith("a coefficient known only modulo")
+            answers += not refused
+        # both the answering and the certification's refusing path were taken
+        assert refusals and answers
+
     def test_zero_polynomial_is_refused_everywhere(self):
         K = laurent_ddt()
         Y = DiffPoly.variable(K, 0)
@@ -1129,6 +1243,61 @@ class TestMinPlusArgmin:
                 fn(P)
         with pytest.raises(IndeterminateValuation):
             tropical_ddeg(P, GroupElement([-1]))
+
+
+def _explicit_ndeg(P):
+    """ndeg of P by today's path, the base or the cut passed explicitly:
+    a conjugation of its own, no table held on the field."""
+    cut = gamma_der(P.field)
+    return ndeg(P, cut=cut) if cut.kind == ALL else ndeg(P, base=cut.bound_element())
+
+
+def _held_tables(K):
+    return {name for name in vars(K) if name.startswith("_ndeg_images_")}
+
+
+class TestHeldNormalization:
+    """ndeg with no base, cut or twist reads the images of its
+    normalization, and their powers, from a table held on the field per
+    order; it answers as a conjugation of its own does."""
+
+    @pytest.mark.parametrize("name", list(FRESH_FIELDS))
+    def test_equals_the_explicit_base_on_every_built_in_field(self, name):
+        K = FRESH_FIELDS[name]()
+        rng = random.Random(f"held-{name}")
+        polys = [random_poly(K, rng, order=r, max_degree=4, nterms=3)
+                 for r in (0, 1, 2, 3) for _ in range(4)]
+        expected = [_answer(_explicit_ndeg, P) for P in polys]
+        assert _held_tables(K) == set()
+        # twice: the first pass fills the tables, the second reads them
+        for _ in range(2):
+            assert [_answer(ndeg, P) for P in polys] == expected
+        if gamma_der(K).kind == PREFIX:
+            assert _held_tables(K) == {f"_ndeg_images_{r}" for r in (0, 1, 2, 3)}
+
+    @given(K=triangular_fields(), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_explicit_base_on_drawn_fields(self, K, seed):
+        rng = random.Random(seed)
+        polys = [random_poly(K, rng, order=rng.randint(0, 2), max_degree=3) for _ in range(4)]
+        expected = [_answer(_explicit_ndeg, P) for P in polys]
+        for _ in range(2):
+            assert [_answer(ndeg, P) for P in polys] == expected
+
+    def test_a_replaced_logder_gives_a_fresh_fields_ndeg(self):
+        # t' = t^(1-a) for the logders t^-a: Gamma(der) is v <= -a, and
+        # phi0 = t^-a, so a table left from a = 1 would conjugate by t^-1
+        rng = random.Random("held-logder")
+        K = _t_field(lambda K: K.gen("t", -1))
+        polys = [random_poly(K, rng, order=2, max_degree=3, nterms=4) for _ in range(30)]
+        before = [ndeg(P) for P in polys]
+        assert _held_tables(K) == {"_ndeg_images_2"}
+        K.generators[0].logder = K.gen("t", -3)
+        fresh = _t_field(lambda K: K.gen("t", -3))
+        after = [ndeg(P) for P in polys]
+        assert after == [ndeg(P.embed_into(fresh)) for P in polys]
+        assert after == [_explicit_ndeg(P) for P in polys]
+        assert after != before
 
 
 def _three_term(K, c):

@@ -92,6 +92,42 @@ def test_threads_deriving_on_a_fresh_field_agree_with_a_serial_run():
         assert _in_threads(lambda: _derivatives(shared)) == [expected] * THREADS
 
 
+# Polynomials of orders 1-3 with powers of each derivative up to the fourth.
+NDEG_TEXTS = ("Y'^4 + e_x*Y^2 - l0", "Y''^3*Y' + l1*Y'^2 - e_x*Y", "Y'''^2 + Y''^4 - l0*Y'^3",
+              "e_x*Y'''*Y'^2 + Y''^2*Y - 1", "Y'^3 - l1*Y''^2 + Y^4")
+
+
+def _held_degrees(M):
+    """ndeg of the NDEG_TEXTS on M, each through the normalization held on M."""
+    return [ndeg(parse_poly(text, M)) for text in NDEG_TEXTS]
+
+
+def _held_powers(M):
+    """{order: {(j, e): the held power of image j, in field-independent
+    form}} of the normalization tables ndeg holds on M."""
+    return {name.rsplit("_", 1)[1]: {key: [(i, series_terms(c)) for i, c in power]
+                                     for key, power in held[1][1].items()}
+            for name, held in vars(M).items() if name.startswith("_ndeg_images_")}
+
+
+def test_threads_filling_the_held_ndeg_normalization_agree_with_a_serial_run():
+    # the images are held first, so the threads fill one table of powers
+    # per order at once: a short window, so the race is run on several fields
+    def primed():
+        M = transseries_fragment.__wrapped__(DEPTH)
+        for text in ("Y'", "Y''", "Y'''"):
+            ndeg(parse_poly(text, M))
+        return M
+
+    serial = primed()
+    expected = _held_degrees(serial)
+    assert set(_held_powers(serial)) == {"1", "2", "3"}
+    for _ in range(20):
+        shared = primed()
+        assert _in_threads(lambda: _held_degrees(shared)) == [expected] * THREADS
+        assert _held_powers(shared) == _held_powers(serial)
+
+
 def _driver_reports():
     """check_bll and demo_nonuniqueness at OP_DEPTH, on the cached fields."""
     return check_bll(OP_DEPTH), demo_nonuniqueness(OP_DEPTH, [Fraction(0), Fraction(5, 2)])

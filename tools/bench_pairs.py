@@ -36,10 +36,13 @@ work done but not with the machine.
 Last, tools/interleave.py of this checkout times the two commits item by
 item (the parent as its a side, the change as b): in one process on each
 in-process workload, and process by process, cold, on the cli workload.
-The `interleave` block gives, per workload, the rounds and repeats, and
-the median, least and greatest of the per-repeat ratios time(parent) /
-time(change) of the items, and under `setup` the same of the workload's
-set-up: above 1, the change is faster.  For cli, `labels` gives per
+The `interleave` block gives, per workload, the rounds and repeats (an
+even count: each side runs first in half of them), the ratio
+time(parent) / time(change) of the items, as the geometric mean of the
+medians over the repeats of each order, which cancels the bias of
+running first, and the median, least and greatest of the per-repeat
+ratios; under `setup` the same of the workload's set-up: above 1, the
+change is faster.  For cli, `labels` gives per
 subcommand, and for `import`, `pass` and `all`, the ratio of the least
 times over the repeats and of the total times.  A
 machine whose speed drifts slows both sides of a repeat alike, so this
@@ -67,8 +70,9 @@ TRACED = ("conjugate", "fragment")   # the workloads that trace in process
 SIDES = ("parent", "change")
 PAIR_SEEDS = list(range(11, 21))
 CHECK_SEED = 4242
-# workload: (rounds, repeats) of its interleaved run
-INTERLEAVE = {"cli": (1, 9), "conjugate": (2, 9), "fragment": (3, 15)}
+# workload: (rounds, repeats) of its interleaved run; tools/interleave.py
+# takes an even repeat count, so each side runs first in half the repeats
+INTERLEAVE = {"cli": (1, 10), "conjugate": (2, 10), "fragment": (3, 16)}
 
 
 def git(*args, cwd) -> bytes:
@@ -112,8 +116,9 @@ def last_json(stdout: str):
 
 def interleave_once(repo: Path, commits: dict, workload: str) -> dict:
     """One run of repo's tools/interleave.py, parent against change: its
-    exit status, and the item and set-up ratios of each repeat and the cli
-    label ratios of the JSON line it printed last."""
+    exit status, and the item and set-up ratios of each repeat, their
+    order-balanced ratios and the cli label ratios of the JSON line it
+    printed last."""
     rounds, repeats = INTERLEAVE[workload]
     argv = [sys.executable, str(repo / "tools" / "interleave.py"), "--a", commits["parent"],
             "--b", commits["change"], "--workload", workload, "--rounds", str(rounds),
@@ -125,7 +130,8 @@ def interleave_once(repo: Path, commits: dict, workload: str) -> dict:
                 "stderr_tail": f"timed out after {exc.timeout} s"}
     result = last_json(proc.stdout) or {}
     return {"exit": proc.returncode, "ratios": result.get("ratios", []),
-            "setup_ratios": result.get("setup_ratios", []), "labels": result.get("labels", {}),
+            "setup_ratios": result.get("setup_ratios", []), "ratio": result.get("ratio"),
+            "setup_ratio": result.get("setup_ratio"), "labels": result.get("labels", {}),
             "stderr_tail": proc.stderr[-2000:]}
 
 
@@ -134,17 +140,20 @@ def ratio_range(ratios) -> dict:
 
 
 def interleave_summary(interleaved) -> dict:
-    """{workload: median and range of time(parent) / time(change), of the
-    items and of the set-up}."""
+    """{workload: the order-balanced ratio time(parent) / time(change),
+    and the median and range of the per-repeat ratios, of the items and
+    of the set-up}."""
     out = {}
     for r in interleaved:
         rounds, repeats = INTERLEAVE[r["workload"]]
         ratios, setup = r["ratios"], r["setup_ratios"]
-        if r["exit"] != 0 or len(ratios) != repeats or len(setup) != repeats:
+        if (r["exit"] != 0 or len(ratios) != repeats or len(setup) != repeats
+                or r.get("ratio") is None or r.get("setup_ratio") is None):
             out[r["workload"]] = {"unresolved": True, "exit": r["exit"]}
             continue
-        out[r["workload"]] = {"rounds": rounds, "repeats": repeats, **ratio_range(ratios),
-                              "setup": ratio_range(setup)}
+        out[r["workload"]] = {"rounds": rounds, "repeats": repeats, "ratio": r["ratio"],
+                              **ratio_range(ratios),
+                              "setup": {"ratio": r["setup_ratio"], **ratio_range(setup)}}
         if r.get("labels"):
             out[r["workload"]]["labels"] = r["labels"]
     return out

@@ -18,9 +18,16 @@ the kernels F(n, k), so every repeat pays the cold start a benchmark run
 pays.
 
 Per repeat it prints time(a) / time(b) summed over the items (above 1:
-b is faster) and the same ratio of the set-ups, then the median of each
-over the repeats and, last, one JSON line: {"ratios": [...],
-"setup_ratios": [...]}, the two ratios of each repeat, which
+b is faster) and the same ratio of the set-ups.  The side that runs
+first is favoured or slowed by the machine (its caches, its clock), so
+the repeats of each order are summarized apart: it prints, for the items
+and the set-ups, the median over the repeats a ran first in, that over
+the repeats b ran first in, and their geometric mean, the ratio, in
+which an order's bias enters each median with opposite signs and
+cancels.  --repeats must be even, so both orders count alike.  Last
+comes one JSON line: {"ratios": [...], "setup_ratios": [...], "ratio":
+..., "setup_ratio": ..., "order_medians": {"items": [a first, b first],
+"setup": [...]}}, the two ratios of each repeat and the summaries, which
 tools/bench_pairs.py reads.  Every item must answer OK on both sides;
 the exit status is 1 otherwise.  This supplements tools/bench_pairs.py,
 which times whole benchmark runs in fresh processes, and does not
@@ -48,6 +55,7 @@ import gc
 import importlib
 import importlib.util
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -95,6 +103,14 @@ def clear_builtin_fields(vd) -> None:
 def items(vd, workload: str, ctx, seed: int, rounds: int) -> list:
     gen = (W.conjugate_rounds if workload == "conjugate" else W.fragment_rounds)(vd, ctx, seed)
     return [item for batch in islice(gen, rounds) for item in batch]
+
+
+def by_order(ratios: list) -> tuple:
+    """(median over the repeats a ran first in, median over those b ran
+    first in, their geometric mean) of the per-repeat ratios: a runs first
+    in the even repeats."""
+    a_first, b_first = statistics.median(ratios[0::2]), statistics.median(ratios[1::2])
+    return a_first, b_first, math.sqrt(a_first * b_first)
 
 
 def interleave(sides, workload: str, seed: int, rounds: int, repeats: int) -> tuple:
@@ -195,8 +211,11 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", choices=("cli", "conjugate", "fragment"), required=True)
     ap.add_argument("--rounds", type=int, default=1,
                     help="workload rounds (cli: passes) per repeat")
-    ap.add_argument("--repeats", type=int, default=15)
+    ap.add_argument("--repeats", type=int, default=16,
+                    help="an even count: each side runs first in half of them")
     args = ap.parse_args(argv)
+    if args.repeats < 2 or args.repeats % 2:
+        ap.error(f"--repeats {args.repeats} is not an even count >= 2")
     with tempfile.TemporaryDirectory(prefix="interleave-") as tmp:
         copies, labels = [Path(tmp) / "a", Path(tmp) / "b"], {}
         for copy, ref in zip(copies, (args.a, args.b)):
@@ -212,15 +231,18 @@ def main(argv=None) -> int:
         except RuntimeError as exc:
             print(f"FAILED: {exc}", file=sys.stderr)
             return 1
-    result = {"ratios": ratios, "setup_ratios": setup_ratios}
+    items, setup = by_order(ratios), by_order(setup_ratios)
+    result = {"ratios": ratios, "setup_ratios": setup_ratios, "ratio": items[2],
+              "setup_ratio": setup[2], "order_medians": {"items": items[:2], "setup": setup[:2]}}
     for label, (least_a, least_b, total_a, total_b) in labels.items():
         print(f"{label}: least a {least_a * 1e3:.1f} ms, b {least_b * 1e3:.1f} ms, "
               f"ratio {least_a / least_b:.4f}; total a {total_a * 1e3:.1f} ms, "
               f"b {total_b * 1e3:.1f} ms, ratio {total_a / total_b:.4f}")
         result.setdefault("labels", {})[label] = {"least": least_a / least_b,
                                                   "total": total_a / total_b}
-    print(f"median ratio a/b over {len(ratios)} repeats: {statistics.median(ratios):.4f}, "
-          f"set-up {statistics.median(setup_ratios):.4f}")
+    for name, (a_first, b_first, ratio) in (("items", items), ("set-up", setup)):
+        print(f"{name} ratio a/b over {len(ratios)} repeats: median a first {a_first:.4f}, "
+              f"b first {b_first:.4f}; geometric mean {ratio:.4f}")
     print(json.dumps(result))
     return 0
 
